@@ -85,6 +85,11 @@ bench-gate:
 # GOLDEN.sha256. Any change to produced float bits or draw order — however
 # small — fails this in ~4 s. The pin is amd64-specific (math.Log/Exp are
 # per-arch assembly); regenerate on other architectures before comparing.
+# It also assumes an AVX+FMA host: math.Exp picks its FMA path at run time,
+# and that path rounds differently from the SSE2 one. The samplers' AVX2+FMA
+# kernels (internal/sim/kernels_amd64.s) reproduce those bits exactly;
+# `make golden GOFLAGS=-tags=purego` checks the scalar path against the
+# same pin.
 golden:
 	$(GO) run ./cmd/rhythm -quick -seed 2020 -jobs 1 run fig2 fig7 | sha256sum -c GOLDEN.sha256
 

@@ -88,6 +88,7 @@ var registry = []struct {
 	{"EngineTickSample", benchmarks.EngineTickSample},
 	{"FleetTick", benchmarks.FleetTick},
 	{"PathP99", benchmarks.PathP99},
+	{"SampleKernel", benchmarks.SampleKernel},
 	{"ObsDisabled", benchmarks.ObsDisabled},
 }
 

@@ -18,6 +18,9 @@
 //     both as ns/op and as a machines/s throughput metric (the
 //     datacenter-scale gate).
 //   - PathP99: the Monte Carlo path-tail estimator used by profiling.
+//   - SampleKernel: one 512-element LognormalDraws chunk, the batch the
+//     engine's sample pass and the path-tail estimator are built from,
+//     with a "vector" metric that is 1 when the AVX2+FMA kernels ran.
 //   - ObsDisabled: every observability emit point with no bus installed —
 //     the nil-check path the engine hot loop pays on untraced runs, pinned
 //     at 0 allocs/op (TestObsDisabledZeroAllocs).
@@ -227,6 +230,29 @@ func PathP99(b *testing.B) {
 		sink, buf = queueing.PathP99Into(buf, stages, n, rng)
 	}
 	_ = sink
+}
+
+// SampleKernel measures sim.LognormalDraws over one 512-element chunk
+// (128 draws of a four-stage path) on the path the host dispatches to. Its
+// "vector" metric is 1 when that is the AVX2+FMA kernels and 0 on the
+// scalar fallback, so a host or build that silently lost the kernels shows
+// in the report (`go test -bench SampleKernel ./internal/sim` times both
+// paths side by side).
+func SampleKernel(b *testing.B) {
+	mu := []float64{-5.2, -4.1, -6, -4.8}
+	sigma := []float64{0.3, 0.5, 0.2, 0.4}
+	dst := make([]float64, 512)
+	rng := sim.NewRNG(2020).Fork("bench-sample-kernel")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim.LognormalDraws(dst, mu, sigma, rng)
+	}
+	vector := 0.0
+	if sim.VectorKernels() {
+		vector = 1
+	}
+	b.ReportMetric(vector, "vector")
 }
 
 // ObsDisabled measures the full set of observability emit points with no

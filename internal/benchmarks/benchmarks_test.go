@@ -18,6 +18,7 @@ func BenchmarkTailTrackerAddP99(b *testing.B) { TailTrackerAddP99(b) }
 func BenchmarkEngineTick(b *testing.B)        { EngineTick(b) }
 func BenchmarkFleetTick(b *testing.B)         { FleetTick(b) }
 func BenchmarkPathP99(b *testing.B)           { PathP99(b) }
+func BenchmarkSampleKernel(b *testing.B)      { SampleKernel(b) }
 func BenchmarkObsDisabled(b *testing.B)       { ObsDisabled(b) }
 
 // TestObsDisabledZeroAllocs pins the observability contract in the test

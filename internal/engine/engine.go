@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"rhythm/internal/bejobs"
@@ -248,58 +249,40 @@ type RunStats struct {
 
 // MeanEMU returns the across-pod mean EMU.
 func (r *RunStats) MeanEMU() float64 {
-	var s float64
-	var n int
-	for _, p := range r.PerPod {
-		s += p.EMU
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return s / float64(n)
+	return r.podMean(func(p *PodStats) float64 { return p.EMU })
 }
 
 // MeanBEThroughput returns the across-pod mean BE throughput.
 func (r *RunStats) MeanBEThroughput() float64 {
-	var s float64
-	var n int
-	for _, p := range r.PerPod {
-		s += p.BEThroughput
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return s / float64(n)
+	return r.podMean(func(p *PodStats) float64 { return p.BEThroughput })
 }
 
 // MeanCPUUtil returns the across-pod mean CPU utilization.
 func (r *RunStats) MeanCPUUtil() float64 {
-	var s float64
-	var n int
-	for _, p := range r.PerPod {
-		s += p.CPUUtil
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return s / float64(n)
+	return r.podMean(func(p *PodStats) float64 { return p.CPUUtil })
 }
 
 // MeanMemBWUtil returns the across-pod mean memory-bandwidth utilization.
 func (r *RunStats) MeanMemBWUtil() float64 {
-	var s float64
-	var n int
-	for _, p := range r.PerPod {
-		s += p.MemBWUtil
-		n++
-	}
-	if n == 0 {
+	return r.podMean(func(p *PodStats) float64 { return p.MemBWUtil })
+}
+
+// podMean averages field over the pods, summing in pod-name order: a sum
+// in map order could differ in its last bits between identical runs.
+func (r *RunStats) podMean(field func(*PodStats) float64) float64 {
+	if len(r.PerPod) == 0 {
 		return 0
 	}
-	return s / float64(n)
+	pods := make([]string, 0, len(r.PerPod))
+	for pod := range r.PerPod {
+		pods = append(pods, pod)
+	}
+	sort.Strings(pods)
+	var s float64
+	for _, pod := range pods {
+		s += field(r.PerPod[pod])
+	}
+	return s / float64(len(pods))
 }
 
 // TotalKills sums BE kills across pods.

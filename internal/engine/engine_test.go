@@ -319,3 +319,35 @@ func TestStatsAggregation(t *testing.T) {
 		t.Fatal("empty stats should be zero")
 	}
 }
+
+// TestRunStatsMeansFixedOrder builds per-pod values whose float sum
+// depends on the order they are added in, and demands that every across-pod
+// mean comes out the same bits on every call: the sum must not follow map
+// iteration order.
+func TestRunStatsMeansFixedOrder(t *testing.T) {
+	st := &RunStats{PerPod: map[string]*PodStats{}}
+	for i := 0; i < 24; i++ {
+		v := []float64{1e16, 1, -1e16, 0.1, 3.3e-7, 2.5}[i%6] * float64(i+1)
+		st.PerPod[string(rune('a'+i))] = &PodStats{EMU: v, BEThroughput: -v, CPUUtil: v / 3, MemBWUtil: v * 7}
+	}
+	means := []struct {
+		name string
+		f    func() float64
+	}{
+		{"MeanEMU", st.MeanEMU},
+		{"MeanBEThroughput", st.MeanBEThroughput},
+		{"MeanCPUUtil", st.MeanCPUUtil},
+		{"MeanMemBWUtil", st.MeanMemBWUtil},
+	}
+	for _, m := range means {
+		first := math.Float64bits(m.f())
+		for i := 0; i < 200; i++ {
+			if got := math.Float64bits(m.f()); got != first {
+				t.Fatalf("%s: call %d gave %x, first call %x", m.name, i, got, first)
+			}
+		}
+	}
+	if (&RunStats{}).MeanEMU() != 0 {
+		t.Fatal("MeanEMU of no pods should be 0")
+	}
+}

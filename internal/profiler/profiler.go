@@ -482,9 +482,11 @@ func FindSlacklimits(prof *Profile, opts SlackOptions) (map[string]float64, erro
 				// a single violating trial may have nothing to do with
 				// this pod's probe. Confirm with two re-runs under
 				// different seeds and blame the probe only on a
-				// majority (the paper's "run multiple times").
+				// majority (the paper's "run multiple times"). Once the
+				// first re-run confirms, the second cannot change the
+				// verdict and is skipped.
 				votes := 1
-				for retry := uint64(1); retry <= 2; retry++ {
+				for retry := uint64(1); retry <= 2 && votes < 2; retry++ {
 					v, err := trial(iter + retry*50021)
 					if err != nil {
 						return nil, err

@@ -131,7 +131,8 @@ func (r *RNG) Intn(n int) int {
 //
 // bit-for-bit (the cosine goes through cos2pi, a branch-reduced kernel
 // differentially pinned to math.Cos). Batched samplers such as
-// SumLognormals re-implement this expression pass-by-pass over many draws;
+// SumLognormals re-implement this expression pass-by-pass over many draws
+// (four lanes at a time on AVX2+FMA hosts, kernels_amd64.s);
 // any change here must be mirrored there and will show up as a stdout diff
 // in every golden experiment run. See DESIGN.md §9.
 func (r *RNG) NormFloat64() float64 {

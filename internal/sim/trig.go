@@ -28,7 +28,9 @@ import "math"
 // between already-computed results is new. TestCos2PiMatchesStdlib pins
 // this over the full uniform range and the octant boundaries. Arguments
 // outside [0, 2^29) — impossible for 2π·u with u ∈ [0, 1), but reachable
-// through a hostile u — fall back to math.Cos.
+// through a hostile u — fall back to math.Cos. angleAVX2
+// (kernels_amd64.s) is a four-lane port of this function; a change here
+// must be mirrored there.
 func cos2pi(u float64) float64 {
 	const (
 		pi4a            = 7.85398125648498535156e-1 // Pi/4 split into three parts
