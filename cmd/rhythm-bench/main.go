@@ -81,6 +81,7 @@ var registry = []struct {
 }{
 	{"TailTrackerAdd", benchmarks.TailTrackerAdd},
 	{"TailTrackerAddP99", benchmarks.TailTrackerAddP99},
+	{"TailTrackerWindowP99", benchmarks.TailTrackerWindowP99},
 	{"EngineTick", benchmarks.EngineTick},
 	{"EngineTickDemand", benchmarks.EngineTickDemand},
 	{"EngineTickInflation", benchmarks.EngineTickInflation},

@@ -7,9 +7,12 @@
 // The benchmarks cover the per-sample unit economics of the measurement
 // pipeline:
 //
-//   - TailTrackerAdd / TailTrackerAddP99: sliding-window insert+evict cost,
-//     alone and interleaved with a p99 query per sample (the worst case
-//     for the tracker's lazy reconcile).
+//   - TailTrackerAdd / TailTrackerAddP99: sliding-window insert+evict cost
+//     at one sample per timestamp, alone and interleaved with a p99 query
+//     per sample (the worst case for the tracker: every query sees a new
+//     window and the batch-max bound cannot filter).
+//   - TailTrackerWindowP99: the engine's tracker traffic, 80-sample batches
+//     per tick with a p99 read every second and a control read every 2 s.
 //   - EngineTick: one full engine tick — sojourn modeling, utilization
 //     accounting, SamplesPerTick end-to-end latency draws through the call
 //     graph, tail-tracker maintenance.
@@ -85,6 +88,49 @@ func TailTrackerAddP99(b *testing.B) {
 		now = now.Add(benchSpacing)
 		tt.Add(now, rng.Float64())
 		sink = tt.P99()
+	}
+	_ = sink
+}
+
+// TailTrackerWindowP99 replays the engine's tracker traffic: one
+// 80-sample AddBatch per 100 ms tick into the 3 s window, a P99 read once
+// per simulated second (finishTick's ObserveWindow) and a second read
+// every 2 s with no add in between (the control tick). One op is one
+// tick. The values cycle through a pre-drawn pool so the RNG stays out of
+// the timing.
+func TailTrackerWindowP99(b *testing.B) {
+	const (
+		tick     = 100 * time.Millisecond
+		perTick  = 80
+		poolTick = 64
+	)
+	tt := metrics.NewTailTracker(benchWindow)
+	rng := sim.NewRNG(2020).Fork("bench-tail-window")
+	pool := make([]float64, poolTick*perTick)
+	for i := range pool {
+		pool[i] = rng.Float64()
+	}
+	now := sim.Time(0)
+	var sink float64
+	step := func(i int) {
+		now = now.Add(tick)
+		j := i % poolTick * perTick
+		tt.AddBatch(now, pool[j:j+perTick])
+		if i%10 == 0 {
+			sink = tt.P99()
+			if i%20 == 0 {
+				sink = tt.P99()
+			}
+		}
+	}
+	// Fill the window before the timer.
+	for i := 0; i < 40; i++ {
+		step(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(40 + i)
 	}
 	_ = sink
 }

@@ -382,6 +382,17 @@ type soaState struct {
 	inflate []float64
 	cvInfl  []float64
 
+	// Cached inflation targets per input. Model.Inflation (a math.Pow per
+	// pressured resource) and FreqInflation are pure in the pod's
+	// pressure vector and frequency cap, so the inflation pass recomputes
+	// the (inflate, cvInflate) targets only when that key changes; at a
+	// steady operating point most ticks see the previous tick's vector
+	// bit for bit. The inertia EMA still runs every tick.
+	infPress []cluster.Vector
+	infCap   []float64
+	infOK    []bool
+	infTgt   [][2]float64
+
 	// Cached sojourn distribution per operating point. The sojourn pass
 	// recomputes Station.At — Erlang-C plus a lognormal fit — only when
 	// the (qps, inflate, cvInflate, muSkew, sigmaSkew) tuple changes; At
@@ -641,6 +652,10 @@ func (e *Engine) initSoA() {
 	s.beDirty = make([]bool, n)
 	s.inflate = make([]float64, n)
 	s.cvInfl = make([]float64, n)
+	s.infPress = make([]cluster.Vector, n)
+	s.infCap = make([]float64, n)
+	s.infOK = make([]bool, n)
+	s.infTgt = make([][2]float64, n)
 	s.sojourn = make([]queueing.Sojourn, n)
 	s.sjKey = make([][5]float64, n)
 	s.sjOK = make([]bool, n)
@@ -898,20 +913,28 @@ func (e *Engine) passPressure() {
 
 // passInflation maps pressure to the latency inflation targets (a
 // machine-slowdown frequency cap stretches LC service time like any DVFS
-// step-down would) and applies the first-order inertia of
-// Config.InertiaTau with the precomputed EMA coefficient — the same
-// alpha the scalar smooth recomputed per call, so the same bits.
+// step-down would), reusing the previous targets while the pod's
+// (pressure, frequency cap) key is unchanged, and applies the first-order
+// inertia of Config.InertiaTau with the precomputed EMA coefficient — the
+// same alpha the scalar smooth recomputed per call, so the same bits.
 func (e *Engine) passInflation() {
 	s := &e.soa
 	faultsOn := e.cfg.Faults != nil
 	bypass := e.cfg.InertiaTau < 0
 	for i, p := range e.pods {
-		inflate, cvInflate := e.cfg.Model.Inflation(p.comp, s.press[i])
+		fc := 0.0
 		if faultsOn {
-			if fc := s.freqCap[i]; fc > 0 && fc < p.machine.Spec.MaxGHz {
+			fc = s.freqCap[i]
+		}
+		if !s.infOK[i] || s.press[i] != s.infPress[i] || fc != s.infCap[i] {
+			inflate, cvInflate := e.cfg.Model.Inflation(p.comp, s.press[i])
+			if fc > 0 && fc < p.machine.Spec.MaxGHz {
 				inflate *= interference.FreqInflation(p.comp, fc, p.machine.Spec.MaxGHz)
 			}
+			s.infTgt[i] = [2]float64{inflate, cvInflate}
+			s.infPress[i], s.infCap[i], s.infOK[i] = s.press[i], fc, true
 		}
+		inflate, cvInflate := s.infTgt[i][0], s.infTgt[i][1]
 		if bypass {
 			s.inflate[i], s.cvInfl[i] = inflate, cvInflate
 			continue

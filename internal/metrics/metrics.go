@@ -3,26 +3,28 @@
 // controllers and SLA definition use), utilization accounting, and the
 // EMU (effective machine utilization) throughput metric of §5.1.
 //
-// TailTracker is the hot path: every engine tick adds SamplesPerTick
-// samples but only every control tick queries the window p99, over
-// millions of requests per experiment. The cost model is therefore
-// write-heavy: storage is a plain ring buffer where adds and evictions are
-// O(1) slot writes with no value-order bookkeeping at all, and a query
-// copies the live window into a reused scratch buffer and runs the
-// deterministic Floyd–Rivest selection (`sim.SelectQuantile`) — O(W) per
-// query instead of the sorted-snapshot reconcile (batch sort + full-window
-// merge) the previous tracker paid on every queried window change. With
-// ~80 adds between queries that reconcile dominated the engine tick;
-// selection-on-read moves the entire cost to the rare reader. The results
-// are exact, not approximate: order statistics are permutation-invariant
-// and SelectQuantile is differentially pinned bit-equal to
-// sort+sim.QuantileSorted, so every quantile matches the seed tracker's
-// copy-and-sort to the last bit — the differential test in this package
-// pins that down (and `make check` runs it).
+// TailTracker is the hot path. Every engine tick adds SamplesPerTick
+// samples at one timestamp; once a second the engine records the window
+// p99, and every control period the controller reads it again. Writes
+// are O(1) ring-slot stores, and expired samples are dropped lazily, when
+// a ring fills or a reader looks. Storage keeps, beside the values, one
+// (time, count, max) record per timestamp — a batch — so pruning drops
+// whole batches and a query can bound the answer before it looks at a
+// single value: the maxima of r distinct batches are r distinct window
+// elements, so the r-th largest batch maximum is a lower bound on the
+// window's r-th largest value. A p99 query keeps only the values at or
+// above that bound (about 54 of an engine window's ~2460) and selects
+// among them with sim.SelectRank. The order statistics are the window's
+// own, so every quantile matches the seed tracker's copy-and-sort to the
+// last bit; the differential tests and FuzzTailTracker pin that down
+// (`make check` runs the former uncached). A query's result is memoized
+// until the next add, so the control tick's read right after the
+// once-a-second observation costs nothing.
 package metrics
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"rhythm/internal/sim"
@@ -36,32 +38,43 @@ import (
 // panicking.
 var Strict = strictDefault
 
-// sample is one (time, value) observation in arrival order.
-type sample struct {
-	t sim.Time
-	v float64
+// batch is a run of window samples that share one timestamp — one engine
+// tick's AddBatch. Its samples enter and leave the window together.
+type batch struct {
+	t   sim.Time
+	n   int     // samples in the run
+	max float64 // largest sample in the run
 }
 
 // TailTracker keeps latency samples over a sliding window and reports tail
 // percentiles, mirroring the paper's per-second p99 monitoring.
 //
-// Storage is a power-of-two ring buffer: eviction recycles slots in place,
-// so the footprint is bounded by the window's high-water occupancy instead
-// of growing with the total number of samples ever added (the re-slicing
-// tracker this replaced leaked its head on every prune). There is no
-// value-order index: a query copies the live window into scratch and
-// selects the order statistic there, so writes touch exactly one ring slot.
+// Storage is two power-of-two rings: the values in arrival order and the
+// batches that partition them. Eviction recycles slots in place, so the
+// footprint is bounded by the window's high-water occupancy instead of
+// growing with the total number of samples ever added. There are no
+// per-sample timestamps: a batch's samples share one.
 type TailTracker struct {
 	window time.Duration
-	buf    []sample // ring storage; len(buf) is the capacity, a power of two
-	head   int      // index of the oldest live sample
-	n      int      // live samples
+	vals   []float64 // value ring; len(vals) is the capacity
+	head   int       // index of the oldest held value
+	n      int       // held values: the window, plus any not yet pruned
+	bs     []batch   // batch ring, oldest at bhead
+	bhead  int
+	bn     int      // held batches
 	latest sim.Time // newest timestamp seen (Add clamps to this)
 
-	// scratch is the query buffer: Quantile copies the live window values
-	// here and partially reorders them in place (SelectQuantile). Bounded
-	// by the window's high-water occupancy, like the ring.
+	// scratch holds a query's candidates (the values at or above the
+	// batch-max bound) and maxs the batch maxima the bound is selected
+	// from; both are reordered in place by selection. Bounded by the
+	// window's high-water occupancy, like the rings.
 	scratch []float64
+	maxs    []float64
+
+	// memoQ/memoV cache the last query until the next add.
+	memoOK bool
+	memoQ  float64
+	memoV  float64
 
 	worstAt sim.Time
 	worst   float64
@@ -80,99 +93,214 @@ func NewTailTracker(window time.Duration) *TailTracker {
 // backwards t is clamped to the latest time seen, or panics when Strict.
 func (tt *TailTracker) Add(t sim.Time, v float64) {
 	if t < tt.latest {
-		if Strict {
-			panic(fmt.Sprintf("metrics: TailTracker.Add time ran backwards: %v after %v", t, tt.latest))
-		}
-		t = tt.latest
+		t = tt.backwards(t)
 	}
-	tt.latest = t
-	if tt.n == len(tt.buf) {
-		tt.grow()
+	// The newest batch is stamped with the latest time and is never
+	// pruned while it is the newest.
+	same := tt.n > 0 && t == tt.latest
+	tt.latest, tt.memoOK = t, false
+	if tt.n == len(tt.vals) {
+		tt.grow(1)
 	}
-	tt.buf[(tt.head+tt.n)&(len(tt.buf)-1)] = sample{t: t, v: v}
+	tt.vals[(tt.head+tt.n)&(len(tt.vals)-1)] = v
 	tt.n++
-	tt.prune(t)
+	if same {
+		last := &tt.bs[(tt.bhead+tt.bn-1)&(len(tt.bs)-1)]
+		last.n++
+		if v > last.max {
+			last.max = v
+		}
+		return
+	}
+	if tt.bn == len(tt.bs) {
+		tt.growBatches()
+	}
+	tt.bs[(tt.bhead+tt.bn)&(len(tt.bs)-1)] = batch{t: t, n: 1, max: v}
+	tt.bn++
 }
 
 // AddBatch records len(vs) samples all observed at time t, in order. It is
 // equivalent to calling Add(t, v) for each v — the engine's sampling pass
 // produces a whole tick's draws at one timestamp — but pays the
-// clamp/Strict check, the capacity check and the prune exactly once.
+// clamp/Strict check and the capacity checks exactly once.
 func (tt *TailTracker) AddBatch(t sim.Time, vs []float64) {
 	if len(vs) == 0 {
 		return
 	}
 	if t < tt.latest {
-		if Strict {
-			panic(fmt.Sprintf("metrics: TailTracker.Add time ran backwards: %v after %v", t, tt.latest))
-		}
-		t = tt.latest
+		t = tt.backwards(t)
 	}
-	tt.latest = t
-	for tt.n+len(vs) > len(tt.buf) {
-		tt.grow()
+	// The newest batch is stamped with the latest time and is never
+	// pruned while it is the newest.
+	same := tt.n > 0 && t == tt.latest
+	tt.latest, tt.memoOK = t, false
+	if tt.n+len(vs) > len(tt.vals) {
+		tt.grow(len(vs))
 	}
-	mask := len(tt.buf) - 1
-	for i, v := range vs {
-		tt.buf[(tt.head+tt.n+i)&mask] = sample{t: t, v: v}
+	tail := (tt.head + tt.n) & (len(tt.vals) - 1)
+	if k := copy(tt.vals[tail:], vs); k < len(vs) {
+		copy(tt.vals, vs[k:])
 	}
 	tt.n += len(vs)
-	tt.prune(t)
+	hi := vs[0]
+	for _, v := range vs[1:] {
+		if v > hi {
+			hi = v
+		}
+	}
+	if same {
+		last := &tt.bs[(tt.bhead+tt.bn-1)&(len(tt.bs)-1)]
+		last.n += len(vs)
+		if hi > last.max {
+			last.max = hi
+		}
+		return
+	}
+	if tt.bn == len(tt.bs) {
+		tt.growBatches()
+	}
+	tt.bs[(tt.bhead+tt.bn)&(len(tt.bs)-1)] = batch{t: t, n: len(vs), max: hi}
+	tt.bn++
 }
 
-// grow doubles the ring (64 slots minimum), restoring arrival order from
-// the head.
-func (tt *TailTracker) grow() {
-	newCap := len(tt.buf) * 2
-	if newCap == 0 {
-		newCap = 64
+// backwards applies the time contract to a t earlier than the latest time
+// seen: a panic when Strict, otherwise the clamped time. Kept out of line;
+// the adds only pay for the comparison.
+//
+//go:noinline
+func (tt *TailTracker) backwards(t sim.Time) sim.Time {
+	if Strict {
+		panic(fmt.Sprintf("metrics: TailTracker.Add time ran backwards: %v after %v", t, tt.latest))
 	}
-	buf := make([]sample, newCap)
-	for i := 0; i < tt.n; i++ {
-		buf[i] = tt.buf[(tt.head+i)&(len(tt.buf)-1)]
-	}
-	tt.buf = buf
-	tt.head = 0
+	return tt.latest
 }
 
-// prune drops samples older than the window.
-func (tt *TailTracker) prune(now sim.Time) {
-	for tt.n > 0 {
-		if now.Sub(tt.buf[tt.head].t) <= tt.window {
+// prune drops the batches older than the window, and their samples. It is
+// lazy: adds only append, and prune runs when a ring fills up or a reader
+// (N, Quantile) looks. Times never decrease, so pruning at the latest time
+// removes exactly the prefix an eager prune after every add would have
+// removed by then.
+func (tt *TailTracker) prune() {
+	bh, bn, dropped := tt.bhead, tt.bn, 0
+	for bn > 0 {
+		b := &tt.bs[bh]
+		if tt.latest.Sub(b.t) <= tt.window {
 			break
 		}
-		tt.head = (tt.head + 1) & (len(tt.buf) - 1)
-		tt.n--
+		dropped += b.n
+		bh = (bh + 1) & (len(tt.bs) - 1)
+		bn--
 	}
+	tt.bhead, tt.bn = bh, bn
+	tt.head = (tt.head + dropped) & (len(tt.vals) - 1)
+	tt.n -= dropped
+}
+
+// grow makes room for k more values: it prunes, and doubles the value
+// ring (64 slots minimum) until the room is there.
+func (tt *TailTracker) grow(k int) {
+	if tt.prune(); tt.n+k <= len(tt.vals) {
+		return
+	}
+	size := max(2*len(tt.vals), 64)
+	for size < tt.n+k {
+		size *= 2
+	}
+	vals := make([]float64, size)
+	copy(vals[copy(vals, tt.vals[tt.head:]):], tt.vals[:tt.head])
+	tt.vals, tt.head = vals, 0
+}
+
+// growBatches makes room for one more batch, like grow (8 slots minimum).
+func (tt *TailTracker) growBatches() {
+	if tt.prune(); tt.bn < len(tt.bs) {
+		return
+	}
+	bs := make([]batch, max(2*len(tt.bs), 8))
+	copy(bs[copy(bs, tt.bs[tt.bhead:]):], tt.bs[:tt.bhead])
+	tt.bs, tt.bhead = bs, 0
 }
 
 // N returns the number of samples currently in the window.
-func (tt *TailTracker) N() int { return tt.n }
+func (tt *TailTracker) N() int {
+	tt.prune()
+	return tt.n
+}
 
-// Cap returns the ring capacity in samples. It is bounded by twice the
-// window's high-water occupancy (plus the 64-slot floor) — the regression
-// test for the old tracker's unbounded growth reads it.
-func (tt *TailTracker) Cap() int { return len(tt.buf) }
+// Cap returns the value ring's capacity in samples. It is bounded by twice
+// the window's high-water occupancy (plus the 64-slot floor) — the
+// regression test for the old tracker's unbounded growth reads it.
+func (tt *TailTracker) Cap() int { return len(tt.vals) }
 
-// Quantile returns the q-quantile over the current window (0 when empty).
-// It copies the live window into scratch and runs sim.SelectQuantile —
-// bit-equal to sorting the copy and evaluating sim.QuantileSorted (the
-// seed tracker's computation), since order statistics are invariant under
-// permutation and SelectQuantile is differentially pinned against exactly
-// that oracle.
+// Quantile returns the q-quantile over the current window (0 when empty),
+// bit-equal to sorting a copy of the window and evaluating
+// sim.QuantileSorted (the seed tracker's computation).
+//
+// The answer is the window's k-th smallest value, interpolated toward the
+// next one, with k from sim.QuantileRank; it and everything above it are
+// among the window's r = n-k largest values. The r-th largest batch
+// maximum τ bounds the r-th largest value from below, so the values >= τ
+// are exactly the window's top len(cand) elements, and the answer is their
+// (len(cand)-r)-th smallest, interpolated the same way. When the bound
+// cannot filter — fewer than r batches, or more than one batch per eight
+// samples (e.g. one sample per timestamp) — τ is -Inf and the candidates
+// are the whole window.
 func (tt *TailTracker) Quantile(q float64) float64 {
+	tt.prune()
 	if tt.n == 0 {
 		return 0
 	}
+	if tt.memoOK && q == tt.memoQ {
+		return tt.memoV
+	}
+	k, frac := sim.QuantileRank(tt.n, q)
+	r := tt.n - k
+	tau := math.Inf(-1)
+	if tt.bn >= r && tt.bn*8 <= tt.n {
+		tau = tt.batchMax(r)
+	}
+	cand := tt.candidates(tau)
+	v := sim.SelectRank(cand, len(cand)-r, frac)
+	tt.memoOK, tt.memoQ, tt.memoV = true, q, v
+	return v
+}
+
+// batchMax returns the r-th largest batch maximum (1 <= r <= bn).
+func (tt *TailTracker) batchMax(r int) float64 {
+	if cap(tt.maxs) < tt.bn {
+		tt.maxs = make([]float64, tt.bn, len(tt.bs))
+	}
+	maxs := tt.maxs[:tt.bn]
+	for i := range maxs {
+		maxs[i] = tt.bs[(tt.bhead+i)&(len(tt.bs)-1)].max
+	}
+	return sim.SelectRank(maxs, tt.bn-r, 0)
+}
+
+// candidates copies the window values >= tau into scratch: the whole
+// window, in one copy, when tau is -Inf.
+func (tt *TailTracker) candidates(tau float64) []float64 {
 	if cap(tt.scratch) < tt.n {
 		tt.scratch = make([]float64, tt.n)
 	}
-	xs := tt.scratch[:tt.n]
-	mask := len(tt.buf) - 1
-	for i := range xs {
-		xs[i] = tt.buf[(tt.head+i)&mask].v
+	cand := tt.scratch[:tt.n]
+	end := tt.head + tt.n
+	wrap := max(end-len(tt.vals), 0)
+	segs := [2][]float64{tt.vals[tt.head : end-wrap], tt.vals[:wrap]}
+	if math.IsInf(tau, -1) {
+		copy(cand[copy(cand, segs[0]):], segs[1])
+		return cand
 	}
-	return sim.SelectQuantile(xs, q)
+	m := 0
+	for _, seg := range segs {
+		for _, v := range seg {
+			if v >= tau {
+				cand[m] = v
+				m++
+			}
+		}
+	}
+	return cand[:m]
 }
 
 // P99 returns the 99th percentile over the current window.

@@ -181,29 +181,18 @@ func (s Station) MaxRate() float64 {
 	return float64(s.Workers) / s.BaseService
 }
 
-// P99 of a path: given per-stage sojourns, the end-to-end p99 is estimated
-// by sampling because stage distributions are dependent through load but
-// modeled independent here; the analytic convolution of lognormals has no
-// closed form.
-//
-// PathP99 estimates the p99 of the sum of the given sojourns using n Monte
-// Carlo samples from r. It allocates a fresh sample buffer per call; tight
-// loops should hold a PathEstimator (or at least a scratch buffer and
-// PathP99Into).
-func PathP99(stages []Sojourn, n int, r *sim.RNG) float64 {
-	p, _ := PathP99Into(nil, stages, n, r)
-	return p
-}
+// pathMaxStackStages bounds the stack-resident SoA scratch PathP99Into
+// flattens stage parameters into; deeper paths (no real service comes
+// close) fall back to heap slices.
+const pathMaxStackStages = 16
 
-// pathEstimatorMaxStackStages bounds the stack-resident SoA scratch
-// PathP99Into flattens stage parameters into; deeper paths (no real
-// service comes close) fall back to heap slices.
-const pathEstimatorMaxStackStages = 16
-
-// PathP99Into is PathP99 with a caller-owned scratch buffer: the n path
-// sums are written into buf (grown only when cap(buf) < n) and the
-// possibly-grown buffer is returned for the next call, so a sweep that
-// estimates many operating points allocates once.
+// PathP99Into estimates the end-to-end p99 of a path — the sum of the given
+// per-stage sojourns — from n Monte Carlo draws of r. It samples because
+// the analytic convolution of lognormals has no closed form. buf is
+// caller-owned scratch: the n path sums are written into it (grown only
+// when cap(buf) < n; nil is fine) and the possibly-grown buffer is
+// returned for the next call, so a sweep that estimates many operating
+// points allocates once. No stages or n <= 0 give 0.
 //
 // Ownership: the returned slice aliases buf's storage, holds the n path
 // sums partially reordered by quantile selection (NOT sorted), and is
@@ -222,9 +211,9 @@ func PathP99Into(buf []float64, stages []Sojourn, n int, r *sim.RNG) (float64, [
 		buf = make([]float64, n)
 	}
 	buf = buf[:n]
-	var muArr, sgArr [pathEstimatorMaxStackStages]float64
+	var muArr, sgArr [pathMaxStackStages]float64
 	var mu, sg []float64
-	if len(stages) <= pathEstimatorMaxStackStages {
+	if len(stages) <= pathMaxStackStages {
 		mu, sg = muArr[:len(stages)], sgArr[:len(stages)]
 	} else {
 		mu, sg = make([]float64, len(stages)), make([]float64, len(stages))
@@ -234,50 +223,4 @@ func PathP99Into(buf []float64, stages []Sojourn, n int, r *sim.RNG) (float64, [
 	}
 	sim.SumLognormals(buf, mu, sg, r)
 	return sim.SelectQuantile(buf, 0.99), buf
-}
-
-// PathEstimator is the reusable form of the Monte Carlo path-tail
-// estimator: it owns the flattened structure-of-arrays lognormal
-// parameters and the sample scratch, so a sweep that estimates many
-// operating points pays zero allocations after the first call. Not safe
-// for concurrent use; each worker owns its estimator, mirroring the
-// one-RNG-per-worker rule.
-type PathEstimator struct {
-	mu    []float64
-	sigma []float64
-	buf   []float64
-}
-
-// SetStages flattens the per-stage lognormal parameters into the
-// estimator's scratch. Call it whenever the operating point changes; the
-// stages slice is not retained.
-func (pe *PathEstimator) SetStages(stages []Sojourn) {
-	pe.mu = pe.mu[:0]
-	pe.sigma = pe.sigma[:0]
-	for _, s := range stages {
-		mu, sg := s.dist.LogParams()
-		pe.mu = append(pe.mu, mu)
-		pe.sigma = append(pe.sigma, sg)
-	}
-}
-
-// Quantile estimates the q-quantile of the path sum from n Monte Carlo
-// draws. Draw order and produced bits are identical to sampling each
-// stage's Sojourn.Sample per draw and sorting (the frozen contract,
-// RNG.NormFloat64); the estimate is computed by selection in O(n).
-func (pe *PathEstimator) Quantile(q float64, n int, r *sim.RNG) float64 {
-	if len(pe.mu) == 0 || n <= 0 {
-		return 0
-	}
-	if cap(pe.buf) < n {
-		pe.buf = make([]float64, n)
-	}
-	pe.buf = pe.buf[:n]
-	sim.SumLognormals(pe.buf, pe.mu, pe.sigma, r)
-	return sim.SelectQuantile(pe.buf, q)
-}
-
-// P99 is Quantile at 0.99, the repo's standard tail statistic.
-func (pe *PathEstimator) P99(n int, r *sim.RNG) float64 {
-	return pe.Quantile(0.99, n, r)
 }

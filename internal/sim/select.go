@@ -6,7 +6,7 @@ import "math"
 // QuantileSorted would return, without the sort: a Floyd–Rivest partial
 // selection materializes just the one or two order statistics the
 // interpolation reads, so the cost is O(n) instead of O(n log n). The
-// Monte Carlo tail estimator (queueing.PathEstimator) and the profiling
+// Monte Carlo tail estimator (queueing.PathP99Into) and the profiling
 // statistics path call this once per estimate over fresh random data,
 // where a full sort's comparison branches mispredict heavily.
 //
@@ -19,31 +19,58 @@ import "math"
 //
 // An empty xs returns 0, like Quantile.
 func SelectQuantile(xs []float64, q float64) float64 {
-	n := len(xs)
-	if n == 0 {
+	if len(xs) == 0 {
 		return 0
 	}
+	k, frac := QuantileRank(len(xs), q)
+	return SelectRank(xs, k, frac)
+}
+
+// QuantileRank locates the q-quantile of n > 0 values the way
+// QuantileSorted does: it is the k-th smallest value (0-based), or, when
+// frac > 0, the interpolation between the k-th and (k+1)-th smallest by
+// frac. q <= 0 maps to the minimum and q >= 1 to the maximum.
+func QuantileRank(n int, q float64) (k int, frac float64) {
 	if q <= 0 {
-		return minOf(xs)
+		return 0, 0
 	}
 	if q >= 1 {
-		return maxOf(xs)
+		return n - 1, 0
 	}
 	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	floydRivestSelect(xs, lo)
-	if lo == hi {
-		return xs[lo]
+	k = int(math.Floor(pos))
+	// pos - floor(pos) is exact, so frac == 0 exactly when QuantileSorted
+	// finds lo == hi.
+	return k, pos - float64(k)
+}
+
+// SelectRank returns the k-th smallest element of xs (0-based) when frac
+// is 0, and otherwise the QuantileSorted interpolation
+// xs_(k)*(1-frac) + xs_(k+1)*frac between it and the next order
+// statistic, bit for bit. xs must be NaN-free and is partially reordered
+// in place, like SelectQuantile; k+1 must be a valid rank when frac > 0.
+// Callers that know more than xs — metrics.TailTracker selects over a
+// filtered top slice of its window — pass the rank within xs directly.
+func SelectRank(xs []float64, k int, frac float64) float64 {
+	if frac == 0 {
+		switch k {
+		case 0:
+			return minOf(xs)
+		case len(xs) - 1:
+			return maxOf(xs)
+		}
 	}
-	// After selection everything right of lo is >= xs[lo], so the next
+	floydRivestSelect(xs, k)
+	if frac == 0 {
+		return xs[k]
+	}
+	// After selection everything right of k is >= xs[k], so the next
 	// order statistic is the minimum of that suffix — one linear scan
 	// instead of a second selection.
-	next := minOf(xs[lo+1:])
-	frac := pos - float64(lo)
+	next := minOf(xs[k+1:])
 	// The interpolation expression mirrors QuantileSorted exactly; the
 	// differential test pins equality bit-for-bit.
-	return xs[lo]*(1-frac) + next*frac
+	return xs[k]*(1-frac) + next*frac
 }
 
 func minOf(xs []float64) float64 {

@@ -99,6 +99,35 @@ func TestSelectQuantileMatchesSortOracle(t *testing.T) {
 	}
 }
 
+// TestSelectRankMatchesSortOracle pins the rank entry point the tail
+// tracker uses directly: any rank, with and without interpolation, over
+// inputs with heavy duplicates, equals the sorted copy's order statistics
+// run through QuantileSorted's interpolation expression.
+func TestSelectRankMatchesSortOracle(t *testing.T) {
+	r := NewRNG(0x5E1EC8)
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + r.Intn(900)
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(r.Intn(1 + r.Intn(50)))
+		}
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		k := r.Intn(n)
+		frac := 0.0
+		if k < n-1 && r.Intn(2) == 0 {
+			frac = r.Float64()
+		}
+		want := sorted[k]
+		if frac != 0 {
+			want = sorted[k]*(1-frac) + sorted[k+1]*frac
+		}
+		if got := SelectRank(xs, k, frac); got != want {
+			t.Fatalf("trial %d n=%d k=%d frac=%v: SelectRank = %v, oracle = %v", trial, n, k, frac, got, want)
+		}
+	}
+}
+
 // TestSelectQuantileEmpty matches Quantile's empty-input contract.
 func TestSelectQuantileEmpty(t *testing.T) {
 	if got := SelectQuantile(nil, 0.99); got != 0 {
