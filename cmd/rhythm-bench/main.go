@@ -90,6 +90,7 @@ var registry = []struct {
 	{"FleetTick", benchmarks.FleetTick},
 	{"PathP99", benchmarks.PathP99},
 	{"SampleKernel", benchmarks.SampleKernel},
+	{"UniformKernel", benchmarks.UniformKernel},
 	{"ObsDisabled", benchmarks.ObsDisabled},
 }
 

@@ -23,7 +23,10 @@
 //   - PathP99: the Monte Carlo path-tail estimator used by profiling.
 //   - SampleKernel: one 512-element LognormalDraws chunk, the batch the
 //     engine's sample pass and the path-tail estimator are built from,
-//     with a "vector" metric that is 1 when the AVX2+FMA kernels ran.
+//     with "vector" and "uniform" metrics that are 1 when the AVX2+FMA
+//     and the AVX-512 uniform kernels ran.
+//   - UniformKernel: that chunk's first pass alone, its 512 Box-Muller
+//     uniform pairs, with the "uniform" metric.
 //   - ObsDisabled: every observability emit point with no bus installed —
 //     the nil-check path the engine hot loop pays on untraced runs, pinned
 //     at 0 allocs/op (TestObsDisabledZeroAllocs).
@@ -280,10 +283,12 @@ func PathP99(b *testing.B) {
 
 // SampleKernel measures sim.LognormalDraws over one 512-element chunk
 // (128 draws of a four-stage path) on the path the host dispatches to. Its
-// "vector" metric is 1 when that is the AVX2+FMA kernels and 0 on the
-// scalar fallback, so a host or build that silently lost the kernels shows
-// in the report (`go test -bench SampleKernel ./internal/sim` times both
-// paths side by side).
+// "vector" metric is 1 when the radius, angle and exp passes ran the
+// AVX2+FMA kernels and its "uniform" metric is 1 when the uniforms came
+// from the AVX-512 kernel; 0 means the scalar fallback, so a host or build
+// that silently lost a kernel shows in the report (`go test -bench
+// 'SampleKernel|UniformKernel' ./internal/sim` times both paths side by
+// side).
 func SampleKernel(b *testing.B) {
 	mu := []float64{-5.2, -4.1, -6, -4.8}
 	sigma := []float64{0.3, 0.5, 0.2, 0.4}
@@ -294,11 +299,31 @@ func SampleKernel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sim.LognormalDraws(dst, mu, sigma, rng)
 	}
-	vector := 0.0
-	if sim.VectorKernels() {
-		vector = 1
+	b.ReportMetric(ran(sim.VectorKernels()), "vector")
+	b.ReportMetric(ran(sim.UniformKernel()), "uniform")
+}
+
+// UniformKernel measures the samplers' first pass over one chunk:
+// sim.BoxMullerUniforms filling 512 uniform pairs. Its "uniform" metric is
+// 1 when the AVX-512 kernel ran and 0 on the scalar loop.
+func UniformKernel(b *testing.B) {
+	u1 := make([]float64, 512)
+	u2 := make([]float64, 512)
+	rng := sim.NewRNG(2020).Fork("bench-uniform-kernel")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim.BoxMullerUniforms(u1, u2, rng)
 	}
-	b.ReportMetric(vector, "vector")
+	b.ReportMetric(ran(sim.UniformKernel()), "uniform")
+}
+
+// ran reports a kernel dispatch as a 0/1 benchmark metric.
+func ran(on bool) float64 {
+	if on {
+		return 1
+	}
+	return 0
 }
 
 // ObsDisabled measures the full set of observability emit points with no

@@ -21,6 +21,7 @@ func BenchmarkEngineTickInflation(b *testing.B)  { EngineTickInflation(b) }
 func BenchmarkFleetTick(b *testing.B)            { FleetTick(b) }
 func BenchmarkPathP99(b *testing.B)              { PathP99(b) }
 func BenchmarkSampleKernel(b *testing.B)         { SampleKernel(b) }
+func BenchmarkUniformKernel(b *testing.B)        { UniformKernel(b) }
 func BenchmarkObsDisabled(b *testing.B)          { ObsDisabled(b) }
 
 // TestObsDisabledZeroAllocs pins the observability contract in the test

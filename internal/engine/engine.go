@@ -425,14 +425,16 @@ type soaState struct {
 	// Sampling-pass layout: the call graph flattened to stages in
 	// traversal order (stagePod maps stage -> pod row), per-stage
 	// lognormal parameters gathered per tick, the SamplesPerTick×stages
-	// draw matrix (draw-major stage-minor, the frozen RNG order), and the
-	// per-draw end-to-end latencies.
+	// draw matrix (draw-major stage-minor, the frozen RNG order), the
+	// per-draw end-to-end latencies, and the plan's scratch columns (two
+	// SamplesPerTick columns per level below the root).
 	stagePod []int
 	stageMu  []float64
 	stageSig []float64
 	vals     []float64
 	lats     []float64
 	plan     *samplePlan
+	cols     [][]float64
 
 	// Tick constants, precomputed once in New.
 	alpha    float64  // EMA coefficient 1-exp(-dt/tau); unused when tau < 0
@@ -441,36 +443,55 @@ type soaState struct {
 }
 
 // samplePlan mirrors workload.Node with the component name resolved to a
-// stage index: eval replays Node.Latency's exact recursion — including
-// its right-nested chain association and strict > parallel max — over a
-// row of the draw matrix. The association matters: a flat left-to-right
-// sum over the same addends rounds differently, so the combine must copy
-// the walk, not just its multiset of terms.
+// stage index: evalCols replays Node.Latency's exact recursion —
+// including its right-nested chain association and strict > parallel
+// max — over every row of the draw matrix at once. The association
+// matters: a flat left-to-right sum over the same addends rounds
+// differently, so the combine must copy the walk, not just its multiset
+// of terms.
 type samplePlan struct {
 	stage    int
 	parallel bool
 	children []*samplePlan
 }
 
-// eval is Node.Latency with sojourn(comp) replaced by vals[stage].
-func (n *samplePlan) eval(vals []float64) float64 {
-	t := vals[n.stage]
-	if len(n.children) == 0 {
-		return t
+// evalCols sets out[d] to Node.Latency with sojourn(comp) replaced by
+// vals[d*stages+stage], for every draw d < len(out). It runs each plan
+// node as a loop over the draws rather than walking the graph per draw:
+// a node copies its own column, then a chain adds each child's column in
+// child order, and a parallel node adds the strict > maximum over its
+// children's columns, started at 0. Per draw these are Latency's IEEE
+// operations in Latency's order, so every out[d] has its bits. cols holds
+// two len(out) scratch columns per level below this node.
+func (n *samplePlan) evalCols(out, vals []float64, stages int, cols [][]float64) {
+	for d := range out {
+		out[d] = vals[d*stages+n.stage]
 	}
+	if len(n.children) == 0 {
+		return
+	}
+	col, worst := cols[0][:len(out)], cols[1][:len(out)]
 	if n.parallel {
-		worst := 0.0
+		clear(worst)
 		for _, ch := range n.children {
-			if l := ch.eval(vals); l > worst {
-				worst = l
+			ch.evalCols(col, vals, stages, cols[2:])
+			for d, l := range col {
+				if l > worst[d] {
+					worst[d] = l
+				}
 			}
 		}
-		return t + worst
+		for d, w := range worst {
+			out[d] += w
+		}
+		return
 	}
 	for _, ch := range n.children {
-		t += ch.eval(vals)
+		ch.evalCols(col, vals, stages, cols[2:])
+		for d, l := range col {
+			out[d] += l
+		}
 	}
-	return t
 }
 
 // Engine executes one configured run.
@@ -488,17 +509,6 @@ type Engine struct {
 	// control tick only ever talks to pol, so legacy 3-argument policies
 	// and registry InputPolicies take the identical code path.
 	pol controller.InputPolicy
-
-	// refTick switches tick to the pre-SoA scalar reference
-	// implementation (tickReference). Tests set it to pin the SoA passes
-	// bitwise-equal to the original single-loop tick; it is never set in
-	// production paths.
-	refTick bool
-
-	// sampleFn is the per-component sampling callback handed to
-	// Graph.Latency; it is built once in New so the per-tick sampling
-	// loop allocates nothing.
-	sampleFn func(string) float64
 
 	meanP99Accum float64
 	meanP99N     int
@@ -620,20 +630,6 @@ func New(cfg Config) (*Engine, error) {
 		e.podByName[p.comp.Name] = p
 	}
 	e.initSoA()
-	// One closure for the whole run: the scalar reference walk draws from
-	// the pod's cached sojourn distribution in traversal order (the RNG
-	// stream consumption order is part of the determinism contract,
-	// DESIGN.md §7) and appends sojourn samples directly instead of
-	// staging them in a per-sample map. The SoA sampling pass consumes
-	// the identical stream through sim.LognormalDraws instead.
-	e.sampleFn = func(c string) float64 {
-		i := e.podByName[c].idx
-		v := math.Exp(e.soa.sjMu[i] + e.soa.sjSigma[i]*e.rng.NormFloat64())
-		if e.cfg.CollectSamples {
-			e.pods[i].stats.SojournSamples = append(e.pods[i].stats.SojournSamples, v)
-		}
-		return v
-	}
 	return e, nil
 }
 
@@ -682,13 +678,18 @@ func (e *Engine) initSoA() {
 	s.stageSig = make([]float64, stages)
 	s.vals = make([]float64, e.cfg.SamplesPerTick*stages)
 	s.lats = make([]float64, e.cfg.SamplesPerTick)
+	s.cols = make([][]float64, 2*(s.plan.depth()-1))
+	for i := range s.cols {
+		s.cols[i] = make([]float64, e.cfg.SamplesPerTick)
+	}
 	s.alpha = 1 - math.Exp(-e.cfg.TickDt.Seconds()/e.cfg.InertiaTau.Seconds())
 	s.dtHours = e.cfg.TickDt.Hours()
 	s.warmupAt = sim.Time(0).Add(e.cfg.Warmup)
 }
 
 // buildPlan flattens the call graph in Latency's traversal order (node
-// first, then children left to right — the order sampleFn is called in),
+// first, then children left to right — the order Latency calls its
+// sojourn callback in, and so the order a per-draw walk draws in),
 // assigning each node the next stage index and recording which pod row it
 // samples.
 func (e *Engine) buildPlan(n *workload.Node) *samplePlan {
@@ -698,6 +699,15 @@ func (e *Engine) buildPlan(n *workload.Node) *samplePlan {
 		p.children = append(p.children, e.buildPlan(ch))
 	}
 	return p
+}
+
+// depth is the number of plan nodes on the longest root-to-leaf path.
+func (n *samplePlan) depth() int {
+	d := 0
+	for _, ch := range n.children {
+		d = max(d, ch.depth())
+	}
+	return d + 1
 }
 
 // beOps are the BE lifecycle transitions the engine reports on the bus.
@@ -804,18 +814,14 @@ func (e *Engine) Now() sim.Time { return e.cursor }
 // grid and interleaves control decisions.
 func (e *Engine) Step(now sim.Time, load float64) { e.tick(now, load) }
 
-// tick advances the world by one TickDt at the given load fraction. The
-// default implementation is the SoA pass sequence; refTick selects the
-// pre-SoA scalar reference the differential tests pin it against. Both
-// produce bit-identical state: the per-pod arithmetic is the same
-// expressions in the same order, no pass consumes engine RNG except the
-// sampling step, and the sampling step draws the identical frozen stream
-// (draw-major, stage-minor — DESIGN.md §9) through sim.LognormalDraws.
+// tick advances the world by one TickDt at the given load fraction as a
+// sequence of SoA passes. The differential tests pin it bit for bit to
+// the pre-SoA scalar tick (tickReference, reference_test.go): the
+// per-pod arithmetic is the same expressions in the same order, no pass
+// consumes engine RNG except the sampling step, and the sampling step
+// draws the identical frozen stream (draw-major, stage-minor — DESIGN.md
+// §9) through sim.LognormalDraws.
 func (e *Engine) tick(now sim.Time, load float64) {
-	if e.refTick {
-		e.tickReference(now, load)
-		return
-	}
 	dt := e.cfg.TickDt
 	qps := load * e.cfg.Service.MaxLoadQPS
 	measuring := now >= e.soa.warmupAt
@@ -1056,9 +1062,9 @@ func (e *Engine) passBEProgress(load float64, dt time.Duration, measuring bool) 
 
 // passSample draws the tick's end-to-end latency samples: gather the
 // per-stage lognormal parameters, fill the draw matrix in the frozen
-// stream order with sim.LognormalDraws, then combine each row through
-// the sampling plan — the exact Node.Latency recursion — and bulk-insert
-// into the tail window. CollectSamples replays the rows into the per-pod
+// stream order with sim.LognormalDraws, then combine the rows column-wise
+// through the sampling plan — the exact Node.Latency recursion per row —
+// and bulk-insert into the tail window. CollectSamples replays the rows into the per-pod
 // sample slices in the same element order the scalar walk appended them.
 func (e *Engine) passSample(now sim.Time) {
 	s := &e.soa
@@ -1068,9 +1074,7 @@ func (e *Engine) passSample(now sim.Time) {
 		s.stageMu[j], s.stageSig[j] = s.sjMu[pi], s.sjSigma[pi]
 	}
 	sim.LognormalDraws(s.vals, s.stageMu, s.stageSig, e.rng)
-	for d := 0; d < n; d++ {
-		s.lats[d] = s.plan.eval(s.vals[d*stages : (d+1)*stages])
-	}
+	s.plan.evalCols(s.lats, s.vals, stages, s.cols)
 	e.tail.AddBatch(now, s.lats)
 	if e.cfg.CollectSamples {
 		for d := 0; d < n; d++ {
@@ -1128,131 +1132,6 @@ func (e *Engine) RunPass(name string, now sim.Time, load float64) bool {
 		return false
 	}
 	return true
-}
-
-// tickReference is the pre-SoA tick, kept verbatim as the differential
-// oracle (TestTickSoAMatchesScalar): one scalar loop over pods with no
-// derived caches — per-instance allocation lookups, per-call smoothing
-// coefficient, per-draw graph walks through sampleFn. It shares the SoA
-// rows as its backing state so a reference engine and a passes engine
-// evolve the same fields, but reads everything the expensive way.
-func (e *Engine) tickReference(now sim.Time, load float64) {
-	dt := e.cfg.TickDt
-	qps := load * e.cfg.Service.MaxLoadQPS
-	measuring := now >= e.soa.warmupAt
-	s := &e.soa
-
-	// Per-pod sojourn distributions under current interference, cached
-	// per operating point (see soaState.sojourn).
-	for i, p := range e.pods {
-		if e.cfg.Faults != nil && e.cfg.Faults.CrashTriggered(e.lastFaultScan, now, p.comp.Name) {
-			e.crashBE(p, now)
-		}
-		lcDemand := p.comp.DemandAt(load)
-		beDemand := p.beDemand()
-		press := e.cfg.Model.Pressure(p.machine.Spec, lcDemand, beDemand)
-		muSkew, sigmaSkew := 1.0, 1.0
-		freqCap := 0.0
-		if e.cfg.Faults != nil {
-			if m := e.cfg.Faults.InterferenceMul(now, p.comp.Name); m != 1 {
-				press = press.Scale(m)
-			}
-			freqCap = e.cfg.Faults.FreqCapGHz(now, p.comp.Name)
-			muSkew, sigmaSkew = e.cfg.Faults.Drift(now, p.comp.Name)
-		}
-		inflate, cvInflate := e.cfg.Model.Inflation(p.comp, press)
-		if freqCap > 0 && freqCap < p.machine.Spec.MaxGHz {
-			inflate *= interference.FreqInflation(p.comp, freqCap, p.machine.Spec.MaxGHz)
-		}
-		if e.cfg.InertiaTau >= 0 {
-			// The scalar smooth recomputed alpha per call.
-			alpha := 1 - math.Exp(-dt.Seconds()/e.cfg.InertiaTau.Seconds())
-			s.inflate[i] += (inflate - s.inflate[i]) * alpha
-			s.cvInfl[i] += (cvInflate - s.cvInfl[i]) * alpha
-			inflate, cvInflate = s.inflate[i], s.cvInfl[i]
-		} else {
-			s.inflate[i], s.cvInfl[i] = inflate, cvInflate
-		}
-		if key := [5]float64{qps, inflate, cvInflate, muSkew, sigmaSkew}; !s.sjOK[i] || key != s.sjKey[i] {
-			s.sojourn[i] = p.comp.Station.At(qps, inflate, cvInflate, 1)
-			mu, sigma := s.sojourn[i].LogParams()
-			if muSkew != 1 {
-				mu += math.Log(muSkew)
-			}
-			if sigmaSkew != 1 {
-				sigma *= sigmaSkew
-			}
-			s.sjMu[i], s.sjSigma[i] = mu, sigma
-			s.sjKey[i], s.sjOK[i] = key, true
-		}
-		sj := s.sojourn[i]
-
-		beAlloc := p.runningBEAlloc()
-		lcBusy := float64(p.comp.Cores) * sj.Utilization
-		cpuUtil := (lcBusy + float64(beAlloc.Cores)) / float64(p.machine.Spec.Cores)
-		servedBW := lcDemand[cluster.ResMemBW] + minf(beDemand[cluster.ResMemBW], p.machine.Spec.MemBWGBs-lcDemand[cluster.ResMemBW])
-		mbwUtil := sim.Clamp(servedBW/p.machine.Spec.MemBWGBs, 0, 1)
-		if measuring {
-			s.cpu[i].Observe(cpuUtil, dt)
-			s.mbw[i].Observe(mbwUtil, dt)
-		}
-
-		sat := 1.0
-		if beDemand[cluster.ResMemBW] > 0 {
-			avail := p.machine.Spec.MemBWGBs - lcDemand[cluster.ResMemBW]
-			if avail < 0 {
-				avail = 0
-			}
-			sat = minf(sat, avail/beDemand[cluster.ResMemBW])
-		}
-		beFreq := p.agent.BEFrequency()
-		if freqCap > 0 && freqCap < beFreq {
-			beFreq = freqCap
-		}
-		freqScale := beFreq / p.machine.Spec.MaxGHz
-		beRate := 0.0
-		for _, in := range p.instances {
-			alloc := p.machine.Alloc(cluster.Owner{Kind: cluster.OwnerBE, Name: in.ID})
-			if alloc == nil {
-				continue
-			}
-			instSat := sat
-			if wanted := in.Spec.PerCore[cluster.ResLLC] * float64(alloc.Cores); wanted > 0 {
-				if cacheSat := float64(alloc.LLCWays) / wanted; cacheSat < instSat {
-					if cacheSat < 0.2 {
-						cacheSat = 0.2
-					}
-					instSat = cacheSat
-				}
-			}
-			rate := in.Rate(alloc.Cores, instSat) * freqScale
-			done := in.Advance(rate, dt.Hours())
-			p.stats.Completions += done
-			if done > 0 {
-				p.obsCompletions.Add(uint64(done))
-			}
-			beRate += rate
-		}
-		if measuring {
-			s.bet[i].Observe(beRate, dt)
-			s.emu[i].Observe(metrics.EMU(load, beRate), dt)
-		}
-		p.stats.BEThroughput = s.bet[i].Mean()
-		p.stats.CPUUtil = s.cpu[i].Mean()
-		p.stats.MemBWUtil = s.mbw[i].Mean()
-		p.stats.EMU = s.emu[i].Mean()
-	}
-
-	// End-to-end latency sampling through the call graph, one walk per
-	// draw.
-	for i := 0; i < e.cfg.SamplesPerTick; i++ {
-		lat := e.cfg.Service.Graph.Latency(e.sampleFn)
-		e.tail.Add(now, lat)
-		if e.cfg.CollectSamples {
-			e.stats.E2ESamples = append(e.stats.E2ESamples, lat)
-		}
-	}
-	e.finishTick(now, dt, load, qps, measuring)
 }
 
 // emitFaultEdges reports fault activations and recoveries in the tick's

@@ -29,8 +29,8 @@ type pairedOutcome struct {
 }
 
 // runOnce executes cfg for dur with the given tick implementation
-// (refTick true = the pre-SoA scalar oracle) under a fresh memory-sink
-// bus and captures the outcome.
+// (ref true = the pre-SoA scalar oracle) under a fresh memory-sink bus and
+// captures the outcome.
 func runOnce(t *testing.T, cfg Config, dur time.Duration, ref bool) pairedOutcome {
 	t.Helper()
 	sink := &obs.MemorySink{}
@@ -40,9 +40,10 @@ func runOnce(t *testing.T, cfg Config, dur time.Duration, ref bool) pairedOutcom
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.refTick = ref
-	st, err := e.Run(dur)
-	if err != nil {
+	var st *RunStats
+	if ref {
+		st = runReference(e, dur)
+	} else if st, err = e.Run(dur); err != nil {
 		t.Fatal(err)
 	}
 	out := pairedOutcome{stats: st, tailN: e.tail.N(), events: sink.Events()}
@@ -50,6 +51,37 @@ func runOnce(t *testing.T, cfg Config, dur time.Duration, ref bool) pairedOutcom
 		out.quantiles = append(out.quantiles, e.tail.Quantile(q))
 	}
 	return out
+}
+
+// runReference is Run driven by tickReference: the same obs run brackets
+// around the same RunUntil loop, with the scalar tick in place of the
+// passes.
+func runReference(e *Engine, duration time.Duration) *RunStats {
+	e.stats.Duration = duration
+	end := sim.Time(0).Add(duration)
+	if e.obsScope.Enabled() {
+		e.obsRuns.Inc()
+		e.obsScope.RunPhase(0, "start", fmt.Sprintf("service=%s policy=%s sla=%gs duration=%v seed=%d",
+			e.cfg.Service.Name, e.stats.Policy, e.cfg.SLA, duration, e.cfg.Seed))
+	}
+	for ; e.cursor < end; e.cursor = e.cursor.Add(e.cfg.TickDt) {
+		now := e.cursor
+		e.clock.RunUntil(now)
+		load := e.cfg.Pattern.Load(now)
+		if e.cfg.Faults != nil {
+			load *= e.cfg.Faults.LoadMul(now)
+		}
+		e.tickReference(now, load)
+		if now >= e.nextControl {
+			e.controlTick(now, load)
+			e.nextControl = e.nextControl.Add(e.cfg.ControlPeriod)
+		}
+	}
+	if e.obsScope.Enabled() {
+		e.obsScope.RunPhase(int64(end), "end", fmt.Sprintf("worst_p99=%gs violations=%d",
+			e.stats.WorstP99, e.stats.Violations))
+	}
+	return e.stats
 }
 
 // assertPairedEqual runs cfg through both tick implementations and
@@ -163,6 +195,63 @@ func TestTickSoAMatchesScalar(t *testing.T) {
 		}
 		assertPairedEqual(t, faultCfg(t, sched), 35*time.Second)
 	})
+}
+
+// TestEvalColsMatchesLatency holds the column-wise combine to the
+// per-draw Node.Latency walk on random call graphs — chains and parallel
+// fan-outs of up to four children, nested four deep, the shapes scenario
+// specs allow beyond the built-in services' single-child chains — over
+// draw matrices that mix in ±0, ±Inf and NaN. With two or more children
+// the chain's left-to-right association and the parallel max's strict >
+// both show in the bits.
+func TestEvalColsMatchesLatency(t *testing.T) {
+	r := sim.NewRNG(2020).Fork("evalcols")
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+	var build func(depth int, plan *samplePlan) *workload.Node
+	stages := 0
+	build = func(depth int, plan *samplePlan) *workload.Node {
+		plan.stage = stages
+		plan.parallel = r.Float64() < 0.4
+		node := &workload.Node{Comp: fmt.Sprint(stages), Parallel: plan.parallel}
+		stages++
+		if depth > 1 && r.Float64() < 0.8 {
+			for c := 1 + r.Intn(4); c > 0; c-- {
+				ch := &samplePlan{}
+				node.Children = append(node.Children, build(depth-1, ch))
+				plan.children = append(plan.children, ch)
+			}
+		}
+		return node
+	}
+	for trial := 0; trial < 200; trial++ {
+		stages = 0
+		plan := &samplePlan{}
+		graph := build(1+r.Intn(4), plan)
+		draws := 1 + r.Intn(100)
+		vals := make([]float64, draws*stages)
+		for i := range vals {
+			vals[i] = math.Exp(-6 + 4*r.Float64())
+			if r.Float64() < 0.02 {
+				vals[i] = special[r.Intn(len(special))]
+			}
+		}
+		cols := make([][]float64, 2*(plan.depth()-1))
+		for i := range cols {
+			cols[i] = make([]float64, draws)
+		}
+		got := make([]float64, draws)
+		plan.evalCols(got, vals, stages, cols)
+		for d := range got {
+			want := graph.Latency(func(c string) float64 {
+				var stage int
+				fmt.Sscan(c, &stage)
+				return vals[d*stages+stage]
+			})
+			if math.Float64bits(got[d]) != math.Float64bits(want) {
+				t.Fatalf("trial %d draw %d: evalCols %v, Latency %v", trial, d, got[d], want)
+			}
+		}
+	}
 }
 
 // TestRunUntilChunkingUnchanged re-verifies the chunked-run bitwise

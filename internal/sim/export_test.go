@@ -5,9 +5,9 @@ package sim
 // ForceScalar switches the batched samplers to their scalar passes, the
 // reference the vector kernels are held to, until restore is called.
 func ForceScalar() (restore func()) {
-	prev := useKernels
-	useKernels = false
-	return func() { useKernels = prev }
+	prevK, prevU := useKernels, useUniformKernel
+	useKernels, useUniformKernel = false, false
+	return func() { useKernels, useUniformKernel = prevK, prevU }
 }
 
 // The kernel passes, each dispatching to its kernel where available.

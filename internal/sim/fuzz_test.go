@@ -10,11 +10,15 @@ import (
 // FuzzLognormalKernels holds the vector kernels to the scalar reference
 // on arbitrary inputs: the batched samplers over a k-stage path (k from 1
 // to 9) whose first stage has the fuzzed mu and sigma and whose last
-// stage has mu = x, and each kernel pass over uniforms with u planted in
-// them and exp arguments with x planted in them. NaN, ±Inf, ±0,
-// subnormals and out-of-range lanes must come out the same bits on both
-// paths, and the samplers must leave the stream at the same position. On
-// hosts without the kernels both paths are the scalar one.
+// stage has mu = x, the uniform pass over up to 520 pairs from the fuzzed
+// seed as generator state, and each kernel pass over uniforms with u
+// planted in them and exp arguments with x planted in them. NaN, ±Inf,
+// ±0, subnormals and out-of-range lanes must come out the same bits on
+// both paths, and the samplers and the uniform pass must leave the stream
+// at the same position. The zero-* corpus seeds plant a zero u1 or u2
+// (found by inverting splitmix64's finalizer; see uniform_test.go) in a
+// block lane, at a block boundary and at the last pair. On hosts without
+// the kernels both paths are the scalar one.
 func FuzzLognormalKernels(f *testing.F) {
 	f.Add(uint64(2020), uint8(4), uint16(37), -5.0, 0.4, 0.5, -3.0)
 	f.Fuzz(func(t *testing.T, seed uint64, k uint8, n uint16, mu, sigma, u, x float64) {
@@ -45,6 +49,23 @@ func FuzzLognormalKernels(f *testing.F) {
 		same(t, "samplers", vec, sca)
 		if vecNext != scaNext {
 			t.Fatalf("stream position diverged: %x vs %x", vecNext, scaNext)
+		}
+
+		// The uniform pass, from the fuzzed state.
+		pairs := int(n % 521)
+		uniforms := func() (us []float64, next uint64) {
+			r := sim.NewRNG(seed)
+			us = make([]float64, 2*pairs)
+			sim.BoxMullerUniforms(us[:pairs], us[pairs:], r)
+			return us, r.Uint64()
+		}
+		vec, vecNext = uniforms()
+		restore = sim.ForceScalar()
+		sca, scaNext = uniforms()
+		restore()
+		same(t, "uniforms", vec, sca)
+		if vecNext != scaNext {
+			t.Fatalf("uniform pass stream position diverged: %x vs %x", vecNext, scaNext)
 		}
 
 		// The passes, over random lanes with the fuzzed ones planted at

@@ -2,19 +2,22 @@
 
 #include "textflag.h"
 
-// Four-lane AVX2+FMA ports of the scalar Box-Muller and exp kernels the
-// batched lognormal samplers use (lognormal_batch.go). Each lane performs
-// exactly the IEEE operations of the scalar reference, in its order:
+// Vector ports of the scalar passes the batched lognormal samplers use
+// (lognormal_batch.go): three four-lane AVX2+FMA kernels and one
+// eight-pair AVX-512 kernel. Each lane performs exactly the operations of
+// the scalar reference, in its order:
 //
-//   radiusAVX2: math.Sqrt(-2 * math.Log(u)), where math.Log is the amd64
-//               assembly in $GOROOT/src/math/log_amd64.s;
-//   angleAVX2:  r * cos2pi(u), the branch-free kernel in trig.go;
-//   expAVX2:    math.Exp(x), the FMA path of $GOROOT/src/math/exp_amd64.s.
+//   uniformsAVX512: the Box-Muller uniform pairs, RNG.Float64 (splitmix64);
+//   radiusAVX2:     math.Sqrt(-2 * math.Log(u)), where math.Log is the
+//                   amd64 assembly in $GOROOT/src/math/log_amd64.s;
+//   angleAVX2:      r * cos2pi(u), the branch-free kernel in trig.go;
+//   expAVX2:        math.Exp(x), the FMA path of
+//                   $GOROOT/src/math/exp_amd64.s.
 //
-// Each kernel walks whole 4-lane blocks and returns how many elements it
+// Each kernel walks whole blocks and returns how many elements it
 // finished. It stops early at the first block with a lane outside the
 // range where the scalar code takes its main path; the Go caller computes
-// that block (and the len%4 tail) with the scalar code and re-enters.
+// that block (and the tail) with the scalar code and re-enters.
 
 // CONST4 defines a 32-byte read-only symbol holding four copies of the
 // 64-bit pattern v, usable as a 256-bit memory operand.
@@ -367,6 +370,119 @@ expLoop:
 
 expDone:
 	MOVQ DX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// CONST8 defines a 64-byte read-only symbol from eight 64-bit patterns,
+// usable as a 512-bit memory operand.
+#define CONST8(sym, v0, v1, v2, v3, v4, v5, v6, v7) \
+	DATA sym+0(SB)/8, v0; \
+	DATA sym+8(SB)/8, v1; \
+	DATA sym+16(SB)/8, v2; \
+	DATA sym+24(SB)/8, v3; \
+	DATA sym+32(SB)/8, v4; \
+	DATA sym+40(SB)/8, v5; \
+	DATA sym+48(SB)/8, v6; \
+	DATA sym+56(SB)/8, v7; \
+	GLOBL sym(SB), RODATA|NOPTR, $64
+
+// j·γ mod 2^64 for j = 1..8 and 9..16, where γ = 0x9E3779B97F4A7C15 is
+// the splitmix64 increment: the j-th Uint64 after state s mixes s + j·γ.
+CONST8(uniStepLo<>, $0x9E3779B97F4A7C15, $0x3C6EF372FE94F82A, $0xDAA66D2C7DDF743F, $0x78DDE6E5FD29F054, $0x1715609F7C746C69, $0xB54CDA58FBBEE87E, $0x538454127B096493, $0xF1BBCDCBFA53E0A8)
+CONST8(uniStepHi<>, $0x8FF34785799E5CBD, $0x2E2AC13EF8E8D8D2, $0xCC623AF8783354E7, $0x6A99B4B1F77DD0FC, $0x08D12E6B76C84D11, $0xA708A824F612C926, $0x454021DE755D453B, $0xE3779B97F4A7C150)
+
+// Permutations splitting 16 consecutive stream values (two registers)
+// into the eight even positions (u1) and the eight odd ones (u2).
+CONST8(uniEven<>, $0, $2, $4, $6, $8, $10, $12, $14)
+CONST8(uniOdd<>, $1, $3, $5, $7, $9, $11, $13, $15)
+
+// func uniformsAVX512(zr, cs []float64, state *uint64) int
+//
+// Eight Box-Muller uniform pairs per block: the 16 stream values
+// Float64() would return next, u1 (even positions) to zr and u2 (odd
+// positions) to cs, each computed as float64(mix(s + j·γ) >> 11) * 2^-53.
+// The shift leaves at most 53 bits, so VCVTUQQ2PD is exact, and the scale
+// by a power of two is exact too: the lanes hold the scalar bits without
+// any rounding. A block with a zero u1 lane is left undone (the scalar
+// loop redraws, which shifts the stream), as is the len%8 tail; *state
+// advances by 16γ per finished block.
+//
+// Only Z0-Z15 are used, all through VEX/EVEX encodings.
+TEXT ·uniformsAVX512(SB), NOSPLIT, $0-64
+	MOVQ zr_base+0(FP), SI
+	MOVQ zr_len+8(FP), CX
+	MOVQ cs_base+24(FP), DI
+	MOVQ state+48(FP), R8
+	MOVQ (R8), AX
+	XORQ DX, DX
+	MOVQ $0xE3779B97F4A7C150, R9 // 16γ
+	VPBROADCASTQ AX, Z1
+	VPADDQ       uniStepLo<>(SB), Z1, Z0 // Z0 = s + (1..8)·γ
+	VPADDQ       uniStepHi<>(SB), Z1, Z1 // Z1 = s + (9..16)·γ
+	VPBROADCASTQ R9, Z8
+	MOVQ         $0xBF58476D1CE4E5B9, R10
+	VPBROADCASTQ R10, Z6
+	MOVQ         $0x94D049BB133111EB, R10
+	VPBROADCASTQ R10, Z7
+	MOVQ         $0x3CA0000000000000, R10 // 2^-53
+	VPBROADCASTQ R10, Z9
+	VMOVDQU64    uniEven<>(SB), Z10
+	VMOVDQU64    uniOdd<>(SB), Z11
+
+uniformLoop:
+	CMPQ CX, $8
+	JLT  uniformDone
+
+	// z = (z ^ z>>30) * M1; z = (z ^ z>>27) * M2; z ^= z>>31; z >>= 11
+	VPSRLQ  $30, Z0, Z2
+	VPSRLQ  $30, Z1, Z3
+	VPXORQ  Z0, Z2, Z2
+	VPXORQ  Z1, Z3, Z3
+	VPMULLQ Z6, Z2, Z2
+	VPMULLQ Z6, Z3, Z3
+	VPSRLQ  $27, Z2, Z4
+	VPSRLQ  $27, Z3, Z5
+	VPXORQ  Z4, Z2, Z2
+	VPXORQ  Z5, Z3, Z3
+	VPMULLQ Z7, Z2, Z2
+	VPMULLQ Z7, Z3, Z3
+	VPSRLQ  $31, Z2, Z4
+	VPSRLQ  $31, Z3, Z5
+	VPXORQ  Z4, Z2, Z2
+	VPXORQ  Z5, Z3, Z3
+	VPSRLQ  $11, Z2, Z2
+	VPSRLQ  $11, Z3, Z3
+
+	// float64(z) * 2^-53, both exact.
+	VCVTUQQ2PD Z2, Z2
+	VCVTUQQ2PD Z3, Z3
+	VMULPD     Z9, Z2, Z2
+	VMULPD     Z9, Z3, Z3
+
+	// Z4 = u1 (even positions), Z2 = u2 (odd positions).
+	VMOVAPD   Z2, Z4
+	VPERMT2PD Z3, Z10, Z4
+	VPERMT2PD Z3, Z11, Z2
+
+	// Stop before a block with a zero u1: NormFloat64 would redraw it.
+	VPTESTNMQ Z4, Z4, K1
+	KORTESTB  K1, K1
+	JNE       uniformDone
+
+	VMOVUPD Z4, (SI)
+	VMOVUPD Z2, (DI)
+	VPADDQ  Z8, Z0, Z0
+	VPADDQ  Z8, Z1, Z1
+	ADDQ    R9, AX
+	ADDQ    $64, SI
+	ADDQ    $64, DI
+	ADDQ    $8, DX
+	SUBQ    $8, CX
+	JMP     uniformLoop
+
+uniformDone:
+	MOVQ AX, (R8)
+	MOVQ DX, ret+56(FP)
 	VZEROUPPER
 	RET
 

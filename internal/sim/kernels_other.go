@@ -2,10 +2,11 @@
 
 package sim
 
-// useKernels is false where kernels_amd64.s is not built: the batched
-// samplers run their scalar passes only.
-var useKernels = false
+// useKernels and useUniformKernel are false where kernels_amd64.s is not
+// built: the batched samplers run their scalar passes only.
+var useKernels, useUniformKernel = false, false
 
-func radiusAVX2([]float64) int     { panic("sim: no vector kernels") }
-func angleAVX2(_, _ []float64) int { panic("sim: no vector kernels") }
-func expAVX2([]float64) int        { panic("sim: no vector kernels") }
+func radiusAVX2([]float64) int                     { panic("sim: no vector kernels") }
+func angleAVX2(_, _ []float64) int                 { panic("sim: no vector kernels") }
+func expAVX2([]float64) int                        { panic("sim: no vector kernels") }
+func uniformsAVX512(_, _ []float64, _ *uint64) int { panic("sim: no vector kernels") }

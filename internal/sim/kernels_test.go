@@ -20,6 +20,30 @@ func requireKernels(t testing.TB) {
 	}
 }
 
+func requireUniformKernel(t testing.TB) {
+	t.Helper()
+	if !useUniformKernel {
+		t.Skip("no AVX-512 uniform kernel on this host or build")
+	}
+}
+
+// TestKernelDispatch logs which kernel sets this host and build run, so a
+// CI log shows whether the differential tests above and below ran or
+// skipped, and pins that ForceScalar turns every kernel off and back on.
+func TestKernelDispatch(t *testing.T) {
+	t.Logf("AVX2+FMA radius/angle/exp kernels: %v", useKernels)
+	t.Logf("AVX-512 uniform kernel: %v", useUniformKernel)
+	k, u := useKernels, useUniformKernel
+	restore := ForceScalar()
+	if useKernels || useUniformKernel {
+		t.Fatal("ForceScalar left a kernel on")
+	}
+	restore()
+	if useKernels != k || useUniformKernel != u {
+		t.Fatal("ForceScalar's restore did not put the dispatch back")
+	}
+}
+
 // sameBits reports whether a and b are the same float64, bit for bit.
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
@@ -49,10 +73,10 @@ func checkPass(t *testing.T, name string, in []float64, pass func(xs []float64))
 	t.Helper()
 	vec := append([]float64(nil), in...)
 	pass(vec)
-	useKernels = false
+	restore := ForceScalar()
 	sca := append([]float64(nil), in...)
 	pass(sca)
-	useKernels = true
+	restore()
 	for i := range in {
 		if !sameBits(vec[i], sca[i]) {
 			t.Fatalf("%s at %d (input %v): vector %x, scalar %x", name, i, in[i],
@@ -214,7 +238,9 @@ func TestExpKernelMatchesScalar(t *testing.T) {
 // every path depth from 1 to 9, draw counts that leave partial blocks and
 // partial chunks, and a depth beyond the scratch chunk.
 func TestSamplersVectorMatchesScalar(t *testing.T) {
-	requireKernels(t)
+	if !useKernels && !useUniformKernel {
+		t.Skip("no vector kernels on this host or build")
+	}
 	for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, sumBatch + 1} {
 		for _, n := range []int{1, 3, 5, 7, sumBatch/k + 3, 301} {
 			mu := make([]float64, k)
@@ -225,8 +251,7 @@ func TestSamplersVectorMatchesScalar(t *testing.T) {
 			}
 			run := func(scalar bool) (draws, sums []float64, next uint64) {
 				if scalar {
-					useKernels = false
-					defer func() { useKernels = true }()
+					defer ForceScalar()()
 				}
 				r := NewRNG(uint64(1000*k + n))
 				draws = make([]float64, n*k)
@@ -265,13 +290,31 @@ func BenchmarkSampleKernel(b *testing.B) {
 			if path == "vector" {
 				requireKernels(b)
 			} else {
-				prev := useKernels
-				useKernels = false
-				defer func() { useKernels = prev }()
+				defer ForceScalar()()
 			}
 			r := NewRNG(1)
 			for i := 0; i < b.N; i++ {
 				LognormalDraws(dst, mu, sigma, r)
+			}
+		})
+	}
+}
+
+// BenchmarkUniformKernel times the uniform pass over one 512-pair chunk
+// on each path.
+func BenchmarkUniformKernel(b *testing.B) {
+	zr := make([]float64, sumBatch)
+	cs := make([]float64, sumBatch)
+	for _, path := range []string{"vector", "scalar"} {
+		b.Run(path, func(b *testing.B) {
+			if path == "vector" {
+				requireUniformKernel(b)
+			} else {
+				defer ForceScalar()()
+			}
+			r := NewRNG(1)
+			for i := 0; i < b.N; i++ {
+				BoxMullerUniforms(zr, cs, r)
 			}
 		})
 	}

@@ -32,8 +32,9 @@ const sumBatch = 512
 // target and branch pattern uniform, which is what lets out-of-order
 // execution overlap successive calls; the fused per-draw form measures
 // ~40% slower on random data. On hosts with AVX2 and FMA the radius,
-// angle and exp passes run four lanes at a time (kernels_amd64.s), with
-// the same bits as the scalar passes. Zero heap allocations.
+// angle and exp passes run four lanes at a time, and on hosts with
+// AVX-512 the uniforms eight pairs at a time (kernels_amd64.s), with the
+// same bits as the scalar passes. Zero heap allocations.
 //
 // mu and sigma must have equal length; len(mu) == 0 zero-fills dst.
 func SumLognormals(dst []float64, mu, sigma []float64, r *RNG) {
@@ -142,20 +143,17 @@ func LognormalDraws(dst []float64, mu, sigma []float64, r *RNG) {
 // their scalar passes. The output bits are the same either way.
 func VectorKernels() bool { return useKernels }
 
+// UniformKernel reports whether the batched samplers draw their uniforms
+// with the eight-pair AVX-512 kernel on this host and build rather than
+// the scalar loop. The output bits are the same either way.
+func UniformKernel() bool { return useUniformKernel }
+
 // normalChunk fills zr with len(zr) standard normals drawn from r in the
 // frozen stream order, using cs (len(cs) == len(zr)) as scratch. Every
 // variate is bit-identical to r.NormFloat64's.
 func normalChunk(zr, cs []float64, r *RNG) {
-	// Pass 1: uniforms in the frozen stream order. u1 is redrawn while
-	// zero, exactly as NormFloat64 does.
-	for j := range zr {
-		u1 := r.Float64()
-		for u1 == 0 {
-			u1 = r.Float64()
-		}
-		zr[j] = u1
-		cs[j] = r.Float64()
-	}
+	// Pass 1: uniforms in the frozen stream order.
+	BoxMullerUniforms(zr, cs, r)
 	// Pass 2: Box-Muller radius.
 	radiusPass(zr)
 	// Pass 3: Box-Muller angle, fused with the radius*angle product —
@@ -163,25 +161,47 @@ func normalChunk(zr, cs []float64, r *RNG) {
 	anglePass(zr, cs)
 }
 
+// BoxMullerUniforms fills u1 and u2 (len(u2) >= len(u1)) with the uniform
+// pairs len(u1) successive r.NormFloat64 calls would consume, in the
+// frozen stream order: u1 redrawn while zero, then u2. It is the batched
+// samplers' first pass, exported so the pass can be timed on its own. The
+// AVX-512 kernel leaves any block that needs a redraw to the scalar loop.
+func BoxMullerUniforms(u1, u2 []float64, r *RNG) {
+	u2 = u2[:len(u1)]
+	vectorize(len(u1), 8, useUniformKernel,
+		func(i int) int { return uniformsAVX512(u1[i:], u2[i:], &r.state) },
+		func(i, j int) {
+			for ; i < j; i++ {
+				v := r.Float64()
+				for v == 0 {
+					v = r.Float64()
+				}
+				u1[i] = v
+				u2[i] = r.Float64()
+			}
+		})
+}
+
 // expArgs writes the exp arguments mu[s] + sigma[s]*norm over rows of
 // len(mu) normals into dst (which may alias norms). The grouping matches
 // Lognormal.Sample bit-for-bit; it stays in Go so that it compiles exactly
-// as the per-draw loop's does.
+// as the per-draw loop's does. The loop runs stage-outer, striding over
+// the rows, so each stage's parameters stay in registers.
 func expArgs(dst, norms, mu, sigma []float64) {
 	k := len(mu)
-	sigma = sigma[:k]
-	for d := 0; d+k <= len(norms); d += k {
-		row := norms[d : d+k : d+k]
-		o := dst[d : d+k : d+k]
-		for s, norm := range row {
-			o[s] = mu[s] + sigma[s]*norm
+	n := len(norms) - len(norms)%k
+	dst, norms = dst[:n], norms[:n]
+	for s, m := range mu {
+		sg := sigma[s]
+		for i := s; i < n; i += k {
+			dst[i] = m + sg*norms[i]
 		}
 	}
 }
 
 // radiusPass replaces each uniform u in zr by math.Sqrt(-2*math.Log(u)).
 func radiusPass(zr []float64) {
-	vectorize(len(zr), func(i int) int { return radiusAVX2(zr[i:]) },
+	vectorize(len(zr), 4, useKernels, func(i int) int { return radiusAVX2(zr[i:]) },
 		func(i, j int) {
 			for ; i < j; i++ {
 				zr[i] = math.Sqrt(-2 * math.Log(zr[i]))
@@ -192,13 +212,13 @@ func radiusPass(zr []float64) {
 // anglePass multiplies each zr[j] by cos2pi(cs[j]), the same single
 // multiplication NormFloat64 performs; len(cs) == len(zr).
 func anglePass(zr, cs []float64) {
-	vectorize(len(zr), func(i int) int { return angleAVX2(zr[i:], cs[i:]) },
+	vectorize(len(zr), 4, useKernels, func(i int) int { return angleAVX2(zr[i:], cs[i:]) },
 		func(i, j int) { angleScalar(zr[i:j], cs[i:j]) })
 }
 
 // expPass replaces each x in xs by math.Exp(x).
 func expPass(xs []float64) {
-	vectorize(len(xs), func(i int) int { return expAVX2(xs[i:]) },
+	vectorize(len(xs), 4, useKernels, func(i int) int { return expAVX2(xs[i:]) },
 		func(i, j int) {
 			for ; i < j; i++ {
 				xs[i] = math.Exp(xs[i])
@@ -206,20 +226,20 @@ func expPass(xs []float64) {
 		})
 }
 
-// vectorize covers elements [0, n) with a four-lane kernel where the host
-// has one (useKernels): kernel(i) handles whole blocks from i on and
-// returns how many elements it did, stopping at a block it rejects.
-// scalar(i, j) handles elements [i, j): each rejected block, the n%4
-// tail, and everything on hosts without the kernels. The two paths give
-// the same bits, so where the split falls never shows in the output.
-func vectorize(n int, kernel func(i int) int, scalar func(i, j int)) {
+// vectorize covers elements [0, n) with a kernel of the given block
+// width where the host has one (on): kernel(i) handles whole blocks from
+// i on and returns how many elements it did, stopping at a block it
+// rejects. scalar(i, j) handles elements [i, j): each rejected block, the
+// n%lanes tail, and everything on hosts without the kernel. The two paths
+// give the same bits, so where the split falls never shows in the output.
+func vectorize(n, lanes int, on bool, kernel func(i int) int, scalar func(i, j int)) {
 	i := 0
-	if useKernels {
-		for n-i >= 4 {
+	if on {
+		for n-i >= lanes {
 			i += kernel(i)
-			if n-i >= 4 {
-				scalar(i, i+4)
-				i += 4
+			if n-i >= lanes {
+				scalar(i, i+lanes)
+				i += lanes
 			}
 		}
 	}
