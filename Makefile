@@ -111,12 +111,15 @@ calibrate-smoke:
 # tournament-smoke runs the policy-zoo head-to-head on 1 and 4 workers
 # and demands byte-identical scorecards (DESIGN.md §15.4): every cell
 # rides its own content-keyed RNG substream, so the worker schedule must
-# never show in the bytes.
+# never show in the bytes. The jobs=4 side also traces every decision to
+# a temp file, so the same cmp pins traced == untraced stdout for the
+# whole zoo (DESIGN.md §8.3): asking a policy for reasons must never
+# change what it decides.
 tournament-smoke:
 	$(GO) run ./cmd/rhythm -quick -seed 2020 -jobs 1 run tournament > tournament-smoke-1.out
-	$(GO) run ./cmd/rhythm -quick -seed 2020 -jobs 4 run tournament > tournament-smoke-4.out
+	$(GO) run ./cmd/rhythm -quick -seed 2020 -jobs 4 -trace-out tournament-smoke.jsonl run tournament > tournament-smoke-4.out
 	cmp tournament-smoke-1.out tournament-smoke-4.out
-	rm -f tournament-smoke-1.out tournament-smoke-4.out
+	rm -f tournament-smoke-1.out tournament-smoke-4.out tournament-smoke.jsonl
 
 # golden-update re-pins GOLDEN.sha256 after an INTENTIONAL output change
 # (new experiment content, a deliberate model change). Never run it to

@@ -130,7 +130,7 @@ func TestPolicySelectorsThroughFacade(t *testing.T) {
 	if h.Uniform.Loadlimit <= 0 {
 		t.Fatalf("Heracles defaults: %+v", h.Uniform)
 	}
-	if act := h.Decide("pod", 0.99, math.NaN()); act == AllowBEGrowth {
+	if act, _ := h.Decide(PolicyInput{Pod: "pod", Load: 0.99, Slack: math.NaN()}); act == AllowBEGrowth {
 		t.Fatal("NaN slack must never allow BE growth")
 	}
 	if !(StopBE < SuspendBE && SuspendBE < CutBE && CutBE < DisallowBEGrowth && DisallowBEGrowth < AllowBEGrowth) {
@@ -138,9 +138,9 @@ func TestPolicySelectorsThroughFacade(t *testing.T) {
 	}
 }
 
-// TestPolicyRegistryThroughFacade: the zoo, the named selector, the
-// adapter and custom registration are all reachable from the facade —
-// no rhythm/internal import needed to ship a policy.
+// TestPolicyRegistryThroughFacade: the zoo, the named selector and
+// custom registration are all reachable from the facade — no
+// rhythm/internal import needed to ship a policy.
 func TestPolicyRegistryThroughFacade(t *testing.T) {
 	names := Policies()
 	if len(names) < 6 {
@@ -161,13 +161,7 @@ func TestPolicyRegistryThroughFacade(t *testing.T) {
 		t.Fatal("PolicyNamed returned an unusable selector")
 	}
 
-	// A legacy 3-arg policy lifts into the full-context interface and can
-	// be registered and resolved by name, receiving a PolicyInput.
-	ad := AdaptPolicy(NewHeracles())
-	in := PolicyInput{Pod: "frontend", Load: 0.5, Slack: 0.5}
-	if ad.DecideInput(in) != NewHeracles().Decide("frontend", 0.5, 0.5) {
-		t.Fatal("AdaptPolicy changed the decision")
-	}
+	// A custom policy can be registered and resolved by name.
 	RegisterPolicy("facade-test", func(opts PolicyFactoryOpts) (Policy, error) {
 		return NewHeracles(), nil
 	})

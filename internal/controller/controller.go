@@ -57,17 +57,24 @@ type Thresholds struct {
 }
 
 // Policy decides the action for one machine from its Servpod's measured
-// state. Implementations must be deterministic.
+// state. It is the only decision interface: the engine calls Decide
+// exactly once per pod per control period, so stateful policies
+// (forecast histories, score rankings) observe each input exactly once.
+// Implementations must be deterministic — same input sequence, same
+// decisions — and a stateful one must be constructed fresh per run (the
+// registry does) rather than shared across concurrent engines.
 type Policy interface {
-	// Decide returns the action for the named Servpod given the current
-	// service load fraction and latency slack (slack = (SLA - tail)/SLA;
-	// negative when the SLA is violated).
-	Decide(pod string, load, slack float64) Action
+	// Decide returns the action for the pod described by in. When
+	// in.Explain is set it also returns a human-readable reason naming
+	// the branch taken and the thresholds it compared against; otherwise
+	// the reason is "" and no string is built.
+	Decide(in PolicyInput) (Action, string)
 	// Name identifies the policy in experiment output.
 	Name() string
 }
 
-// decide implements Algorithm 2 for a threshold pair.
+// decide implements Algorithm 2 for a threshold pair, rendering the
+// branch taken as a reason only when explain is set.
 //
 // The NaN guard comes first: every float comparison against NaN is false,
 // so without it a broken measurement pipeline (measurement-dropout faults,
@@ -75,51 +82,40 @@ type Policy interface {
 // most aggressive action, taken exactly when the controller is blind.
 // Degraded inputs instead freeze BE growth; the engine escalates further
 // via Degraded when blindness persists.
-func decide(t Thresholds, load, slack float64) Action {
+func decide(t Thresholds, load, slack float64, explain bool) (act Action, reason string) {
 	switch {
 	case math.IsNaN(slack) || math.IsNaN(load):
-		return DisallowBEGrowth
+		act = DisallowBEGrowth
+		if explain {
+			reason = "degraded: NaN measurement input; freezing BE growth"
+		}
 	case slack < 0:
-		return StopBE
+		act = StopBE
+		if explain {
+			reason = fmt.Sprintf("slack %.3f < 0: SLA violated", slack)
+		}
 	case load > t.Loadlimit:
-		return SuspendBE
+		act = SuspendBE
+		if explain {
+			reason = fmt.Sprintf("load %.2f > loadlimit %.2f", load, t.Loadlimit)
+		}
 	case slack < t.Slacklimit/2:
-		return CutBE
+		act = CutBE
+		if explain {
+			reason = fmt.Sprintf("slack %.3f < slacklimit/2 %.3f", slack, t.Slacklimit/2)
+		}
 	case slack < t.Slacklimit:
-		return DisallowBEGrowth
+		act = DisallowBEGrowth
+		if explain {
+			reason = fmt.Sprintf("slack %.3f < slacklimit %.3f", slack, t.Slacklimit)
+		}
 	default:
-		return AllowBEGrowth
+		act = AllowBEGrowth
+		if explain {
+			reason = fmt.Sprintf("slack %.3f >= slacklimit %.3f", slack, t.Slacklimit)
+		}
 	}
-}
-
-// Explainer is implemented by policies that can name the Algorithm 2
-// branch behind a decision. The engine consults it only when the
-// observability bus is enabled, so the string building never costs an
-// untraced run anything.
-type Explainer interface {
-	// Explain returns the same action Decide would and a human-readable
-	// reason naming the branch and the thresholds it compared against.
-	Explain(pod string, load, slack float64) (Action, string)
-}
-
-// explain is decide plus the branch taken, rendered against the pod's
-// thresholds. It must stay in lockstep with decide: both switch on the
-// identical conditions, which TestExplainMatchesDecide locks in.
-func explain(t Thresholds, load, slack float64) (Action, string) {
-	switch {
-	case math.IsNaN(slack) || math.IsNaN(load):
-		return DisallowBEGrowth, "degraded: NaN measurement input; freezing BE growth"
-	case slack < 0:
-		return StopBE, fmt.Sprintf("slack %.3f < 0: SLA violated", slack)
-	case load > t.Loadlimit:
-		return SuspendBE, fmt.Sprintf("load %.2f > loadlimit %.2f", load, t.Loadlimit)
-	case slack < t.Slacklimit/2:
-		return CutBE, fmt.Sprintf("slack %.3f < slacklimit/2 %.3f", slack, t.Slacklimit/2)
-	case slack < t.Slacklimit:
-		return DisallowBEGrowth, fmt.Sprintf("slack %.3f < slacklimit %.3f", slack, t.Slacklimit)
-	default:
-		return AllowBEGrowth, fmt.Sprintf("slack %.3f >= slacklimit %.3f", slack, t.Slacklimit)
-	}
+	return act, reason
 }
 
 // Rhythm is the component-distinguishable policy: per-Servpod thresholds
@@ -151,12 +147,12 @@ func NewRhythm(perPod map[string]Thresholds) (*Rhythm, error) {
 // Decide applies Algorithm 2 with the pod's own thresholds. Unknown pods
 // are controlled with the most conservative configured thresholds, so a
 // placement mistake degrades to safety rather than SLA risk.
-func (r *Rhythm) Decide(pod string, load, slack float64) Action {
-	t, ok := r.perPod[pod]
+func (r *Rhythm) Decide(in PolicyInput) (Action, string) {
+	t, ok := r.perPod[in.Pod]
 	if !ok {
 		t = r.conservative()
 	}
-	return decide(t, load, slack)
+	return decide(t, in.Load, in.Slack, in.Explain)
 }
 
 // conservative returns the lowest loadlimit and highest slacklimit among
@@ -176,16 +172,6 @@ func (r *Rhythm) conservative() Thresholds {
 
 // Name returns "Rhythm".
 func (r *Rhythm) Name() string { return "Rhythm" }
-
-// Explain returns Decide's action plus the Algorithm 2 branch it took
-// against the pod's thresholds.
-func (r *Rhythm) Explain(pod string, load, slack float64) (Action, string) {
-	t, ok := r.perPod[pod]
-	if !ok {
-		t = r.conservative()
-	}
-	return explain(t, load, slack)
-}
 
 // Thresholds returns the pod's configured thresholds and whether they
 // exist.
@@ -219,24 +205,18 @@ func NewHeracles() *Heracles {
 }
 
 // Decide applies Algorithm 2 with the uniform thresholds.
-func (h *Heracles) Decide(_ string, load, slack float64) Action {
-	return decide(h.Uniform, load, slack)
+func (h *Heracles) Decide(in PolicyInput) (Action, string) {
+	return decide(h.Uniform, in.Load, in.Slack, in.Explain)
 }
 
 // Name returns "Heracles".
 func (h *Heracles) Name() string { return "Heracles" }
 
-// Explain returns Decide's action plus the Algorithm 2 branch it took
-// against the uniform thresholds.
-func (h *Heracles) Explain(_ string, load, slack float64) (Action, string) {
-	return explain(h.Uniform, load, slack)
-}
-
 // Disabled is a policy that never admits BE jobs: the solo-run baseline.
 type Disabled struct{}
 
-// Decide always suspends.
-func (Disabled) Decide(string, float64, float64) Action { return SuspendBE }
+// Decide always suspends, with no reason.
+func (Disabled) Decide(PolicyInput) (Action, string) { return SuspendBE, "" }
 
 // Name returns "solo".
 func (Disabled) Name() string { return "solo" }
@@ -273,8 +253,9 @@ func Degraded(consecutive int) Action {
 	return CutBE
 }
 
-// DegradedReason renders the Explainer-style reason for a degraded-mode
-// decision; cause names what broke (e.g. "p99 NaN", "p99 stale").
+// DegradedReason renders the reason for a degraded-mode decision, in the
+// style of Policy.Decide's; cause names what broke (e.g. "p99 NaN",
+// "p99 stale").
 func DegradedReason(consecutive int, cause string) string {
 	act := Degraded(consecutive)
 	return fmt.Sprintf("degraded: %s for %d period(s): %s until measurements return", cause, consecutive, act)

@@ -22,6 +22,12 @@ func rhythmForTest(t *testing.T) *Rhythm {
 	return r
 }
 
+// decideAt is Decide on a bare (pod, load, slack) input, reason dropped.
+func decideAt(p Policy, pod string, load, slack float64) Action {
+	act, _ := p.Decide(PolicyInput{Pod: pod, Load: load, Slack: slack})
+	return act
+}
+
 func TestAlgorithm2Decisions(t *testing.T) {
 	r := rhythmForTest(t)
 	cases := []struct {
@@ -40,7 +46,7 @@ func TestAlgorithm2Decisions(t *testing.T) {
 		{"Tomcat", 0.5, 0.03, CutBE},
 	}
 	for _, tc := range cases {
-		if got := r.Decide(tc.pod, tc.load, tc.slack); got != tc.want {
+		if got := decideAt(r, tc.pod, tc.load, tc.slack); got != tc.want {
 			t.Errorf("Decide(%s, load=%v, slack=%v) = %v, want %v",
 				tc.pod, tc.load, tc.slack, got, tc.want)
 		}
@@ -53,7 +59,7 @@ func TestStopDominatesEverything(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := sim.NewRNG(seed)
 		load := rng.Float64() * 1.2
-		return r.Decide("MySQL", load, -rng.Float64()) == StopBE
+		return decideAt(r, "MySQL", load, -rng.Float64()) == StopBE
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -65,13 +71,13 @@ func TestComponentDistinguishability(t *testing.T) {
 	// Servpods — the defining property Heracles lacks.
 	r := rhythmForTest(t)
 	load, slack := 0.80, 0.20
-	my := r.Decide("MySQL", load, slack)
-	zk := r.Decide("Tomcat", load, slack)
+	my := decideAt(r, "MySQL", load, slack)
+	zk := decideAt(r, "Tomcat", load, slack)
 	if my == zk {
 		t.Fatalf("Rhythm should distinguish pods: MySQL=%v Tomcat=%v", my, zk)
 	}
 	h := NewHeracles()
-	if h.Decide("MySQL", load, slack) != h.Decide("Tomcat", load, slack) {
+	if decideAt(h, "MySQL", load, slack) != decideAt(h, "Tomcat", load, slack) {
 		t.Fatal("Heracles must treat pods uniformly")
 	}
 }
@@ -81,13 +87,13 @@ func TestHeraclesPublishedThresholds(t *testing.T) {
 	if h.Uniform.Loadlimit != 0.85 || h.Uniform.Slacklimit != 0.10 {
 		t.Fatalf("Heracles thresholds = %+v, want 0.85/0.10 (§5.1)", h.Uniform)
 	}
-	if h.Decide("any", 0.86, 0.9) != SuspendBE {
+	if decideAt(h, "any", 0.86, 0.9) != SuspendBE {
 		t.Fatal("Heracles must disable BE above 85% load")
 	}
-	if h.Decide("any", 0.5, 0.08) != DisallowBEGrowth {
+	if decideAt(h, "any", 0.5, 0.08) != DisallowBEGrowth {
 		t.Fatal("Heracles must disallow growth below 10% slack")
 	}
-	if h.Decide("any", 0.5, 0.2) != AllowBEGrowth {
+	if decideAt(h, "any", 0.5, 0.2) != AllowBEGrowth {
 		t.Fatal("Heracles should allow growth with ample slack")
 	}
 }
@@ -95,10 +101,10 @@ func TestHeraclesPublishedThresholds(t *testing.T) {
 func TestUnknownPodGetsConservativeThresholds(t *testing.T) {
 	r := rhythmForTest(t)
 	// Conservative = min loadlimit (0.76), max slacklimit (0.347).
-	if got := r.Decide("ghost", 0.80, 0.9); got != SuspendBE {
+	if got := decideAt(r, "ghost", 0.80, 0.9); got != SuspendBE {
 		t.Fatalf("unknown pod at load 0.80 = %v, want SuspendBE", got)
 	}
-	if got := r.Decide("ghost", 0.5, 0.3); got != DisallowBEGrowth {
+	if got := decideAt(r, "ghost", 0.5, 0.3); got != DisallowBEGrowth {
 		t.Fatalf("unknown pod at slack 0.3 = %v, want DisallowBEGrowth", got)
 	}
 }
@@ -149,7 +155,7 @@ func TestDisabledPolicyNeverAdmits(t *testing.T) {
 	var d Disabled
 	f := func(seed uint64) bool {
 		rng := sim.NewRNG(seed)
-		return d.Decide("x", rng.Float64(), rng.Float64()) == SuspendBE
+		return decideAt(d, "x", rng.Float64(), rng.Float64()) == SuspendBE
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -176,40 +182,37 @@ func TestActionAndNameStrings(t *testing.T) {
 func TestBoundaryConditions(t *testing.T) {
 	r := rhythmForTest(t)
 	// Exactly at loadlimit: not above, so load check passes through.
-	if got := r.Decide("MySQL", 0.76, 0.9); got != AllowBEGrowth {
+	if got := decideAt(r, "MySQL", 0.76, 0.9); got != AllowBEGrowth {
 		t.Fatalf("at loadlimit exactly = %v", got)
 	}
 	// Exactly zero slack is not a violation but falls in CutBE range.
-	if got := r.Decide("MySQL", 0.5, 0); got != CutBE {
+	if got := decideAt(r, "MySQL", 0.5, 0); got != CutBE {
 		t.Fatalf("at zero slack = %v", got)
 	}
 }
 
 // TestExplainMatchesDecide sweeps a dense (load, slack) grid — including
-// the exact threshold boundaries — and asserts Explain returns the same
-// action as Decide for both policies, with a non-empty reason. This is
-// the lockstep pin the explain doc comment promises: the decision trace
-// must never report a branch the controller did not take.
+// the exact threshold boundaries — and asserts Decide returns the same
+// action with Explain on and off for both policies, with an empty reason
+// when off and a non-empty one when on: the decision trace must never
+// report a branch the controller did not take, and an untraced run must
+// build no strings.
 func TestExplainMatchesDecide(t *testing.T) {
-	r := rhythmForTest(t)
-	h := NewHeracles()
 	loads := []float64{0, 0.3, 0.5, 0.76, 0.761, 0.85, 0.851, 0.9, 1.2}
 	slacks := []float64{-0.5, -0.001, 0, 0.01, 0.05, 0.0785, 0.157, 0.3, 0.347, 0.5, 1}
 	pods := []string{"Haproxy", "Tomcat", "Amoeba", "MySQL", "not-a-pod"}
-	for _, pod := range pods {
-		for _, load := range loads {
-			for _, slack := range slacks {
-				if got, reason := r.Explain(pod, load, slack); got != r.Decide(pod, load, slack) {
-					t.Fatalf("Rhythm(%s, %v, %v): Explain %v != Decide %v",
-						pod, load, slack, got, r.Decide(pod, load, slack))
-				} else if reason == "" {
-					t.Fatalf("Rhythm(%s, %v, %v): empty reason", pod, load, slack)
-				}
-				if got, reason := h.Explain(pod, load, slack); got != h.Decide(pod, load, slack) {
-					t.Fatalf("Heracles(%s, %v, %v): Explain %v != Decide %v",
-						pod, load, slack, got, h.Decide(pod, load, slack))
-				} else if reason == "" {
-					t.Fatalf("Heracles(%s, %v, %v): empty reason", pod, load, slack)
+	for _, pol := range []Policy{rhythmForTest(t), NewHeracles()} {
+		for _, pod := range pods {
+			for _, load := range loads {
+				for _, slack := range slacks {
+					in := PolicyInput{Pod: pod, Load: load, Slack: slack}
+					act, quiet := pol.Decide(in)
+					in.Explain = true
+					got, reason := pol.Decide(in)
+					if got != act || quiet != "" || reason == "" {
+						t.Fatalf("%s(%s, %v, %v): Explain off (%v, %q), on (%v, %q)",
+							pol.Name(), pod, load, slack, act, quiet, got, reason)
+					}
 				}
 			}
 		}

@@ -1,23 +1,21 @@
-// The redesigned policy surface: PolicyInput carries everything the
-// engine's control tick knows about one Servpod, InputPolicy is the
-// interface richer policies implement against it, and AsInput adapts the
-// original 3-argument Policy so every existing implementation keeps
-// working bit-for-bit. See DESIGN.md §15.
+// PolicyInput, the full context Policy.Decide receives, and
+// SlacklimitReporter, the only optional capability a policy exposes.
+// See DESIGN.md §15.
 
 package controller
 
 import "rhythm/internal/sim"
 
 // PolicyInput is one Servpod's measured state at a control tick — the
-// full context the engine can offer a policy. The original Policy
-// interface sees only (pod, load, slack); predictive and
-// interference-scoring policies need the rest.
+// full context the engine can offer a policy. Algorithm 2 reads only
+// (Pod, Load, Slack); predictive and interference-scoring policies need
+// the rest.
 //
 // All fields are as the controller *sees* them: under measurement-dropout
 // faults P99 and Slack may be NaN while the ground truth stays finite.
 // Policies must handle NaN inputs (the Algorithm 2 guard freezes BE
 // growth); the engine escalates persistent blindness itself via Degraded,
-// so DecideInput is only called when a usable measurement exists —
+// so Decide is only called when a usable measurement exists —
 // Degraded reports how many consecutive blind periods *preceded* it.
 type PolicyInput struct {
 	// Pod names the Servpod being decided.
@@ -37,32 +35,14 @@ type PolicyInput struct {
 	// Degraded counts the consecutive preceding control periods this pod
 	// was decided in degraded (blind-controller) mode; 0 in a healthy run.
 	Degraded int
-	// Now is the virtual time of the control tick.
+	// Now is the virtual time of the control tick. Every pod decided in
+	// one control period shares it, so policies that act per period
+	// (rack-central, scoring) detect a new period by a change in Now.
 	Now sim.Time
-}
-
-// InputPolicy is the full-context policy interface. It embeds Policy so
-// every InputPolicy still works anywhere a legacy Policy does (engine
-// config, fleet entries, RunConfig) — implementations typically forward
-// Decide to DecideInput with the partial input.
-//
-// Implementations must be deterministic: same input sequence, same
-// decisions. Stateful implementations (forecast histories, score
-// rankings) are safe because the engine calls DecideInput from a single
-// goroutine in a fixed pod order; construct a fresh instance per run
-// (the registry does) rather than sharing one across concurrent runs.
-type InputPolicy interface {
-	Policy
-	// DecideInput returns the action for the pod described by in.
-	DecideInput(in PolicyInput) Action
-}
-
-// InputExplainer is the full-context analogue of Explainer. The engine
-// consults it only when the observability bus is enabled.
-type InputExplainer interface {
-	// ExplainInput returns the same action DecideInput would and a
-	// human-readable reason.
-	ExplainInput(in PolicyInput) (Action, string)
+	// Explain asks Decide for a reason alongside the action. The engine
+	// sets it only when the observability bus is enabled, so untraced
+	// runs build no strings.
+	Explain bool
 }
 
 // SlacklimitReporter is the capability interface behind CutBE step
@@ -70,64 +50,9 @@ type InputExplainer interface {
 // has fallen below the pod's slacklimit, and asks the policy for that
 // limit here. Policies that don't implement it (or return <= 0) get the
 // engine's conservative default. Rhythm, Heracles and every registry
-// policy implement it; the AsInput adapter forwards it, so third-party
-// policies get correct step sizing without the engine knowing their
-// concrete type.
+// policy implement it, so third-party policies get correct step sizing
+// without the engine knowing their concrete type.
 type SlacklimitReporter interface {
 	// SlacklimitFor returns the pod's slacklimit, or <= 0 when unknown.
 	SlacklimitFor(pod string) float64
 }
-
-// AsInput adapts any legacy Policy to InputPolicy. A policy that already
-// implements InputPolicy is returned unchanged; nil stays nil. The
-// adapter is pure indirection — DecideInput forwards to Decide with
-// (Pod, Load, Slack) and drops the rest of the input, ExplainInput
-// forwards to Explain when the wrapped policy is an Explainer (and
-// returns an empty reason otherwise, matching the engine's untraceable-
-// policy behavior), and SlacklimitFor forwards to the wrapped policy's
-// SlacklimitReporter (returning 0 — "unknown" — otherwise). Adapted
-// policies therefore produce byte-identical runs to the pre-adapter
-// engine, which the golden pin enforces.
-func AsInput(p Policy) InputPolicy {
-	if p == nil {
-		return nil
-	}
-	if ip, ok := p.(InputPolicy); ok {
-		return ip
-	}
-	return adapter{p: p}
-}
-
-// adapter wraps a legacy 3-argument Policy as an InputPolicy.
-type adapter struct {
-	p Policy
-}
-
-func (a adapter) Decide(pod string, load, slack float64) Action {
-	return a.p.Decide(pod, load, slack)
-}
-
-func (a adapter) Name() string { return a.p.Name() }
-
-func (a adapter) DecideInput(in PolicyInput) Action {
-	return a.p.Decide(in.Pod, in.Load, in.Slack)
-}
-
-func (a adapter) ExplainInput(in PolicyInput) (Action, string) {
-	if ex, ok := a.p.(Explainer); ok {
-		return ex.Explain(in.Pod, in.Load, in.Slack)
-	}
-	return a.p.Decide(in.Pod, in.Load, in.Slack), ""
-}
-
-func (a adapter) SlacklimitFor(pod string) float64 {
-	if sl, ok := a.p.(SlacklimitReporter); ok {
-		return sl.SlacklimitFor(pod)
-	}
-	return 0
-}
-
-// Unwrap exposes the wrapped policy, mirroring errors.Unwrap, so callers
-// holding an adapted value can still reach capability interfaces the
-// adapter doesn't forward.
-func (a adapter) Unwrap() Policy { return a.p }

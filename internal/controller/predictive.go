@@ -106,35 +106,21 @@ func (p *Predictive) project(pod string, load, slack float64) (float64, float64)
 	return ctlLoad, slack
 }
 
-// DecideInput forecasts from the measured load, then applies Algorithm 2
-// to the projected state. NaN measurements never enter the history: a
-// blind period would otherwise poison the trend for a full window after
-// measurements return.
-func (p *Predictive) DecideInput(in PolicyInput) Action {
+// Decide forecasts from the measured load, then applies Algorithm 2 to
+// the projected state; the reason is prefixed by the forecast that drove
+// it. NaN measurements never enter the history: a blind period would
+// otherwise poison the trend for a full window after measurements
+// return.
+func (p *Predictive) Decide(in PolicyInput) (Action, string) {
 	if math.IsNaN(in.Load) || math.IsNaN(in.Slack) {
-		return DisallowBEGrowth
+		return decide(p.thresholds(in.Pod), in.Load, in.Slack, in.Explain)
 	}
 	load, slack := p.project(in.Pod, in.Load, in.Slack)
-	return decide(p.thresholds(in.Pod), load, slack)
-}
-
-// Decide is the legacy entry point; it forwards to the same forecast
-// path with only the partial input.
-func (p *Predictive) Decide(pod string, load, slack float64) Action {
-	return p.DecideInput(PolicyInput{Pod: pod, Load: load, Slack: slack})
-}
-
-// ExplainInput mirrors DecideInput with the branch reason, prefixed by
-// the forecast that drove it. It advances the same history DecideInput
-// would, so the engine must call exactly one of them per pod per tick —
-// it does: Explain replaces Decide under tracing, never augments it.
-func (p *Predictive) ExplainInput(in PolicyInput) (Action, string) {
-	if math.IsNaN(in.Load) || math.IsNaN(in.Slack) {
-		return DisallowBEGrowth, "degraded: NaN measurement input; freezing BE growth"
+	act, reason := decide(p.thresholds(in.Pod), load, slack, in.Explain)
+	if in.Explain {
+		reason = fmt.Sprintf("forecast load %.2f (measured %.2f): %s", load, in.Load, reason)
 	}
-	load, slack := p.project(in.Pod, in.Load, in.Slack)
-	act, reason := explain(p.thresholds(in.Pod), load, slack)
-	return act, fmt.Sprintf("forecast load %.2f (measured %.2f): %s", load, in.Load, reason)
+	return act, reason
 }
 
 // Name returns "Predictive".

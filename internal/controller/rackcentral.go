@@ -45,9 +45,12 @@ func NewRackCentral() *RackCentral {
 	return &RackCentral{Uniform: NewHeracles().Uniform}
 }
 
-// step recomputes the rack-wide action on the first pod of each control
-// period and tracks the running rack-max pressure for the next one.
-func (r *RackCentral) step(in PolicyInput) {
+// Decide returns the period's rack-wide action. The first pod of each
+// control period (a new in.Now) recomputes it from the rack view; every
+// later pod in the period gets the same action and only feeds the
+// running rack-max pressure for the next period. The reason notes the
+// pressure discount when one applied.
+func (r *RackCentral) Decide(in PolicyInput) (Action, string) {
 	if !r.started || in.Now != r.lastNow {
 		r.started = true
 		r.lastNow = in.Now
@@ -57,34 +60,18 @@ func (r *RackCentral) step(in PolicyInput) {
 		if r.prevMax > 1 {
 			slack -= rackPressureGain * (r.prevMax - 1)
 		}
-		r.act, r.reason = explain(r.Uniform, in.Load, slack)
-		r.reason = "rack-wide: " + r.reason
+		r.act, r.reason = decide(r.Uniform, in.Load, slack, in.Explain)
 	}
 	if in.Pressure > r.curMax {
 		r.curMax = in.Pressure
 	}
-}
-
-// DecideInput returns the period's rack-wide action.
-func (r *RackCentral) DecideInput(in PolicyInput) Action {
-	r.step(in)
-	return r.act
-}
-
-// Decide is the legacy entry point. Without a virtual clock every call
-// starts a fresh period, so the policy reduces to uniform Algorithm 2.
-func (r *RackCentral) Decide(pod string, load, slack float64) Action {
-	return r.DecideInput(PolicyInput{Pod: pod, Load: load, Slack: slack})
-}
-
-// ExplainInput returns the rack-wide action and the branch that chose
-// it, noting the pressure discount when one applied.
-func (r *RackCentral) ExplainInput(in PolicyInput) (Action, string) {
-	r.step(in)
-	if r.prevMax > 1 {
-		return r.act, fmt.Sprintf("%s (rack max pressure %.3f discounted slack)", r.reason, r.prevMax)
+	if !in.Explain {
+		return r.act, ""
 	}
-	return r.act, r.reason
+	if r.prevMax > 1 {
+		return r.act, fmt.Sprintf("rack-wide: %s (rack max pressure %.3f discounted slack)", r.reason, r.prevMax)
+	}
+	return r.act, "rack-wide: " + r.reason
 }
 
 // Name returns "RackCentral".

@@ -86,16 +86,6 @@ func Names() []string {
 	return out
 }
 
-// uniformOrPerPod resolves the threshold source shared by the zoo
-// policies: the deployment's per-Servpod pairs when available, else the
-// published uniform Heracles pair for every pod.
-func uniformOrPerPod(opts FactoryOpts) map[string]Thresholds {
-	if len(opts.Thresholds) > 0 {
-		return opts.Thresholds
-	}
-	return nil
-}
-
 // The built-in zoo. "rhythm" demands real per-Servpod thresholds — it is
 // the component-distinguishable policy, and running it uniform would
 // silently benchmark something else. The rest degrade gracefully to the
@@ -111,10 +101,10 @@ func init() {
 		return Disabled{}, nil
 	})
 	Register("predictive", func(opts FactoryOpts) (Policy, error) {
-		return NewPredictive(uniformOrPerPod(opts)), nil
+		return NewPredictive(opts.Thresholds), nil
 	})
 	Register("scoring", func(opts FactoryOpts) (Policy, error) {
-		return NewScoring(uniformOrPerPod(opts)), nil
+		return NewScoring(opts.Thresholds), nil
 	})
 	Register("rack-central", func(FactoryOpts) (Policy, error) {
 		return NewRackCentral(), nil

@@ -81,10 +81,9 @@ func (s *Scoring) observe(in PolicyInput) float64 {
 	}
 	score := in.Pressure
 	if math.IsNaN(score) || score < 1 {
-		// The legacy 3-arg path (and a pressure-less engine) hands 0:
-		// treat "no pressure signal" as the interference-free baseline so
-		// the policy degrades to plain Algorithm 2 rather than vetoing
-		// all growth forever.
+		// A caller with no pressure signal hands 0: treat it as the
+		// interference-free baseline so the policy degrades to plain
+		// Algorithm 2 rather than vetoing all growth forever.
 		score = 1
 	}
 	s.cur[in.Pod] = score
@@ -103,32 +102,17 @@ func (s *Scoring) admit(score float64) bool {
 	return score <= sim.QuantileSorted(s.prev, 0.5)
 }
 
-// DecideInput applies Algorithm 2, then downgrades AllowBEGrowth to
+// Decide applies Algorithm 2, then downgrades AllowBEGrowth to
 // DisallowBEGrowth on machines whose interference score doesn't clear
 // the admission rank.
-func (s *Scoring) DecideInput(in PolicyInput) Action {
+func (s *Scoring) Decide(in PolicyInput) (Action, string) {
 	score := s.observe(in)
-	act := decide(s.thresholds(in.Pod), in.Load, in.Slack)
+	act, reason := decide(s.thresholds(in.Pod), in.Load, in.Slack, in.Explain)
 	if act == AllowBEGrowth && !s.admit(score) {
-		return DisallowBEGrowth
-	}
-	return act
-}
-
-// Decide is the legacy entry point: with no pressure signal the score is
-// the baseline 1.0 and the policy reduces to per-pod Algorithm 2.
-func (s *Scoring) Decide(pod string, load, slack float64) Action {
-	return s.DecideInput(PolicyInput{Pod: pod, Load: load, Slack: slack})
-}
-
-// ExplainInput mirrors DecideInput with the branch reason; it advances
-// the same score window, so the engine calls exactly one of
-// DecideInput/ExplainInput per pod per tick.
-func (s *Scoring) ExplainInput(in PolicyInput) (Action, string) {
-	score := s.observe(in)
-	act, reason := explain(s.thresholds(in.Pod), in.Load, in.Slack)
-	if act == AllowBEGrowth && !s.admit(score) {
-		return DisallowBEGrowth, fmt.Sprintf("pressure score %.3f over cap %.2f and above median: growth vetoed", score, s.scoreCap)
+		act = DisallowBEGrowth
+		if in.Explain {
+			reason = fmt.Sprintf("pressure score %.3f over cap %.2f and above median: growth vetoed", score, s.scoreCap)
+		}
 	}
 	return act, reason
 }

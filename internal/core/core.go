@@ -137,8 +137,8 @@ type RunConfig struct {
 type builtinPolicy string
 
 // Decide always suspends; selectors never reach an engine through Run.
-func (builtinPolicy) Decide(string, float64, float64) controller.Action {
-	return controller.SuspendBE
+func (builtinPolicy) Decide(controller.PolicyInput) (controller.Action, string) {
+	return controller.SuspendBE, ""
 }
 
 // Name identifies the selector.
@@ -173,8 +173,7 @@ var (
 // by cfg: which policy controls it (RunConfig.Policy), which BE jobs ride
 // along, what load pattern is offered, and which faults (if any) are
 // injected. It is the single entry point the experiments, examples and
-// facade build on; RunBaseline/RunWith/RunSolo are deprecated wrappers
-// over it.
+// facade build on.
 func (s *System) Run(cfg RunConfig) (*engine.RunStats, error) {
 	pol := cfg.Policy
 	betypes := cfg.BETypes
@@ -215,30 +214,6 @@ func (s *System) Run(cfg RunConfig) (*engine.RunStats, error) {
 		return nil, err
 	}
 	return e.Run(cfg.Duration)
-}
-
-// RunBaseline runs the identical scenario under the Heracles baseline.
-//
-// Deprecated: set RunConfig.Policy = PolicyHeracles and call Run.
-func (s *System) RunBaseline(cfg RunConfig) (*engine.RunStats, error) {
-	cfg.Policy = PolicyHeracles
-	return s.Run(cfg)
-}
-
-// RunWith runs the scenario under an arbitrary policy.
-//
-// Deprecated: set RunConfig.Policy and call Run.
-func (s *System) RunWith(pol controller.Policy, cfg RunConfig) (*engine.RunStats, error) {
-	cfg.Policy = pol
-	return s.Run(cfg)
-}
-
-// RunSolo runs the LC service alone (no BE jobs) for reference.
-//
-// Deprecated: set RunConfig.Policy = PolicyNone and call Run.
-func (s *System) RunSolo(cfg RunConfig) (*engine.RunStats, error) {
-	cfg.Policy = PolicyNone
-	return s.Run(cfg)
 }
 
 // Comparison holds a Rhythm-vs-Heracles pair over the same scenario.

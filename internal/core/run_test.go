@@ -8,14 +8,16 @@ import (
 
 	"rhythm/internal/bejobs"
 	"rhythm/internal/controller"
+	"rhythm/internal/engine"
 	"rhythm/internal/faults"
 	"rhythm/internal/loadgen"
 )
 
-// TestUnifiedRunMatchesWrappers pins the api_redesign contract: each
-// deprecated wrapper is exactly Run with the corresponding
-// RunConfig.Policy selector, byte-identical stats included.
-func TestUnifiedRunMatchesWrappers(t *testing.T) {
+// TestRunPolicySelectors pins how Run resolves RunConfig.Policy: nil is
+// PolicyRhythm, the canonical selectors resolve to Rhythm, Heracles and
+// solo, PolicyNone runs no BE work, and a custom policy value is used as
+// given.
+func TestRunPolicySelectors(t *testing.T) {
 	sys := quickDeploy(t)
 	base := RunConfig{
 		Pattern:  loadgen.Constant(0.6),
@@ -24,71 +26,37 @@ func TestUnifiedRunMatchesWrappers(t *testing.T) {
 		Warmup:   6 * time.Second,
 		Seed:     7,
 	}
-
-	withPolicy := func(pol controller.Policy) RunConfig {
+	run := func(pol controller.Policy) *engine.RunStats {
+		t.Helper()
 		cfg := base
 		cfg.Policy = pol
-		return cfg
+		st, err := sys.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
 	}
 
-	// nil and PolicyRhythm are the system's own policy.
-	rhythmNil, err := sys.Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rhythmSel, err := sys.Run(withPolicy(PolicyRhythm))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rhythmNil, rhythmSel) {
+	rhythmNil := run(nil)
+	if !reflect.DeepEqual(rhythmNil, run(PolicyRhythm)) {
 		t.Fatal("nil Policy and PolicyRhythm diverge")
 	}
 	if rhythmNil.Policy != "Rhythm" {
 		t.Fatalf("resolved policy %q, want Rhythm", rhythmNil.Policy)
 	}
-
-	her, err := sys.Run(withPolicy(PolicyHeracles))
-	if err != nil {
-		t.Fatal(err)
-	}
-	herWrap, err := sys.RunBaseline(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(her, herWrap) {
-		t.Fatal("RunBaseline diverges from Run(PolicyHeracles)")
-	}
-	if her.Policy != "Heracles" {
+	if her := run(PolicyHeracles); her.Policy != "Heracles" {
 		t.Fatalf("resolved policy %q, want Heracles", her.Policy)
 	}
-
-	solo, err := sys.Run(withPolicy(PolicyNone))
-	if err != nil {
-		t.Fatal(err)
-	}
-	soloWrap, err := sys.RunSolo(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(solo, soloWrap) {
-		t.Fatal("RunSolo diverges from Run(PolicyNone)")
-	}
-	if solo.Policy != "solo" || solo.MeanBEThroughput() != 0 {
+	if solo := run(PolicyNone); solo.Policy != "solo" || solo.MeanBEThroughput() != 0 {
 		t.Fatalf("PolicyNone ran BE work: policy=%q thpt=%v", solo.Policy, solo.MeanBEThroughput())
 	}
 
+	// A custom Heracles value is used as given: its tighter thresholds
+	// reach the engine instead of the registry's published pair.
 	custom := controller.NewHeracles()
 	custom.Uniform = controller.Thresholds{Loadlimit: 0.7, Slacklimit: 0.2}
-	got, err := sys.Run(withPolicy(custom))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotWrap, err := sys.RunWith(custom, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, gotWrap) {
-		t.Fatal("RunWith diverges from Run with a custom policy")
+	if got := run(custom); got.Policy != "Heracles" || reflect.DeepEqual(got, run(PolicyHeracles)) {
+		t.Fatalf("custom Heracles not used as given: policy=%q", got.Policy)
 	}
 }
 

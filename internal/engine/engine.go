@@ -504,12 +504,6 @@ type Engine struct {
 	rng       *sim.RNG
 	stats     *RunStats
 
-	// pol is cfg.Policy lifted to the full-context interface once at New
-	// time (controller.AsInput); nil when the run has no policy. The
-	// control tick only ever talks to pol, so legacy 3-argument policies
-	// and registry InputPolicies take the identical code path.
-	pol controller.InputPolicy
-
 	meanP99Accum float64
 	meanP99N     int
 	lastObserve  sim.Time
@@ -571,7 +565,6 @@ func New(cfg Config) (*Engine, error) {
 			Series: make(map[string]*metrics.Series),
 		},
 	}
-	e.pol = controller.AsInput(cfg.Policy)
 	if cfg.Policy != nil {
 		e.stats.Policy = cfg.Policy.Name()
 	} else {
@@ -1262,7 +1255,8 @@ func (e *Engine) controlTick(now sim.Time, load float64) {
 		// of consecutive preceding blind periods (captured before the
 		// healthy-path reset below), Pressure the machine's smoothed
 		// interference inflation — the inputs the zoo policies forecast
-		// and score from.
+		// and score from. Explain asks for a reason only under tracing.
+		traced := e.obsScope.Enabled()
 		in := controller.PolicyInput{
 			Pod:      p.comp.Name,
 			Load:     load,
@@ -1271,8 +1265,8 @@ func (e *Engine) controlTick(now sim.Time, load float64) {
 			Pressure: e.soa.inflate[p.idx],
 			Degraded: p.degraded,
 			Now:      now,
+			Explain:  traced,
 		}
-		traced := e.obsScope.Enabled()
 		var act controller.Action
 		reason := "no BE policy"
 		switch {
@@ -1288,20 +1282,9 @@ func (e *Engine) controlTick(now sim.Time, load float64) {
 			if traced {
 				reason = controller.DegradedReason(p.degraded, degradedCause)
 			}
-		case traced:
-			// Under tracing, ExplainInput replaces DecideInput rather than
-			// augmenting it: explain stays in lockstep with decide
-			// (TestExplainMatchesDecide pins it), and stateful policies
-			// must observe each input exactly once.
-			p.degraded = 0
-			if ex, ok := e.pol.(controller.InputExplainer); ok {
-				act, reason = ex.ExplainInput(in)
-			} else {
-				act, reason = e.pol.DecideInput(in), ""
-			}
 		default:
 			p.degraded = 0
-			act = e.pol.DecideInput(in)
+			act, reason = e.cfg.Policy.Decide(in)
 		}
 		p.lastAction = act
 		if traced {
@@ -1361,7 +1344,7 @@ func (e *Engine) apply(p *podRuntime, act controller.Action, now sim.Time, load,
 		// their allocated resources"); cut harder the deeper the slack
 		// has fallen into the band, so a fast-rising load sheds BE
 		// pressure before it violates.
-		steps := 1 + int(3*sim.Clamp(1-2*slack/maxSlacklimit(e.pol, p.comp.Name), 0, 1))
+		steps := 1 + int(3*sim.Clamp(1-2*slack/maxSlacklimit(e.cfg.Policy, p.comp.Name), 0, 1))
 		for _, in := range p.instances {
 			for i := 0; i < steps; i++ {
 				p.agent.CutBE(in.ID)
@@ -1579,9 +1562,9 @@ func minf(a, b float64) float64 {
 
 // maxSlacklimit returns the pod's slacklimit under the policy, defaulting
 // to Heracles' 0.10 when the policy does not expose one. The capability
-// interface is controller.SlacklimitReporter, which the AsInput adapter
-// forwards, so third-party registry policies get correct CutBE step
-// sizing without the engine knowing any concrete type.
+// interface is controller.SlacklimitReporter, so third-party registry
+// policies get correct CutBE step sizing without the engine knowing any
+// concrete type.
 func maxSlacklimit(pol controller.Policy, pod string) float64 {
 	if sl, ok := pol.(controller.SlacklimitReporter); ok {
 		if v := sl.SlacklimitFor(pod); v > 0 {

@@ -14,14 +14,17 @@ import (
 	"rhythm/internal/workload"
 )
 
+// faultThresholds are faultCfg's per-Servpod Rhythm thresholds.
+var faultThresholds = map[string]controller.Thresholds{
+	"Web":      {Loadlimit: 0.9, Slacklimit: 0.1},
+	"MySQL":    {Loadlimit: 0.6, Slacklimit: 0.3},
+	"Amoeba":   {Loadlimit: 0.95, Slacklimit: 0.05},
+	"Memcache": {Loadlimit: 0.9, Slacklimit: 0.1},
+}
+
 func faultCfg(t *testing.T, sched *faults.Schedule) Config {
 	t.Helper()
-	pol, err := controller.NewRhythm(map[string]controller.Thresholds{
-		"Web":      {Loadlimit: 0.9, Slacklimit: 0.1},
-		"MySQL":    {Loadlimit: 0.6, Slacklimit: 0.3},
-		"Amoeba":   {Loadlimit: 0.95, Slacklimit: 0.05},
-		"Memcache": {Loadlimit: 0.9, Slacklimit: 0.1},
-	})
+	pol, err := controller.NewRhythm(faultThresholds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +119,7 @@ func TestCrashKillsAndBlocksRestart(t *testing.T) {
 // TestDropoutNeverActsOnPoisonedSlack is the acceptance pin: under NaN
 // and stale dropouts the engine never panics, never records an
 // AllowBEGrowth decision during the blind window, reports the degraded
-// reason through the Explainer path, and keeps the true statistics
+// reason in the traced decision events, and keeps the true statistics
 // NaN-free.
 func TestDropoutNeverActsOnPoisonedSlack(t *testing.T) {
 	sched := &faults.Schedule{Events: []faults.Event{

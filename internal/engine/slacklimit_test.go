@@ -10,8 +10,8 @@ import (
 // non-default per-pod value.
 type reporterPolicy struct{ limits map[string]float64 }
 
-func (reporterPolicy) Decide(string, float64, float64) controller.Action {
-	return controller.AllowBEGrowth
+func (reporterPolicy) Decide(controller.PolicyInput) (controller.Action, string) {
+	return controller.AllowBEGrowth, ""
 }
 func (reporterPolicy) Name() string                       { return "reporter" }
 func (r reporterPolicy) SlacklimitFor(pod string) float64 { return r.limits[pod] }
@@ -19,8 +19,8 @@ func (r reporterPolicy) SlacklimitFor(pod string) float64 { return r.limits[pod]
 // bareMinimum implements only the base Policy interface.
 type bareMinimum struct{}
 
-func (bareMinimum) Decide(string, float64, float64) controller.Action {
-	return controller.AllowBEGrowth
+func (bareMinimum) Decide(controller.PolicyInput) (controller.Action, string) {
+	return controller.AllowBEGrowth, ""
 }
 func (bareMinimum) Name() string { return "bare" }
 
@@ -40,8 +40,6 @@ func TestMaxSlacklimitCapability(t *testing.T) {
 		{"reporter unknown pod zero-falls-back", rep, "cache", 0.10},
 		{"non-reporter", bareMinimum{}, "frontend", 0.10},
 		{"nil policy", nil, "frontend", 0.10},
-		{"adapter forwards capability", controller.AsInput(rep), "frontend", 0.22},
-		{"adapter over non-reporter", controller.AsInput(bareMinimum{}), "frontend", 0.10},
 	}
 	for _, tc := range cases {
 		if got := maxSlacklimit(tc.pol, tc.pod); got != tc.want {
@@ -51,7 +49,7 @@ func TestMaxSlacklimitCapability(t *testing.T) {
 }
 
 // TestMaxSlacklimitRhythm: the calibrated Rhythm policy reports its
-// per-Servpod slacklimit straight through, no adapter needed.
+// per-Servpod slacklimit straight through.
 func TestMaxSlacklimitRhythm(t *testing.T) {
 	pol, err := controller.NewRhythm(map[string]controller.Thresholds{
 		"frontend": {Loadlimit: 0.8, Slacklimit: 0.17},
@@ -61,8 +59,5 @@ func TestMaxSlacklimitRhythm(t *testing.T) {
 	}
 	if got := maxSlacklimit(pol, "frontend"); got != 0.17 {
 		t.Fatalf("rhythm slacklimit = %v, want 0.17", got)
-	}
-	if got := maxSlacklimit(controller.AsInput(pol), "frontend"); got != 0.17 {
-		t.Fatalf("adapted rhythm slacklimit = %v, want 0.17", got)
 	}
 }

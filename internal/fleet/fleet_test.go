@@ -140,11 +140,11 @@ func TestQueueConservation(t *testing.T) {
 // on the latency model's behaviour).
 type loadKiller struct{ threshold float64 }
 
-func (k loadKiller) Decide(_ string, load, _ float64) controller.Action {
-	if load > k.threshold {
-		return controller.StopBE
+func (k loadKiller) Decide(in controller.PolicyInput) (controller.Action, string) {
+	if in.Load > k.threshold {
+		return controller.StopBE, ""
 	}
-	return controller.AllowBEGrowth
+	return controller.AllowBEGrowth, ""
 }
 func (k loadKiller) Name() string { return "load-killer" }
 

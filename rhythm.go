@@ -99,13 +99,11 @@ type (
 	// (RunConfig.Policy accepts one, or the PolicyRhythm / PolicyHeracles /
 	// PolicyNone / PolicyNamed selectors).
 	Policy = controller.Policy
-	// PolicyInput is one Servpod's full measured state at a control tick:
-	// load, slack, seen p99, interference pressure, degraded count and
-	// virtual time (DESIGN.md §15.1).
+	// PolicyInput is one Servpod's full measured state at a control tick,
+	// the argument of Policy.Decide: load, slack, seen p99, interference
+	// pressure, degraded count, virtual time and whether a reason is
+	// wanted (DESIGN.md §15.1).
 	PolicyInput = controller.PolicyInput
-	// InputPolicy is the full-context policy interface; AdaptPolicy lifts
-	// a legacy 3-argument Policy into it.
-	InputPolicy = controller.InputPolicy
 	// PolicyFactory constructs a fresh policy instance per run for
 	// RegisterPolicy; it receives the deployed system's thresholds and
 	// SLA.
@@ -240,12 +238,6 @@ func Policies() []string { return controller.Names() }
 // invoked once per run, so stateful policies never share history across
 // runs. Registering a duplicate or empty name panics.
 func RegisterPolicy(name string, factory PolicyFactory) { controller.Register(name, factory) }
-
-// AdaptPolicy lifts a legacy 3-argument Policy into the full-context
-// InputPolicy interface, forwarding Explainer and SlacklimitReporter
-// capabilities; policies already implementing InputPolicy pass through
-// unchanged.
-func AdaptPolicy(p Policy) InputPolicy { return controller.AsInput(p) }
 
 // FaultPresets lists the canned fault-storm names accepted by
 // FaultPreset and the CLI's -faults flag.
