@@ -5,7 +5,9 @@
 # under the race detector — the experiment engine is concurrent, so -race
 # is part of tier-1 here, not an extra. The race run uses a raised timeout:
 # -race slows the simulation ~5-10x and the experiments package regenerates
-# real figures.
+# real figures. Under -race the determinism harness (cmd/rhythm
+# TestDeterminismHarness) runs its reduced form; CI's harness job runs the
+# full one. `make golden` pins the whole `run all` stdout.
 
 GO ?= go
 
@@ -14,7 +16,7 @@ GO ?= go
 # CI always has network and runs it for real.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: check fmt vet build test exact race staticcheck bench bench-tables bench-compare bench-gate golden golden-update scenario-lint calibrate-smoke tournament-smoke
+.PHONY: check fmt vet build test exact race staticcheck bench bench-tables bench-compare bench-gate golden golden-update
 
 check: fmt vet build exact race staticcheck
 
@@ -79,50 +81,22 @@ bench-gate:
 	$(GO) run ./cmd/rhythm-bench -out /tmp/rhythm-bench-new.json
 	$(GO) run ./cmd/rhythm-bench -compare -gate BENCH_engine.json /tmp/rhythm-bench-new.json
 
-# golden verifies the byte-determinism contract end to end: a quick
-# seed-2020 run of the fig2+fig7 subset (Station.At, the batched path-tail
-# estimator, the profiling sweep, every RNG stream) must hash to the pinned
-# GOLDEN.sha256. Any change to produced float bits or draw order — however
-# small — fails this in ~4 s. The pin is amd64-specific (math.Log/Exp are
-# per-arch assembly); regenerate on other architectures before comparing.
-# It also assumes an AVX+FMA host: math.Exp picks its FMA path at run time,
-# and that path rounds differently from the SSE2 one. The samplers' AVX2+FMA
-# kernels (internal/sim/kernels_amd64.s) reproduce those bits exactly;
-# `make golden GOFLAGS=-tags=purego` checks the scalar path against the
-# same pin.
+# golden verifies the byte-determinism contract end to end: the quick
+# seed-2020 `run all` stdout — every paper figure, table and ablation —
+# must hash to the pinned GOLDEN.sha256. It runs cold on four workers;
+# TestDeterminismHarness checks that one worker renders the same bytes. Any
+# change to produced float bits or draw order — however small — fails
+# this. The pin is amd64-specific (math.Log/Exp are per-arch assembly);
+# regenerate on other architectures before comparing. It also assumes an
+# AVX+FMA host: math.Exp picks its FMA path at run time, and that path
+# rounds differently from the SSE2 one. The samplers' AVX2+FMA kernels
+# (internal/sim/kernels_amd64.s) reproduce those bits exactly; `make golden
+# GOFLAGS=-tags=purego` checks the scalar path against the same pin.
 golden:
-	$(GO) run ./cmd/rhythm -quick -seed 2020 -jobs 1 run fig2 fig7 | sha256sum -c GOLDEN.sha256
-
-# scenario-lint pushes every shipped workload-spec file through the real
-# loader (parse, strict decode, full validation — SCENARIOS.md): a spec
-# field renamed without updating the examples, or an example edited into
-# invalidity, fails here in under a second.
-scenario-lint:
-	$(GO) run ./cmd/rhythm scenario -validate examples/scenarios/*.json examples/scenarios/*.yaml
-
-# calibrate-smoke is the self-calibration fixed point (DESIGN.md §13):
-# export the golden subset's metrics, feed them back through `rhythm
-# calibrate` at a different worker count, and demand zero breaches.
-calibrate-smoke:
-	$(GO) run ./cmd/rhythm -quick -seed 2020 -metrics-out calibrate-smoke.prom run fig2 fig7 > /dev/null
-	$(GO) run ./cmd/rhythm -quick -seed 2020 -jobs 4 calibrate -observed calibrate-smoke.prom
-	rm -f calibrate-smoke.prom
-
-# tournament-smoke runs the policy-zoo head-to-head on 1 and 4 workers
-# and demands byte-identical scorecards (DESIGN.md §15.4): every cell
-# rides its own content-keyed RNG substream, so the worker schedule must
-# never show in the bytes. The jobs=4 side also traces every decision to
-# a temp file, so the same cmp pins traced == untraced stdout for the
-# whole zoo (DESIGN.md §8.3): asking a policy for reasons must never
-# change what it decides.
-tournament-smoke:
-	$(GO) run ./cmd/rhythm -quick -seed 2020 -jobs 1 run tournament > tournament-smoke-1.out
-	$(GO) run ./cmd/rhythm -quick -seed 2020 -jobs 4 -trace-out tournament-smoke.jsonl run tournament > tournament-smoke-4.out
-	cmp tournament-smoke-1.out tournament-smoke-4.out
-	rm -f tournament-smoke-1.out tournament-smoke-4.out tournament-smoke.jsonl
+	$(GO) run ./cmd/rhythm -quick -seed 2020 -jobs 4 run all | sha256sum -c GOLDEN.sha256
 
 # golden-update re-pins GOLDEN.sha256 after an INTENTIONAL output change
 # (new experiment content, a deliberate model change). Never run it to
 # silence an unexplained diff — that diff is the contract catching a bug.
 golden-update:
-	$(GO) run ./cmd/rhythm -quick -seed 2020 -jobs 1 run fig2 fig7 | sha256sum > GOLDEN.sha256
+	$(GO) run ./cmd/rhythm -quick -seed 2020 -jobs 4 run all | sha256sum > GOLDEN.sha256

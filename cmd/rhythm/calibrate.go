@@ -24,8 +24,8 @@ import (
 // the artifact — calibrating a -seed 2020 export with -seed 7 measures
 // the seed difference, not simulator drift. With matching flags the
 // comparison is a fixed point: the simulator is deterministic, so
-// calibrating against its own export passes with zero breaches (the CI
-// calibration-smoke job pins this).
+// calibrating against its own export passes with zero breaches
+// (TestCalibrateSelfFixedPoint pins this).
 func runCalibrate(ctx *experiments.Context, cf cliflags.Calibrate, haveScenario bool, stdout io.Writer, stderr io.Writer) int {
 	observed, err := calibration.ImportFile(cf.Observed)
 	if err != nil {

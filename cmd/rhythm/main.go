@@ -64,6 +64,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -227,6 +228,19 @@ func realMain(argv []string, stdout, rawStderr io.Writer) int {
 		}
 	}
 
+	// Unknown run ids, and a scenario run or trace without a loaded spec,
+	// are usage errors caught before setupObs, so they leave no trace or
+	// metrics file behind.
+	if args[0] == "run" {
+		if code := validateRunIDs(args[1:], stderr); code != 0 {
+			return code
+		}
+	}
+	if (args[0] == "run" || tracing) && spec == nil && slices.Contains(args[1:], "scenario") {
+		fmt.Fprintln(stderr, "rhythm: the scenario experiment needs -scenario <spec-file>")
+		return 2
+	}
+
 	bus, finish, code := setupObs(traceFlags.Out, traceFlags.Format, traceFlags.MetricsOut, stderr)
 	if code != 0 {
 		return code
@@ -241,17 +255,7 @@ func realMain(argv []string, stdout, rawStderr io.Writer) int {
 	case "list":
 		err = list(stdout)
 	case "run":
-		ids := args[1:]
-		if code := validateRunIDs(ids, stderr); code != 0 {
-			return code
-		}
-		for _, id := range ids {
-			if id == "scenario" && spec == nil {
-				fmt.Fprintln(stderr, "rhythm: the scenario experiment needs -scenario <spec-file>")
-				return 2
-			}
-		}
-		err = run(ctx, ids, stdout, stderr)
+		err = run(ctx, args[1:], stdout, stderr)
 	case "trace":
 		err = run(ctx, args[1:2], stdout, stderr)
 		if err == nil {

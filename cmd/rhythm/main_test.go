@@ -11,8 +11,24 @@ import (
 // TestArgValidation is the table test for CLI flag/argument validation:
 // usage errors must exit 2 with a clear diagnostic before any experiment
 // work starts, and the cheap informational commands must succeed. No case
-// here runs an actual experiment, so the table stays fast.
+// here runs an actual experiment, so the table stays fast. Every case runs
+// in an empty directory that must stay empty: a usage error leaves no
+// trace or metrics file behind.
 func TestArgValidation(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Error(err)
+		}
+	})
+
 	cases := []struct {
 		name     string
 		argv     []string
@@ -36,6 +52,8 @@ func TestArgValidation(t *testing.T) {
 		{"trace two ids", []string{"trace", "fig2", "fig3"}, 2,
 			"trace needs exactly one experiment id"},
 		{"trace unknown id", []string{"trace", "fig999"}, 2, "fig999"},
+		{"trace scenario without spec", []string{"trace", "scenario"}, 2, "needs -scenario"},
+		{"unknown policy", []string{"-policy", "bogus", "run", "fig7"}, 2, "registered:"},
 		{"calibrate without artifact", []string{"calibrate"}, 2,
 			"calibrate needs -observed"},
 		{"calibrate two artifacts", []string{"calibrate", "a.prom", "b.prom"}, 2,
@@ -63,6 +81,9 @@ func TestArgValidation(t *testing.T) {
 			}
 			if tc.wantCode == 0 && stdout.Len() == 0 {
 				t.Fatalf("argv %q: successful command produced no output", tc.argv)
+			}
+			if left, _ := os.ReadDir(dir); len(left) != 0 {
+				t.Fatalf("argv %q left %s behind", tc.argv, left[0].Name())
 			}
 		})
 	}
@@ -130,6 +151,7 @@ func TestScenarioSubcommand(t *testing.T) {
 		{"validate bad", []string{"scenario", "-validate", bad}, 1, "invalid: " + bad, "1 of 1 spec files invalid"},
 		{"validate mixed", []string{"scenario", "-validate", good, bad}, 1, "ok: " + good, "1 of 2 spec files invalid"},
 		{"validate missing file", []string{"scenario", "-validate", filepath.Join(dir, "nope.json")}, 1, "invalid:", ""},
+		{"validate shipped specs", append([]string{"scenario", "-validate"}, shippedSpecs(t)...), 0, "ok: ", ""},
 		{"run scenario without spec", []string{"run", "scenario"}, 2, "", "needs -scenario"},
 		{"bad -scenario flag", []string{"-scenario", bad, "list"}, 2, "", "-scenario:"},
 	}
@@ -166,33 +188,45 @@ func TestListIncludesScenarioExperiment(t *testing.T) {
 }
 
 // TestCalibrateSelfFixedPoint is the CLI-level fixed-point contract: a
-// run's exported metrics snapshot, fed back through `rhythm calibrate`,
-// must validate with zero breaches. fig2 is analytic, so the whole loop
-// is cheap enough for the unit suite; CI repeats it as a smoke job.
+// run's exported metrics snapshot, and a run's JSONL decision trace, fed
+// back through `rhythm calibrate` must validate with zero breaches — the
+// snapshot even when the re-run uses a different worker count.
 func TestCalibrateSelfFixedPoint(t *testing.T) {
 	dir := t.TempDir()
 	mpath := filepath.Join(dir, "m.prom")
+	tpath := filepath.Join(dir, "t.jsonl")
 
+	// Separate processes would start the export and the re-run equally
+	// cold; in one process, warm the profile cache first so both sides
+	// see it warm and record the same pool dispatches.
 	var stdout, stderr bytes.Buffer
-	code := realMain([]string{"-quick", "-seed", "2020", "-metrics-out", mpath, "run", "fig2"},
-		&stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("export run failed (%d): %s", code, stderr.String())
+	if code := realMain([]string{"-quick", "-seed", "2020", "run", "fig2", "fig7"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("warm-up run failed (%d): %s", code, stderr.String())
 	}
-
-	stdout.Reset()
-	stderr.Reset()
-	code = realMain([]string{"-quick", "-seed", "2020", "calibrate", "-observed", mpath},
-		&stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("self-calibration exit %d\nstdout:\n%s\nstderr:\n%s",
-			code, stdout.String(), stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "calibration: PASS") {
-		t.Fatalf("missing PASS verdict:\n%s", stdout.String())
-	}
-	if !strings.Contains(stderr.String(), "re-ran fig2") {
-		t.Fatalf("summary line missing:\n%s", stderr.String())
+	for _, arm := range []struct {
+		export, calibrate []string
+		reran             string
+	}{
+		{[]string{"-metrics-out", mpath, "run", "fig2", "fig7"}, []string{"-jobs", "4", "calibrate", "-observed", mpath}, "re-ran fig2, fig7 "},
+		{[]string{"-trace-out", tpath, "run", "fig7"}, []string{"calibrate", "-observed", tpath}, "re-ran fig7 "},
+	} {
+		stderr.Reset()
+		if code := realMain(append([]string{"-quick", "-seed", "2020"}, arm.export...), &stdout, &stderr); code != 0 {
+			t.Fatalf("export %q failed (%d): %s", arm.export, code, stderr.String())
+		}
+		stdout.Reset()
+		stderr.Reset()
+		code := realMain(append([]string{"-quick", "-seed", "2020"}, arm.calibrate...), &stdout, &stderr)
+		if code != 0 {
+			t.Fatalf("%q: self-calibration exit %d\nstdout:\n%s\nstderr:\n%s",
+				arm.calibrate, code, stdout.String(), stderr.String())
+		}
+		if !strings.Contains(stdout.String(), "calibration: PASS") {
+			t.Fatalf("%q: missing PASS verdict:\n%s", arm.calibrate, stdout.String())
+		}
+		if !strings.Contains(stderr.String(), arm.reran) {
+			t.Fatalf("%q: summary line missing:\n%s", arm.calibrate, stderr.String())
+		}
 	}
 
 	// A -report sidecar must be valid JSON with the same verdict, and the
@@ -200,9 +234,8 @@ func TestCalibrateSelfFixedPoint(t *testing.T) {
 	rpath := filepath.Join(dir, "report.json")
 	stdout.Reset()
 	stderr.Reset()
-	code = realMain([]string{"-quick", "-seed", "2020", "calibrate", "-fit", "-report", rpath, mpath},
-		&stdout, &stderr)
-	if code != 0 {
+	if code := realMain([]string{"-quick", "-seed", "2020", "calibrate", "-fit", "-report", rpath, mpath},
+		&stdout, &stderr); code != 0 {
 		t.Fatalf("calibrate -fit exit %d: %s", code, stderr.String())
 	}
 	body, err := os.ReadFile(rpath)

@@ -15,10 +15,10 @@ import (
 )
 
 func init() {
-	register("ablation-contribution", "Contribution definition ablation: Eq. 4 product vs single factors", ablationContribution)
-	register("ablation-period", "Controller period ablation: 0.5s / 2s / 8s", ablationPeriod)
-	register("ablation-pairing", "Tracer pairing ablation: mean invariance vs per-request error", ablationPairing)
-	register("ablation-isolation", "Isolation mechanisms ablation: §4 mechanisms on vs off", ablationIsolation)
+	register(Experiment{ID: "ablation-contribution", Title: "Contribution definition ablation: Eq. 4 product vs single factors", Run: ablationContribution})
+	register(Experiment{ID: "ablation-period", Title: "Controller period ablation: 0.5s / 2s / 8s", Run: ablationPeriod})
+	register(Experiment{ID: "ablation-pairing", Title: "Tracer pairing ablation: mean invariance vs per-request error", Run: ablationPairing})
+	register(Experiment{ID: "ablation-isolation", Title: "Isolation mechanisms ablation: §4 mechanisms on vs off", Run: ablationIsolation})
 }
 
 // ablationContribution compares how well alternative contribution

@@ -13,9 +13,9 @@ import (
 )
 
 func init() {
-	registerScenario("calibration",
-		"Self-calibration fixed point and drift-fit recovery (scenario, not in `run all`)",
-		calibrationExperiment)
+	register(Experiment{ID: "calibration", OnDemand: true,
+		Title: "Self-calibration fixed point and drift-fit recovery (scenario, not in `run all`)",
+		Run:   calibrationExperiment})
 }
 
 // calibrationExperiment closes the observability loop analytically: it

@@ -30,46 +30,3 @@ func TestCalibrationScenario(t *testing.T) {
 		}
 	}
 }
-
-// TestCalibrationDeterministicAcrossJobs: the table is analytic, so it
-// must render byte-identically at any worker count and across repeats.
-func TestCalibrationDeterministicAcrossJobs(t *testing.T) {
-	render := func(jobs int) string {
-		ctx := NewContext(Options{Quick: true, Seed: 2020, Jobs: jobs})
-		tab, err := ctx.Run("calibration")
-		if err != nil {
-			t.Fatalf("jobs=%d: %v", jobs, err)
-		}
-		return tab.String()
-	}
-	serial := render(1)
-	if got := render(4); got != serial {
-		t.Errorf("jobs=4 table differs from serial\nserial:\n%s\njobs=4:\n%s", serial, got)
-	}
-	if got := render(1); got != serial {
-		t.Error("repeated serial runs diverge")
-	}
-}
-
-// TestCalibrationExcludedFromRunAll: registered as a scenario (Get
-// resolves it) but absent from the paper registry, so `run all` and the
-// golden stdout are unmoved.
-func TestCalibrationExcludedFromRunAll(t *testing.T) {
-	if _, err := Get("calibration"); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range IDs() {
-		if id == "calibration" {
-			t.Fatal("calibration leaked into IDs()")
-		}
-	}
-	found := false
-	for _, id := range ScenarioIDs() {
-		if id == "calibration" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("calibration missing from ScenarioIDs(): %v", ScenarioIDs())
-	}
-}

@@ -15,7 +15,7 @@
 // randomness from content-keyed substreams of Opts.Seed (sim.RNG.Fork /
 // sim.SubSeed; never a shared generator), which is why a table is
 // byte-identical no matter how many workers ran the registry — the
-// property TestRunAllParallelMatchesSerial locks in. Tables returned by
+// property cmd/rhythm's TestDeterminismHarness locks in. Tables returned by
 // Run/RunAll are fresh per call and owned by the caller.
 package experiments
 
@@ -250,36 +250,23 @@ type Experiment struct {
 	ID    string
 	Title string
 	Run   Runner
+	// OnDemand marks an experiment that runs only when named (the
+	// resilience storms, scenarios, the fleet, the tournament,
+	// calibration): IDs(), and therefore `run all` and the golden stdout,
+	// exclude it; ScenarioIDs() lists it.
+	OnDemand bool
 }
 
-var (
-	registry = map[string]Experiment{}
-	// scenarios marks registry entries that are runnable on demand but
-	// excluded from IDs() — and therefore from `run all` and the golden
-	// stdout — because their tables are not part of the paper's pinned
-	// evaluation (the resilience storms).
-	scenarios = map[string]bool{}
-)
+var registry = map[string]Experiment{}
 
-func register(id, title string, run Runner) {
-	registry[id] = Experiment{ID: id, Title: title, Run: run}
-}
+func register(e Experiment) { registry[e.ID] = e }
 
-// registerScenario registers an on-demand scenario experiment: Get and
-// Run find it by ID, but IDs()/`run all` skip it so the golden evaluation
-// output stays frozen.
-func registerScenario(id, title string, run Runner) {
-	register(id, title, run)
-	scenarios[id] = true
-}
-
-// IDs returns the registered paper-evaluation experiment identifiers,
-// sorted. Scenario experiments (ScenarioIDs) are excluded: `run all`
-// expands to exactly this list.
-func IDs() []string {
-	out := make([]string, 0, len(registry))
-	for id := range registry {
-		if !scenarios[id] {
+// registered returns the sorted identifiers whose OnDemand flag equals
+// onDemand.
+func registered(onDemand bool) []string {
+	var out []string
+	for id, e := range registry {
+		if e.OnDemand == onDemand {
 			out = append(out, id)
 		}
 	}
@@ -287,16 +274,13 @@ func IDs() []string {
 	return out
 }
 
-// ScenarioIDs returns the on-demand scenario experiment identifiers,
-// sorted.
-func ScenarioIDs() []string {
-	out := make([]string, 0, len(scenarios))
-	for id := range scenarios {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
+// IDs returns the registered paper-evaluation experiment identifiers,
+// sorted. On-demand experiments (ScenarioIDs) are excluded: `run all`
+// expands to exactly this list.
+func IDs() []string { return registered(false) }
+
+// ScenarioIDs returns the on-demand experiment identifiers, sorted.
+func ScenarioIDs() []string { return registered(true) }
 
 // Get returns the registered experiment.
 func Get(id string) (Experiment, error) {

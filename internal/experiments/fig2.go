@@ -12,8 +12,8 @@ import (
 )
 
 func init() {
-	register("fig2", "Impact of interference on the 99th percentile latency of LC components (Fig. 2a/2b)", fig2)
-	register("fig7", "Servpod sensitivity vs contribution (Fig. 7)", fig7)
+	register(Experiment{ID: "fig2", Title: "Impact of interference on the 99th percentile latency of LC components (Fig. 2a/2b)", Run: fig2})
+	register(Experiment{ID: "fig7", Title: "Servpod sensitivity vs contribution (Fig. 7)", Run: fig7})
 }
 
 // fig2Sources are the §2 interference groups, in figure order.

@@ -12,9 +12,9 @@ import (
 )
 
 func init() {
-	registerScenario("fleet",
-		"Datacenter-scale fleet run over a preset mix (scenario, not in `run all`)",
-		fleetExperiment)
+	register(Experiment{ID: "fleet", OnDemand: true,
+		Title: "Datacenter-scale fleet run over a preset mix (scenario, not in `run all`)",
+		Run:   fleetExperiment})
 }
 
 // fleetExperiment is the ROADMAP item 1 scorecard: the chosen preset's

@@ -12,24 +12,24 @@ import (
 )
 
 func init() {
-	register("fig9", "BE throughput at Servpods under different loads (Fig. 9)", func(c *Context) (*Table, error) {
+	register(Experiment{ID: "fig9", Title: "BE throughput at Servpods under different loads (Fig. 9)", Run: func(c *Context) (*Table, error) {
 		return podGrid(c, "fig9", "BE throughput (normalized jobs/hour)", func(p *engine.PodStats) float64 { return p.BEThroughput })
-	})
-	register("fig10", "CPU utilization at Servpods under different loads (Fig. 10)", func(c *Context) (*Table, error) {
+	}})
+	register(Experiment{ID: "fig10", Title: "CPU utilization at Servpods under different loads (Fig. 10)", Run: func(c *Context) (*Table, error) {
 		return podGrid(c, "fig10", "CPU utilization", func(p *engine.PodStats) float64 { return p.CPUUtil })
-	})
-	register("fig11", "Memory-bandwidth utilization at Servpods under different loads (Fig. 11)", func(c *Context) (*Table, error) {
+	}})
+	register(Experiment{ID: "fig11", Title: "Memory-bandwidth utilization at Servpods under different loads (Fig. 11)", Run: func(c *Context) (*Table, error) {
 		return podGrid(c, "fig11", "memory-bandwidth utilization", func(p *engine.PodStats) float64 { return p.MemBWUtil })
-	})
-	register("fig12", "EMU improvement over Heracles (Fig. 12)", func(c *Context) (*Table, error) {
+	}})
+	register(Experiment{ID: "fig12", Title: "EMU improvement over Heracles (Fig. 12)", Run: func(c *Context) (*Table, error) {
 		return serviceGrid(c, "fig12", "EMU", func(r *engine.RunStats) float64 { return r.MeanEMU() })
-	})
-	register("fig13", "CPU-utilization improvement over Heracles (Fig. 13)", func(c *Context) (*Table, error) {
+	}})
+	register(Experiment{ID: "fig13", Title: "CPU-utilization improvement over Heracles (Fig. 13)", Run: func(c *Context) (*Table, error) {
 		return serviceGrid(c, "fig13", "CPU utilization", func(r *engine.RunStats) float64 { return r.MeanCPUUtil() })
-	})
-	register("fig14", "Memory-bandwidth-utilization improvement over Heracles (Fig. 14)", func(c *Context) (*Table, error) {
+	}})
+	register(Experiment{ID: "fig14", Title: "Memory-bandwidth-utilization improvement over Heracles (Fig. 14)", Run: func(c *Context) (*Table, error) {
 		return serviceGrid(c, "fig14", "memory-bandwidth utilization", func(r *engine.RunStats) float64 { return r.MeanMemBWUtil() })
-	})
+	}})
 }
 
 // gridServices are the five LC services of the constant-load grids, with

@@ -29,7 +29,7 @@ type Result struct {
 // experiment draws randomness only from content-keyed substreams of
 // Opts.Seed, and all cross-experiment state is cached under singleflight
 // keys whose values do not depend on which worker computes them first.
-// TestRunAllParallelMatchesSerial holds this property down.
+// cmd/rhythm's TestDeterminismHarness holds this property down.
 func (c *Context) RunAll(ids []string, jobs int) []Result {
 	if len(ids) == 0 {
 		ids = IDs()

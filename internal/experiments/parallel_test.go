@@ -3,63 +3,7 @@ package experiments
 import (
 	"sync"
 	"testing"
-
-	"rhythm/internal/sim"
 )
-
-// determinismIDs is the registry slice exercised by the serial-vs-parallel
-// regression. Under -race (or -short) the full registry would multiply an
-// already ~5x-slowed binary, so we keep the cheap experiments that still
-// cover every concurrency mechanism: scratch-RNG experiments (fig2, fig7,
-// ablations), deployment-backed figures (fig6, fig8, tab1) and the
-// controller timeline (fig17). The full registry — including the grid
-// prefetch and threshold sweep — runs on plain `go test`.
-func determinismIDs() []string {
-	if sim.RaceEnabled || testing.Short() {
-		return []string{
-			"fig2", "fig6", "fig7", "fig8", "tab1", "fig17",
-			"ablation-pairing", "ablation-period",
-		}
-	}
-	return IDs()
-}
-
-// TestRunAllParallelMatchesSerial is the determinism regression the
-// package godoc points at: running the registry on one worker and on four
-// must render byte-identical tables. Both contexts are fresh so neither
-// inherits the other's singleflight results; only the process-wide profile
-// cache is shared, and it is keyed by content, not by worker count.
-func TestRunAllParallelMatchesSerial(t *testing.T) {
-	ids := determinismIDs()
-
-	serialCtx := NewContext(Options{Quick: true, Seed: 2020, Jobs: 1})
-	parallelCtx := NewContext(Options{Quick: true, Seed: 2020, Jobs: 4})
-
-	serial := serialCtx.RunAll(ids, 0)
-	parallel := parallelCtx.RunAll(ids, 0)
-
-	if len(serial) != len(ids) || len(parallel) != len(ids) {
-		t.Fatalf("result counts: serial %d, parallel %d, want %d",
-			len(serial), len(parallel), len(ids))
-	}
-	for i, id := range ids {
-		s, p := serial[i], parallel[i]
-		if s.ID != id || p.ID != id {
-			t.Fatalf("result %d out of order: serial %q, parallel %q, want %q",
-				i, s.ID, p.ID, id)
-		}
-		if s.Err != nil {
-			t.Fatalf("%s (serial): %v", id, s.Err)
-		}
-		if p.Err != nil {
-			t.Fatalf("%s (jobs=4): %v", id, p.Err)
-		}
-		if got, want := p.Table.String(), s.Table.String(); got != want {
-			t.Errorf("%s: jobs=4 table differs from serial\nserial:\n%s\njobs=4:\n%s",
-				id, want, got)
-		}
-	}
-}
 
 func TestRunAllReportsErrorsInPlace(t *testing.T) {
 	results := sharedCtx.RunAll([]string{"fig2", "no-such-figure"}, 2)

@@ -10,8 +10,8 @@ import (
 )
 
 func init() {
-	register("fig15", "Average improvements under production load and worst p99/SLA (Fig. 15a-d)", fig15)
-	register("fig16", "Running with microservices: SNMS under Heracles and Rhythm (Fig. 16)", fig16)
+	register(Experiment{ID: "fig15", Title: "Average improvements under production load and worst p99/SLA (Fig. 15a-d)", Run: fig15})
+	register(Experiment{ID: "fig16", Title: "Running with microservices: SNMS under Heracles and Rhythm (Fig. 16)", Run: fig16})
 }
 
 // productionPattern builds the ClarkNet stand-in: a diurnal trace scaled

@@ -10,9 +10,9 @@ import (
 )
 
 func init() {
-	register("fig6", "Average sojourn time and CoV of E-commerce Servpods, solo run (Fig. 6a/6b)", fig6)
-	register("fig8", "Loadlimit derivation from sojourn-CoV knees (Fig. 8)", fig8)
-	register("tab1", "LC workloads and BE jobs (Table 1)", tab1)
+	register(Experiment{ID: "fig6", Title: "Average sojourn time and CoV of E-commerce Servpods, solo run (Fig. 6a/6b)", Run: fig6})
+	register(Experiment{ID: "fig8", Title: "Loadlimit derivation from sojourn-CoV knees (Fig. 8)", Run: fig8})
+	register(Experiment{ID: "tab1", Title: "LC workloads and BE jobs (Table 1)", Run: tab1})
 }
 
 // fig6 reproduces the solo-run sweep of E-commerce: per-level mean sojourn

@@ -12,9 +12,9 @@ import (
 )
 
 func init() {
-	registerScenario("resilience",
-		"Rhythm vs Heracles under canned fault storms (scenario, not in `run all`)",
-		resilience)
+	register(Experiment{ID: "resilience", OnDemand: true,
+		Title: "Rhythm vs Heracles under canned fault storms (scenario, not in `run all`)",
+		Run:   resilience})
 }
 
 // resilience runs the E-commerce system under every canned fault preset

@@ -11,9 +11,9 @@ import (
 )
 
 func init() {
-	registerScenario("scenario",
-		"Rhythm vs Heracles over a workload-spec file (-scenario; not in `run all`)",
-		scenarioRun)
+	register(Experiment{ID: "scenario", OnDemand: true,
+		Title: "Rhythm vs Heracles over a workload-spec file (-scenario; not in `run all`)",
+		Run:   scenarioRun})
 }
 
 // scenarioRun executes the workload spec handed in through

@@ -3,92 +3,7 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"rhythm/internal/sim"
-	"rhythm/internal/workload"
 )
-
-// testSpec builds a small custom-service scenario inline, so the
-// experiment tests need no example files and stay fast.
-func testSpec(t *testing.T) *workload.Spec {
-	t.Helper()
-	spec, err := workload.ParseSpec([]byte(`{
-	  "version": 1,
-	  "name": "exp-test",
-	  "service": {
-	    "name": "ExpSvc",
-	    "max_load_qps": 400,
-	    "components": [
-	      {"name": "Front", "service_time": {"mean_ms": 3, "cv": 0.6}, "resources": {"cores": 4}},
-	      {"name": "Store", "service_time": {"mean_ms": 10, "cv": 0.4, "cv_growth": 1.0}, "resources": {"cores": 8}}
-	    ],
-	    "graph": {"comp": "Front", "children": [{"comp": "Store"}]}
-	  },
-	  "run": {"baseline_load": 0.5, "duration_s": 30, "warmup_s": 5, "be_jobs": ["wordcount"]},
-	  "clients": [
-	    {"class": "steady", "rate_fraction": 0.6, "arrival": {"process": "constant"}},
-	    {"class": "bursty", "rate_fraction": 0.4, "slo_scale": 1.5,
-	     "arrival": {"process": "mmpp", "quiet": 0.3, "burst": 2.0,
-	                 "mean_quiet_s": 8, "mean_burst_s": 3}}
-	  ]
-	}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return spec
-}
-
-// TestScenarioDeterministicAcrossJobs pins the acceptance criterion: a
-// scenario run renders byte-identically on one worker and on four, and
-// across repeats at a fixed seed.
-func TestScenarioDeterministicAcrossJobs(t *testing.T) {
-	if testing.Short() || sim.RaceEnabled {
-		t.Skip("policy-pair scenario runs are too heavy for -short/-race")
-	}
-	render := func(jobs int) string {
-		ctx := NewContext(Options{Quick: true, Seed: 2020, Jobs: jobs, Scenario: testSpec(t)})
-		tab, err := ctx.Run("scenario")
-		if err != nil {
-			t.Fatalf("jobs=%d: %v", jobs, err)
-		}
-		return tab.String()
-	}
-	serial := render(1)
-	if got := render(4); got != serial {
-		t.Errorf("jobs=4 table differs from serial\nserial:\n%s\njobs=4:\n%s", serial, got)
-	}
-	if got := render(1); got != serial {
-		t.Error("repeated serial runs diverge")
-	}
-	for _, want := range []string{"class steady", "class bursty", "Rhythm", "Heracles"} {
-		if !strings.Contains(serial, want) {
-			t.Fatalf("table missing %q:\n%s", want, serial)
-		}
-	}
-}
-
-// TestScenarioExcludedFromRunAll: registered and runnable by ID, but
-// invisible to the paper registry — so `run all` and GOLDEN.sha256 never
-// see it.
-func TestScenarioExcludedFromRunAll(t *testing.T) {
-	if _, err := Get("scenario"); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range IDs() {
-		if id == "scenario" {
-			t.Fatal("scenario leaked into IDs()")
-		}
-	}
-	found := false
-	for _, id := range ScenarioIDs() {
-		if id == "scenario" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("scenario missing from ScenarioIDs(): %v", ScenarioIDs())
-	}
-}
 
 // TestScenarioNeedsSpec: running the experiment without a spec is a
 // usage error, not a crash.

@@ -10,9 +10,9 @@ import (
 )
 
 func init() {
-	register("fig17", "Timeline of Rhythm's running process (Fig. 17)", fig17)
-	register("fig18", "BE throughput vs loadlimit/slacklimit setting (Fig. 18)", fig18)
-	register("tab2", "SLA violations and BE kills when varying thresholds (Table 2)", tab2)
+	register(Experiment{ID: "fig17", Title: "Timeline of Rhythm's running process (Fig. 17)", Run: fig17})
+	register(Experiment{ID: "fig18", Title: "BE throughput vs loadlimit/slacklimit setting (Fig. 18)", Run: fig18})
+	register(Experiment{ID: "tab2", Title: "SLA violations and BE kills when varying thresholds (Table 2)", Run: tab2})
 }
 
 // fig17 records the running process of Rhythm on the Tomcat and MySQL

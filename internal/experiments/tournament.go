@@ -14,9 +14,9 @@ import (
 )
 
 func init() {
-	registerScenario("tournament",
-		"Policy zoo head-to-head: every registered policy x every workload (scenario, not in `run all`)",
-		tournament)
+	register(Experiment{ID: "tournament", OnDemand: true,
+		Title: "Policy zoo head-to-head: every registered policy x every workload (scenario, not in `run all`)",
+		Run:   tournament})
 }
 
 // tournamentCell is one (workload, policy) outcome in the scorecard.

@@ -17,8 +17,8 @@
 //   - Observation does not perturb the experiment. Events carry virtual
 //     sim.Time nanoseconds only — no sink ever reads the wall clock — and
 //     the bus touches neither experiment stdout nor any RNG stream, so
-//     `run all` at seed 2020 is byte-identical with tracing on or off (the
-//     CI smoke proves it with cmp). Trace files themselves are
+//     `run all` at seed 2020 is byte-identical with tracing on or off
+//     (cmd/rhythm's TestDeterminismHarness proves it). Trace files are
 //     deterministic under -jobs 1; under parallel runs event interleaving
 //     (and therefore sequence numbers) may differ, but every event still
 //     carries its scope and virtual timestamp.
