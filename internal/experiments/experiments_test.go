@@ -66,6 +66,39 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// requireOnDemand checks that id resolves by Get, is flagged OnDemand,
+// and is listed by ScenarioIDs() but not by IDs() — so `run all` and the
+// golden stdout never see it.
+func requireOnDemand(t *testing.T, id string) {
+	t.Helper()
+	e, err := Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !e.OnDemand {
+		t.Fatalf("%s is not marked OnDemand", id)
+	}
+	for _, have := range IDs() {
+		if have == id {
+			t.Fatalf("%s leaked into IDs()", id)
+		}
+	}
+	found := false
+	for _, have := range ScenarioIDs() {
+		if have == id {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("%s missing from ScenarioIDs(): %v", id, ScenarioIDs())
+	}
+}
+
+func TestTournamentExcludedFromRunAll(t *testing.T)  { requireOnDemand(t, "tournament") }
+func TestResilienceExcludedFromRunAll(t *testing.T)  { requireOnDemand(t, "resilience") }
+func TestCalibrationExcludedFromRunAll(t *testing.T) { requireOnDemand(t, "calibration") }
+func TestScenarioExcludedFromRunAll(t *testing.T)    { requireOnDemand(t, "scenario") }
+
 func TestFig2(t *testing.T)  { requireNoMismatch(t, runExp(t, "fig2")) }
 func TestFig6(t *testing.T)  { requireNoMismatch(t, runExp(t, "fig6")) }
 func TestFig7(t *testing.T)  { requireNoMismatch(t, runExp(t, "fig7")) }
