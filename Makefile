@@ -89,7 +89,7 @@ bench-gate:
 # this. The pin is amd64-specific (math.Log/Exp are per-arch assembly);
 # regenerate on other architectures before comparing. It also assumes an
 # AVX+FMA host: math.Exp picks its FMA path at run time, and that path
-# rounds differently from the SSE2 one. The samplers' AVX2+FMA kernels
+# rounds differently from the SSE2 one. The samplers' vector kernels
 # (internal/sim/kernels_amd64.s) reproduce those bits exactly; `make golden
 # GOFLAGS=-tags=purego` checks the scalar path against the same pin.
 golden:

@@ -87,6 +87,10 @@ var registry = []struct {
 	{"EngineTickInflation", benchmarks.EngineTickInflation},
 	{"EngineTickSojourn", benchmarks.EngineTickSojourn},
 	{"EngineTickSample", benchmarks.EngineTickSample},
+	{"EngineTickColo", benchmarks.EngineTickColo},
+	{"EngineTickColoInflation", benchmarks.EngineTickColoInflation},
+	{"EngineTickColoSojourn", benchmarks.EngineTickColoSojourn},
+	{"EngineTickColoSample", benchmarks.EngineTickColoSample},
 	{"FleetTick", benchmarks.FleetTick},
 	{"PathP99", benchmarks.PathP99},
 	{"SampleKernel", benchmarks.SampleKernel},
@@ -166,7 +170,7 @@ func realMain(argv []string, stdout, stderr io.Writer) int {
 			}
 		}
 		rep.Benchmarks = append(rep.Benchmarks, res)
-		fmt.Fprintf(stderr, "%-20s %10d iters  %12.1f ns/op  %6d allocs/op  %8d B/op\n",
+		fmt.Fprintf(stderr, "%-24s %10d iters  %12.1f ns/op  %6d allocs/op  %8d B/op\n",
 			entry.name, r.N, float64(r.T.Nanoseconds())/float64(r.N),
 			r.AllocsPerOp(), r.AllocedBytesPerOp())
 	}

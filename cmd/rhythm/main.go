@@ -64,6 +64,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"slices"
 	"sort"
 	"strings"
@@ -87,7 +88,7 @@ func main() {
 // validation — including exit codes — is table-testable. Usage errors
 // (bad flags, unknown commands or experiment ids, invalid trace formats)
 // return 2 before any experiment work starts; runtime failures return 1.
-func realMain(argv []string, stdout, rawStderr io.Writer) int {
+func realMain(argv []string, stdout, rawStderr io.Writer) (code int) {
 	// All diagnostic output funnels through one mutex-guarded writer so
 	// lines from parallel workers and sinks never interleave mid-line
 	// (tables on stdout are unaffected).
@@ -107,6 +108,7 @@ func realMain(argv []string, stdout, rawStderr io.Writer) int {
 	scenFlags.Register(fs)
 	fleetFlags.Register(fs)
 	policyFlags.Register(fs)
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the invocation to `file`")
 	fs.Usage = func() { usage(fs, stderr) }
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -241,6 +243,22 @@ func realMain(argv []string, stdout, rawStderr io.Writer) int {
 		return 2
 	}
 
+	if *cpuProfile != "" {
+		stop, err := startCPUProfile(*cpuProfile)
+		if err != nil {
+			fmt.Fprintf(stderr, "rhythm: %v\n", err)
+			return 2
+		}
+		defer func() {
+			if err := stop(); err != nil {
+				fmt.Fprintf(stderr, "rhythm: %v\n", err)
+				if code == 0 {
+					code = 1
+				}
+			}
+		}()
+	}
+
 	bus, finish, code := setupObs(traceFlags.Out, traceFlags.Format, traceFlags.MetricsOut, stderr)
 	if code != 0 {
 		return code
@@ -277,6 +295,26 @@ func realMain(argv []string, stdout, rawStderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// startCPUProfile starts a runtime/pprof CPU profile into a new file at
+// path. The returned stop ends the profile and closes the file.
+func startCPUProfile(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("-cpuprofile: %w", err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("-cpuprofile: %w", err)
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("-cpuprofile: %w", err)
+		}
+		return nil
+	}, nil
 }
 
 // setupObs installs the observability bus when any of the trace/metrics

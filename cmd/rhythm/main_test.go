@@ -278,3 +278,32 @@ func TestCalibrateRejectsForeignArtifacts(t *testing.T) {
 		t.Fatalf("diagnostic does not name the unknown id:\n%s", stderr.String())
 	}
 }
+
+// TestCPUProfileLeavesStdoutAlone: -cpuprofile writes a CPU profile to its
+// file and changes nothing on stdout.
+func TestCPUProfileLeavesStdoutAlone(t *testing.T) {
+	argv := []string{"-jobs", "2", "run", "fig2"}
+	var plain, stderr bytes.Buffer
+	if code := realMain(argv, &plain, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	prof := filepath.Join(t.TempDir(), "cpu.pprof")
+	var profiled bytes.Buffer
+	stderr.Reset()
+	if code := realMain(append([]string{"-cpuprofile", prof}, argv...), &profiled, &stderr); code != 0 {
+		t.Fatalf("-cpuprofile: exit %d: %s", code, stderr.String())
+	}
+	if !bytes.Equal(plain.Bytes(), profiled.Bytes()) {
+		t.Fatalf("-cpuprofile changed stdout:\n%s\nvs\n%s", profiled.String(), plain.String())
+	}
+	if fi, err := os.Stat(prof); err != nil || fi.Size() == 0 {
+		t.Fatalf("no profile written to %s (%v)", prof, err)
+	}
+
+	stderr.Reset()
+	bad := filepath.Join(t.TempDir(), "no-such-dir", "cpu.pprof")
+	if code := realMain(append([]string{"-cpuprofile", bad}, argv...), &profiled, &stderr); code != 2 ||
+		!strings.Contains(stderr.String(), "-cpuprofile") {
+		t.Fatalf("unwritable -cpuprofile: exit %d, stderr %q; want 2 naming the flag", code, stderr.String())
+	}
+}

@@ -15,7 +15,13 @@
 //     per tick with a p99 read every second and a control read every 2 s.
 //   - EngineTick: one full engine tick — sojourn modeling, utilization
 //     accounting, SamplesPerTick end-to-end latency draws through the call
-//     graph, tail-tracker maintenance.
+//     graph, tail-tracker maintenance — with per-pass rows
+//     (EngineTickDemand/Inflation/Sojourn/Sample). Its fixture runs no BE,
+//     so its inflation and sojourn rows time cache hits.
+//   - EngineTickColo: the same tick over a co-located fixture (BE running
+//     under Heracles, controllers on), where the inflation EMA moves every
+//     tick as in the colocate grid, with its own inflation, sojourn
+//     (cache-miss path) and sample rows.
 //   - FleetTick: one fleet epoch over a 100-machine fleet — the parallel
 //     per-machine slices plus the serial scheduler barrier — reported
 //     both as ns/op and as a machines/s throughput metric (the
@@ -23,8 +29,9 @@
 //   - PathP99: the Monte Carlo path-tail estimator used by profiling.
 //   - SampleKernel: one 512-element LognormalDraws chunk, the batch the
 //     engine's sample pass and the path-tail estimator are built from,
-//     with "vector" and "uniform" metrics that are 1 when the AVX2+FMA
-//     and the AVX-512 uniform kernels ran.
+//     with "vector", "uniform" and "fused" metrics that are 1 when vector
+//     kernels, the AVX-512 uniform kernel and the fused AVX-512 kernel
+//     ran.
 //   - UniformKernel: that chunk's first pass alone, its 512 Box-Muller
 //     uniform pairs, with the "uniform" metric.
 //   - ObsDisabled: every observability emit point with no bus installed —
@@ -33,9 +40,11 @@
 package benchmarks
 
 import (
+	"math"
 	"testing"
 	"time"
 
+	"rhythm/internal/bejobs"
 	"rhythm/internal/controller"
 	"rhythm/internal/engine"
 	"rhythm/internal/fleet"
@@ -138,89 +147,152 @@ func TailTrackerWindowP99(b *testing.B) {
 	_ = sink
 }
 
-// EngineTick measures one engine tick of the E-commerce service at a
-// constant 70% load: the per-tick sojourn/utilization pass over every pod
-// plus SamplesPerTick end-to-end latency samples through the call graph.
-func EngineTick(b *testing.B) {
+// engineTickDt is the engine fixtures' tick, the engine default.
+const engineTickDt = 100 * time.Millisecond
+
+// soloEngine builds the EngineTick fixture: the E-commerce service alone
+// at a constant 70% load, seed 2020, warmed past the inertia transient so
+// the measured ticks are steady state, like the bulk of every experiment
+// run. With no BE the inflation and sojourn keys stop moving, so the
+// fixture's inflation and sojourn rows time cache hits.
+func soloEngine(b testing.TB) engineFixture {
+	const load = 0.7
 	e, err := engine.New(engine.Config{
 		Service: workload.ECommerce(),
-		Pattern: loadgen.Constant(0.7),
+		Pattern: loadgen.Constant(load),
 		Seed:    2020,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	const dt = 100 * time.Millisecond
-	now := sim.Time(0)
-	// Warm up past the inertia transient so the measured ticks are
-	// steady state, like the bulk of every experiment run.
+	f := engineFixture{e: e, load: load}
 	for i := 0; i < 100; i++ {
-		now = now.Add(dt)
-		e.Step(now, 0.7)
+		f.now = f.now.Add(engineTickDt)
+		e.Step(f.now, load)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now = now.Add(dt)
-		e.Step(now, 0.7)
-	}
+	return f
 }
 
-// engineForPasses builds the EngineTick fixture (E-commerce, constant
-// 70%, seed 2020) warmed past the inertia transient, for the per-pass
-// sub-benchmarks that attribute the tick's cost to its SoA passes.
-func engineForPasses(b *testing.B) (*engine.Engine, sim.Time) {
+// colocatedEngine builds the co-located fixture the colocate grid
+// (Figs. 9–14) runs in: the E-commerce service at a constant 65% load
+// sharing its machines with stream-llc BE jobs under Heracles, against
+// a 0.5 s SLA (the quick deploy derives 0.495 s), seed 2020, run 30 s
+// with its controllers so the BE instances are running and every control
+// period moves their allocations. The inertia EMA then moves every tick,
+// and the sojourn cache misses as it does on 87% of the grid's calls.
+func colocatedEngine(b testing.TB) engineFixture {
+	const load = 0.65
 	e, err := engine.New(engine.Config{
 		Service: workload.ECommerce(),
-		Pattern: loadgen.Constant(0.7),
+		Pattern: loadgen.Constant(load),
+		SLA:     0.5,
+		Policy:  controller.NewHeracles(),
+		BETypes: []bejobs.Type{bejobs.StreamLLC},
 		Seed:    2020,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	const dt = 100 * time.Millisecond
-	now := sim.Time(0)
-	for i := 0; i < 100; i++ {
-		now = now.Add(dt)
-		e.Step(now, 0.7)
-	}
-	return e, now
+	e.RunUntil(sim.Time(0).Add(30 * time.Second))
+	return engineFixture{e: e, now: e.Now(), load: load}
 }
 
-// enginePass runs one named SoA pass in isolation over the warmed
-// EngineTick fixture; together the four passes bound where an EngineTick
-// regression lives before anyone reaches for a profiler. Time advances
-// one tick per iteration so the sample pass's tail trackers evict at
-// steady-state occupancy instead of growing without bound.
-func enginePass(b *testing.B, name string) {
-	e, now := engineForPasses(b)
-	const dt = 100 * time.Millisecond
-	if !e.RunPass(name, now, 0.7) {
+// engineFixture is a warmed engine, its clock and its constant load.
+type engineFixture struct {
+	e    *engine.Engine
+	now  sim.Time
+	load float64
+}
+
+// enginePass runs one named SoA pass in isolation over a warmed fixture;
+// together the passes bound where a tick regression lives before anyone
+// reaches for a profiler. Time advances one tick per iteration so the
+// sample pass's tail trackers evict at steady-state occupancy instead of
+// growing without bound. load(i) is iteration i's load.
+func enginePass(b *testing.B, f engineFixture, name string, load func(i int) float64) {
+	if !f.e.RunPass(name, f.now, load(0)) {
 		b.Fatalf("unknown engine pass %q", name)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		now = now.Add(dt)
-		e.RunPass(name, now, 0.7)
+		f.now = f.now.Add(engineTickDt)
+		f.e.RunPass(name, f.now, load(i))
+	}
+}
+
+// constantPass runs enginePass at the fixture's own load.
+func constantPass(b *testing.B, f engineFixture, name string) {
+	enginePass(b, f, name, func(int) float64 { return f.load })
+}
+
+// EngineTick measures one engine tick of the E-commerce service at a
+// constant 70% load: the per-tick sojourn/utilization pass over every pod
+// plus SamplesPerTick end-to-end latency samples through the call graph.
+func EngineTick(b *testing.B) {
+	f := soloEngine(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.now = f.now.Add(engineTickDt)
+		f.e.Step(f.now, f.load)
 	}
 }
 
 // EngineTickDemand measures the demand gather plus dirty BE re-sync pass.
-func EngineTickDemand(b *testing.B) { enginePass(b, "demand") }
+func EngineTickDemand(b *testing.B) { constantPass(b, soloEngine(b), "demand") }
 
 // EngineTickInflation measures the pressure map and inertia-smoothed
 // inflation pass.
-func EngineTickInflation(b *testing.B) { enginePass(b, "inflation") }
+func EngineTickInflation(b *testing.B) { constantPass(b, soloEngine(b), "inflation") }
 
 // EngineTickSojourn measures the sojourn-cache pass; at constant load the
 // key never changes, so this is the steady-state (cache-hit) cost.
-func EngineTickSojourn(b *testing.B) { enginePass(b, "sojourn") }
+func EngineTickSojourn(b *testing.B) { constantPass(b, soloEngine(b), "sojourn") }
 
 // EngineTickSample measures the sampling pass: the SamplesPerTick×stages
 // lognormal draw matrix, the plan combine, and the tail bulk insert —
 // the dominant share of EngineTick.
-func EngineTickSample(b *testing.B) { enginePass(b, "sample") }
+func EngineTickSample(b *testing.B) { constantPass(b, soloEngine(b), "sample") }
+
+// EngineTickColo is EngineTick over the co-located fixture, run as the
+// experiments run it (Engine.RunUntil): every pass with BE running, the
+// controllers acting every 2 s, and the caches missing as they do in the
+// colocate grid.
+func EngineTickColo(b *testing.B) {
+	f := colocatedEngine(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.e.RunUntil(f.e.Now().Add(engineTickDt))
+	}
+}
+
+// EngineTickColoInflation measures the pressure map and inflation pass
+// with BE demand in the pressure. Its target cache hits, as on 96% of the
+// colocate grid's calls (BE allocations change only at control periods);
+// the inertia EMA update runs on every call.
+func EngineTickColoInflation(b *testing.B) { constantPass(b, colocatedEngine(b), "inflation") }
+
+// EngineTickColoSojourn measures the sojourn pass on its miss path, which
+// the colocate grid takes on 87% of calls: every call refreshes every
+// pod's sojourn distribution (Station.At, Erlang C) at the co-located
+// inflation. The load alternates between two neighbouring floats so each
+// call sees a new cache key.
+func EngineTickColoSojourn(b *testing.B) {
+	f := colocatedEngine(b)
+	next := math.Nextafter(f.load, 1)
+	enginePass(b, f, "sojourn", func(i int) float64 {
+		if i%2 == 1 {
+			return next
+		}
+		return f.load
+	})
+}
+
+// EngineTickColoSample measures the sampling pass over the co-located
+// fixture's (BE-inflated) sojourn distributions.
+func EngineTickColoSample(b *testing.B) { constantPass(b, colocatedEngine(b), "sample") }
 
 // FleetTick measures one epoch of a 100-machine fleet (25 E-commerce
 // replicas under the uniform Heracles policy, constant 60% load): 100
@@ -282,12 +354,14 @@ func PathP99(b *testing.B) {
 }
 
 // SampleKernel measures sim.LognormalDraws over one 512-element chunk
-// (128 draws of a four-stage path) on the path the host dispatches to. Its
-// "vector" metric is 1 when the radius, angle and exp passes ran the
-// AVX2+FMA kernels and its "uniform" metric is 1 when the uniforms came
-// from the AVX-512 kernel; 0 means the scalar fallback, so a host or build
-// that silently lost a kernel shows in the report (`go test -bench
-// 'SampleKernel|UniformKernel' ./internal/sim` times both paths side by
+// (128 draws of a four-stage path) at the kernel tier the host dispatches
+// to. Three 0/1 metrics say which kernels ran: "vector" when the work after
+// the uniforms ran four- or eight-lane kernels (the AVX2 passes or the
+// fused kernel), "uniform" when the uniforms came from the AVX-512 kernel,
+// and "fused" when the fused AVX-512 kernel turned them into lognormal
+// values. 0 means the scalar fallback, so a host or build that silently
+// lost a kernel shows in the report (`go test -bench
+// 'SampleKernel|UniformKernel' ./internal/sim` times every tier side by
 // side).
 func SampleKernel(b *testing.B) {
 	mu := []float64{-5.2, -4.1, -6, -4.8}
@@ -299,8 +373,10 @@ func SampleKernel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sim.LognormalDraws(dst, mu, sigma, rng)
 	}
-	b.ReportMetric(ran(sim.VectorKernels()), "vector")
-	b.ReportMetric(ran(sim.UniformKernel()), "uniform")
+	tier := sim.KernelTier()
+	b.ReportMetric(ran(tier >= sim.TierAVX2), "vector")
+	b.ReportMetric(ran(tier >= sim.TierAVX512), "uniform")
+	b.ReportMetric(ran(tier >= sim.TierAVX512), "fused")
 }
 
 // UniformKernel measures the samplers' first pass over one chunk:
@@ -315,7 +391,7 @@ func UniformKernel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sim.BoxMullerUniforms(u1, u2, rng)
 	}
-	b.ReportMetric(ran(sim.UniformKernel()), "uniform")
+	b.ReportMetric(ran(sim.KernelTier() >= sim.TierAVX512), "uniform")
 }
 
 // ran reports a kernel dispatch as a 0/1 benchmark metric.

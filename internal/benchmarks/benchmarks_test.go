@@ -18,6 +18,7 @@ func BenchmarkTailTrackerAddP99(b *testing.B)    { TailTrackerAddP99(b) }
 func BenchmarkTailTrackerWindowP99(b *testing.B) { TailTrackerWindowP99(b) }
 func BenchmarkEngineTick(b *testing.B)           { EngineTick(b) }
 func BenchmarkEngineTickInflation(b *testing.B)  { EngineTickInflation(b) }
+func BenchmarkEngineTickColo(b *testing.B)       { EngineTickColo(b) }
 func BenchmarkFleetTick(b *testing.B)            { FleetTick(b) }
 func BenchmarkPathP99(b *testing.B)              { PathP99(b) }
 func BenchmarkSampleKernel(b *testing.B)         { SampleKernel(b) }
@@ -47,6 +48,17 @@ func TestObsDisabledZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled obs path allocates %.1f per op, want 0", allocs)
+	}
+}
+
+// TestColocatedFixtureRunsBE pins what the co-located rows claim to time:
+// after the warm-up every machine of the fixture hosts BE instances.
+func TestColocatedFixtureRunsBE(t *testing.T) {
+	f := colocatedEngine(t)
+	for _, v := range f.e.MachineViews(nil) {
+		if v.Resident == 0 {
+			t.Errorf("pod %s hosts no BE instance after the warm-up", v.Pod)
+		}
 	}
 }
 

@@ -2,59 +2,51 @@
 
 package sim
 
-// useKernels selects the AVX2+FMA kernels in kernels_amd64.s for the
-// batched samplers' radius, angle and exp passes. It is decided once, from
-// CPUID: the kernels need AVX2, FMA and an OS that saves the YMM state.
-// On such a host math.Exp itself takes its FMA path, which is the path
-// expAVX2 reproduces. Under GOAMD64=v3 (or the purego tag) this file is
-// not built: the compiler may then fuse cos2pi's Go polynomials into FMAs,
-// and the unfused kernel would no longer match them.
-var useKernels = hasAVX2FMA()
+// tier is the batched samplers' kernel tier (kernels_amd64.s), chosen once
+// at start-up by probeTier. Under GOAMD64=v3 (or the purego tag) this file
+// is not built and the tier is TierScalar: the compiler may then fuse
+// cos2pi's Go polynomials into FMAs, and the unfused kernels would no
+// longer match them.
+var tier = probeTier()
 
-func hasAVX2FMA() bool {
+// probeTier reads CPUID and XCR0 once and returns the highest tier whose
+// every instruction the host runs and whose register state the OS saves:
+//
+//   - TierAVX2: AVX, AVX2 and FMA, and XCR0 bits 1-2 (XMM and YMM state).
+//     On such a host math.Exp itself takes its FMA path, which is the path
+//     the exp kernels reproduce.
+//   - TierAVX512: TierAVX2 plus AVX-512F and DQ (VPMULLQ, VCVTUQQ2PD,
+//     VCVTPD2QQ, KORTESTB) and XCR0 bits 5-7 (0xE6 in all: opmask, ZMM0-15
+//     upper halves, ZMM16-31). Every EVEX instruction in the kernels works
+//     on Z registers, so AVX-512VL is not needed.
+func probeTier() Tier {
 	const (
-		fma     = 1 << 12 // CPUID.1:ECX
-		osxsave = 1 << 27
-		avx     = 1 << 28
-		avx2    = 1 << 5 // CPUID.(7,0):EBX
-		xmmYmm  = 1<<1 | 1<<2
-	)
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
-	_, _, c1, _ := cpuid(1, 0)
-	if c1&(fma|osxsave|avx) != fma|osxsave|avx || xgetbv()&xmmYmm != xmmYmm {
-		return false
-	}
-	_, b7, _, _ := cpuid(7, 0)
-	return b7&avx2 != 0
-}
-
-// useUniformKernel selects uniformsAVX512 for the samplers' uniform pass.
-// It is decided once, from CPUID: the kernel needs AVX-512F and DQ (for
-// VPMULLQ and VCVTUQQ2PD) and an OS that saves the opmask and ZMM state.
-// There is no AVX2 uniform kernel: AVX2 has no 64-bit lane multiply, so
-// such hosts draw the uniforms with the scalar loop.
-var useUniformKernel = hasAVX512DQ()
-
-func hasAVX512DQ() bool {
-	const (
-		osxsave  = 1 << 27 // CPUID.1:ECX
-		avx512f  = 1 << 16 // CPUID.(7,0):EBX
+		fma      = 1 << 12 // CPUID.1:ECX
+		osxsave  = 1 << 27
+		avx      = 1 << 28
+		avx2     = 1 << 5 // CPUID.(7,0):EBX
+		avx512f  = 1 << 16
 		avx512dq = 1 << 17
-		zmmState = 1<<1 | 1<<2 | 1<<5 | 1<<6 | 1<<7 // XCR0: XMM, YMM, opmask, ZMM0-15 high, ZMM16-31
+		ymmState = 1<<1 | 1<<2 // XCR0
+		zmmState = ymmState | 1<<5 | 1<<6 | 1<<7
 	)
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
-		return false
+		return TierScalar
 	}
 	_, _, c1, _ := cpuid(1, 0)
-	if c1&osxsave == 0 || xgetbv()&zmmState != zmmState {
-		return false
+	if c1&(fma|osxsave|avx) != fma|osxsave|avx {
+		return TierScalar // XGETBV needs OSXSAVE
 	}
+	xcr0 := xgetbv()
 	_, b7, _, _ := cpuid(7, 0)
-	return b7&(avx512f|avx512dq) == avx512f|avx512dq
+	if xcr0&ymmState != ymmState || b7&avx2 == 0 {
+		return TierScalar
+	}
+	if xcr0&zmmState != zmmState || b7&(avx512f|avx512dq) != avx512f|avx512dq {
+		return TierAVX2
+	}
+	return TierAVX512
 }
 
 func cpuid(leaf, sub uint32) (a, b, c, d uint32)
@@ -92,3 +84,17 @@ func expAVX2(xs []float64) int
 //
 //go:noescape
 func uniformsAVX512(zr, cs []float64, state *uint64) int
+
+// lognormalAVX512 writes out[i] = math.Exp(mu + sigma*z) for the
+// Box-Muller normal z = math.Sqrt(-2*math.Log(u1[i])) * cos2pi(u2[i]),
+// eight lanes at a time. muPat and sigmaPat are stage patterns of length
+// k+7 (pat[t] = param[t%k]) and off is the stage of element 0: element i
+// reads muPat[(off+i)%k], and block b reads the pattern from (off+8b)%k
+// on. It returns the number of elements done, a multiple of 8, stopping
+// before the first block with a lane off the scalar code's main path (u1
+// outside (0, 1), u2 outside [0, 1), or an exp argument math.Exp would
+// not take down its main path). out may alias u1; len(u1) and len(u2)
+// must be at least len(out).
+//
+//go:noescape
+func lognormalAVX512(out, u1, u2, muPat, sigmaPat []float64, off int) int

@@ -3,21 +3,29 @@
 #include "textflag.h"
 
 // Vector ports of the scalar passes the batched lognormal samplers use
-// (lognormal_batch.go): three four-lane AVX2+FMA kernels and one
-// eight-pair AVX-512 kernel. Each lane performs exactly the operations of
-// the scalar reference, in its order:
+// (lognormal_batch.go), in two kernel tiers (kernels_amd64.go). TierAVX2
+// runs three four-lane AVX2+FMA pass kernels; TierAVX512 runs the
+// eight-pair AVX-512 uniform kernel and one fused eight-lane kernel that
+// does the work of all three passes and the exp-argument step in one go.
+// Each lane performs exactly the operations of the scalar reference, in
+// its order:
 //
-//   uniformsAVX512: the Box-Muller uniform pairs, RNG.Float64 (splitmix64);
-//   radiusAVX2:     math.Sqrt(-2 * math.Log(u)), where math.Log is the
-//                   amd64 assembly in $GOROOT/src/math/log_amd64.s;
-//   angleAVX2:      r * cos2pi(u), the branch-free kernel in trig.go;
-//   expAVX2:        math.Exp(x), the FMA path of
-//                   $GOROOT/src/math/exp_amd64.s.
+//   uniformsAVX512:  the Box-Muller uniform pairs, RNG.Float64 (splitmix64);
+//   radiusAVX2:      math.Sqrt(-2 * math.Log(u)), where math.Log is the
+//                    amd64 assembly in $GOROOT/src/math/log_amd64.s;
+//   angleAVX2:       r * cos2pi(u), the branch-free kernel in trig.go;
+//   expAVX2:         math.Exp(x), the FMA path of
+//                    $GOROOT/src/math/exp_amd64.s;
+//   lognormalAVX512: math.Exp(mu + sigma*(radius * cos2pi(u2))), the
+//                    radius, angle and exp ports above in 512-bit lanes.
 //
 // Each kernel walks whole blocks and returns how many elements it
 // finished. It stops early at the first block with a lane outside the
 // range where the scalar code takes its main path; the Go caller computes
-// that block (and the tail) with the scalar code and re-enters.
+// that block (and the tail) with the scalar code and re-enters. Every
+// instruction is VEX- or EVEX-encoded (a legacy-SSE instruction among them
+// costs an SSE/AVX transition per block), the AVX-512 kernels use only
+// Z0-Z15, and every kernel ends with VZEROUPPER.
 
 // CONST4 defines a 32-byte read-only symbol holding four copies of the
 // 64-bit pattern v, usable as a 256-bit memory operand.
@@ -502,4 +510,309 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-4
 	MOVL $0, CX
 	XGETBV
 	MOVL AX, ret+0(FP)
+	RET
+
+// CONST1 defines an 8-byte read-only symbol holding the 64-bit pattern v,
+// for use as a .BCST (embedded broadcast) memory operand.
+#define CONST1(sym, v) \
+	DATA sym+0(SB)/8, v; \
+	GLOBL sym(SB), RODATA|NOPTR, $8
+
+// Integer lane constants of the fused kernel's cos2pi octant arithmetic
+// and archExp exponent range, as 64-bit lanes.
+CONST1(qOne<>, $1)
+CONST1(qTwo<>, $2)
+CONST1(qThree<>, $3)
+CONST1(qSeven<>, $7)
+CONST1(qMinK<>, $-1023)
+CONST1(qMaxK<>, $1024)
+
+// func lognormalAVX512(out, u1, u2, muPat, sigmaPat []float64, off int) int
+//
+// Eight lognormal values per block: radiusAVX2's archLog and VSQRTPD,
+// angleAVX2's cos2pi times the radius, the exp argument muPat[o] +
+// sigmaPat[o]*z as a multiply then an add (the Go expression's two
+// roundings, unfused), and expAVX2's archExp FMA path. The lanes of a
+// block read the stage patterns at o..o+7, where o starts at off and steps
+// by 8 mod k (k = len(muPat) - 7) per block. The octant index, the
+// exponent k and their range tests use 64-bit lanes (VCVTTPD2QQ,
+// VCVTPD2QQ, VPCMPQ), which for in-range values equal the scalar code's
+// 32-bit conversions and which reject everything the 32-bit tests reject;
+// no EVEX instruction touches an X or Y register, so AVX-512VL is not
+// needed.
+//
+// The kernel works in groups of up to four blocks. Phase 1 turns each
+// block's uniform pairs into normals in registers, tests the uniforms'
+// lanes (0 < u1 < 1, 0 <= u2 < 1) into K1, and parks the eight normals in
+// a 64-byte slot of the frame. Phase 2 turns each parked block into its
+// exp arguments and values in registers, tests the arguments against
+// archExp's main path into K1 and stores the block. Grouping keeps each
+// loop body's dependency chain short enough for out-of-order execution to
+// overlap the blocks (a single loop over the whole chain measured ~8%
+// slower). A block failing either test is left undone, and so are the
+// blocks after it and the len%8 tail; nothing of a failed block is
+// stored. out may alias u1: phase 2 writes only blocks phase 1 has read.
+//
+// Only Z0-Z15 are used, all through VEX/EVEX encodings, with constants as
+// .BCST memory operands (Z14 = 1.0 and Z15 = 0 are kept in registers for
+// the two operations that need them as the first source).
+TEXT ·lognormalAVX512(SB), NOSPLIT, $320-136
+	MOVQ muPat_len+80(FP), R11
+	SUBQ $7, R11                 // R11 = k
+	MOVQ $8, AX
+	XORQ DX, DX
+	DIVQ R11
+	MOVQ DX, R12                 // R12 = 8 mod k, the per-block offset step
+	MOVQ out_base+0(FP), DI
+	MOVQ out_len+8(FP), CX
+	MOVQ u1_base+24(FP), SI
+	MOVQ u2_base+48(FP), R8
+	MOVQ muPat_base+72(FP), R9
+	MOVQ sigmaPat_base+96(FP), R10
+	MOVQ off+120(FP), BX
+	XORQ DX, DX
+	VPXORQ       Z15, Z15, Z15
+	VBROADCASTSD one<>(SB), Z14
+
+fusedLoop:
+	CMPQ CX, $8
+	JLT  fusedDone
+
+	// Phase 1: the normals of up to four blocks, each to a 64-byte slot
+	// of the frame. A block that fails its lane tests ends the group
+	// there (CX = 0 makes it the last); phase 2 still finishes the
+	// blocks before it.
+	MOVQ SP, R13
+	ADDQ $63, R13
+	ANDQ $-64, R13               // R13 = the first slot, 64-byte aligned
+	XORQ AX, AX                  // AX = blocks in the group
+
+normalLoop:
+	VMOVUPD (SI), Z0             // u1
+	VMOVUPD (R8), Z8             // u2
+
+	// The uniforms' main path: 0 < u1 < 1 and 0 <= u2 < 1.
+	VCMPPD      $1, Z0, Z15, K1
+	VCMPPD.BCST $1, one<>(SB), Z0, K1, K1
+	VCMPPD      $13, Z15, Z8, K1, K1
+	VCMPPD.BCST $1, one<>(SB), Z8, K1, K1
+
+	// Radius: radiusAVX2, lane for lane. f1, k := math.Frexp(u1).
+	VPANDQ.BCST logMant<>(SB), Z0, Z2
+	VPORQ.BCST  half<>(SB), Z2, Z2         // Z2 = f1
+	VPSRLQ      $52, Z0, Z1
+	VPORQ.BCST  logMagic<>(SB), Z1, Z1
+	VSUBPD.BCST logMagicBias<>(SB), Z1, Z1 // Z1 = k
+
+	// if f1 <= √2/2 { k -= 1; f1 *= 2 }, as merge-masked operations: the
+	// other lanes keep k - 0 and f1 * 1, the same bits.
+	VCMPPD.BCST $2, logHSqrt2<>(SB), Z2, K2
+	VSUBPD.BCST one<>(SB), Z1, K2, Z1
+	VMULPD.BCST two<>(SB), Z2, K2, Z2
+	VSUBPD      Z14, Z2, Z2                // Z2 = f = f1 - 1
+
+	// s := f / (2 + f); s2 := s * s; s4 := s2 * s2
+	VADDPD.BCST two<>(SB), Z2, Z3
+	VDIVPD      Z3, Z2, Z3                 // Z3 = s
+	VMULPD      Z3, Z3, Z4                 // Z4 = s2
+	VMULPD      Z4, Z4, Z5                 // Z5 = s4
+
+	// t1 := s2 * (L1 + s4*(L3+s4*(L5+s4*L7)))
+	VMULPD.BCST logL7<>(SB), Z5, Z6
+	VADDPD.BCST logL5<>(SB), Z6, Z6
+	VMULPD      Z5, Z6, Z6
+	VADDPD.BCST logL3<>(SB), Z6, Z6
+	VMULPD      Z5, Z6, Z6
+	VADDPD.BCST logL1<>(SB), Z6, Z6
+	VMULPD      Z6, Z4, Z4                 // Z4 = t1
+
+	// t2 := s4 * (L2 + s4*(L4+s4*L6)); R := t1 + t2
+	VMULPD.BCST logL6<>(SB), Z5, Z6
+	VADDPD.BCST logL4<>(SB), Z6, Z6
+	VMULPD      Z5, Z6, Z6
+	VADDPD.BCST logL2<>(SB), Z6, Z6
+	VMULPD      Z6, Z5, Z5                 // Z5 = t2
+	VADDPD      Z5, Z4, Z4                 // Z4 = R
+
+	// hfsq := 0.5 * f * f
+	VMULPD.BCST half<>(SB), Z2, Z7
+	VMULPD      Z2, Z7, Z7                 // Z7 = hfsq
+
+	// k*Ln2Hi - ((hfsq - (s*(hfsq+R) + k*Ln2Lo)) - f)
+	VADDPD      Z7, Z4, Z4
+	VMULPD      Z4, Z3, Z3
+	VMULPD.BCST logLn2Lo<>(SB), Z1, Z4
+	VADDPD      Z4, Z3, Z3
+	VSUBPD      Z3, Z7, Z7
+	VSUBPD      Z2, Z7, Z7
+	VMULPD.BCST logLn2Hi<>(SB), Z1, Z1
+	VSUBPD      Z7, Z1, Z1                 // Z1 = log(u1)
+
+	// math.Sqrt(-2 * log(u1))
+	VMULPD.BCST negTwo<>(SB), Z1, Z1
+	VSQRTPD     Z1, Z1                     // Z1 = radius
+
+	// Angle: angleAVX2, lane for lane. x := 2π·u2;
+	// j := uint64(x * (4/π)), exact in 64-bit lanes.
+	VMULPD.BCST cosTwoPi<>(SB), Z8, Z8
+	VMULPD.BCST cosFourOverPi<>(SB), Z8, Z9
+	VCVTTPD2QQ  Z9, Z9
+
+	// j += j&1; y := float64(j); j &= 7
+	VPANDQ.BCST qOne<>(SB), Z9, Z10
+	VPADDQ      Z10, Z9, Z9
+	VCVTQQ2PD   Z9, Z10                    // Z10 = y
+	VPANDQ.BCST qSeven<>(SB), Z9, Z9
+
+	// z := ((x - y*pi4a) - y*pi4b) - y*pi4c
+	VMULPD.BCST cosPi4A<>(SB), Z10, Z11
+	VSUBPD      Z11, Z8, Z8
+	VMULPD.BCST cosPi4B<>(SB), Z10, Z11
+	VSUBPD      Z11, Z8, Z8
+	VMULPD.BCST cosPi4C<>(SB), Z10, Z11
+	VSUBPD      Z11, Z8, Z8                // Z8 = z
+
+	// sign := ((j>>2) ^ (j>>1)) & 1, shifted to the float sign bit.
+	VPSRLQ $2, Z9, Z10
+	VPSRLQ $1, Z9, Z11
+	VPXORQ Z11, Z10, Z10
+	VPSLLQ $63, Z10, Z10                   // Z10 = sign mask
+
+	// sel := (((j&3)+1)>>1) & 1, as the opmask K2.
+	VPANDQ.BCST   qThree<>(SB), Z9, Z11
+	VPADDQ.BCST   qOne<>(SB), Z11, Z11
+	VPTESTMQ.BCST qTwo<>(SB), Z11, K2
+
+	VMULPD Z8, Z8, Z12                     // Z12 = zz
+
+	// ysin := z + z*zz*((((((S0*zz)+S1)*zz+S2)*zz+S3)*zz+S4)*zz+S5)
+	VMULPD.BCST sinS0<>(SB), Z12, Z13
+	VADDPD.BCST sinS1<>(SB), Z13, Z13
+	VMULPD      Z12, Z13, Z13
+	VADDPD.BCST sinS2<>(SB), Z13, Z13
+	VMULPD      Z12, Z13, Z13
+	VADDPD.BCST sinS3<>(SB), Z13, Z13
+	VMULPD      Z12, Z13, Z13
+	VADDPD.BCST sinS4<>(SB), Z13, Z13
+	VMULPD      Z12, Z13, Z13
+	VADDPD.BCST sinS5<>(SB), Z13, Z13
+	VMULPD      Z12, Z8, Z11
+	VMULPD      Z13, Z11, Z11
+	VADDPD      Z11, Z8, Z13               // Z13 = ysin
+
+	// ycos := 1.0 - 0.5*zz + zz*zz*((((((C0*zz)+C1)*zz+C2)*zz+C3)*zz+C4)*zz+C5)
+	VMULPD.BCST cosC0<>(SB), Z12, Z2
+	VADDPD.BCST cosC1<>(SB), Z2, Z2
+	VMULPD      Z12, Z2, Z2
+	VADDPD.BCST cosC2<>(SB), Z2, Z2
+	VMULPD      Z12, Z2, Z2
+	VADDPD.BCST cosC3<>(SB), Z2, Z2
+	VMULPD      Z12, Z2, Z2
+	VADDPD.BCST cosC4<>(SB), Z2, Z2
+	VMULPD      Z12, Z2, Z2
+	VADDPD.BCST cosC5<>(SB), Z2, Z2
+	VMULPD      Z12, Z12, Z3
+	VMULPD      Z2, Z3, Z3
+	VMULPD.BCST half<>(SB), Z12, Z2
+	VSUBPD      Z2, Z14, Z2
+	VADDPD      Z3, Z2, Z2                 // Z2 = ycos
+
+	// Select the sine polynomial where sel, flip the sign bit, and scale
+	// the radius: Z1 = z, the normal.
+	VMOVAPD Z13, K2, Z2
+	VPXORQ  Z10, Z2, Z2
+	VMULPD  Z2, Z1, Z1
+
+	KORTESTB K1, K1
+	JCS      normalOK
+	XORQ     CX, CX              // some lane is off the main path
+	JMP      expPhase
+
+normalOK:
+	VMOVUPD Z1, (R13)
+	ADDQ    $64, R13
+	ADDQ    $64, SI
+	ADDQ    $64, R8
+	SUBQ    $8, CX
+	INCQ    AX
+	CMPQ    AX, $4
+	JEQ     expPhase
+	CMPQ    CX, $8
+	JGE     normalLoop
+
+	// Phase 2: the exp of each normal the group holds, to out.
+expPhase:
+	MOVQ SP, R13
+	ADDQ $63, R13
+	ANDQ $-64, R13
+
+expLoopZ:
+	TESTQ AX, AX
+	JEQ   fusedLoop
+	VMOVUPD (R13), Z1
+
+	// The exp argument mu + sigma*z: one rounded multiply, one rounded add.
+	VMULPD (R10)(BX*8), Z1, Z1
+	VADDPD (R9)(BX*8), Z1, Z0              // Z0 = x
+
+	// Exp: expAVX2, lane for lane. k := round(x * LOG2E) under MXCSR, as
+	// archExp's CVTSD2SL; its main path needs x <= Overflow and
+	// -1023 < k < 1024. NaN, ±Inf and huge arguments fail one of these.
+	VMULPD.BCST expLog2E<>(SB), Z0, Z3
+	VCVTPD2QQ   Z3, Z3                     // Z3 = k
+	VCMPPD.BCST $2, expOverflow<>(SB), Z0, K1
+	VPCMPQ.BCST $6, qMinK<>(SB), Z3, K1, K1
+	VPCMPQ.BCST $1, qMaxK<>(SB), Z3, K1, K1
+	KORTESTB    K1, K1
+	JCC         fusedDone                  // some lane is off the main path
+
+	// x -= k*LN2U; x -= k*LN2L (fused, as archExp's VFNMADD231SD)
+	VCVTQQ2PD         Z3, Z4
+	VFNMADD231PD.BCST expLn2U<>(SB), Z4, Z0
+	VFNMADD231PD.BCST expLn2L<>(SB), Z4, Z0
+	VMULPD.BCST       expSixteenth<>(SB), Z0, Z0
+
+	// Taylor series, Horner form with fused multiply-adds.
+	VBROADCASTSD     expT7<>(SB), Z4
+	VFMADD213PD.BCST expT6<>(SB), Z0, Z4
+	VFMADD213PD.BCST expT5<>(SB), Z0, Z4
+	VFMADD213PD.BCST expT4<>(SB), Z0, Z4
+	VFMADD213PD.BCST expT3<>(SB), Z0, Z4
+	VFMADD213PD.BCST expT2<>(SB), Z0, Z4
+	VFMADD213PD.BCST half<>(SB), Z0, Z4
+	VFMADD213PD.BCST one<>(SB), Z0, Z4
+
+	// Undo the 1/16 reduction: r *= poly, then r = r*(r + 2) three
+	// times and r*(r + 2) + 1 fused, as archExp.
+	VMULPD           Z4, Z0, Z0
+	VADDPD.BCST      two<>(SB), Z0, Z4
+	VMULPD           Z4, Z0, Z0
+	VADDPD.BCST      two<>(SB), Z0, Z4
+	VMULPD           Z4, Z0, Z0
+	VADDPD.BCST      two<>(SB), Z0, Z4
+	VMULPD           Z4, Z0, Z0
+	VADDPD.BCST      two<>(SB), Z0, Z4
+	VFMADD213PD.BCST one<>(SB), Z4, Z0
+
+	// return fr * 2**k
+	VPADDQ.BCST expBias<>(SB), Z3, Z3
+	VPSLLQ      $52, Z3, Z3
+	VMULPD      Z3, Z0, Z0
+	VMOVUPD     Z0, (DI)
+
+	ADDQ $64, DI
+	ADDQ $64, R13
+	ADDQ $8, DX
+	DECQ AX
+
+	// The next block starts 8 elements on: off = (off + 8 mod k) mod k.
+	ADDQ R12, BX
+	CMPQ BX, R11
+	JLT  expLoopZ
+	SUBQ R11, BX
+	JMP  expLoopZ
+
+fusedDone:
+	MOVQ DX, ret+128(FP)
+	VZEROUPPER
 	RET

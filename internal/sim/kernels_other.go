@@ -2,11 +2,14 @@
 
 package sim
 
-// useKernels and useUniformKernel are false where kernels_amd64.s is not
-// built: the batched samplers run their scalar passes only.
-var useKernels, useUniformKernel = false, false
+// tier is TierScalar where kernels_amd64.s is not built: the batched
+// samplers run their scalar passes only.
+var tier = TierScalar
 
 func radiusAVX2([]float64) int                     { panic("sim: no vector kernels") }
 func angleAVX2(_, _ []float64) int                 { panic("sim: no vector kernels") }
 func expAVX2([]float64) int                        { panic("sim: no vector kernels") }
 func uniformsAVX512(_, _ []float64, _ *uint64) int { panic("sim: no vector kernels") }
+func lognormalAVX512(_, _, _, _, _ []float64, _ int) int {
+	panic("sim: no vector kernels")
+}

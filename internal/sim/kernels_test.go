@@ -5,42 +5,51 @@ import (
 	"testing"
 )
 
-// The differential tests below hold each four-lane kernel to its scalar
-// reference bit for bit, over dense random inputs and the edge set where
-// the scalar code's selections flip. They need the kernels to run, so they
-// skip where the host or build has none (the scalar path is then the
-// only path and the sampler tests cover it).
+// The differential tests below hold each kernel to its scalar reference
+// bit for bit, over dense random inputs and the edge set where the scalar
+// code's selections flip. They need the kernels to run, so they skip where
+// the host or build lacks the tier (the scalar path is then the only path
+// and the sampler tests cover it).
 
 const kernelInputs = 10_000_000
 
-func requireKernels(t testing.TB) {
+// requireTier skips unless this host and build run tier t.
+func requireTier(t testing.TB, want Tier) {
 	t.Helper()
-	if !useKernels {
-		t.Skip("no AVX2+FMA kernels on this host or build")
+	if hostTier < want {
+		t.Skipf("no %v kernels on this host or build (tier %v)", want, hostTier)
 	}
 }
 
-func requireUniformKernel(t testing.TB) {
-	t.Helper()
-	if !useUniformKernel {
-		t.Skip("no AVX-512 uniform kernel on this host or build")
+// forEachTier runs f as one subtest per kernel tier, lowest first, with
+// the samplers forced to that tier; tiers above the host's skip.
+func forEachTier(t *testing.T, f func(t *testing.T, tr Tier)) {
+	for tr := TierScalar; tr <= TierAVX512; tr++ {
+		t.Run(tr.String(), func(t *testing.T) {
+			requireTier(t, tr)
+			defer ForceTier(tr)()
+			f(t, tr)
+		})
 	}
 }
 
-// TestKernelDispatch logs which kernel sets this host and build run, so a
-// CI log shows whether the differential tests above and below ran or
-// skipped, and pins that ForceScalar turns every kernel off and back on.
+// TestKernelDispatch logs the tier this host and build run, so a CI log
+// shows whether the differential tests above and below ran or skipped,
+// and pins that ForceTier moves the dispatch and puts it back.
 func TestKernelDispatch(t *testing.T) {
-	t.Logf("AVX2+FMA radius/angle/exp kernels: %v", useKernels)
-	t.Logf("AVX-512 uniform kernel: %v", useUniformKernel)
-	k, u := useKernels, useUniformKernel
-	restore := ForceScalar()
-	if useKernels || useUniformKernel {
-		t.Fatal("ForceScalar left a kernel on")
+	t.Logf("sampler kernel tier: %v (scalar < avx2 < avx512)", hostTier)
+	if KernelTier() != hostTier {
+		t.Fatalf("KernelTier() = %v, want the probed %v", KernelTier(), hostTier)
 	}
-	restore()
-	if useKernels != k || useUniformKernel != u {
-		t.Fatal("ForceScalar's restore did not put the dispatch back")
+	for tr := TierScalar; tr <= hostTier; tr++ {
+		restore := ForceTier(tr)
+		if tier != tr {
+			t.Fatalf("ForceTier(%v) left the tier at %v", tr, tier)
+		}
+		restore()
+		if tier != hostTier {
+			t.Fatalf("ForceTier(%v)'s restore left the tier at %v", tr, tier)
+		}
 	}
 }
 
@@ -73,7 +82,7 @@ func checkPass(t *testing.T, name string, in []float64, pass func(xs []float64))
 	t.Helper()
 	vec := append([]float64(nil), in...)
 	pass(vec)
-	restore := ForceScalar()
+	restore := ForceTier(TierScalar)
 	sca := append([]float64(nil), in...)
 	pass(sca)
 	restore()
@@ -99,7 +108,7 @@ func neighbours(xs ...float64) []float64 {
 var hostile = []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -5e-324, 1, 2, 1 << 30, 1e300, -1e300}
 
 func TestRadiusKernelMatchesScalar(t *testing.T) {
-	requireKernels(t)
+	requireTier(t, TierAVX2)
 	radius := func(_ int, u float64) float64 { return math.Sqrt(-2 * math.Log(u)) }
 
 	// Edge set: the smallest producible uniform, the top of the range,
@@ -146,7 +155,7 @@ func TestRadiusKernelMatchesScalar(t *testing.T) {
 }
 
 func TestAngleKernelMatchesScalar(t *testing.T) {
-	requireKernels(t)
+	requireTier(t, TierAVX2)
 	r := NewRNG(0xa9)
 	// Each lane multiplies a radius by the angle's cosine; the radius is
 	// a deterministic function of the lane index.
@@ -192,7 +201,7 @@ func TestAngleKernelMatchesScalar(t *testing.T) {
 }
 
 func TestExpKernelMatchesScalar(t *testing.T) {
-	requireKernels(t)
+	requireTier(t, TierAVX2)
 	exp := func(_ int, x float64) float64 { return math.Exp(x) }
 
 	// Edge set: ±0, subnormals, and both ends of the range where
@@ -234,64 +243,155 @@ func TestExpKernelMatchesScalar(t *testing.T) {
 }
 
 // TestSamplersVectorMatchesScalar holds both batched samplers to the same
-// bits and the same stream position on the vector and scalar paths, for
-// every path depth from 1 to 9, draw counts that leave partial blocks and
-// partial chunks, and a depth beyond the scratch chunk.
+// bits and the same stream position at every kernel tier the host has as
+// at the scalar tier (and the scalar tier to the plain per-draw loop), for
+// every path depth from 1 to 9, the depths either side of the fused
+// kernel's bound and one beyond the scratch chunk, with draw counts that
+// leave partial blocks, len%8 tails and partial chunks.
 func TestSamplersVectorMatchesScalar(t *testing.T) {
-	if !useKernels && !useUniformKernel {
-		t.Skip("no vector kernels on this host or build")
+	type result struct {
+		draws, sums []float64
+		next        uint64
 	}
-	for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, sumBatch + 1} {
-		for _, n := range []int{1, 3, 5, 7, sumBatch/k + 3, 301} {
-			mu := make([]float64, k)
-			sigma := make([]float64, k)
-			for s := range mu {
-				mu[s] = -6 + 0.7*float64(s)
-				sigma[s] = 0.1 + 0.35*float64(s%4)
+	sample := func(k, n int, mu, sigma []float64, perDraw bool) result {
+		r := NewRNG(uint64(1000*k + n))
+		res := result{draws: make([]float64, n*k), sums: make([]float64, n)}
+		if perDraw {
+			for i := range res.draws {
+				s := i % k
+				res.draws[i] = math.Exp(mu[s] + sigma[s]*r.NormFloat64())
 			}
-			run := func(scalar bool) (draws, sums []float64, next uint64) {
-				if scalar {
-					defer ForceScalar()()
-				}
-				r := NewRNG(uint64(1000*k + n))
-				draws = make([]float64, n*k)
-				LognormalDraws(draws, mu, sigma, r)
-				sums = make([]float64, n)
-				SumLognormals(sums, mu, sigma, r)
-				return draws, sums, r.Uint64()
-			}
-			vd, vs, vn := run(false)
-			sd, ss, sn := run(true)
-			for i := range vd {
-				if !sameBits(vd[i], sd[i]) {
-					t.Fatalf("k=%d n=%d LognormalDraws[%d]: vector %v, scalar %v", k, n, i, vd[i], sd[i])
+			for i := range res.sums {
+				for s := 0; s < k; s++ {
+					res.sums[i] += math.Exp(mu[s] + sigma[s]*r.NormFloat64())
 				}
 			}
-			for i := range vs {
-				if !sameBits(vs[i], ss[i]) {
-					t.Fatalf("k=%d n=%d SumLognormals[%d]: vector %v, scalar %v", k, n, i, vs[i], ss[i])
+		} else {
+			LognormalDraws(res.draws, mu, sigma, r)
+			SumLognormals(res.sums, mu, sigma, r)
+		}
+		res.next = r.Uint64()
+		return res
+	}
+	forEachTier(t, func(t *testing.T, tr Tier) {
+		for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, fusedMaxK, fusedMaxK + 1, sumBatch + 1} {
+			for _, n := range []int{1, 3, 5, 7, 9, sumBatch/k + 3, 301} {
+				mu := make([]float64, k)
+				sigma := make([]float64, k)
+				for s := range mu {
+					mu[s] = -6 + 0.7*float64(s%9)
+					sigma[s] = 0.1 + 0.35*float64(s%4)
+				}
+				got := sample(k, n, mu, sigma, false)
+				var want result
+				if tr == TierScalar {
+					want = sample(k, n, mu, sigma, true)
+				} else {
+					restore := ForceTier(TierScalar)
+					want = sample(k, n, mu, sigma, false)
+					restore()
+				}
+				for i := range want.draws {
+					if !sameBits(got.draws[i], want.draws[i]) {
+						t.Fatalf("k=%d n=%d LognormalDraws[%d]: %v, scalar %v", k, n, i, got.draws[i], want.draws[i])
+					}
+				}
+				for i := range want.sums {
+					if !sameBits(got.sums[i], want.sums[i]) {
+						t.Fatalf("k=%d n=%d SumLognormals[%d]: %v, scalar %v", k, n, i, got.sums[i], want.sums[i])
+					}
+				}
+				if got.next != want.next {
+					t.Fatalf("k=%d n=%d: stream position diverged", k, n)
 				}
 			}
-			if vn != sn {
-				t.Fatalf("k=%d n=%d: stream position diverged", k, n)
+		}
+	})
+}
+
+// TestFusedKernelMatchesScalar drives the fused route directly over
+// hostile uniform pairs, and over stage parameters that push one middle
+// stage's exp argument off archExp's main path (overflow, or a subnormal
+// or zero result) in a few percent of its draws. Rejected blocks then
+// fall mid-row, so the kernel re-enters at a stage other than 0; every
+// element must match the scalar tier bit for bit.
+func TestFusedKernelMatchesScalar(t *testing.T) {
+	requireTier(t, TierAVX512)
+	badU1 := []float64{0, math.Copysign(0, -1), 1, -1, 2, math.NaN(), math.Inf(1), math.Inf(-1),
+		5e-324, 1e-310, math.Nextafter(1, 0), 0x1p-53}
+	badU2 := []float64{math.Copysign(0, -1), -5e-324, -0.25, 1, 1.5, 1 << 40,
+		math.NaN(), math.Inf(1), math.Inf(-1), math.Nextafter(1, 0), 0.125, 0.375}
+	r := NewRNG(0xf05e)
+	for _, k := range []int{3, 5, 7} {
+		mu := make([]float64, k)
+		sigma := make([]float64, k)
+		for s := range mu {
+			mu[s] = -6 + 0.5*float64(s)
+			sigma[s] = 0.1 + 0.2*float64(s)
+		}
+		mu[k/2], sigma[k/2] = 0, 420
+		n := sumBatch / k * k
+		u1, u2 := make([]float64, n), make([]float64, n)
+		for i := range u1 {
+			for u1[i] == 0 {
+				u1[i] = r.Float64()
 			}
+			u2[i] = r.Float64()
+		}
+		for i := 0; i < 8; i++ {
+			u1[r.Intn(n)] = badU1[r.Intn(len(badU1))]
+			u2[r.Intn(n)] = badU2[r.Intn(len(badU2))]
+		}
+
+		run := func(tr Tier) []float64 {
+			defer ForceTier(tr)()
+			c := chunkSampler{mu: mu, sigma: sigma}
+			c.init()
+			out := make([]float64, n)
+			// The pass route uses u1 and u2 as scratch.
+			c.lognormals(out, append([]float64(nil), u1...), append([]float64(nil), u2...))
+			return out
+		}
+		got, want := run(TierAVX512), run(TierScalar)
+		for i := range want {
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("k=%d element %d (stage %d, u1 %v, u2 %v): fused %x (%v), scalar %x (%v)",
+					k, i, i%k, u1[i], u2[i], math.Float64bits(got[i]), got[i],
+					math.Float64bits(want[i]), want[i])
+			}
+		}
+
+		// The inputs must put rejected blocks mid-row with accepted blocks
+		// after them, or the re-entry offset went untested.
+		c := chunkSampler{mu: mu, sigma: sigma}
+		c.init()
+		muPat, sigmaPat := c.muPat[:k+7], c.sigmaPat[:k+7]
+		scratch := make([]float64, 8)
+		accepted, reentries := 0, 0
+		for b := 0; b+8 <= n; b += 8 {
+			if lognormalAVX512(scratch, u1[b:], u2[b:], muPat, sigmaPat, b%k) == 8 {
+				accepted++
+			} else if b+16 <= n && (b+8)%k != 0 &&
+				lognormalAVX512(scratch, u1[b+8:], u2[b+8:], muPat, sigmaPat, (b+8)%k) == 8 {
+				reentries++
+			}
+		}
+		if accepted == 0 || reentries == 0 {
+			t.Fatalf("k=%d: %d blocks accepted, %d mid-row re-entries: the inputs miss the route", k, accepted, reentries)
 		}
 	}
 }
 
 // BenchmarkSampleKernel times LognormalDraws over one 512-element chunk
-// (128 draws of a 4-stage path) on each path.
+// (128 draws of a 4-stage path) at each kernel tier.
 func BenchmarkSampleKernel(b *testing.B) {
 	mu := []float64{-5.2, -4.1, -6, -4.8}
 	sigma := []float64{0.3, 0.5, 0.2, 0.4}
 	dst := make([]float64, sumBatch)
-	for _, path := range []string{"vector", "scalar"} {
-		b.Run(path, func(b *testing.B) {
-			if path == "vector" {
-				requireKernels(b)
-			} else {
-				defer ForceScalar()()
-			}
+	for tr := TierScalar; tr <= TierAVX512; tr++ {
+		b.Run(tr.String(), func(b *testing.B) {
+			requireTier(b, tr)
+			defer ForceTier(tr)()
 			r := NewRNG(1)
 			for i := 0; i < b.N; i++ {
 				LognormalDraws(dst, mu, sigma, r)
@@ -308,9 +408,9 @@ func BenchmarkUniformKernel(b *testing.B) {
 	for _, path := range []string{"vector", "scalar"} {
 		b.Run(path, func(b *testing.B) {
 			if path == "vector" {
-				requireUniformKernel(b)
+				requireTier(b, TierAVX512)
 			} else {
-				defer ForceScalar()()
+				defer ForceTier(TierScalar)()
 			}
 			r := NewRNG(1)
 			for i := 0; i < b.N; i++ {

@@ -52,7 +52,7 @@ func uniformsBothPaths(t *testing.T, s0 uint64, n int) uint64 {
 		return zr, cs, r.state
 	}
 	vz, vc, vs := run()
-	restore := ForceScalar()
+	restore := ForceTier(TierScalar)
 	sz, sc, ss := run()
 	restore()
 	for i := range sz {
@@ -81,7 +81,7 @@ func TestPlantedStateInvertsFinalizer(t *testing.T) {
 }
 
 func TestUniformKernelMatchesScalar(t *testing.T) {
-	requireUniformKernel(t)
+	requireTier(t, TierAVX512)
 	r := NewRNG(0x51)
 	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 100, 511, sumBatch, sumBatch + 3} {
 		for trial := 0; trial < 50; trial++ {
@@ -115,7 +115,7 @@ func TestUniformKernelMatchesScalar(t *testing.T) {
 // (which redraws it, shifting the rest of the stream by one value); a
 // zero u2 is an ordinary uniform the kernel keeps.
 func TestUniformKernelPlantedZeros(t *testing.T) {
-	requireUniformKernel(t)
+	requireTier(t, TierAVX512)
 	type plant struct {
 		n, draw int
 		u2      bool
