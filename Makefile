@@ -24,8 +24,11 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# vet also covers perfbench, a separate module (root `go build ./...`
+# never compiles it) built on the internal engine, fleet and profiler APIs.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 build:
 	$(GO) build ./...

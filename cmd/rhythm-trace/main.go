@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"rhythm/internal/cliflags"
@@ -30,7 +31,8 @@ func main() {
 }
 
 // realMain is main with injectable argv and streams so flag handling is
-// table-testable: usage errors exit 2, runtime failures exit 1.
+// table-testable: usage errors (unknown flags, out-of-range numeric
+// values) exit 2, runtime failures exit 1.
 func realMain(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rhythm-trace", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -46,11 +48,35 @@ func realMain(argv []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
+	if err := validate(*requests, *load, *threads, *rate, *noise); err != nil {
+		fmt.Fprintln(stderr, "rhythm-trace:", err)
+		return 2
+	}
 	if err := run(stdout, *service, *requests, *load, *threads, *rate, *persistent, *noise, common.Seed); err != nil {
 		fmt.Fprintln(stderr, "rhythm-trace:", err)
 		return 1
 	}
 	return 0
+}
+
+// validate rejects numeric flag values the tracer cannot honour before any
+// work starts; trace.Generate would otherwise replace some of them with
+// defaults and fail on others only after setup.
+func validate(requests int, load float64, threads int, rate float64, noise int) error {
+	finitePositive := func(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+	switch {
+	case requests < 1:
+		return fmt.Errorf("-requests must be at least 1, got %d", requests)
+	case !finitePositive(load):
+		return fmt.Errorf("-load must be positive and finite, got %v", load)
+	case threads < 1:
+		return fmt.Errorf("-threads must be at least 1, got %d", threads)
+	case !finitePositive(rate):
+		return fmt.Errorf("-rate must be positive and finite, got %v", rate)
+	case noise < 0:
+		return fmt.Errorf("-noise must not be negative, got %d", noise)
+	}
+	return nil
 }
 
 func run(stdout io.Writer, service string, requests int, load float64, threads int, rate float64,

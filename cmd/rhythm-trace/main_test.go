@@ -46,3 +46,40 @@ func TestFlagBehavior(t *testing.T) {
 		t.Fatal("-seed 7 output identical to default seed")
 	}
 }
+
+// TestNumericFlagValidation: out-of-range numeric flags are usage errors
+// (exit 2, a message naming the flag, nothing on stdout) caught before
+// any tracing work, rather than silently replaced or failing later.
+func TestNumericFlagValidation(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-requests", "0"}, "-requests"},
+		{[]string{"-requests", "-3"}, "-requests"},
+		{[]string{"-rate", "0"}, "-rate"},
+		{[]string{"-rate", "-800"}, "-rate"},
+		{[]string{"-rate", "NaN"}, "-rate"},
+		{[]string{"-rate", "+Inf"}, "-rate"},
+		{[]string{"-threads", "0"}, "-threads"},
+		{[]string{"-threads", "-2"}, "-threads"},
+		{[]string{"-noise", "-5"}, "-noise"},
+		{[]string{"-load", "0"}, "-load"},
+		{[]string{"-load", "-1"}, "-load"},
+		{[]string{"-load", "NaN"}, "-load"},
+		{[]string{"-load", "Inf"}, "-load"},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := realMain(tc.args, &stdout, &stderr); code != 2 {
+				t.Fatalf("exit %d, want 2 (stderr: %s)", code, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), tc.flag+" must") {
+				t.Fatalf("stderr %q does not name %s", stderr.String(), tc.flag)
+			}
+			if stdout.Len() != 0 {
+				t.Fatalf("usage error wrote to stdout: %q", stdout.String())
+			}
+		})
+	}
+}

@@ -95,9 +95,9 @@ func main() {
 }
 
 // tailP99 is the post-warmup end-to-end p99 over the collected samples
-// (the engine emits 80 samples per 100ms tick from t=0).
+// (the engine emits SamplesPerTick samples per EngineTick from t=0).
 func tailP99(samples []float64, warmup time.Duration) float64 {
-	skip := int(warmup/(100*time.Millisecond)) * 80
+	skip := int(warmup/rhythm.EngineTick) * rhythm.SamplesPerTick
 	if skip >= len(samples) {
 		skip = 0
 	}

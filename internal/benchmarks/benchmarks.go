@@ -11,8 +11,9 @@
 //     at one sample per timestamp, alone and interleaved with a p99 query
 //     per sample (the worst case for the tracker: every query sees a new
 //     window and the batch-max bound cannot filter).
-//   - TailTrackerWindowP99: the engine's tracker traffic, 80-sample batches
-//     per tick with a p99 read every second and a control read every 2 s.
+//   - TailTrackerWindowP99: the engine's tracker traffic, one
+//     engine.SamplesPerTick batch per tick with a p99 read every second
+//     and a control read every 2 s.
 //   - EngineTick: one full engine tick — sojourn modeling, utilization
 //     accounting, SamplesPerTick end-to-end latency draws through the call
 //     graph, tail-tracker maintenance — with per-pass rows
@@ -56,22 +57,22 @@ import (
 	"rhythm/internal/workload"
 )
 
-// benchWindow mirrors the engine's tracker window; benchSpacing yields the
-// same steady-state occupancy as the default engine configuration
-// (3 s window / 100 ms tick * 80 samples = 2400 live samples).
+// benchLive is the engine tracker's steady-state occupancy
+// (engine.TailWindow / engine.TickDt ticks of engine.SamplesPerTick
+// samples, 2400); one sample per benchSpacing keeps the same number live.
 const (
-	benchWindow  = 3 * time.Second
-	benchSpacing = 1250 * time.Microsecond // 3s / 2400
+	benchLive    = int(engine.TailWindow/engine.TickDt) * engine.SamplesPerTick
+	benchSpacing = engine.TailWindow / time.Duration(benchLive)
 )
 
 // TailTrackerAdd measures the pure insert+evict path at steady-state
-// occupancy (~2400 samples), with no quantile queries.
+// occupancy (benchLive samples), with no quantile queries.
 func TailTrackerAdd(b *testing.B) {
-	tt := metrics.NewTailTracker(benchWindow)
+	tt := metrics.NewTailTracker(engine.TailWindow)
 	rng := sim.NewRNG(2020).Fork("bench-tail-add")
 	now := sim.Time(0)
 	// Fill to steady state so every measured Add also evicts.
-	for i := 0; i < 2400; i++ {
+	for i := 0; i < benchLive; i++ {
 		now = now.Add(benchSpacing)
 		tt.Add(now, rng.Float64())
 	}
@@ -86,10 +87,10 @@ func TailTrackerAdd(b *testing.B) {
 // TailTrackerAddP99 interleaves one Add with one P99 query, the worst-case
 // pattern for a copy-and-sort tracker: every query pays the full window.
 func TailTrackerAddP99(b *testing.B) {
-	tt := metrics.NewTailTracker(benchWindow)
+	tt := metrics.NewTailTracker(engine.TailWindow)
 	rng := sim.NewRNG(2020).Fork("bench-tail-p99")
 	now := sim.Time(0)
-	for i := 0; i < 2400; i++ {
+	for i := 0; i < benchLive; i++ {
 		now = now.Add(benchSpacing)
 		tt.Add(now, rng.Float64())
 	}
@@ -105,18 +106,18 @@ func TailTrackerAddP99(b *testing.B) {
 }
 
 // TailTrackerWindowP99 replays the engine's tracker traffic: one
-// 80-sample AddBatch per 100 ms tick into the 3 s window, a P99 read once
+// engine.SamplesPerTick AddBatch per engine.TickDt tick into the
+// engine.TailWindow window, a P99 read once
 // per simulated second (finishTick's ObserveWindow) and a second read
 // every 2 s with no add in between (the control tick). One op is one
 // tick. The values cycle through a pre-drawn pool so the RNG stays out of
 // the timing.
 func TailTrackerWindowP99(b *testing.B) {
 	const (
-		tick     = 100 * time.Millisecond
-		perTick  = 80
+		perTick  = engine.SamplesPerTick
 		poolTick = 64
 	)
-	tt := metrics.NewTailTracker(benchWindow)
+	tt := metrics.NewTailTracker(engine.TailWindow)
 	rng := sim.NewRNG(2020).Fork("bench-tail-window")
 	pool := make([]float64, poolTick*perTick)
 	for i := range pool {
@@ -125,7 +126,7 @@ func TailTrackerWindowP99(b *testing.B) {
 	now := sim.Time(0)
 	var sink float64
 	step := func(i int) {
-		now = now.Add(tick)
+		now = now.Add(engine.TickDt)
 		j := i % poolTick * perTick
 		tt.AddBatch(now, pool[j:j+perTick])
 		if i%10 == 0 {
@@ -147,9 +148,6 @@ func TailTrackerWindowP99(b *testing.B) {
 	_ = sink
 }
 
-// engineTickDt is the engine fixtures' tick, the engine default.
-const engineTickDt = 100 * time.Millisecond
-
 // soloEngine builds the EngineTick fixture: the E-commerce service alone
 // at a constant 70% load, seed 2020, warmed past the inertia transient so
 // the measured ticks are steady state, like the bulk of every experiment
@@ -167,7 +165,7 @@ func soloEngine(b testing.TB) engineFixture {
 	}
 	f := engineFixture{e: e, load: load}
 	for i := 0; i < 100; i++ {
-		f.now = f.now.Add(engineTickDt)
+		f.now = f.now.Add(engine.TickDt)
 		e.Step(f.now, load)
 	}
 	return f
@@ -216,7 +214,7 @@ func enginePass(b *testing.B, f engineFixture, name string, load func(i int) flo
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.now = f.now.Add(engineTickDt)
+		f.now = f.now.Add(engine.TickDt)
 		f.e.RunPass(name, f.now, load(i))
 	}
 }
@@ -234,7 +232,7 @@ func EngineTick(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.now = f.now.Add(engineTickDt)
+		f.now = f.now.Add(engine.TickDt)
 		f.e.Step(f.now, f.load)
 	}
 }
@@ -264,7 +262,7 @@ func EngineTickColo(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.e.RunUntil(f.e.Now().Add(engineTickDt))
+		f.e.RunUntil(f.e.Now().Add(engine.TickDt))
 	}
 }
 
@@ -422,7 +420,7 @@ func ObsDisabled(b *testing.B) {
 		if obs.Active() != nil {
 			b.Fatal("bus installed during disabled-path benchmark")
 		}
-		sc.Tick(int64(i), 100, 0.7, 700, 80)
+		sc.Tick(int64(i), int64(engine.TickDt), 0.7, 700, engine.SamplesPerTick)
 		sc.Decision(int64(i), "pod", "AllowBEGrowth", 0.7, 0.2, 0.01, "")
 		sc.BE(int64(i), "pod", "be-1", "grow", 2, 4)
 		sc.Cache("profile", "key", true)

@@ -279,7 +279,7 @@ func TestSoAResyncAfterMutations(t *testing.T) {
 			// Mid-run: a few ticks so the row is warm and clean.
 			now := sim.Time(0)
 			for k := 0; k < 3; k++ {
-				now = now.Add(e.cfg.TickDt)
+				now = now.Add(TickDt)
 				e.Step(now, 0.3)
 			}
 			if e.soa.beDirty[p.idx] {
@@ -292,7 +292,7 @@ func TestSoAResyncAfterMutations(t *testing.T) {
 			if !e.soa.beDirty[p.idx] {
 				t.Fatal("apply did not mark the row dirty")
 			}
-			now = now.Add(e.cfg.TickDt)
+			now = now.Add(TickDt)
 			e.Step(now, 0.3)
 			assertSoARowSynced(t, e, p)
 		}
@@ -314,7 +314,7 @@ func TestSoAResyncAfterMutations(t *testing.T) {
 		e, p, _ := newApplyFixture(t)
 		now := sim.Time(0)
 		for k := 0; k < 3; k++ {
-			now = now.Add(e.cfg.TickDt)
+			now = now.Add(TickDt)
 			e.Step(now, 0.3)
 		}
 		e.crashBE(p, now)
@@ -324,7 +324,7 @@ func TestSoAResyncAfterMutations(t *testing.T) {
 		if len(p.instances) != 0 {
 			t.Fatalf("crash left %d instances", len(p.instances))
 		}
-		now = now.Add(e.cfg.TickDt)
+		now = now.Add(TickDt)
 		e.Step(now, 0.3)
 		assertSoARowSynced(t, e, p)
 	})
@@ -334,7 +334,7 @@ func TestSoAResyncAfterMutations(t *testing.T) {
 		p := e.pods[0]
 		now := sim.Time(0)
 		for k := 0; k < 3; k++ {
-			now = now.Add(e.cfg.TickDt)
+			now = now.Add(TickDt)
 			e.Step(now, 0.3)
 		}
 		if !e.AdmitBE(p.comp.Name, bejobs.Wordcount, "be-sync-1") {
@@ -343,14 +343,14 @@ func TestSoAResyncAfterMutations(t *testing.T) {
 		if !e.soa.beDirty[p.idx] {
 			t.Fatal("AdmitBE did not mark the row dirty")
 		}
-		now = now.Add(e.cfg.TickDt)
+		now = now.Add(TickDt)
 		e.Step(now, 0.3)
 		assertSoARowSynced(t, e, p)
 
 		// Evict and drain: the view mutation happens at apply time; the
 		// drain must not disturb the already-resynced row.
 		e.apply(p, controller.StopBE, now, 0.3, -0.1)
-		now = now.Add(e.cfg.TickDt)
+		now = now.Add(TickDt)
 		e.Step(now, 0.3)
 		if ev := e.TakeEvicted(); len(ev) != 1 {
 			t.Fatalf("TakeEvicted = %v, want the one eviction", ev)

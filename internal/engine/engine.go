@@ -31,7 +31,46 @@ import (
 	"rhythm/internal/workload"
 )
 
-// Config describes one engine run.
+// The engine's fixed sampling grid, the one definition every other
+// package reads. RunStats.E2ESamples holds SamplesPerTick entries per
+// tick from t=0.
+const (
+	// TickDt is the simulation step, 100 ms.
+	TickDt = 100 * time.Millisecond
+	// SamplesPerTick is the number of end-to-end latency samples drawn
+	// per tick, 80.
+	SamplesPerTick = 80
+	// TailWindow is the sliding window of the p99 the controllers read
+	// and the SLA statistic is taken over, 3 s.
+	TailWindow = 3 * time.Second
+)
+
+// Fixed engine parameters.
+const (
+	// maxBEPerMachine caps BE instances per machine at 15.
+	maxBEPerMachine = 15
+	// inertiaTau, 4 s, is the time constant with which observed
+	// interference inflation approaches its steady-state value (queues
+	// filling, caches churning). Real servers do not jump to a new tail
+	// latency the instant a co-runner gets another core; this inertia is
+	// what gives a 2 s controller room to react.
+	inertiaTau = 4 * time.Second
+	// slaGuard, 0.12, is the controller's safety headroom: slack is
+	// computed against (1-slaGuard)*SLA so that steady-state operation
+	// aims a few percent below the target and worst-case noise stays
+	// within it (violations still count against the full SLA).
+	slaGuard = 0.12
+)
+
+// Tick constants: the inertia EMA coefficient 1-exp(-TickDt/inertiaTau)
+// and TickDt in hours, the BE Advance timebase.
+var (
+	inertiaAlpha = 1 - math.Exp(-TickDt.Seconds()/inertiaTau.Seconds())
+	tickHours    = TickDt.Hours()
+)
+
+// Config describes one engine run. Every machine is a
+// cluster.DefaultSpec machine.
 type Config struct {
 	// Service is the LC workload to deploy (required).
 	Service *workload.Service
@@ -45,38 +84,16 @@ type Config struct {
 	// BETypes are the BE job types to launch, cycled in order as
 	// instances are admitted. Empty means no BE jobs.
 	BETypes []bejobs.Type
-	// Spec is the machine specification; zero value selects the default.
-	Spec cluster.MachineSpec
 	// Model is the interference model; zero Gamma selects the default.
 	Model interference.Model
 	// Seed drives all randomness.
 	Seed uint64
-	// TickDt is the simulation step (default 100 ms).
-	TickDt time.Duration
 	// ControlPeriod is the controller interval (default 2 s, §3.5.2).
 	ControlPeriod time.Duration
-	// SamplesPerTick is the number of end-to-end latency samples drawn
-	// per tick (default 80).
-	SamplesPerTick int
-	// MaxBEPerMachine caps BE instances per machine (default 15).
-	MaxBEPerMachine int
 	// Warmup discards the initial transient: utilizations, violations
 	// and the worst-p99 statistic only accumulate after this much
 	// virtual time (control decisions still run during warmup).
 	Warmup time.Duration
-	// SLAGuard is the controller's safety headroom: slack is computed
-	// against (1-SLAGuard)*SLA so that steady-state operation aims a few
-	// percent below the target and worst-case noise stays within it
-	// (violations still count against the full SLA). Default 0.08;
-	// negative disables the guard.
-	SLAGuard float64
-	// InertiaTau is the time constant with which observed interference
-	// inflation approaches its steady-state value (queues filling,
-	// caches churning). Real servers do not jump to a new tail latency
-	// the instant a co-runner gets another core; this inertia is what
-	// gives a 2 s controller room to react. Default 4 s; negative
-	// disables smoothing.
-	InertiaTau time.Duration
 	// CollectSamples retains per-pod sojourn and end-to-end samples in
 	// the run stats (profiling).
 	CollectSamples bool
@@ -116,12 +133,9 @@ type FieldError struct {
 func (e *FieldError) Error() string { return "engine: Config." + e.Field + ": " + e.Reason }
 
 // Validate checks the configuration before any work runs. Zero values
-// with documented defaults (TickDt, ControlPeriod, SamplesPerTick,
-// MaxBEPerMachine, Spec, Model, InertiaTau, SLAGuard) are valid — New
-// fills them — and the documented negative sentinels (SLAGuard and
-// InertiaTau < 0 disable the guard and smoothing) stay valid; everything
-// else out of range fails. All failures are returned joined, each a
-// *FieldError naming the Config field.
+// with documented defaults (ControlPeriod, Model) are valid — New fills
+// them — and everything else out of range fails. All failures are
+// returned joined, each a *FieldError naming the Config field.
 func (c *Config) Validate() error {
 	var errs []error
 	fail := func(field, format string, args ...any) {
@@ -138,17 +152,8 @@ func (c *Config) Validate() error {
 	if c.SLA < 0 {
 		fail("SLA", "negative tail-latency target %v", c.SLA)
 	}
-	if c.TickDt < 0 {
-		fail("TickDt", "negative tick %v", c.TickDt)
-	}
 	if c.ControlPeriod < 0 {
 		fail("ControlPeriod", "negative control period %v", c.ControlPeriod)
-	}
-	if c.SamplesPerTick < 0 {
-		fail("SamplesPerTick", "negative sample count %d", c.SamplesPerTick)
-	}
-	if c.MaxBEPerMachine < 0 {
-		fail("MaxBEPerMachine", "negative BE cap %d", c.MaxBEPerMachine)
 	}
 	if c.Warmup < 0 {
 		fail("Warmup", "negative warmup %v", c.Warmup)
@@ -162,32 +167,11 @@ func (c *Config) Validate() error {
 // fillDefaults fills the zero-value defaults; Validate has already
 // rejected out-of-range values.
 func (c *Config) fillDefaults() {
-	if c.TickDt <= 0 {
-		c.TickDt = 100 * time.Millisecond
-	}
 	if c.ControlPeriod <= 0 {
 		c.ControlPeriod = 2 * time.Second
 	}
-	if c.SamplesPerTick <= 0 {
-		c.SamplesPerTick = 80
-	}
-	if c.MaxBEPerMachine <= 0 {
-		c.MaxBEPerMachine = 15
-	}
-	if c.Spec.Cores == 0 {
-		c.Spec = cluster.DefaultSpec()
-	}
 	if c.Model.Gamma == 0 {
 		c.Model = interference.Default()
-	}
-	if c.InertiaTau == 0 {
-		c.InertiaTau = 4 * time.Second
-	}
-	if c.SLAGuard == 0 {
-		c.SLAGuard = 0.12
-	}
-	if c.SLAGuard < 0 {
-		c.SLAGuard = 0
 	}
 }
 
@@ -377,7 +361,7 @@ type soaState struct {
 	beCores  []int
 	beDirty  []bool
 
-	// Smoothed interference state (Config.InertiaTau); initialized to 1,
+	// Smoothed interference state (inertiaTau); initialized to 1,
 	// the lazy-init value the scalar smooth used.
 	inflate []float64
 	cvInfl  []float64
@@ -436,10 +420,7 @@ type soaState struct {
 	plan     *samplePlan
 	cols     [][]float64
 
-	// Tick constants, precomputed once in New.
-	alpha    float64  // EMA coefficient 1-exp(-dt/tau); unused when tau < 0
-	dtHours  float64  // TickDt in hours, the Advance timebase
-	warmupAt sim.Time // end of Config.Warmup
+	warmupAt sim.Time // end of Config.Warmup, precomputed once in New
 }
 
 // samplePlan mirrors workload.Node with the component name resolved to a
@@ -555,7 +536,7 @@ func New(cfg Config) (*Engine, error) {
 	cfg.fillDefaults()
 	e := &Engine{
 		cfg:           cfg,
-		tail:          metrics.NewTailTracker(3 * time.Second),
+		tail:          metrics.NewTailTracker(TailWindow),
 		rng:           sim.NewRNG(cfg.Seed).Fork("engine"),
 		lastFaultScan: sim.Time(-1),
 		clock:         sim.NewClock(),
@@ -591,8 +572,9 @@ func New(cfg Config) (*Engine, error) {
 		e.obsLoadH = bus.Histogram("rhythm_offered_load", obs.DefBuckets)
 		e.obsFaults = bus.Counter("rhythm_fault_events_total")
 	}
+	spec := cluster.DefaultSpec()
 	for i, comp := range cfg.Service.Components {
-		m := cluster.NewMachine(fmt.Sprintf("m%d", i), cfg.Spec)
+		m := cluster.NewMachine(fmt.Sprintf("m%d", i), spec)
 		agent := isolation.NewAgent(m, comp.Name)
 		if err := agent.PinLC(comp.Cores, comp.LLCWays, comp.MemoryGB, comp.MaxNetGbps); err != nil {
 			return nil, fmt.Errorf("engine: pinning %s: %w", comp.Name, err)
@@ -669,14 +651,12 @@ func (e *Engine) initSoA() {
 	stages := len(s.stagePod)
 	s.stageMu = make([]float64, stages)
 	s.stageSig = make([]float64, stages)
-	s.vals = make([]float64, e.cfg.SamplesPerTick*stages)
-	s.lats = make([]float64, e.cfg.SamplesPerTick)
+	s.vals = make([]float64, SamplesPerTick*stages)
+	s.lats = make([]float64, SamplesPerTick)
 	s.cols = make([][]float64, 2*(s.plan.depth()-1))
 	for i := range s.cols {
-		s.cols[i] = make([]float64, e.cfg.SamplesPerTick)
+		s.cols[i] = make([]float64, SamplesPerTick)
 	}
-	s.alpha = 1 - math.Exp(-e.cfg.TickDt.Seconds()/e.cfg.InertiaTau.Seconds())
-	s.dtHours = e.cfg.TickDt.Hours()
 	s.warmupAt = sim.Time(0).Add(e.cfg.Warmup)
 }
 
@@ -777,7 +757,7 @@ func (e *Engine) Run(duration time.Duration) (*RunStats, error) {
 // per-machine byte. The caller owns end-of-run bookkeeping (stats.Duration,
 // obs run brackets); Run wraps this with both.
 func (e *Engine) RunUntil(end sim.Time) *RunStats {
-	for ; e.cursor < end; e.cursor = e.cursor.Add(e.cfg.TickDt) {
+	for ; e.cursor < end; e.cursor = e.cursor.Add(TickDt) {
 		now := e.cursor
 		e.clock.RunUntil(now)
 		load := e.cfg.Pattern.Load(now)
@@ -815,7 +795,6 @@ func (e *Engine) Step(now sim.Time, load float64) { e.tick(now, load) }
 // draws the identical frozen stream (draw-major, stage-minor — DESIGN.md
 // §9) through sim.LognormalDraws.
 func (e *Engine) tick(now sim.Time, load float64) {
-	dt := e.cfg.TickDt
 	qps := load * e.cfg.Service.MaxLoadQPS
 	measuring := now >= e.soa.warmupAt
 
@@ -833,10 +812,10 @@ func (e *Engine) tick(now sim.Time, load float64) {
 	e.passPressure()
 	e.passInflation()
 	e.passSojourn(qps)
-	e.passUtilization(dt, measuring)
-	e.passBEProgress(load, dt, measuring)
+	e.passUtilization(measuring)
+	e.passBEProgress(load, measuring)
 	e.passSample(now)
-	e.finishTick(now, dt, load, qps, measuring)
+	e.finishTick(now, load, qps, measuring)
 }
 
 // passFaults applies crash triggers to the AoS view and gathers the
@@ -914,12 +893,11 @@ func (e *Engine) passPressure() {
 // machine-slowdown frequency cap stretches LC service time like any DVFS
 // step-down would), reusing the previous targets while the pod's
 // (pressure, frequency cap) key is unchanged, and applies the first-order
-// inertia of Config.InertiaTau with the precomputed EMA coefficient — the
-// same alpha the scalar smooth recomputed per call, so the same bits.
+// inertia of inertiaTau with the precomputed EMA coefficient — the same
+// alpha the scalar smooth recomputed per call, so the same bits.
 func (e *Engine) passInflation() {
 	s := &e.soa
 	faultsOn := e.cfg.Faults != nil
-	bypass := e.cfg.InertiaTau < 0
 	for i, p := range e.pods {
 		fc := 0.0
 		if faultsOn {
@@ -934,12 +912,8 @@ func (e *Engine) passInflation() {
 			s.infPress[i], s.infCap[i], s.infOK[i] = s.press[i], fc, true
 		}
 		inflate, cvInflate := s.infTgt[i][0], s.infTgt[i][1]
-		if bypass {
-			s.inflate[i], s.cvInfl[i] = inflate, cvInflate
-			continue
-		}
-		s.inflate[i] += (inflate - s.inflate[i]) * s.alpha
-		s.cvInfl[i] += (cvInflate - s.cvInfl[i]) * s.alpha
+		s.inflate[i] += (inflate - s.inflate[i]) * inertiaAlpha
+		s.cvInfl[i] += (cvInflate - s.cvInfl[i]) * inertiaAlpha
 	}
 }
 
@@ -976,7 +950,7 @@ func (e *Engine) passSojourn(qps float64) {
 // passUtilization does the utilization accounting: LC cores are busy in
 // proportion to station utilization, BE cores are fully busy while
 // running.
-func (e *Engine) passUtilization(dt time.Duration, measuring bool) {
+func (e *Engine) passUtilization(measuring bool) {
 	s := &e.soa
 	for i, p := range e.pods {
 		lcBusy := float64(p.comp.Cores) * s.sojourn[i].Utilization
@@ -985,8 +959,8 @@ func (e *Engine) passUtilization(dt time.Duration, measuring bool) {
 		servedBW := lcBW + minf(s.beDemand[i][cluster.ResMemBW], p.machine.Spec.MemBWGBs-lcBW)
 		mbwUtil := sim.Clamp(servedBW/p.machine.Spec.MemBWGBs, 0, 1)
 		if measuring {
-			s.cpu[i].Observe(cpuUtil, dt)
-			s.mbw[i].Observe(mbwUtil, dt)
+			s.cpu[i].Observe(cpuUtil, TickDt)
+			s.mbw[i].Observe(mbwUtil, TickDt)
 		}
 	}
 }
@@ -995,7 +969,7 @@ func (e *Engine) passUtilization(dt time.Duration, measuring bool) {
 // bandwidth the machine can actually serve and by DVFS throttling, with
 // per-instance grants read from the dirty-synced instCache instead of a
 // per-tick allocation map lookup.
-func (e *Engine) passBEProgress(load float64, dt time.Duration, measuring bool) {
+func (e *Engine) passBEProgress(load float64, measuring bool) {
 	s := &e.soa
 	faultsOn := e.cfg.Faults != nil
 	for i, p := range e.pods {
@@ -1035,7 +1009,7 @@ func (e *Engine) passBEProgress(load float64, dt time.Duration, measuring bool) 
 				}
 			}
 			rate := c.in.Rate(c.alloc.Cores, instSat) * freqScale
-			done := c.in.Advance(rate, s.dtHours)
+			done := c.in.Advance(rate, tickHours)
 			p.stats.Completions += done
 			if done > 0 {
 				p.obsCompletions.Add(uint64(done))
@@ -1043,8 +1017,8 @@ func (e *Engine) passBEProgress(load float64, dt time.Duration, measuring bool) 
 			beRate += rate
 		}
 		if measuring {
-			s.bet[i].Observe(beRate, dt)
-			s.emu[i].Observe(metrics.EMU(load, beRate), dt)
+			s.bet[i].Observe(beRate, TickDt)
+			s.emu[i].Observe(metrics.EMU(load, beRate), TickDt)
 		}
 		p.stats.BEThroughput = s.bet[i].Mean()
 		p.stats.CPUUtil = s.cpu[i].Mean()
@@ -1061,7 +1035,7 @@ func (e *Engine) passBEProgress(load float64, dt time.Duration, measuring bool) 
 // sample slices in the same element order the scalar walk appended them.
 func (e *Engine) passSample(now sim.Time) {
 	s := &e.soa
-	n := e.cfg.SamplesPerTick
+	n := SamplesPerTick
 	stages := len(s.stagePod)
 	for j, pi := range s.stagePod {
 		s.stageMu[j], s.stageSig[j] = s.sjMu[pi], s.sjSigma[pi]
@@ -1084,7 +1058,7 @@ func (e *Engine) passSample(now sim.Time) {
 // finishTick is the shared tick epilogue: the once-per-second window
 // observation (the paper records the p99 once per second, §5.1's SLA
 // statistic), tick counters and fault-edge reporting.
-func (e *Engine) finishTick(now sim.Time, dt time.Duration, load, qps float64, measuring bool) {
+func (e *Engine) finishTick(now sim.Time, load, qps float64, measuring bool) {
 	if measuring && now-e.lastObserve >= sim.Time(time.Second) {
 		e.lastObserve = now
 		e.tail.ObserveWindow(now)
@@ -1094,7 +1068,7 @@ func (e *Engine) finishTick(now sim.Time, dt time.Duration, load, qps float64, m
 
 	e.obsTicks.Inc()
 	if e.obsScope.Enabled() {
-		e.obsScope.Tick(int64(now), int64(dt), load, qps, e.cfg.SamplesPerTick)
+		e.obsScope.Tick(int64(now), int64(TickDt), load, qps, SamplesPerTick)
 		if e.cfg.Faults != nil {
 			e.emitFaultEdges(now)
 		}
@@ -1218,7 +1192,7 @@ func (e *Engine) controlTick(now sim.Time, load float64) {
 	}
 	slack := 1.0
 	if e.cfg.SLA > 0 {
-		guarded := e.cfg.SLA * (1 - e.cfg.SLAGuard)
+		guarded := e.cfg.SLA * (1 - slaGuard)
 		slack = (guarded - p99) / guarded
 	}
 	if now >= sim.Time(0).Add(e.cfg.Warmup) {
@@ -1376,7 +1350,7 @@ func (e *Engine) apply(p *podRuntime, act controller.Action, now sim.Time, load,
 		// Under ExternalBE the dispatcher owns admission: the machine
 		// only signals Accepting (via MachineViews) and waits for
 		// AdmitBE.
-		if !e.cfg.ExternalBE && len(p.instances) < e.cfg.MaxBEPerMachine {
+		if !e.cfg.ExternalBE && len(p.instances) < maxBEPerMachine {
 			e.launch(p, now)
 		}
 	}
@@ -1472,7 +1446,7 @@ func (e *Engine) MachineViews(dst []MachineView) []MachineView {
 	for _, p := range e.pods {
 		dst = append(dst, MachineView{
 			Pod:          p.comp.Name,
-			Accepting:    p.lastAction == controller.AllowBEGrowth && len(p.instances) < e.cfg.MaxBEPerMachine,
+			Accepting:    p.lastAction == controller.AllowBEGrowth && len(p.instances) < maxBEPerMachine,
 			FreeCores:    p.machine.FreeCores(),
 			FreeMemoryGB: p.machine.FreeMemoryGB(),
 			Resident:     len(p.instances),
@@ -1492,7 +1466,7 @@ func (e *Engine) AdmitBE(pod string, ty bejobs.Type, id string) bool {
 		return false
 	}
 	p, ok := e.podByName[pod]
-	if !ok || len(p.instances) >= e.cfg.MaxBEPerMachine {
+	if !ok || len(p.instances) >= maxBEPerMachine {
 		return false
 	}
 	if e.cfg.Faults != nil && e.cfg.Faults.CrashBlocked(e.cursor, pod) {

@@ -267,14 +267,12 @@ func TestBECompletionsAccrue(t *testing.T) {
 	svc := workload.Solr()
 	sla := deriveSLA(t, svc)
 	st := run(t, Config{
-		Service:        svc,
-		Pattern:        loadgen.Constant(0.25),
-		SLA:            sla,
-		Policy:         controller.NewHeracles(),
-		BETypes:        []bejobs.Type{bejobs.CPUStress}, // shortest solo time (0.5 h)
-		Seed:           14,
-		TickDt:         time.Second, // coarse tick: the run spans hours
-		SamplesPerTick: 10,
+		Service: svc,
+		Pattern: loadgen.Constant(0.25),
+		SLA:     sla,
+		Policy:  controller.NewHeracles(),
+		BETypes: []bejobs.Type{bejobs.CPUStress}, // shortest solo time (0.5 h)
+		Seed:    14,
 	}, 2*time.Hour)
 	total := 0
 	for _, ps := range st.PerPod {

@@ -140,13 +140,13 @@ func TestAdmitBERespectsCapAndMode(t *testing.T) {
 	e := newExternalEngine(t, true)
 	p := e.pods[0]
 	admitted := 0
-	for i := 0; i < e.cfg.MaxBEPerMachine+5; i++ {
+	for i := 0; i < maxBEPerMachine+5; i++ {
 		if e.AdmitBE(p.comp.Name, bejobs.Iperf, sprintID(i)) {
 			admitted++
 		}
 	}
-	if admitted > e.cfg.MaxBEPerMachine {
-		t.Fatalf("admitted %d instances past the cap %d", admitted, e.cfg.MaxBEPerMachine)
+	if admitted > maxBEPerMachine {
+		t.Fatalf("admitted %d instances past the cap %d", admitted, maxBEPerMachine)
 	}
 	if len(p.instances) != admitted {
 		t.Fatalf("instances = %d, want %d", len(p.instances), admitted)

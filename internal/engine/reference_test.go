@@ -16,7 +16,7 @@ import (
 // SoA rows as its backing state so a reference engine and a passes engine
 // evolve the same fields, but reads everything the expensive way.
 func (e *Engine) tickReference(now sim.Time, load float64) {
-	dt := e.cfg.TickDt
+	dt := TickDt
 	qps := load * e.cfg.Service.MaxLoadQPS
 	measuring := now >= e.soa.warmupAt
 	s := &e.soa
@@ -43,15 +43,11 @@ func (e *Engine) tickReference(now sim.Time, load float64) {
 		if freqCap > 0 && freqCap < p.machine.Spec.MaxGHz {
 			inflate *= interference.FreqInflation(p.comp, freqCap, p.machine.Spec.MaxGHz)
 		}
-		if e.cfg.InertiaTau >= 0 {
-			// The scalar smooth recomputed alpha per call.
-			alpha := 1 - math.Exp(-dt.Seconds()/e.cfg.InertiaTau.Seconds())
-			s.inflate[i] += (inflate - s.inflate[i]) * alpha
-			s.cvInfl[i] += (cvInflate - s.cvInfl[i]) * alpha
-			inflate, cvInflate = s.inflate[i], s.cvInfl[i]
-		} else {
-			s.inflate[i], s.cvInfl[i] = inflate, cvInflate
-		}
+		// The scalar smooth recomputed alpha per call.
+		alpha := 1 - math.Exp(-dt.Seconds()/inertiaTau.Seconds())
+		s.inflate[i] += (inflate - s.inflate[i]) * alpha
+		s.cvInfl[i] += (cvInflate - s.cvInfl[i]) * alpha
+		inflate, cvInflate = s.inflate[i], s.cvInfl[i]
 		if key := [5]float64{qps, inflate, cvInflate, muSkew, sigmaSkew}; !s.sjOK[i] || key != s.sjKey[i] {
 			s.sojourn[i] = p.comp.Station.At(qps, inflate, cvInflate, 1)
 			mu, sigma := s.sojourn[i].LogParams()
@@ -135,12 +131,12 @@ func (e *Engine) tickReference(now sim.Time, load float64) {
 		}
 		return v
 	}
-	for i := 0; i < e.cfg.SamplesPerTick; i++ {
+	for i := 0; i < SamplesPerTick; i++ {
 		lat := e.cfg.Service.Graph.Latency(sample)
 		e.tail.Add(now, lat)
 		if e.cfg.CollectSamples {
 			e.stats.E2ESamples = append(e.stats.E2ESamples, lat)
 		}
 	}
-	e.finishTick(now, dt, load, qps, measuring)
+	e.finishTick(now, load, qps, measuring)
 }

@@ -64,7 +64,7 @@ func runReference(e *Engine, duration time.Duration) *RunStats {
 		e.obsScope.RunPhase(0, "start", fmt.Sprintf("service=%s policy=%s sla=%gs duration=%v seed=%d",
 			e.cfg.Service.Name, e.stats.Policy, e.cfg.SLA, duration, e.cfg.Seed))
 	}
-	for ; e.cursor < end; e.cursor = e.cursor.Add(e.cfg.TickDt) {
+	for ; e.cursor < end; e.cursor = e.cursor.Add(TickDt) {
 		now := e.cursor
 		e.clock.RunUntil(now)
 		load := e.cfg.Pattern.Load(now)
@@ -309,7 +309,7 @@ func TestEvictionInvalidatesInstCache(t *testing.T) {
 	}
 	now := sim.Time(0)
 	step := func() {
-		now = now.Add(e.cfg.TickDt)
+		now = now.Add(TickDt)
 		e.Step(now, 0.3)
 	}
 	step()

@@ -30,10 +30,7 @@ func TestValidateEveryInvalidField(t *testing.T) {
 		{"invalid service", func(c *Config) { c.Service = &workload.Service{Name: "broken"} }, "Service"},
 		{"nil pattern", func(c *Config) { c.Pattern = nil }, "Pattern"},
 		{"negative SLA", func(c *Config) { c.SLA = -0.1 }, "SLA"},
-		{"negative tick", func(c *Config) { c.TickDt = -time.Millisecond }, "TickDt"},
 		{"negative control period", func(c *Config) { c.ControlPeriod = -time.Second }, "ControlPeriod"},
-		{"negative samples", func(c *Config) { c.SamplesPerTick = -1 }, "SamplesPerTick"},
-		{"negative BE cap", func(c *Config) { c.MaxBEPerMachine = -1 }, "MaxBEPerMachine"},
 		{"negative warmup", func(c *Config) { c.Warmup = -time.Second }, "Warmup"},
 		{"invalid fault schedule", func(c *Config) {
 			c.Faults = &faults.Schedule{Events: []faults.Event{{Kind: "meteor-strike"}}}
@@ -64,23 +61,17 @@ func TestValidateEveryInvalidField(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("clean config rejected: %v", err)
 	}
-	// The documented negative sentinels stay valid.
-	cfg.SLAGuard = -1
-	cfg.InertiaTau = -1
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("negative sentinels rejected: %v", err)
-	}
 }
 
 // TestValidateCollectsAllFailures pins that multiple bad fields report
 // together, not first-error-wins.
 func TestValidateCollectsAllFailures(t *testing.T) {
-	cfg := Config{TickDt: -1, SamplesPerTick: -1}
+	cfg := Config{SLA: -1, Warmup: -1}
 	err := cfg.Validate()
 	if err == nil {
 		t.Fatal("no error")
 	}
-	for _, field := range []string{"Service", "Pattern", "TickDt", "SamplesPerTick"} {
+	for _, field := range []string{"Service", "Pattern", "SLA", "Warmup"} {
 		if !strings.Contains(err.Error(), "Config."+field) {
 			t.Fatalf("joined error %q missing Config.%s", err, field)
 		}

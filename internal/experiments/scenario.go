@@ -109,7 +109,7 @@ func scenarioRun(ctx *Context) (*Table, error) {
 	}
 
 	// Post-warmup end-to-end p99 per policy. E2ESamples accumulate from
-	// t=0 at SamplesPerTick per tick; slice off the warmup ticks so the
+	// t=0 at engine.SamplesPerTick per tick; slice off the warmup ticks so the
 	// per-class verdicts use the same measurement window as the run
 	// statistics.
 	p99 := [2]float64{}
@@ -168,15 +168,11 @@ func scenarioRun(ctx *Context) (*Table, error) {
 }
 
 // postWarmupSamples drops the warmup-period prefix of an E2ESamples
-// slice: the engine appends SamplesPerTick samples per TickDt tick from
-// t=0, so the first floor(warmup/tickDt)*samplesPerTick entries fall in
-// the warmup window. Uses the engine defaults the scenario runs run with.
+// slice: the engine appends engine.SamplesPerTick samples per
+// engine.TickDt tick from t=0, so the first whole warmup ticks' samples
+// fall in the warmup window.
 func postWarmupSamples(samples []float64, warmup time.Duration) []float64 {
-	const (
-		tickDt         = 100 * time.Millisecond
-		samplesPerTick = 80
-	)
-	skip := int(warmup/tickDt) * samplesPerTick
+	skip := int(warmup/engine.TickDt) * engine.SamplesPerTick
 	if skip >= len(samples) {
 		return nil
 	}

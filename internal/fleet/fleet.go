@@ -15,7 +15,7 @@
 //
 // # Epoch barriers and determinism
 //
-// Time advances in epochs (default: the 2 s control period). One epoch is
+// Time advances in 2 s epochs, each engine's control period. One epoch is
 //
 //	arrivals (serial) -> machine slices (parallel) -> barrier (serial)
 //
@@ -46,7 +46,6 @@ import (
 	"time"
 
 	"rhythm/internal/bejobs"
-	"rhythm/internal/cluster"
 	"rhythm/internal/controller"
 	"rhythm/internal/engine"
 	"rhythm/internal/loadgen"
@@ -66,7 +65,12 @@ type Entry struct {
 	SLA float64
 }
 
-// Config configures a fleet run.
+// epoch is the barrier interval, 2 s. It is also each engine's control
+// period, so accept/deny signals refresh exactly once per epoch.
+const epoch = 2 * time.Second
+
+// Config configures a fleet run. Every machine is a cluster.DefaultSpec
+// machine.
 type Config struct {
 	// Entries define the fleet composition; at least one is required.
 	Entries []Entry
@@ -91,11 +95,6 @@ type Config struct {
 	// initial transient inside each engine.
 	Duration time.Duration
 	Warmup   time.Duration
-	// Epoch is the barrier interval — also each engine's control period,
-	// so accept/deny signals refresh exactly once per epoch. Default 2 s.
-	Epoch time.Duration
-	// Spec is the machine hardware (default cluster.DefaultSpec).
-	Spec cluster.MachineSpec
 	// Seed is the fleet's root seed; every replica and every arrival
 	// epoch forks a content-keyed substream from it.
 	Seed uint64
@@ -171,9 +170,6 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("fleet: non-positive duration %v", cfg.Duration)
 	}
-	if cfg.Epoch <= 0 {
-		cfg.Epoch = 2 * time.Second
-	}
 	if cfg.QueueLimit <= 0 {
 		cfg.QueueLimit = 1024
 	}
@@ -208,9 +204,8 @@ func New(cfg Config) (*Fleet, error) {
 				SLA:           ent.SLA,
 				Policy:        ent.Policy,
 				ExternalBE:    true,
-				Spec:          cfg.Spec,
 				Seed:          sim.SubSeed(cfg.Seed, "fleet/"+name),
-				ControlPeriod: cfg.Epoch,
+				ControlPeriod: epoch,
 				Warmup:        cfg.Warmup,
 				Label:         "fleet/" + name,
 			})
@@ -241,7 +236,7 @@ func (f *Fleet) Epochs() int { return f.epochs }
 // machine slice in parallel to the epoch end, then resolve the scheduler
 // barrier serially in replica order.
 func (f *Fleet) Step() {
-	epochEnd := f.now.Add(f.cfg.Epoch)
+	epochEnd := f.now.Add(epoch)
 	if f.obsScope.Enabled() {
 		// Reason strings are built only under an installed bus.
 		f.obsScope.RunPhase(int64(f.now), "epoch-start", fmt.Sprintf("epoch %d", f.epochs))
@@ -250,7 +245,7 @@ func (f *Fleet) Step() {
 	// Arrivals: a Poisson batch for this epoch from its own substream.
 	// The label is assembled in a reused buffer and hashed directly;
 	// SubSeedBytes guarantees the same seed fmt.Sprintf + SubSeed gave.
-	mean := f.cfg.ArrivalsPerMachineHour * float64(f.machines) * f.cfg.Epoch.Hours()
+	mean := f.cfg.ArrivalsPerMachineHour * float64(f.machines) * epoch.Hours()
 	f.labelBuf = append(f.labelBuf[:0], "fleet/arrivals/"...)
 	f.labelBuf = strconv.AppendInt(f.labelBuf, int64(f.epochs), 10)
 	f.arrRNG.Reseed(sim.SubSeedBytes(f.cfg.Seed, f.labelBuf))
@@ -326,7 +321,7 @@ func (f *Fleet) Step() {
 // Run executes the configured duration (rounded up to whole epochs) and
 // returns the aggregated scorecard.
 func (f *Fleet) Run() *Result {
-	steps := int((time.Duration(f.cfg.Duration) + f.cfg.Epoch - 1) / f.cfg.Epoch)
+	steps := int((f.cfg.Duration + epoch - 1) / epoch)
 	for i := 0; i < steps; i++ {
 		f.Step()
 	}
@@ -444,7 +439,7 @@ func (f *Fleet) Result() *Result {
 		res.Kills += cs.Kills
 		res.Crashes += cs.Crashes
 	}
-	if hours := f.cfg.Epoch.Hours() * float64(f.epochs) * float64(f.machines); hours > 0 {
+	if hours := epoch.Hours() * float64(f.epochs) * float64(f.machines); hours > 0 {
 		res.GoodputPerMachineHour = float64(res.Completions) / hours
 	}
 	res.Queue = QueueStats{

@@ -45,7 +45,6 @@ func TestDeterminismAcrossJobs(t *testing.T) {
 			Pattern:                loadgen.Constant(0.5),
 			ArrivalsPerMachineHour: 600, // busy queue: dispatch every epoch
 			Duration:               6 * time.Second,
-			Epoch:                  2 * time.Second,
 			Seed:                   2020,
 			Jobs:                   jobs,
 		})
@@ -79,7 +78,6 @@ func TestStepAllocationFree(t *testing.T) {
 		Pattern:                loadgen.Constant(0.5),
 		ArrivalsPerMachineHour: 600, // busy queue: dispatch every epoch
 		Duration:               time.Hour,
-		Epoch:                  2 * time.Second,
 		Seed:                   2020,
 		Jobs:                   1, // measure the barrier, not the pool
 	})

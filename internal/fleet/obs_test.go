@@ -18,7 +18,6 @@ func fleetConfig(t *testing.T) Config {
 		Pattern:                loadgen.Constant(0.5),
 		ArrivalsPerMachineHour: 1200,
 		Duration:               6 * time.Second,
-		Epoch:                  2 * time.Second,
 		Seed:                   2020,
 		Jobs:                   2,
 	}

@@ -85,8 +85,6 @@ func FuzzTailTracker(f *testing.F) {
 		// The oracle sorts the whole window on every read; capping the
 		// input at 256 bytes keeps one input (and its minimization) fast.
 		data = data[:min(len(data), 256)]
-		defer func(old bool) { Strict = old }(Strict)
-		Strict = false
 		windows := []time.Duration{50 * time.Millisecond, time.Second, 3 * time.Second}
 		window := windows[int(data[0])%len(windows)]
 		tt := NewTailTracker(window)

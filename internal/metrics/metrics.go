@@ -23,20 +23,11 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"time"
 
 	"rhythm/internal/sim"
 )
-
-// Strict controls how TailTracker.Add treats a timestamp that runs
-// backwards (the simulation contract is non-decreasing time). When false —
-// the default — the sample's time is clamped to the latest time already
-// seen, so the window can never silently widen; when true, Add panics and
-// surfaces the caller bug. Build with -tags rhythmstrict to default to
-// panicking.
-var Strict = strictDefault
 
 // batch is a run of window samples that share one timestamp — one engine
 // tick's AddBatch. Its samples enter and leave the window together.
@@ -90,10 +81,11 @@ func NewTailTracker(window time.Duration) *TailTracker {
 
 // Add records a latency sample observed at time t. Samples must arrive in
 // non-decreasing time order (the simulation is single-threaded); a
-// backwards t is clamped to the latest time seen, or panics when Strict.
+// backwards t is clamped to the latest time seen, so the window can never
+// silently widen.
 func (tt *TailTracker) Add(t sim.Time, v float64) {
 	if t < tt.latest {
-		t = tt.backwards(t)
+		t = tt.latest
 	}
 	// The newest batch is stamped with the latest time and is never
 	// pruned while it is the newest.
@@ -122,13 +114,13 @@ func (tt *TailTracker) Add(t sim.Time, v float64) {
 // AddBatch records len(vs) samples all observed at time t, in order. It is
 // equivalent to calling Add(t, v) for each v — the engine's sampling pass
 // produces a whole tick's draws at one timestamp — but pays the
-// clamp/Strict check and the capacity checks exactly once.
+// clamp and the capacity checks exactly once.
 func (tt *TailTracker) AddBatch(t sim.Time, vs []float64) {
 	if len(vs) == 0 {
 		return
 	}
 	if t < tt.latest {
-		t = tt.backwards(t)
+		t = tt.latest
 	}
 	// The newest batch is stamped with the latest time and is never
 	// pruned while it is the newest.
@@ -161,18 +153,6 @@ func (tt *TailTracker) AddBatch(t sim.Time, vs []float64) {
 	}
 	tt.bs[(tt.bhead+tt.bn)&(len(tt.bs)-1)] = batch{t: t, n: len(vs), max: hi}
 	tt.bn++
-}
-
-// backwards applies the time contract to a t earlier than the latest time
-// seen: a panic when Strict, otherwise the clamped time. Kept out of line;
-// the adds only pay for the comparison.
-//
-//go:noinline
-func (tt *TailTracker) backwards(t sim.Time) sim.Time {
-	if Strict {
-		panic(fmt.Sprintf("metrics: TailTracker.Add time ran backwards: %v after %v", t, tt.latest))
-	}
-	return tt.latest
 }
 
 // prune drops the batches older than the window, and their samples. It is

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"sort"
-	"strings"
 	"testing"
 	"time"
 
@@ -159,9 +158,7 @@ func TestTailTrackerAddBatchMatchesSequential(t *testing.T) {
 			}
 		}
 	}
-	// Empty batch is a no-op, even with a backwards timestamp under Strict.
-	defer func(old bool) { Strict = old }(Strict)
-	Strict = true
+	// Empty batch is a no-op, even with a backwards timestamp.
 	before := batched.N()
 	batched.AddBatch(0, nil)
 	if batched.N() != before {
@@ -169,9 +166,9 @@ func TestTailTrackerAddBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestTailTrackerOutOfOrderClamped pins the default (non-strict) contract:
-// a backwards timestamp is recorded at the latest time seen, so it cannot
-// resurrect or widen the window.
+// TestTailTrackerOutOfOrderClamped pins the time contract: a backwards
+// timestamp is recorded at the latest time seen, so it cannot resurrect
+// or widen the window.
 func TestTailTrackerOutOfOrderClamped(t *testing.T) {
 	tt := NewTailTracker(time.Second)
 	tt.Add(sim.FromSeconds(5), 10)
@@ -188,23 +185,4 @@ func TestTailTrackerOutOfOrderClamped(t *testing.T) {
 	if got := tt.P99(); got != 30 {
 		t.Fatalf("p99 = %v, want 30", got)
 	}
-}
-
-// TestTailTrackerOutOfOrderStrict pins the Strict contract: time running
-// backwards panics with a diagnostic instead of clamping.
-func TestTailTrackerOutOfOrderStrict(t *testing.T) {
-	defer func(old bool) { Strict = old }(Strict)
-	Strict = true
-	tt := NewTailTracker(time.Second)
-	tt.Add(sim.FromSeconds(5), 10)
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("strict mode accepted a backwards timestamp")
-		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "time ran backwards") {
-			t.Fatalf("unexpected panic payload: %v", r)
-		}
-	}()
-	tt.Add(sim.FromSeconds(4), 20)
 }

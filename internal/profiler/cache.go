@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 
-	"rhythm/internal/bejobs"
 	"rhythm/internal/obs"
 	"rhythm/internal/workload"
 )
@@ -76,30 +75,12 @@ func ProfileKey(svc *workload.Service, opts Options) string {
 		o.UseTracer, o.TraceRequests)
 }
 
-// slackKey canonicalizes the raw SlackOptions (defaults are filled
-// deterministically from the profile, which the profileKey prefix already
-// pins down), excluding Jobs.
+// slackKey returns the cache key for the Algorithm 1 search under opts:
+// the profile key (which pins down the profile the trial loads derive
+// from) plus the normalized search options, excluding Jobs.
 func slackKey(profileKey string, opts SlackOptions) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|slack|load=%g|loads=", profileKey, opts.Load)
-	for _, l := range opts.TrialLoads {
-		fmt.Fprintf(&b, "%g,", l)
-	}
-	fmt.Fprintf(&b, "|bes=%s|sets=", joinBE(opts.BETypes))
-	for _, set := range opts.TrialSets {
-		fmt.Fprintf(&b, "%s;", joinBE(set))
-	}
-	fmt.Fprintf(&b, "|step=%s|min=%g|sub=%d|seed=%d",
-		opts.StepDuration, opts.MinSlacklimit, opts.Substeps, opts.Seed)
-	return b.String()
-}
-
-func joinBE(bes []bejobs.Type) string {
-	out := make([]string, len(bes))
-	for i, be := range bes {
-		out[i] = string(be)
-	}
-	return strings.Join(out, ",")
+	o := opts.normalized()
+	return fmt.Sprintf("%s|slack|step=%s|sub=%d|seed=%d", profileKey, o.StepDuration, o.Substeps, o.Seed)
 }
 
 // CachedRun is Run behind the content-keyed cache: the first call for a

@@ -89,6 +89,23 @@ func TestProfileKeyExcludesJobs(t *testing.T) {
 	}
 }
 
+// TestSlackKeyNormalizes: the slacklimit key is built from the filled
+// search options, so spelling out the defaults shares the zero value's
+// entry, and Jobs stays out of the key.
+func TestSlackKeyNormalizes(t *testing.T) {
+	const pk = "Redis|levels=0.5|dwell=2s|seed=7|tracer=false|treq=600"
+	for _, seed := range []uint64{0, 13} {
+		zero := slackKey(pk, SlackOptions{Seed: seed})
+		spelled := slackKey(pk, SlackOptions{Seed: seed, StepDuration: 150 * time.Second, Substeps: 4, Jobs: 3})
+		if zero != spelled {
+			t.Fatalf("seed %d: defaults implied %q, spelled out %q", seed, zero, spelled)
+		}
+	}
+	if slackKey(pk, SlackOptions{Seed: 13}) == slackKey(pk, SlackOptions{Seed: 13, Substeps: 2}) {
+		t.Fatal("Substeps must influence the slacklimit key")
+	}
+}
+
 // TestParallelProfileMatchesSerial is the profiler-level determinism
 // regression: a parallel sweep must produce the bit-identical profile.
 func TestParallelProfileMatchesSerial(t *testing.T) {

@@ -287,40 +287,36 @@ func tracerMeans(topo *trace.Topology, svc *workload.Service, level float64,
 	return out, nil
 }
 
+// slackSets are the BE compositions every Algorithm 1 probe must
+// survive, the paper's "run the algorithm with representative,
+// mixed-intensive BEs and run multiple times to increase its accuracy":
+// the Fig. 7 mix (wordcount, imageClassify, LSTM, CPU-stress,
+// stream-dram, stream-llc), then stream-dram alone, whose per-core
+// bandwidth pressure far exceeds the mix's, and wordcount alone.
+var slackSets = [][]bejobs.Type{
+	{
+		bejobs.Wordcount, bejobs.ImageClassify, bejobs.LSTM,
+		bejobs.CPUStress, bejobs.StreamDRAM, bejobs.StreamLLC,
+	},
+	{bejobs.StreamDRAM},
+	{bejobs.Wordcount},
+}
+
+// minSlacklimit floors the derived slacklimits at 0.12: the window-p99
+// estimate the controller acts on is noisy, and a limit below the noise
+// floor lets growth ride the SLA edge where noise dips become
+// violations. The paper's smallest derived value is 0.032 on much less
+// noisy hardware monitoring.
+const minSlacklimit = 0.12
+
 // SlackOptions configures the Algorithm 1 search.
 type SlackOptions struct {
-	// BETypes are the representative BE jobs run during the search; the
-	// paper recommends mixed-intensity BEs (default: wordcount,
-	// imageClassify, LSTM, CPU-stress, stream-dram, stream-llc, the
-	// Fig. 7 mix).
-	BETypes []bejobs.Type
-	// TrialLoads are the constant load fractions each iteration's trials
-	// run at; by default both just below the smallest loadlimit and just
-	// below the largest.
-	TrialLoads []float64
-	// TrialSets are additional BE compositions each iteration must also
-	// survive — the paper's "run the algorithm with representative,
-	// mixed-intensive BEs and run multiple times to increase its
-	// accuracy". The default adds the pure bandwidth-heavy jobs, whose
-	// per-core pressure far exceeds the mix's.
-	TrialSets [][]bejobs.Type
-	// Load is the constant LC load fraction during the search. The
-	// default is just below the smallest derived loadlimit — the
-	// highest load at which BE jobs may still run anywhere, i.e. the
-	// riskiest operating point the thresholds must keep safe.
-	Load float64
-	// StepDuration is the run_system dwell per iteration (default 60 s;
+	// StepDuration is the run_system dwell per iteration (default 150 s;
 	// the paper uses 10 minutes on hardware). Each trial must reach the
 	// co-location steady state, or the search underestimates risk and
 	// derives unprotective slacklimits. The first third of each dwell
 	// is warmup: the BE growth transient is not judged.
 	StepDuration time.Duration
-	// MinSlacklimit floors the derived slacklimits (default 0.08): the
-	// window-p99 estimate the controller acts on is noisy, and a limit
-	// below the noise floor lets growth ride the SLA edge where noise
-	// dips become violations. The paper's smallest derived value is
-	// 0.032 on much less noisy hardware monitoring.
-	MinSlacklimit float64
 	// Substeps divides each Servpod's Algorithm 1 step (1 - C_i/ΣC)
 	// into this many fractional moves (default 4), so that reverting
 	// one step on violation lands on a usable limit rather than back at
@@ -330,7 +326,7 @@ type SlackOptions struct {
 	// Seed drives the search runs.
 	Seed uint64
 	// Jobs bounds the worker goroutines evaluating one probe's trial
-	// matrix (TrialLoads x BE compositions) concurrently (0 =
+	// matrix (trial loads x BE compositions) concurrently (0 =
 	// runtime.NumCPU()). The search outcome is independent of Jobs: each
 	// trial is an isolated engine run with a trial-keyed seed and the
 	// probe verdict is the OR over the matrix, so Jobs is excluded from
@@ -338,54 +334,36 @@ type SlackOptions struct {
 	Jobs int
 }
 
-func (o *SlackOptions) fillDefaults(prof *Profile) {
-	_ = prof
-	if len(o.BETypes) == 0 {
-		o.BETypes = []bejobs.Type{
-			bejobs.Wordcount, bejobs.ImageClassify, bejobs.LSTM,
-			bejobs.CPUStress, bejobs.StreamDRAM, bejobs.StreamLLC,
-		}
-	}
-	if o.Load <= 0 {
-		min := 1.0
-		for _, ll := range prof.Loadlimits {
-			if ll < min {
-				min = ll
-			}
-		}
-		o.Load = sim.Clamp(min-0.02, 0.5, 0.9)
-	}
-	if len(o.TrialLoads) == 0 {
-		// Probe both risky operating points: just below the smallest
-		// loadlimit (every machine may host BEs) and just below the
-		// largest (only the tolerant machines still do, with the LC
-		// near its own saturation and the thinnest latency budget).
-		max := 0.0
-		for _, ll := range prof.Loadlimits {
-			if ll > max {
-				max = ll
-			}
-		}
-		o.TrialLoads = []float64{o.Load}
-		if hi := sim.Clamp(max-0.02, o.Load, 0.95); hi > o.Load+0.02 {
-			o.TrialLoads = append(o.TrialLoads, hi)
-		}
-	}
+// normalized returns o with the search defaults applied, so that
+// FindSlacklimits and the cache key derivation agree on what will
+// actually run.
+func (o SlackOptions) normalized() SlackOptions {
 	if o.StepDuration <= 0 {
 		o.StepDuration = 150 * time.Second
-	}
-	if o.TrialSets == nil {
-		o.TrialSets = [][]bejobs.Type{
-			{bejobs.StreamDRAM},
-			{bejobs.Wordcount},
-		}
 	}
 	if o.Substeps <= 0 {
 		o.Substeps = 4
 	}
-	if o.MinSlacklimit <= 0 {
-		o.MinSlacklimit = 0.12
+	return o
+}
+
+// trialLoads returns the constant load fractions each probe's trials run
+// at, the two risky operating points: just below the smallest loadlimit
+// (every machine may host BEs) and just below the largest (only the
+// tolerant machines still do, with the LC near its own saturation and the
+// thinnest latency budget). The second is dropped when it is within 2
+// points of the first.
+func trialLoads(prof *Profile) []float64 {
+	lo, hi := 1.0, 0.0
+	for _, ll := range prof.Loadlimits {
+		lo, hi = min(lo, ll), max(hi, ll)
 	}
+	load := sim.Clamp(lo-0.02, 0.5, 0.9)
+	loads := []float64{load}
+	if h := sim.Clamp(hi-0.02, load, 0.95); h > load+0.02 {
+		loads = append(loads, h)
+	}
+	return loads
 }
 
 // FindSlacklimits runs Algorithm 1 for every Servpod: starting from
@@ -400,10 +378,11 @@ func (o *SlackOptions) fillDefaults(prof *Profile) {
 // representative BE composition (the paper's "run multiple times with
 // representative, mixed-intensive BEs").
 func FindSlacklimits(prof *Profile, opts SlackOptions) (map[string]float64, error) {
-	opts.fillDefaults(prof)
+	opts = opts.normalized()
 	if len(prof.Contributions) == 0 {
 		return nil, fmt.Errorf("profiler: profile has no contributions")
 	}
+	loads := trialLoads(prof)
 
 	cur := make(map[string]float64, len(prof.Contributions))
 	for _, c := range prof.Contributions {
@@ -414,11 +393,10 @@ func FindSlacklimits(prof *Profile, opts SlackOptions) (map[string]float64, erro
 	order := append([]analyzer.Contribution(nil), prof.Contributions...)
 	sort.Slice(order, func(i, j int) bool { return order[i].Normalized < order[j].Normalized })
 
-	sets := append([][]bejobs.Type{opts.BETypes}, opts.TrialSets...)
 	type trialCombo struct{ li, si int }
 	var combos []trialCombo
-	for li := range opts.TrialLoads {
-		for si := range sets {
+	for li := range loads {
+		for si := range slackSets {
 			combos = append(combos, trialCombo{li, si})
 		}
 	}
@@ -431,7 +409,7 @@ func FindSlacklimits(prof *Profile, opts SlackOptions) (map[string]float64, erro
 		violated := make([]bool, len(combos))
 		err := sim.ForEachErr(len(combos), opts.Jobs, func(ci int) error {
 			li, si := combos[ci].li, combos[ci].si
-			tl := opts.TrialLoads[li]
+			tl := loads[li]
 			// Each trial ramps from half the probe load up to it:
 			// BE jobs fatten while there is headroom and the system
 			// then carries that state up the flank, the same shape
@@ -440,7 +418,7 @@ func FindSlacklimits(prof *Profile, opts SlackOptions) (map[string]float64, erro
 				Samples: []float64{tl / 2, tl, tl},
 				Spacing: opts.StepDuration / 2,
 			}
-			v, err := trialRun(prof, cur, opts, sets[si], pattern,
+			v, err := trialRun(prof, cur, opts, slackSets[si], pattern,
 				iter+uint64(si+1)*7001+uint64(li)*293)
 			if err != nil {
 				return err
@@ -462,11 +440,11 @@ func FindSlacklimits(prof *Profile, opts SlackOptions) (map[string]float64, erro
 	iter := uint64(0)
 	for _, c := range order {
 		step := sim.Clamp((1-c.Normalized)/float64(opts.Substeps), 0.01, 0.98)
-		for cur[c.Pod] > opts.MinSlacklimit {
+		for cur[c.Pod] > minSlacklimit {
 			prev := cur[c.Pod]
 			next := prev - step
-			if next < opts.MinSlacklimit {
-				next = opts.MinSlacklimit
+			if next < minSlacklimit {
+				next = minSlacklimit
 			}
 			cur[c.Pod] = next
 			iter++

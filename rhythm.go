@@ -93,7 +93,10 @@ type (
 	// ProfileOptions configures the offline load sweep (Options.Profile).
 	ProfileOptions = profiler.Options
 	// SlackOptions configures the Algorithm 1 slacklimit search
-	// (Options.Slack).
+	// (Options.Slack): the dwell per probe (default 150 s), the substeps
+	// per Servpod step (default 4), the seed and the worker count. The
+	// trial loads derive from the profile's loadlimits, and the BE
+	// compositions and the 0.12 slacklimit floor are fixed.
 	SlackOptions = profiler.SlackOptions
 	// Policy decides per-Servpod actions each control period
 	// (RunConfig.Policy accepts one, or the PolicyRhythm / PolicyHeracles /
@@ -143,8 +146,9 @@ type (
 	// Fleet is a datacenter-scale run: N machines of service replicas
 	// coordinated through one shared BE queue (ROADMAP item 1).
 	Fleet = fleet.Fleet
-	// FleetConfig configures a fleet run (composition, load, arrival
-	// rate, epoch, seed).
+	// FleetConfig configures a fleet run (composition, load, BE mix,
+	// arrival rate, queue bound, duration, seed). Epochs are the fixed
+	// 2 s control period and every machine has the default spec.
 	FleetConfig = fleet.Config
 	// FleetEntry is one service class in a fleet: a service, its replica
 	// count, and the policy/SLA controlling each replica.
@@ -171,6 +175,14 @@ type (
 	// CalibrationFit is the result of fitting workload-distribution
 	// corrections (mu shift, sigma scale, rate scale) to observed tails.
 	CalibrationFit = calibration.FitResult
+)
+
+// The engine's fixed sampling grid: a run advances in EngineTick steps,
+// and RunStats.E2ESamples grows by SamplesPerTick entries per tick from
+// t=0.
+const (
+	EngineTick     = engine.TickDt
+	SamplesPerTick = engine.SamplesPerTick
 )
 
 // The seven BE job types of Table 1.
