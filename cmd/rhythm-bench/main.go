@@ -91,6 +91,7 @@ var registry = []struct {
 	{"EngineTickColoInflation", benchmarks.EngineTickColoInflation},
 	{"EngineTickColoSojourn", benchmarks.EngineTickColoSojourn},
 	{"EngineTickColoSample", benchmarks.EngineTickColoSample},
+	{"EngineControlPeriodColo", benchmarks.EngineControlPeriodColo},
 	{"FleetTick", benchmarks.FleetTick},
 	{"PathP99", benchmarks.PathP99},
 	{"SampleKernel", benchmarks.SampleKernel},

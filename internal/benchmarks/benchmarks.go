@@ -22,7 +22,12 @@
 //   - EngineTickColo: the same tick over a co-located fixture (BE running
 //     under Heracles, controllers on), where the inflation EMA moves every
 //     tick as in the colocate grid, with its own inflation, sojourn
-//     (cache-miss path) and sample rows.
+//     (cache-miss path) and sample rows. One RunUntil call per tick makes
+//     every block one tick long.
+//   - EngineControlPeriodColo: one control period of that fixture per op
+//     through one RunUntil call, so its ticks run as one block: the
+//     operating points computed together and the sojourn misses resolved
+//     in interleaved lanes, as the experiments run them.
 //   - FleetTick: one fleet epoch over a 100-machine fleet — the parallel
 //     per-machine slices plus the serial scheduler barrier — reported
 //     both as ns/op and as a machines/s throughput metric (the
@@ -253,16 +258,34 @@ func EngineTickSojourn(b *testing.B) { constantPass(b, soloEngine(b), "sojourn")
 // the dominant share of EngineTick.
 func EngineTickSample(b *testing.B) { constantPass(b, soloEngine(b), "sample") }
 
-// EngineTickColo is EngineTick over the co-located fixture, run as the
-// experiments run it (Engine.RunUntil): every pass with BE running, the
-// controllers acting every 2 s, and the caches missing as they do in the
-// colocate grid.
+// EngineTickColo is EngineTick over the co-located fixture through
+// Engine.RunUntil: every pass with BE running, the controllers acting
+// every 2 s, and the caches missing as they do in the colocate grid. Each
+// RunUntil call advances one tick, so every block is one tick long and
+// each sojourn miss runs its Erlang-B recursion alone;
+// EngineControlPeriodColo runs the same fixture a control period per
+// call.
 func EngineTickColo(b *testing.B) {
 	f := colocatedEngine(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.e.RunUntil(f.e.Now().Add(engine.TickDt))
+	}
+}
+
+// EngineControlPeriodColo advances the co-located fixture one 2 s control
+// period per op through one Engine.RunUntil call, as the experiments run
+// it: the period's ticks form one block, whose operating points are
+// computed together and whose sojourn misses resolve in interleaved
+// Erlang-B lanes, followed by the control tick.
+func EngineControlPeriodColo(b *testing.B) {
+	const period = 2 * time.Second
+	f := colocatedEngine(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.e.RunUntil(f.e.Now().Add(period))
 	}
 }
 

@@ -13,17 +13,18 @@ import (
 // cmd/rhythm-bench can run them through testing.Benchmark; these wrappers
 // expose them to `go test -bench`.
 
-func BenchmarkTailTrackerAdd(b *testing.B)       { TailTrackerAdd(b) }
-func BenchmarkTailTrackerAddP99(b *testing.B)    { TailTrackerAddP99(b) }
-func BenchmarkTailTrackerWindowP99(b *testing.B) { TailTrackerWindowP99(b) }
-func BenchmarkEngineTick(b *testing.B)           { EngineTick(b) }
-func BenchmarkEngineTickInflation(b *testing.B)  { EngineTickInflation(b) }
-func BenchmarkEngineTickColo(b *testing.B)       { EngineTickColo(b) }
-func BenchmarkFleetTick(b *testing.B)            { FleetTick(b) }
-func BenchmarkPathP99(b *testing.B)              { PathP99(b) }
-func BenchmarkSampleKernel(b *testing.B)         { SampleKernel(b) }
-func BenchmarkUniformKernel(b *testing.B)        { UniformKernel(b) }
-func BenchmarkObsDisabled(b *testing.B)          { ObsDisabled(b) }
+func BenchmarkTailTrackerAdd(b *testing.B)          { TailTrackerAdd(b) }
+func BenchmarkTailTrackerAddP99(b *testing.B)       { TailTrackerAddP99(b) }
+func BenchmarkTailTrackerWindowP99(b *testing.B)    { TailTrackerWindowP99(b) }
+func BenchmarkEngineTick(b *testing.B)              { EngineTick(b) }
+func BenchmarkEngineTickInflation(b *testing.B)     { EngineTickInflation(b) }
+func BenchmarkEngineTickColo(b *testing.B)          { EngineTickColo(b) }
+func BenchmarkEngineControlPeriodColo(b *testing.B) { EngineControlPeriodColo(b) }
+func BenchmarkFleetTick(b *testing.B)               { FleetTick(b) }
+func BenchmarkPathP99(b *testing.B)                 { PathP99(b) }
+func BenchmarkSampleKernel(b *testing.B)            { SampleKernel(b) }
+func BenchmarkUniformKernel(b *testing.B)           { UniformKernel(b) }
+func BenchmarkObsDisabled(b *testing.B)             { ObsDisabled(b) }
 
 // TestObsDisabledZeroAllocs pins the observability contract in the test
 // suite (not just the bench harness): with no bus installed, the full set

@@ -43,6 +43,40 @@ func newApplyFixture(t *testing.T) (*Engine, *podRuntime, *obs.MemorySink) {
 	return e, p, sink
 }
 
+// TestRefusedLaunchAllocatesNothing pins the refusal path AllowBEGrowth
+// takes once per pod per control period on a full machine: launch checks
+// the agent's headroom before it formats the instance id, so it makes no
+// allocation and leaves the BE sequence alone.
+func TestRefusedLaunchAllocatesNothing(t *testing.T) {
+	e, err := New(Config{
+		Service: workload.Redis(),
+		Pattern: loadgen.Constant(0.3),
+		SLA:     0.00115,
+		Policy:  controller.NewHeracles(),
+		BETypes: []bejobs.Type{bejobs.CPUStress},
+		Seed:    7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := e.pods[0]
+	hog := cluster.Owner{Kind: cluster.OwnerBE, Name: "hog"}
+	if err := p.machine.Grant(hog, cluster.Alloc{Cores: p.machine.FreeCores()}); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { e.launch(p, 0) }); n != 0 {
+		t.Fatalf("refused launch allocates %v times, want 0", n)
+	}
+	if p.beSeq != 0 || len(p.instances) != 0 {
+		t.Fatalf("refused launch moved beSeq to %d with %d instances", p.beSeq, len(p.instances))
+	}
+	p.machine.Release(hog)
+	e.launch(p, 0)
+	if want := p.comp.Name + "-CPU-stress-0"; len(p.instances) != 1 || p.instances[0].ID != want {
+		t.Fatalf("launch after release: %d instances, want one %s", len(p.instances), want)
+	}
+}
+
 // beOpsOf filters the BE lifecycle ops out of a captured event stream, in
 // publication order.
 func beOpsOf(evs []obs.Event) []string {

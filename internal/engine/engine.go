@@ -60,6 +60,10 @@ const (
 	// aims a few percent below the target and worst-case noise stays
 	// within it (violations still count against the full SLA).
 	slaGuard = 0.12
+	// maxBlock, 32 ticks, caps the ticks RunUntil computes the operating
+	// points of together (one control period at the default 2 s, 20 or
+	// 21 ticks); it sizes the block scratch.
+	maxBlock = 32
 )
 
 // Tick constants: the inertia EMA coefficient 1-exp(-TickDt/inertiaTau)
@@ -349,9 +353,16 @@ type beInst struct {
 // pass re-syncs the derived BE caches (beDemand, beFreq, beCores,
 // instCache) before anything reads them. See DESIGN.md §14.
 type soaState struct {
-	// Per-tick demand and pressure (recomputed every tick).
+	// Demand and pressure at the latest tick the block phase reached.
+	// Both are pure in the load and the BE row, so they are recomputed
+	// only when a tick's load differs bitwise from prevLoad, the load of
+	// the tick before, or the row was re-synced (opNew); a storm fault
+	// changes pressure at a fixed load, so fault runs recompute pressure
+	// every tick.
 	lcDemand []cluster.Vector
 	press    []cluster.Vector
+	opNew    []bool
+	prevLoad float64
 
 	// BE aggregates, valid while beDirty is false: the machine's summed
 	// BE demand vector, the frequency subcontroller's current BE clock,
@@ -377,21 +388,40 @@ type soaState struct {
 	infOK    []bool
 	infTgt   [][2]float64
 
-	// Cached sojourn distribution per operating point. The sojourn pass
-	// recomputes Station.At — Erlang-C plus a lognormal fit — only when
-	// the (qps, inflate, cvInflate, muSkew, sigmaSkew) tuple changes; At
-	// is pure, so an unchanged tuple reuses the identical distribution.
-	// Constant-load runs (every profiling sweep level) pay Erlang-C once
-	// per pod. The two skew entries are the profile-drift fault
-	// multipliers and are constant 1 without a fault schedule. sjMu and
-	// sjSigma denormalize the log-space parameters so a sample is a bare
-	// exp(mu + sigma*normal) — bit-identical to sojourn.Sample, which is
-	// exactly that expression over these two fields.
+	// Cached sojourn distribution per operating point, as of the latest
+	// tick the block phase reached. The sojourn pass recomputes it —
+	// Erlang-C plus a lognormal fit — only when the (qps, inflate,
+	// cvInflate, muSkew, sigmaSkew) tuple changes; Station.At is pure, so
+	// an unchanged tuple reuses the identical distribution. Constant-load
+	// runs (every profiling sweep level) pay Erlang-C once per pod. The
+	// two skew entries are the profile-drift fault multipliers and are
+	// constant 1 without a fault schedule. sjMu and sjSigma denormalize
+	// the log-space parameters so a sample is a bare exp(mu +
+	// sigma*normal) — bit-identical to sojourn.Sample, which is exactly
+	// that expression over these two fields.
 	sojourn []queueing.Sojourn
 	sjKey   [][5]float64
 	sjOK    []bool
 	sjMu    []float64
 	sjSigma []float64
+
+	// Sojourn lanes: pod i's laneN[i] cache misses within the block, in
+	// tick order, at rows i*maxBlock+l — each miss's (qps, inflate,
+	// cvInflate) operating point, its (muSkew, sigmaSkew) and its tick.
+	// The block resolves a pod's misses in one Station.AtLanes call into
+	// laneOut.
+	laneLam  []float64
+	laneInf  []float64
+	laneCV   []float64
+	laneSkew [][2]float64
+	laneTick []int
+	laneN    []int
+	laneOut  []queueing.Sojourn
+
+	// Block scratch: the loads of the block's ticks, and the operating
+	// point the tick phase reads per tick k and pod i, at row k*pods+i.
+	blkLoad []float64
+	op      []opPoint
 
 	// Utilization accumulators.
 	cpu []metrics.Usage
@@ -421,6 +451,13 @@ type soaState struct {
 	cols     [][]float64
 
 	warmupAt sim.Time // end of Config.Warmup, precomputed once in New
+}
+
+// opPoint is one pod's operating point at one tick of a block, as the
+// tick phase reads it: the LC memory-bandwidth demand, the station
+// utilization and the denormalized sojourn parameters.
+type opPoint struct {
+	bw, util, mu, sigma float64
 }
 
 // samplePlan mirrors workload.Node with the component name resolved to a
@@ -496,7 +533,6 @@ type Engine struct {
 	// RunUntil calls so a chunked run is bitwise identical to one sweep.
 	cursor      sim.Time
 	nextControl sim.Time
-	clock       *sim.Clock
 
 	// evicted accumulates killed/crashed BE instances for TakeEvicted;
 	// only populated under Config.ExternalBE.
@@ -539,7 +575,6 @@ func New(cfg Config) (*Engine, error) {
 		tail:          metrics.NewTailTracker(TailWindow),
 		rng:           sim.NewRNG(cfg.Seed).Fork("engine"),
 		lastFaultScan: sim.Time(-1),
-		clock:         sim.NewClock(),
 		nextControl:   sim.Time(0).Add(cfg.ControlPeriod),
 		stats: &RunStats{
 			PerPod: make(map[string]*PodStats),
@@ -617,6 +652,7 @@ func (e *Engine) initSoA() {
 	s := &e.soa
 	s.lcDemand = make([]cluster.Vector, n)
 	s.press = make([]cluster.Vector, n)
+	s.opNew = make([]bool, n)
 	s.beDemand = make([]cluster.Vector, n)
 	s.beFreq = make([]float64, n)
 	s.beCores = make([]int, n)
@@ -632,6 +668,15 @@ func (e *Engine) initSoA() {
 	s.sjOK = make([]bool, n)
 	s.sjMu = make([]float64, n)
 	s.sjSigma = make([]float64, n)
+	s.laneLam = make([]float64, n*maxBlock)
+	s.laneInf = make([]float64, n*maxBlock)
+	s.laneCV = make([]float64, n*maxBlock)
+	s.laneSkew = make([][2]float64, n*maxBlock)
+	s.laneTick = make([]int, n*maxBlock)
+	s.laneN = make([]int, n)
+	s.laneOut = make([]queueing.Sojourn, maxBlock)
+	s.blkLoad = make([]float64, maxBlock)
+	s.op = make([]opPoint, n*maxBlock)
 	s.cpu = make([]metrics.Usage, n)
 	s.mbw = make([]metrics.Usage, n)
 	s.bet = make([]metrics.Usage, n)
@@ -756,22 +801,37 @@ func (e *Engine) Run(duration time.Duration) (*RunStats, error) {
 // interleave scheduler barriers between slices without perturbing any
 // per-machine byte. The caller owns end-of-run bookkeeping (stats.Duration,
 // obs run brackets); Run wraps this with both.
+//
+// RunUntil runs the ticks in blocks (runBlock). A block ends at the next
+// control tick or at end, whichever comes first, and holds at most
+// maxBlock ticks; under a fault schedule every block is one tick, because
+// crashes change BE state mid-period. The control tick runs after the
+// block's last tick.
 func (e *Engine) RunUntil(end sim.Time) *RunStats {
-	for ; e.cursor < end; e.cursor = e.cursor.Add(TickDt) {
-		now := e.cursor
-		e.clock.RunUntil(now)
-		load := e.cfg.Pattern.Load(now)
-		if e.cfg.Faults != nil {
-			// Load surges multiply the offered pattern; both the tick
-			// and the controller see the surged load, exactly as a
-			// real traffic spike would reach both.
-			load *= e.cfg.Faults.LoadMul(now)
+	s := &e.soa
+	for e.cursor < end {
+		n := 0
+		for now := e.cursor; now < end && n < maxBlock; now = now.Add(TickDt) {
+			load := e.cfg.Pattern.Load(now)
+			if e.cfg.Faults != nil {
+				// Load surges multiply the offered pattern; both the tick
+				// and the controller see the surged load, exactly as a
+				// real traffic spike would reach both.
+				load *= e.cfg.Faults.LoadMul(now)
+			}
+			s.blkLoad[n] = load
+			n++
+			if now >= e.nextControl || e.cfg.Faults != nil {
+				break
+			}
 		}
-		e.tick(now, load)
-		if now >= e.nextControl {
-			e.controlTick(now, load)
+		e.runBlock(e.cursor, n)
+		e.cursor = e.cursor.Add(time.Duration(n-1) * TickDt)
+		if e.cursor >= e.nextControl {
+			e.controlTick(e.cursor, s.blkLoad[n-1])
 			e.nextControl = e.nextControl.Add(e.cfg.ControlPeriod)
 		}
+		e.cursor = e.cursor.Add(TickDt)
 	}
 	return e.stats
 }
@@ -781,41 +841,57 @@ func (e *Engine) RunUntil(end sim.Time) *RunStats {
 func (e *Engine) Now() sim.Time { return e.cursor }
 
 // Step advances the engine by exactly one simulation tick at the given
-// virtual time and load fraction, without running the controllers. It is
-// the benchmark entry point for the per-tick hot path (cmd/rhythm-bench);
-// experiments go through Run, which drives Step's internals on the tick
-// grid and interleaves control decisions.
-func (e *Engine) Step(now sim.Time, load float64) { e.tick(now, load) }
+// virtual time and load fraction, without running the controllers: a
+// block of one tick. It is the benchmark entry point for the per-tick hot
+// path (cmd/rhythm-bench); experiments go through Run, which drives the
+// same blocks on the tick grid and interleaves control decisions.
+func (e *Engine) Step(now sim.Time, load float64) {
+	e.soa.blkLoad[0] = load
+	e.runBlock(now, 1)
+}
 
-// tick advances the world by one TickDt at the given load fraction as a
-// sequence of SoA passes. The differential tests pin it bit for bit to
-// the pre-SoA scalar tick (tickReference, reference_test.go): the
-// per-pod arithmetic is the same expressions in the same order, no pass
-// consumes engine RNG except the sampling step, and the sampling step
-// draws the identical frozen stream (draw-major, stage-minor — DESIGN.md
-// §9) through sim.LognormalDraws.
-func (e *Engine) tick(now sim.Time, load float64) {
-	qps := load * e.cfg.Service.MaxLoadQPS
-	measuring := now >= e.soa.warmupAt
-
+// runBlock advances the world by the n ticks from start, whose loads are
+// in blkLoad[:n], as two phases of SoA passes (DESIGN.md §14.1). Between
+// control ticks a machine's BE allocations are fixed, so the block phase
+// computes every tick's operating point — demand, pressure, inflation and
+// the sojourn fit — before any tick runs, and resolves each pod's
+// sojourn-cache misses together (resolveSojourn); it draws no RNG, emits
+// no event and writes no stats. The tick phase then runs utilization, BE
+// progress, sampling and the tick epilogue tick by tick. The differential
+// tests pin this bit for bit to the pre-SoA scalar tick run tick by tick
+// (tickReference, reference_test.go): the per-pod arithmetic is the same
+// expressions in the same order, and the sampling step, the only pass
+// that consumes engine RNG, draws the identical frozen stream
+// (draw-major, stage-minor — DESIGN.md §9) through sim.LognormalDraws.
+func (e *Engine) runBlock(start sim.Time, n int) {
 	// Fault hooks run first as sparse edits (crashes mutate the AoS view
 	// and mark rows dirty; storm/cap/drift magnitudes land in scratch
 	// rows), so the passes themselves stay branch-light. Pods are
 	// independent machines, so hoisting the per-pod crash check ahead of
 	// the arithmetic reorders nothing observable: within a tick the only
 	// scope events before the end-of-tick Tick event are the crash BE
-	// events, and they stay in pod order.
+	// events, and they stay in pod order. Fault blocks are one tick long.
 	if e.cfg.Faults != nil {
-		e.passFaults(now)
+		e.passFaults(start)
 	}
-	e.passDemand(load)
-	e.passPressure()
-	e.passInflation()
-	e.passSojourn(qps)
-	e.passUtilization(measuring)
-	e.passBEProgress(load, measuring)
-	e.passSample(now)
-	e.finishTick(now, load, qps, measuring)
+	for k := 0; k < n; k++ {
+		e.passDemand(k)
+		e.passPressure()
+		e.passInflation()
+		e.passSojourn(k)
+	}
+	e.resolveSojourn(n)
+
+	s := &e.soa
+	for k := 0; k < n; k++ {
+		now := start.Add(time.Duration(k) * TickDt)
+		load := s.blkLoad[k]
+		measuring := now >= s.warmupAt
+		e.passUtilization(k, measuring)
+		e.passBEProgress(k, load, measuring)
+		e.passSample(k, now)
+		e.finishTick(now, load, load*e.cfg.Service.MaxLoadQPS, measuring)
+	}
 }
 
 // passFaults applies crash triggers to the AoS view and gathers the
@@ -834,15 +910,27 @@ func (e *Engine) passFaults(now sim.Time) {
 	}
 }
 
-// passDemand gathers per-pod LC demand at the offered load and re-syncs
-// the BE caches of any row marked dirty since the last tick.
-func (e *Engine) passDemand(load float64) {
+// passDemand re-syncs the BE caches of any row marked dirty since the
+// last tick and gathers per-pod LC demand at block tick k's load, when
+// that load differs bitwise from the previous tick's or the row was
+// re-synced; opNew tells the pressure pass which rows moved.
+func (e *Engine) passDemand(k int) {
 	s := &e.soa
+	load := s.blkLoad[k]
+	moved := math.Float64bits(load) != math.Float64bits(s.prevLoad)
+	s.prevLoad = load
+	row := s.op[k*len(e.pods):]
 	for i, p := range e.pods {
-		s.lcDemand[i] = p.comp.DemandAt(load)
+		fresh := moved
 		if s.beDirty[i] {
 			e.refreshBE(i, p)
+			fresh = true
 		}
+		if fresh {
+			s.lcDemand[i] = p.comp.DemandAt(load)
+		}
+		s.opNew[i] = fresh
+		row[i].bw = s.lcDemand[i][cluster.ResMemBW]
 	}
 }
 
@@ -871,14 +959,17 @@ func (e *Engine) refreshBE(i int, p *podRuntime) {
 // markDirty flags a pod's SoA row for re-sync on the next tick.
 func (e *Engine) markDirty(p *podRuntime) { e.soa.beDirty[p.idx] = true }
 
-// passPressure maps demand to the interference pressure vector, with
-// storm faults multiplying the pressure before the inflation map — a
-// storm behaves exactly like that much more BE demand hammering the
-// machine.
+// passPressure maps demand to the interference pressure vector on the
+// rows whose demand moved, with storm faults multiplying the pressure
+// before the inflation map — a storm behaves exactly like that much more
+// BE demand hammering the machine.
 func (e *Engine) passPressure() {
 	s := &e.soa
 	faultsOn := e.cfg.Faults != nil
 	for i, p := range e.pods {
+		if !s.opNew[i] && !faultsOn {
+			continue
+		}
 		press := e.cfg.Model.Pressure(p.machine.Spec, s.lcDemand[i], s.beDemand[i])
 		if faultsOn {
 			if m := s.stormMul[i]; m != 1 {
@@ -917,45 +1008,86 @@ func (e *Engine) passInflation() {
 	}
 }
 
-// passSojourn refreshes the cached sojourn distribution of every pod
-// whose (qps, inflate, cvInflate, muSkew, sigmaSkew) key changed.
-func (e *Engine) passSojourn(qps float64) {
+// passSojourn checks every pod's (qps, inflate, cvInflate, muSkew,
+// sigmaSkew) key at block tick k against the cached one and queues each
+// miss as a lane for resolveSojourn. A hit reads the cached
+// distribution, which is the tick's own unless a miss earlier in the
+// block is still pending; resolveSojourn rewrites every tick from a pod's
+// first miss on.
+func (e *Engine) passSojourn(k int) {
 	s := &e.soa
+	qps := s.blkLoad[k] * e.cfg.Service.MaxLoadQPS
 	faultsOn := e.cfg.Faults != nil
-	for i, p := range e.pods {
+	row := s.op[k*len(e.pods):]
+	for i := range e.pods {
 		muSkew, sigmaSkew := 1.0, 1.0
 		if faultsOn {
 			muSkew, sigmaSkew = s.muSkew[i], s.sigSkew[i]
 		}
-		key := [5]float64{qps, s.inflate[i], s.cvInfl[i], muSkew, sigmaSkew}
-		if s.sjOK[i] && key == s.sjKey[i] {
+		inflate, cvInflate := s.inflate[i], s.cvInfl[i]
+		// Field by field, so the hit path compares inline; == on the
+		// [5]float64 key calls the runtime's array equality.
+		if key := &s.sjKey[i]; s.sjOK[i] && key[0] == qps && key[1] == inflate &&
+			key[2] == cvInflate && key[3] == muSkew && key[4] == sigmaSkew {
+			row[i].util, row[i].mu, row[i].sigma = s.sojourn[i].Utilization, s.sjMu[i], s.sjSigma[i]
 			continue
 		}
-		s.sojourn[i] = p.comp.Station.At(qps, s.inflate[i], s.cvInfl[i], 1)
-		mu, sigma := s.sojourn[i].LogParams()
-		// Profile drift skews the fitted lognormal away from what was
-		// profiled: the mean by muSkew (an additive log-space shift),
-		// the log-space sigma by sigmaSkew.
-		if muSkew != 1 {
-			mu += math.Log(muSkew)
+		l := i*maxBlock + s.laneN[i]
+		s.laneLam[l], s.laneInf[l], s.laneCV[l] = qps, inflate, cvInflate
+		s.laneSkew[l], s.laneTick[l] = [2]float64{muSkew, sigmaSkew}, k
+		s.laneN[i]++
+		s.sjKey[i] = [5]float64{qps, inflate, cvInflate, muSkew, sigmaSkew}
+		s.sjOK[i] = true
+	}
+}
+
+// resolveSojourn computes each pod's queued sojourn lanes in one
+// Station.AtLanes call — the block's Erlang-B recursions interleaved —
+// and fills the operating point of the block's ticks from the pod's first
+// miss to the last of its n ticks, carrying the cached distribution
+// forward over the ticks that hit.
+func (e *Engine) resolveSojourn(n int) {
+	s := &e.soa
+	pods := len(e.pods)
+	for i, p := range e.pods {
+		lo, lanes := i*maxBlock, s.laneN[i]
+		if lanes == 0 {
+			continue
 		}
-		if sigmaSkew != 1 {
-			sigma *= sigmaSkew
+		p.comp.Station.AtLanes(s.laneOut[:lanes], s.laneLam[lo:], s.laneInf[lo:], s.laneCV[lo:], 1)
+		l := 0
+		for k := s.laneTick[lo]; k < n; k++ {
+			if l < lanes && s.laneTick[lo+l] == k {
+				mu, sigma := s.laneOut[l].LogParams()
+				// Profile drift skews the fitted lognormal away from
+				// what was profiled: the mean by muSkew (an additive
+				// log-space shift), the log-space sigma by sigmaSkew.
+				if muSkew := s.laneSkew[lo+l][0]; muSkew != 1 {
+					mu += math.Log(muSkew)
+				}
+				if sigmaSkew := s.laneSkew[lo+l][1]; sigmaSkew != 1 {
+					sigma *= sigmaSkew
+				}
+				s.sojourn[i], s.sjMu[i], s.sjSigma[i] = s.laneOut[l], mu, sigma
+				l++
+			}
+			op := &s.op[k*pods+i]
+			op.util, op.mu, op.sigma = s.sojourn[i].Utilization, s.sjMu[i], s.sjSigma[i]
 		}
-		s.sjMu[i], s.sjSigma[i] = mu, sigma
-		s.sjKey[i], s.sjOK[i] = key, true
+		s.laneN[i] = 0
 	}
 }
 
 // passUtilization does the utilization accounting: LC cores are busy in
 // proportion to station utilization, BE cores are fully busy while
 // running.
-func (e *Engine) passUtilization(measuring bool) {
+func (e *Engine) passUtilization(k int, measuring bool) {
 	s := &e.soa
+	row := s.op[k*len(e.pods):]
 	for i, p := range e.pods {
-		lcBusy := float64(p.comp.Cores) * s.sojourn[i].Utilization
+		lcBusy := float64(p.comp.Cores) * row[i].util
 		cpuUtil := (lcBusy + float64(s.beCores[i])) / float64(p.machine.Spec.Cores)
-		lcBW := s.lcDemand[i][cluster.ResMemBW]
+		lcBW := row[i].bw
 		servedBW := lcBW + minf(s.beDemand[i][cluster.ResMemBW], p.machine.Spec.MemBWGBs-lcBW)
 		mbwUtil := sim.Clamp(servedBW/p.machine.Spec.MemBWGBs, 0, 1)
 		if measuring {
@@ -969,13 +1101,14 @@ func (e *Engine) passUtilization(measuring bool) {
 // bandwidth the machine can actually serve and by DVFS throttling, with
 // per-instance grants read from the dirty-synced instCache instead of a
 // per-tick allocation map lookup.
-func (e *Engine) passBEProgress(load float64, measuring bool) {
+func (e *Engine) passBEProgress(k int, load float64, measuring bool) {
 	s := &e.soa
 	faultsOn := e.cfg.Faults != nil
+	row := s.op[k*len(e.pods):]
 	for i, p := range e.pods {
 		sat := 1.0
 		if s.beDemand[i][cluster.ResMemBW] > 0 {
-			avail := p.machine.Spec.MemBWGBs - s.lcDemand[i][cluster.ResMemBW]
+			avail := p.machine.Spec.MemBWGBs - row[i].bw
 			if avail < 0 {
 				avail = 0
 			}
@@ -1027,18 +1160,19 @@ func (e *Engine) passBEProgress(load float64, measuring bool) {
 	}
 }
 
-// passSample draws the tick's end-to-end latency samples: gather the
+// passSample draws block tick k's end-to-end latency samples: gather the
 // per-stage lognormal parameters, fill the draw matrix in the frozen
 // stream order with sim.LognormalDraws, then combine the rows column-wise
 // through the sampling plan — the exact Node.Latency recursion per row —
 // and bulk-insert into the tail window. CollectSamples replays the rows into the per-pod
 // sample slices in the same element order the scalar walk appended them.
-func (e *Engine) passSample(now sim.Time) {
+func (e *Engine) passSample(k int, now sim.Time) {
 	s := &e.soa
 	n := SamplesPerTick
 	stages := len(s.stagePod)
+	row := s.op[k*len(e.pods):]
 	for j, pi := range s.stagePod {
-		s.stageMu[j], s.stageSig[j] = s.sjMu[pi], s.sjSigma[pi]
+		s.stageMu[j], s.stageSig[j] = row[pi].mu, row[pi].sigma
 	}
 	sim.LognormalDraws(s.vals, s.stageMu, s.stageSig, e.rng)
 	s.plan.evalCols(s.lats, s.vals, stages, s.cols)
@@ -1076,25 +1210,29 @@ func (e *Engine) finishTick(now sim.Time, load, qps float64, measuring bool) {
 	e.lastFaultScan = now
 }
 
-// RunPass executes one named pass of the SoA tick in isolation at the
-// given time and load — the per-pass cost-attribution entry point for
-// internal/benchmarks and cmd/rhythm-bench. Valid names: "demand" (LC
-// demand gather + dirty BE re-sync), "inflation" (pressure + inflation +
-// inertia), "sojourn" (cache-key check and refresh), "sample" (draw
-// matrix + plan combine + tail insert; consumes engine RNG). Reports
-// false for an unknown name. Experiments never call this; they go
-// through Run/RunUntil.
+// RunPass executes one named pass of the SoA tick in isolation, as in a
+// block of one tick at the given time and load — the per-pass
+// cost-attribution entry point for internal/benchmarks and
+// cmd/rhythm-bench. Valid names: "demand" (dirty BE re-sync + LC demand
+// gather when the load moved), "inflation" (pressure where the demand
+// moved + inflation + inertia), "sojourn" (cache-key check and refresh),
+// "sample" (draw matrix + plan combine + tail insert at the block's first
+// tick's operating point; consumes engine RNG). Reports false for an
+// unknown name. Experiments never call this; they go through
+// Run/RunUntil.
 func (e *Engine) RunPass(name string, now sim.Time, load float64) bool {
+	e.soa.blkLoad[0] = load
 	switch name {
 	case "demand":
-		e.passDemand(load)
+		e.passDemand(0)
 	case "inflation":
 		e.passPressure()
 		e.passInflation()
 	case "sojourn":
-		e.passSojourn(load * e.cfg.Service.MaxLoadQPS)
+		e.passSojourn(0)
+		e.resolveSojourn(1)
 	case "sample":
-		e.passSample(now)
+		e.passSample(0, now)
 	default:
 		return false
 	}
@@ -1395,25 +1533,37 @@ func (e *Engine) resume(p *podRuntime, now sim.Time) {
 	e.markDirty(p)
 }
 
-// launch admits one new BE instance with the §3.5.2 starting slice.
+// launch admits one new BE instance with the §3.5.2 starting slice. A
+// machine without headroom refuses before the instance id is formatted,
+// so the refusal allocates nothing.
 func (e *Engine) launch(p *podRuntime, now sim.Time) {
 	if e.cfg.Faults != nil && e.cfg.Faults.CrashBlocked(now, p.comp.Name) {
 		return // crash restart delay: the BE runtime is still coming back
 	}
-	ty := e.cfg.BETypes[p.beSeq%len(e.cfg.BETypes)]
-	id := fmt.Sprintf("%s-%s-%d", p.comp.Name, ty, p.beSeq)
-	if err := p.agent.LaunchBE(id); err != nil {
+	if !p.agent.CanLaunchBE() {
 		return // no headroom; try again next period
+	}
+	ty := e.cfg.BETypes[p.beSeq%len(e.cfg.BETypes)]
+	e.place(p, fmt.Sprintf("%s-%s-%d", p.comp.Name, ty, p.beSeq), ty, now)
+}
+
+// place grants a new BE instance its starting slice on p's machine and
+// adds it to the pod, reporting false — and leaving the machine
+// untouched — when the agent refuses it or the type is unknown.
+func (e *Engine) place(p *podRuntime, id string, ty bejobs.Type, now sim.Time) bool {
+	if err := p.agent.LaunchBE(id); err != nil {
+		return false
 	}
 	in, err := bejobs.NewInstance(id, ty)
 	if err != nil {
 		p.agent.KillBE(id)
-		return
+		return false
 	}
 	p.beSeq++
 	p.instances = append(p.instances, in)
 	e.markDirty(p)
 	e.beEvent(now, p, id, "launch")
+	return true
 }
 
 // EvictedBE is one BE instance the machine evicted — a policy kill
@@ -1472,19 +1622,7 @@ func (e *Engine) AdmitBE(pod string, ty bejobs.Type, id string) bool {
 	if e.cfg.Faults != nil && e.cfg.Faults.CrashBlocked(e.cursor, pod) {
 		return false
 	}
-	if err := p.agent.LaunchBE(id); err != nil {
-		return false
-	}
-	in, err := bejobs.NewInstance(id, ty)
-	if err != nil {
-		p.agent.KillBE(id)
-		return false
-	}
-	p.beSeq++
-	p.instances = append(p.instances, in)
-	e.markDirty(p)
-	e.beEvent(e.cursor, p, id, "launch")
-	return true
+	return e.place(p, id, ty, e.cursor)
 }
 
 // TakeEvicted returns the BE instances evicted since the last call and

@@ -28,10 +28,75 @@ type pairedOutcome struct {
 	events    []obs.Event
 }
 
-// runOnce executes cfg for dur with the given tick implementation
-// (ref true = the pre-SoA scalar oracle) under a fresh memory-sink bus and
-// captures the outcome.
-func runOnce(t *testing.T, cfg Config, dur time.Duration, ref bool) pairedOutcome {
+// runner drives a fresh engine through a run of the given duration and
+// returns its stats.
+type runner func(e *Engine, duration time.Duration) *RunStats
+
+// runBlocks is Run itself: the block-phase engine in one RunUntil sweep.
+func runBlocks(t *testing.T) runner {
+	return func(e *Engine, duration time.Duration) *RunStats {
+		st, err := e.Run(duration)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+}
+
+// runSliced is Run with the sweep cut into RunUntil calls of the given
+// number of ticks, so blocks also end at slice boundaries that fall
+// between control ticks.
+func runSliced(ticks int) runner {
+	return func(e *Engine, duration time.Duration) *RunStats {
+		return bracketed(e, duration, func(end sim.Time) {
+			for e.cursor < end {
+				e.RunUntil(min(e.cursor.Add(time.Duration(ticks)*TickDt), end))
+			}
+		})
+	}
+}
+
+// runReference is Run driven by tickReference: one scalar tick at a time
+// on the tick grid, with the control tick after each tick that reaches
+// the control boundary.
+func runReference(e *Engine, duration time.Duration) *RunStats {
+	return bracketed(e, duration, func(end sim.Time) {
+		for ; e.cursor < end; e.cursor = e.cursor.Add(TickDt) {
+			now := e.cursor
+			load := e.cfg.Pattern.Load(now)
+			if e.cfg.Faults != nil {
+				load *= e.cfg.Faults.LoadMul(now)
+			}
+			e.tickReference(now, load)
+			if now >= e.nextControl {
+				e.controlTick(now, load)
+				e.nextControl = e.nextControl.Add(e.cfg.ControlPeriod)
+			}
+		}
+	})
+}
+
+// bracketed wraps advance, which must bring the engine to the end of the
+// run, in Run's stats bookkeeping and obs run brackets.
+func bracketed(e *Engine, duration time.Duration, advance func(end sim.Time)) *RunStats {
+	e.stats.Duration = duration
+	end := sim.Time(0).Add(duration)
+	if e.obsScope.Enabled() {
+		e.obsRuns.Inc()
+		e.obsScope.RunPhase(0, "start", fmt.Sprintf("service=%s policy=%s sla=%gs duration=%v seed=%d",
+			e.cfg.Service.Name, e.stats.Policy, e.cfg.SLA, duration, e.cfg.Seed))
+	}
+	advance(end)
+	if e.obsScope.Enabled() {
+		e.obsScope.RunPhase(int64(end), "end", fmt.Sprintf("worst_p99=%gs violations=%d",
+			e.stats.WorstP99, e.stats.Violations))
+	}
+	return e.stats
+}
+
+// runOnce executes cfg for dur through run under a fresh memory-sink bus
+// and captures the outcome.
+func runOnce(t *testing.T, cfg Config, dur time.Duration, run runner) pairedOutcome {
 	t.Helper()
 	sink := &obs.MemorySink{}
 	obs.Install(obs.NewBus(sink))
@@ -40,12 +105,7 @@ func runOnce(t *testing.T, cfg Config, dur time.Duration, ref bool) pairedOutcom
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st *RunStats
-	if ref {
-		st = runReference(e, dur)
-	} else if st, err = e.Run(dur); err != nil {
-		t.Fatal(err)
-	}
+	st := run(e, dur)
 	out := pairedOutcome{stats: st, tailN: e.tail.N(), events: sink.Events()}
 	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
 		out.quantiles = append(out.quantiles, e.tail.Quantile(q))
@@ -53,43 +113,19 @@ func runOnce(t *testing.T, cfg Config, dur time.Duration, ref bool) pairedOutcom
 	return out
 }
 
-// runReference is Run driven by tickReference: the same obs run brackets
-// around the same RunUntil loop, with the scalar tick in place of the
-// passes.
-func runReference(e *Engine, duration time.Duration) *RunStats {
-	e.stats.Duration = duration
-	end := sim.Time(0).Add(duration)
-	if e.obsScope.Enabled() {
-		e.obsRuns.Inc()
-		e.obsScope.RunPhase(0, "start", fmt.Sprintf("service=%s policy=%s sla=%gs duration=%v seed=%d",
-			e.cfg.Service.Name, e.stats.Policy, e.cfg.SLA, duration, e.cfg.Seed))
-	}
-	for ; e.cursor < end; e.cursor = e.cursor.Add(TickDt) {
-		now := e.cursor
-		e.clock.RunUntil(now)
-		load := e.cfg.Pattern.Load(now)
-		if e.cfg.Faults != nil {
-			load *= e.cfg.Faults.LoadMul(now)
-		}
-		e.tickReference(now, load)
-		if now >= e.nextControl {
-			e.controlTick(now, load)
-			e.nextControl = e.nextControl.Add(e.cfg.ControlPeriod)
-		}
-	}
-	if e.obsScope.Enabled() {
-		e.obsScope.RunPhase(int64(end), "end", fmt.Sprintf("worst_p99=%gs violations=%d",
-			e.stats.WorstP99, e.stats.Violations))
-	}
-	return e.stats
-}
-
-// assertPairedEqual runs cfg through both tick implementations and
-// requires bitwise-identical outcomes.
+// assertPairedEqual runs cfg through the block-phase engine (Run) and the
+// scalar reference and requires bitwise-identical outcomes.
 func assertPairedEqual(t *testing.T, cfg Config, dur time.Duration) {
 	t.Helper()
-	soa := runOnce(t, cfg, dur, false)
-	ref := runOnce(t, cfg, dur, true)
+	assertRunnerMatches(t, cfg, dur, runBlocks(t))
+}
+
+// assertRunnerMatches runs cfg through run and through the scalar
+// reference and requires bitwise-identical outcomes.
+func assertRunnerMatches(t *testing.T, cfg Config, dur time.Duration, run runner) {
+	t.Helper()
+	soa := runOnce(t, cfg, dur, run)
+	ref := runOnce(t, cfg, dur, runReference)
 	if !reflect.DeepEqual(soa.stats, ref.stats) {
 		t.Errorf("RunStats diverged:\nsoa: worstP99=%v meanP99=%v viol=%d kills=%d\nref: worstP99=%v meanP99=%v viol=%d kills=%d",
 			soa.stats.WorstP99, soa.stats.MeanP99, soa.stats.Violations, soa.stats.TotalKills(),
@@ -127,12 +163,15 @@ func eventsBitEqual(a, b obs.Event) bool {
 		math.Float64bits(a.QPS) == math.Float64bits(b.QPS)
 }
 
-// TestTickSoAMatchesScalar is the tentpole's differential gate: the
-// chunked SoA pass sequence must be bitwise-equal to the retained scalar
+// TestTickSoAMatchesScalar is the SoA engine's differential gate: the
+// block-phase pass sequence must be bitwise-equal to the retained scalar
 // tick across randomized configurations — services, policies, load
-// patterns, warmups, sample counts, self-admission vs external mode — and
-// across every fault preset, whose crash/storm/slowdown/drift/dropout
-// hooks exercise the sparse-edit path between passes.
+// patterns, warmups, sample counts, self-admission vs external mode —
+// across rows whose block boundaries matter (loads that move every tick,
+// a control period off the 2 s grid, RunUntil slices that cut blocks
+// between control ticks), and across every fault preset, whose
+// crash/storm/slowdown/drift/dropout hooks exercise the sparse-edit path
+// between passes.
 func TestTickSoAMatchesScalar(t *testing.T) {
 	rng := sim.NewRNG(2020).Fork("soa-differential")
 	services := []func() *workload.Service{workload.Redis, workload.ECommerce}
@@ -169,6 +208,55 @@ func TestTickSoAMatchesScalar(t *testing.T) {
 		})
 	}
 
+	// Block boundaries: every row runs with BE under Heracles, so BE
+	// allocations move at each control tick and the operating points of
+	// each block differ from the previous block's.
+	colo := func(pattern loadgen.Pattern) Config {
+		return Config{
+			Service: workload.ECommerce(),
+			Pattern: pattern,
+			SLA:     0.25,
+			Policy:  controller.NewHeracles(),
+			BETypes: []bejobs.Type{bejobs.Wordcount, bejobs.StreamLLC},
+			Seed:    2020,
+			Warmup:  2 * time.Second,
+		}
+	}
+	// Algorithm 1's trial shape (FindSlacklimits): tl/2 -> tl -> tl, the
+	// load moving on every tick of the ramp and flat after it.
+	ramp := loadgen.Replay{Samples: []float64{0.35, 0.7, 0.7}, Spacing: 6 * time.Second}
+	diurnal, err := loadgen.NewDiurnal(12*time.Second, 0.3, 0.85, 0.05, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("trial-ramp", func(t *testing.T) { assertPairedEqual(t, colo(ramp), 20*time.Second) })
+	t.Run("diurnal", func(t *testing.T) { assertPairedEqual(t, colo(diurnal), 20*time.Second) })
+	t.Run("period-1.35s", func(t *testing.T) {
+		cfg := colo(ramp)
+		cfg.ControlPeriod = 1350 * time.Millisecond
+		assertPairedEqual(t, cfg, 20*time.Second)
+	})
+	t.Run("period-4.5s", func(t *testing.T) {
+		// Longer than maxBlock ticks: the period spans several blocks.
+		cfg := colo(diurnal)
+		cfg.ControlPeriod = 4500 * time.Millisecond
+		assertPairedEqual(t, cfg, 20*time.Second)
+	})
+	t.Run("sweep-solo", func(t *testing.T) {
+		// A profiling sweep's shape with no BE: the sojourn cache hits on
+		// every tick but the first of each level, and the levels change
+		// mid-block, so a block's hits must read the distribution of their
+		// own tick, not one a previous block left in the same row.
+		assertPairedEqual(t, Config{
+			Service: workload.ECommerce(),
+			Pattern: loadgen.Step{Levels: []float64{0.3, 0.6, 0.45, 0.8}, Dwell: 3 * time.Second},
+			Seed:    2020,
+		}, 14*time.Second)
+	})
+	t.Run("sliced-7-ticks", func(t *testing.T) {
+		assertRunnerMatches(t, colo(ramp), 20*time.Second, runSliced(7))
+	})
+
 	// Fault presets on the Rhythm policy over the full E-commerce graph:
 	// the sparse fault edits (crash kills marking rows dirty, storm and
 	// cap scratch, drift skews, dropout-degraded control) must leave both
@@ -195,6 +283,58 @@ func TestTickSoAMatchesScalar(t *testing.T) {
 		}
 		assertPairedEqual(t, faultCfg(t, sched), 35*time.Second)
 	})
+}
+
+// TestStepMatchesReferenceTick holds Step, a block of one tick, to one
+// scalar reference tick: two engines warmed identically with BE running
+// take the same ticks at loads that repeat, move and return, and must
+// agree in their stats, tail window and operating-point rows after each.
+func TestStepMatchesReferenceTick(t *testing.T) {
+	cfg := Config{
+		Service: workload.ECommerce(),
+		Pattern: loadgen.Constant(0.6),
+		SLA:     0.25,
+		Policy:  controller.NewHeracles(),
+		BETypes: []bejobs.Type{bejobs.StreamLLC},
+		Seed:    2020,
+	}
+	var engines [2]*Engine
+	for i := range engines {
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.RunUntil(sim.FromSeconds(10))
+		engines[i] = e
+	}
+	blk, ref := engines[0], engines[1]
+	now := blk.Now()
+	for i, load := range []float64{0.6, 0.6, 0.75, math.Nextafter(0.75, 1), 0.6, 0.6} {
+		blk.Step(now, load)
+		ref.tickReference(now, load)
+		now = now.Add(TickDt)
+		if !reflect.DeepEqual(blk.stats, ref.stats) {
+			t.Fatalf("step %d: RunStats diverged", i)
+		}
+		for _, q := range []float64{0, 0.5, 0.99, 1} {
+			if a, b := blk.tail.Quantile(q), ref.tail.Quantile(q); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("step %d: tail q%v = %v, reference %v", i, q, a, b)
+			}
+		}
+		for _, row := range []struct {
+			name     string
+			got, ref []float64
+		}{
+			{"inflate", blk.soa.inflate, ref.soa.inflate},
+			{"cvInfl", blk.soa.cvInfl, ref.soa.cvInfl},
+			{"sjMu", blk.soa.sjMu, ref.soa.sjMu},
+			{"sjSigma", blk.soa.sjSigma, ref.soa.sjSigma},
+		} {
+			if !reflect.DeepEqual(row.got, row.ref) {
+				t.Fatalf("step %d: %s = %v, reference %v", i, row.name, row.got, row.ref)
+			}
+		}
+	}
 }
 
 // TestEvalColsMatchesLatency holds the column-wise combine to the

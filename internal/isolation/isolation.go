@@ -25,6 +25,27 @@ type Agent struct {
 	Machine *cluster.Machine
 	// LCOwner is the Servpod whose SLA the agent protects.
 	LCOwner cluster.Owner
+
+	// refusal backs LaunchBE's no-headroom error, so a refused launch —
+	// once per pod per control period under AllowBEGrowth on a full
+	// machine — allocates nothing.
+	refusal headroomError
+}
+
+// headroomError reports a BE launch refused for lack of headroom. It
+// formats its message on demand, like cluster's overcommit error, from
+// the free capacity recorded at the refusal.
+type headroomError struct {
+	machine string
+	id      string
+	cores   int
+	ways    int
+	memGB   float64
+}
+
+func (e *headroomError) Error() string {
+	return fmt.Sprintf("isolation: no headroom on %s for BE %s (cores %d, ways %d, mem %.0f GB free)",
+		e.machine, e.id, e.cores, e.ways, e.memGB)
 }
 
 // NewAgent returns an agent managing machine m for the named Servpod.
@@ -48,19 +69,26 @@ func beOwner(id string) cluster.Owner {
 	return cluster.Owner{Kind: cluster.OwnerBE, Name: id}
 }
 
+// CanLaunchBE reports whether the machine has headroom for LaunchBE's
+// initial slice: one free core, one LLC step and 2 GB of memory.
+func (a *Agent) CanLaunchBE() bool {
+	return !(a.Machine.FreeCores() < 1 || a.Machine.FreeLLCWays() < a.waysPerStep() ||
+		a.Machine.FreeMemoryGB() < 2)
+}
+
 // LaunchBE grants a fresh BE instance its initial slice: one core, 10% of
 // the LLC, and 2 GB of memory (§3.5.2), at the machine's nominal frequency.
-// It fails when the machine lacks headroom.
+// It fails when the machine lacks headroom (CanLaunchBE is false); that
+// error is valid until the agent's next refusal.
 func (a *Agent) LaunchBE(id string) error {
-	ways := a.waysPerStep()
-	if a.Machine.FreeCores() < 1 || a.Machine.FreeLLCWays() < ways ||
-		a.Machine.FreeMemoryGB() < 2 {
-		return fmt.Errorf("isolation: no headroom on %s for BE %s (cores %d, ways %d, mem %.0f GB free)",
-			a.Machine.Name, id, a.Machine.FreeCores(), a.Machine.FreeLLCWays(), a.Machine.FreeMemoryGB())
+	if !a.CanLaunchBE() {
+		a.refusal = headroomError{machine: a.Machine.Name, id: id,
+			cores: a.Machine.FreeCores(), ways: a.Machine.FreeLLCWays(), memGB: a.Machine.FreeMemoryGB()}
+		return &a.refusal
 	}
 	return a.Machine.Grant(beOwner(id), cluster.Alloc{
 		Cores:    1,
-		LLCWays:  ways,
+		LLCWays:  a.waysPerStep(),
 		MemoryGB: 2,
 		FreqGHz:  a.Machine.Spec.MaxGHz,
 	})

@@ -46,8 +46,19 @@ func TestLaunchBEFailsWithoutHeadroom(t *testing.T) {
 	if err := a.PinLC(40, 18, 100, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.LaunchBE("x"); err == nil {
+	if a.CanLaunchBE() {
+		t.Fatal("CanLaunchBE with no free cores")
+	}
+	err := a.LaunchBE("x")
+	if err == nil {
 		t.Fatal("launch should fail with no free cores")
+	}
+	const want = "isolation: no headroom on m0 for BE x (cores 0, ways 2, mem 156 GB free)"
+	if got := err.Error(); got != want {
+		t.Fatalf("refusal = %q, want %q", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = a.LaunchBE("x") }); n != 0 {
+		t.Fatalf("refused LaunchBE allocates %v times, want 0", n)
 	}
 }
 

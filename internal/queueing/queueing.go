@@ -52,29 +52,6 @@ func (s Station) Validate() error {
 	return nil
 }
 
-// ErlangC returns the probability that an arriving request must wait in an
-// M/M/c queue with offered load a = lambda/mu and c servers. It uses the
-// numerically stable iterative form of the Erlang-B recursion.
-func ErlangC(c int, a float64) float64 {
-	if c <= 0 {
-		return 1
-	}
-	if a <= 0 {
-		return 0
-	}
-	rho := a / float64(c)
-	if rho >= 1 {
-		return 1
-	}
-	// Erlang-B via recursion: B(0)=1; B(k) = a*B(k-1)/(k + a*B(k-1)).
-	b := 1.0
-	for k := 1; k <= c; k++ {
-		b = a * b / (float64(k) + a*b)
-	}
-	// Erlang-C from Erlang-B.
-	return b / (1 - rho*(1-b))
-}
-
 // Sojourn is the analytic sojourn-time distribution of a station at a given
 // operating point.
 type Sojourn struct {
@@ -111,7 +88,8 @@ const maxUtilization = 0.985
 // At returns the sojourn distribution when requests arrive at rate lambda
 // (per second) and interference inflates the mean service time by the
 // factor inflate (>= 1) and the service-time CV by cvInflate (>= 1).
-// freqScale scales the service rate for DVFS (1 = nominal frequency).
+// freqScale scales the service rate for DVFS (1 = nominal frequency). It
+// is the one-lane case of AtLanes.
 //
 // Degenerate operating points are clamped rather than propagated: a
 // negative or NaN lambda models as an idle station (rate 0), matching how
@@ -119,35 +97,112 @@ const maxUtilization = 0.985
 // no offered load — instead of poisoning the lognormal fit with NaNs and
 // panicking deep inside NewLognormal.
 func (s Station) At(lambda, inflate, cvInflate, freqScale float64) Sojourn {
-	if !(lambda > 0) {
-		lambda = 0 // negative or NaN offered load: idle
-	}
-	if inflate < 1 {
-		inflate = 1
-	}
-	if cvInflate < 1 {
-		cvInflate = 1
-	}
+	var out [1]Sojourn
+	s.AtLanes(out[:], []float64{lambda}, []float64{inflate}, []float64{cvInflate}, freqScale)
+	return out[0]
+}
+
+// lanes is AtLanes' interleave width: the number of Erlang-B recursions
+// one pass of erlangB advances side by side.
+const lanes = 4
+
+// AtLanes sets dst[j] to the sojourn distribution at the operating point
+// (lambda[j], inflate[j], cvInflate[j]) and freqScale, as At defines it,
+// for every lane j < len(dst); the three input slices are at least that
+// long. It runs up to four lanes' Erlang-B recursions interleaved, so
+// their dependent divisions overlap instead of queueing one behind
+// another. Each lane performs At's scalar IEEE operations in At's order,
+// so every dst[j] has the bits of a lone At call.
+func (s Station) AtLanes(dst []Sojourn, lambda, inflate, cvInflate []float64, freqScale float64) {
 	if freqScale <= 0 {
 		freqScale = 1
 	}
-	service := s.BaseService * inflate / freqScale
-	if s.ServiceLoadFactor > 0 {
-		// Internal contention grows with nominal utilization.
-		rhoNom := lambda * service / float64(s.Workers)
-		if rhoNom > 1 {
-			rhoNom = 1
+	c := float64(s.Workers)
+	for lo := 0; lo < len(dst); lo += lanes {
+		n := min(lanes, len(dst)-lo)
+		var service, mu, a, rho [lanes]float64
+		for j := 0; j < n; j++ {
+			lam, infl := lambda[lo+j], inflate[lo+j]
+			if !(lam > 0) {
+				lam = 0 // negative or NaN offered load: idle
+			}
+			if infl < 1 {
+				infl = 1
+			}
+			svc := s.BaseService * infl / freqScale
+			if s.ServiceLoadFactor > 0 {
+				// Internal contention grows with nominal utilization.
+				rhoNom := lam * svc / c
+				if rhoNom > 1 {
+					rhoNom = 1
+				}
+				svc *= 1 + s.ServiceLoadFactor*rhoNom*rhoNom
+			}
+			m := 1 / svc
+			aj := lam / m // offered load in Erlangs
+			r := aj / c
+			if r > maxUtilization {
+				r = maxUtilization
+				aj = r * c
+			}
+			service[j], mu[j], a[j], rho[j] = svc, m, aj, r
 		}
-		service *= 1 + s.ServiceLoadFactor*rhoNom*rhoNom
+		var b [lanes]float64
+		b[0], b[1], b[2], b[3] = erlangB(s.Workers, &a, n)
+		for j := 0; j < n; j++ {
+			cvInfl := cvInflate[lo+j]
+			if cvInfl < 1 {
+				cvInfl = 1
+			}
+			s.finish(&dst[lo+j], service[j], mu[j], a[j], rho[j], b[j], cvInfl)
+		}
 	}
-	mu := 1 / service
-	a := lambda / mu // offered load in Erlangs
-	rho := a / float64(s.Workers)
-	if rho > maxUtilization {
-		rho = maxUtilization
-		a = rho * float64(s.Workers)
+}
+
+// erlangB returns the Erlang-B blocking probability of c servers at the
+// offered load of each of the first n lanes of a (1 <= n <= lanes), by
+// the numerically stable recursion erlangBStep from B(0) = 1. Several
+// lanes advance side by side, so their dependent divisions overlap; lanes
+// from n on are padding whose results are discarded. A lone lane runs on
+// its own, because a padding lane's division would still occupy the
+// divider.
+func erlangB(c int, a *[lanes]float64, n int) (b0, b1, b2, b3 float64) {
+	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+	b0, b1, b2, b3 = 1, 1, 1, 1
+	if n == 1 {
+		for k := 1; k <= c; k++ {
+			b0 = erlangBStep(a0, b0, float64(k))
+		}
+		return b0, b1, b2, b3
 	}
-	pWait := ErlangC(s.Workers, a)
+	for k := 1; k <= c; k++ {
+		fk := float64(k)
+		b0 = erlangBStep(a0, b0, fk)
+		b1 = erlangBStep(a1, b1, fk)
+		b2 = erlangBStep(a2, b2, fk)
+		b3 = erlangBStep(a3, b3, fk)
+	}
+	return b0, b1, b2, b3
+}
+
+// erlangBStep is one step of the Erlang-B recursion at offered load a:
+// B(k) = a*B(k-1)/(k + a*B(k-1)).
+func erlangBStep(a, b, k float64) float64 { return a * b / (k + a*b) }
+
+// finish sets *dst to one lane's sojourn distribution, from its offered
+// load a (Erlangs, after the utilization cap), its utilization rho and its
+// Erlang-B value b.
+func (s Station) finish(dst *Sojourn, service, mu, a, rho, b, cvInflate float64) {
+	// Erlang-C, the probability that an arrival waits, from Erlang-B: 1
+	// with no servers or at saturation.
+	pWait := 1.0
+	switch r := a / float64(s.Workers); {
+	case s.Workers <= 0:
+	case a <= 0:
+		pWait = 0
+	case !(r >= 1):
+		pWait = b / (1 - r*(1-b))
+	}
 	// Mean M/M/c waiting time: Pwait / (c*mu - lambda).
 	meanWait := 0.0
 	if denom := float64(s.Workers)*mu - a*mu; denom > 0 {
@@ -163,7 +218,7 @@ func (s Station) At(lambda, inflate, cvInflate, freqScale float64) Sojourn {
 		cv = maxCV
 	}
 	mean := meanWait + service
-	return Sojourn{
+	*dst = Sojourn{
 		MeanWait:    meanWait,
 		MeanService: service,
 		CV:          cv,

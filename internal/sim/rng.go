@@ -1,9 +1,8 @@
-// Package sim provides the deterministic discrete-event simulation kernel
-// used by every substrate in this repository: a virtual clock with an event
-// heap, a seeded splitmix64 random number generator, the latency
-// distributions the workload models draw from, numerically stable
-// statistics helpers, and the worker-pool primitives (ForEach, ForEachErr)
-// that parallel sweeps are built on.
+// Package sim provides the deterministic simulation kernel used by every
+// substrate in this repository: virtual time, a seeded splitmix64 random
+// number generator, the latency distributions the workload models draw
+// from, numerically stable statistics helpers, and the worker-pool
+// primitives (ForEach, ForEachErr) that parallel sweeps are built on.
 //
 // Everything in sim is deterministic under a fixed seed so that experiments
 // (and tests) are exactly reproducible.
@@ -11,9 +10,8 @@
 // # Thread safety
 //
 // The stateless helpers (statistics, distributions with value receivers,
-// SubSeed, Jobs) are safe for concurrent use. The stateful types — RNG and
-// Clock — are NOT safe for concurrent use: each goroutine must own its
-// generator and clock. The supported way to hand randomness to concurrent
+// SubSeed, Jobs) are safe for concurrent use. The stateful type — RNG — is
+// NOT safe for concurrent use: each goroutine must own its generator. The supported way to hand randomness to concurrent
 // workers is to derive an independent substream per unit of work before (or
 // without) sharing: either Fork a child RNG per worker from a parent that a
 // single goroutine owns, or compute a per-work-item seed with SubSeed and
