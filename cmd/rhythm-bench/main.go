@@ -95,6 +95,7 @@ var registry = []struct {
 	{"FleetTick", benchmarks.FleetTick},
 	{"PathP99", benchmarks.PathP99},
 	{"SampleKernel", benchmarks.SampleKernel},
+	{"SampleFilter", benchmarks.SampleFilter},
 	{"UniformKernel", benchmarks.UniformKernel},
 	{"ObsDisabled", benchmarks.ObsDisabled},
 }

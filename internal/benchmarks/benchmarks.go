@@ -38,6 +38,10 @@
 //     with "vector", "uniform" and "fused" metrics that are 1 when vector
 //     kernels, the AVX-512 uniform kernel and the fused AVX-512 kernel
 //     ran.
+//   - SampleFilter: the lazy sampling pass's sampler over that chunk, at
+//     a cutoff the engine's are near, with the share of rows it computed
+//     ("kept") and a "filter" metric that is 1 when the AVX-512
+//     certificate kernel ran.
 //   - UniformKernel: that chunk's first pass alone, its 512 Box-Muller
 //     uniform pairs, with the "uniform" metric.
 //   - ObsDisabled: every observability emit point with no bus installed —
@@ -398,6 +402,29 @@ func SampleKernel(b *testing.B) {
 	b.ReportMetric(ran(tier >= sim.TierAVX2), "vector")
 	b.ReportMetric(ran(tier >= sim.TierAVX512), "uniform")
 	b.ReportMetric(ran(tier >= sim.TierAVX512), "fused")
+}
+
+// SampleFilter measures the lazy sampling pass's sampler over
+// SampleKernel's chunk: sim.Sampler.DrawsBetween from a cutoff of 2 (the
+// engine's cutoffs fall between about 1.5 and 2.5), which draws every
+// uniform pair, certifies the rows whose normals are all at most the
+// cutoff and computes only the others. Its "kept" metric is the share of
+// rows computed, and "filter" is 1 when the AVX-512 certificate kernel
+// ran, 0 on the scalar loop.
+func SampleFilter(b *testing.B) {
+	mu := []float64{-5.2, -4.1, -6, -4.8}
+	sigma := []float64{0.3, 0.5, 0.2, 0.4}
+	dst := make([]float64, 512)
+	rng := sim.NewRNG(2020).Fork("bench-sample-kernel")
+	var sm sim.Sampler
+	kept := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kept += sm.DrawsBetween(dst, mu, sigma, 2, math.Inf(1), rng)
+	}
+	b.ReportMetric(float64(kept)/float64(b.N*len(dst)/len(mu)), "kept")
+	b.ReportMetric(ran(sim.KernelTier() >= sim.TierAVX512), "filter")
 }
 
 // UniformKernel measures the samplers' first pass over one chunk:

@@ -23,6 +23,7 @@ func BenchmarkEngineControlPeriodColo(b *testing.B) { EngineControlPeriodColo(b)
 func BenchmarkFleetTick(b *testing.B)               { FleetTick(b) }
 func BenchmarkPathP99(b *testing.B)                 { PathP99(b) }
 func BenchmarkSampleKernel(b *testing.B)            { SampleKernel(b) }
+func BenchmarkSampleFilter(b *testing.B)            { SampleFilter(b) }
 func BenchmarkUniformKernel(b *testing.B)           { UniformKernel(b) }
 func BenchmarkObsDisabled(b *testing.B)             { ObsDisabled(b) }
 

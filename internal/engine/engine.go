@@ -64,6 +64,26 @@ const (
 	// points of together (one control period at the default 2 s, 20 or
 	// 21 ticks); it sizes the block scratch.
 	maxBlock = 32
+	// lazyFrac, 0.85, sets the latency under which a tick's samples may
+	// be left pending in the tail window (passSample): that fraction of
+	// the window's last p99. The window's top 1% sits near the p99, so a
+	// pending sample is seldom recomputed unless the p99 falls by more
+	// than 15% within the window.
+	lazyFrac = 0.85
+	// lazyMargin, 2^-20, is the relative headroom of the lazy cutoff: the
+	// cutoff's plan latency is at most (1-lazyMargin)·τ, far more than the
+	// rounding of the exp, the plan combine and the cutoff's own
+	// arithmetic can take back.
+	lazyMargin = 0x1p-20
+	// lazyRing, 64 ticks (6.4 s, over twice TailWindow), is how many lazy
+	// ticks' replay records the engine keeps.
+	lazyRing = 64
+	// lazyDrift, 1/64, is how far in log latency the stage parameters may
+	// move before the tick's cutoff is searched again: the search aims
+	// that much below τ, and a drift of at most lazyDrift in every stage's
+	// log value at the cutoff moves the plan latency by at most that
+	// factor.
+	lazyDrift = 1.0 / 64
 )
 
 // Tick constants: the inertia EMA coefficient 1-exp(-TickDt/inertiaTau)
@@ -387,6 +407,10 @@ type soaState struct {
 	infCap   []float64
 	infOK    []bool
 	infTgt   [][2]float64
+	// On a miss, Model.InflationMemo still skips the math.Pow of every
+	// resource whose pressure did not move; powMemo holds each pod's last
+	// inputs and powers.
+	powMemo []interference.PowMemo
 
 	// Cached sojourn distribution per operating point, as of the latest
 	// tick the block phase reached. The sojourn pass recomputes it —
@@ -450,7 +474,42 @@ type soaState struct {
 	plan     *samplePlan
 	cols     [][]float64
 
+	// Lazy sampling (DESIGN.md §9.6). sampler is the batched samplers'
+	// kept scratch. tauRef is the window's last p99 the engine read, and
+	// cut the last cutoff, computed for the bound cutTau and the stage
+	// parameters cutMu and cutSig; cutRow holds the stage values the
+	// cutoff search evaluates the plan at. lazy is a ring
+	// of replay records, one per tick that left samples pending, at slot
+	// seq%lazyRing, with the tick's stage parameters at rows of lazyMu and
+	// lazySig; replay is the generator a recompute rewinds. lastAt is the
+	// newest tick time handed to the tail window, which clamps to it.
+	sampler sim.Sampler
+	tauRef  float64
+	cut     float64
+	cutTau  float64
+	cutMu   []float64
+	cutSig  []float64
+	cutRow  []float64
+	lazy    [lazyRing]lazyTick
+	lazyMu  []float64
+	lazySig []float64
+	seq     uint64
+	replay  sim.RNG
+	lastAt  sim.Time
+
 	warmupAt sim.Time // end of Config.Warmup, precomputed once in New
+}
+
+// lazyTick is the replay record of a tick that left samples pending in
+// the tail window: its time, tag (seq) and current cutoff (the rows it
+// certifies are the ones still pending), and the engine RNG's state
+// before the tick drew. pend is cleared once every row is computed.
+type lazyTick struct {
+	at    sim.Time
+	seq   uint64
+	cut   float64
+	state uint64
+	pend  bool
 }
 
 // opPoint is one pod's operating point at one tick of a block, as the
@@ -640,6 +699,7 @@ func New(cfg Config) (*Engine, error) {
 		e.podByName[p.comp.Name] = p
 	}
 	e.initSoA()
+	e.tail.SetRecompute(e.recompute)
 	return e, nil
 }
 
@@ -663,6 +723,7 @@ func (e *Engine) initSoA() {
 	s.infCap = make([]float64, n)
 	s.infOK = make([]bool, n)
 	s.infTgt = make([][2]float64, n)
+	s.powMemo = make([]interference.PowMemo, n)
 	s.sojourn = make([]queueing.Sojourn, n)
 	s.sjKey = make([][5]float64, n)
 	s.sjOK = make([]bool, n)
@@ -698,6 +759,11 @@ func (e *Engine) initSoA() {
 	s.stageSig = make([]float64, stages)
 	s.vals = make([]float64, SamplesPerTick*stages)
 	s.lats = make([]float64, SamplesPerTick)
+	s.cutRow = make([]float64, stages)
+	s.cutMu = make([]float64, stages)
+	s.cutSig = make([]float64, stages)
+	s.lazyMu = make([]float64, lazyRing*stages)
+	s.lazySig = make([]float64, lazyRing*stages)
 	s.cols = make([][]float64, 2*(s.plan.depth()-1))
 	for i := range s.cols {
 		s.cols[i] = make([]float64, SamplesPerTick)
@@ -995,7 +1061,7 @@ func (e *Engine) passInflation() {
 			fc = s.freqCap[i]
 		}
 		if !s.infOK[i] || s.press[i] != s.infPress[i] || fc != s.infCap[i] {
-			inflate, cvInflate := e.cfg.Model.Inflation(p.comp, s.press[i])
+			inflate, cvInflate := e.cfg.Model.InflationMemo(p.comp, s.press[i], &s.powMemo[i])
 			if fc > 0 && fc < p.machine.Spec.MaxGHz {
 				inflate *= interference.FreqInflation(p.comp, fc, p.machine.Spec.MaxGHz)
 			}
@@ -1162,10 +1228,16 @@ func (e *Engine) passBEProgress(k int, load float64, measuring bool) {
 
 // passSample draws block tick k's end-to-end latency samples: gather the
 // per-stage lognormal parameters, fill the draw matrix in the frozen
-// stream order with sim.LognormalDraws, then combine the rows column-wise
-// through the sampling plan — the exact Node.Latency recursion per row —
-// and bulk-insert into the tail window. CollectSamples replays the rows into the per-pod
+// stream order, then combine the rows column-wise through the sampling
+// plan — the exact Node.Latency recursion per row — and bulk-insert into
+// the tail window. CollectSamples replays the rows into the per-pod
 // sample slices in the same element order the scalar walk appended them.
+//
+// The tick always draws its whole uniform stream, but computes only the
+// rows that can reach the cutoff lazyBound finds (sim.Sampler.DrawsBetween
+// up to +Inf); the rest go into the window pending, under the tick's
+// replay record, and recompute produces them if a quantile query could
+// see them. With no cutoff the filter is empty and every row is computed.
 func (e *Engine) passSample(k int, now sim.Time) {
 	s := &e.soa
 	n := SamplesPerTick
@@ -1174,8 +1246,24 @@ func (e *Engine) passSample(k int, now sim.Time) {
 	for j, pi := range s.stagePod {
 		s.stageMu[j], s.stageSig[j] = row[pi].mu, row[pi].sigma
 	}
-	sim.LognormalDraws(s.vals, s.stageMu, s.stageSig, e.rng)
-	s.plan.evalCols(s.lats, s.vals, stages, s.cols)
+	s.lastAt = max(s.lastAt, now)
+	tau := e.lazyBound()
+	cut := 0.0 // certifies nothing: every row is computed
+	if tau > 0 {
+		cut = s.cut
+	}
+	state := e.rng.State()
+	m := s.sampler.DrawsBetween(s.vals, s.stageMu, s.stageSig, cut, math.Inf(1), e.rng)
+	s.plan.evalCols(s.lats[:m], s.vals, stages, s.cols)
+	if m < n {
+		slot := int(s.seq % lazyRing)
+		s.lazy[slot] = lazyTick{at: s.lastAt, seq: s.seq, cut: cut, state: state, pend: true}
+		copy(s.lazyMu[slot*stages:], s.stageMu)
+		copy(s.lazySig[slot*stages:], s.stageSig)
+		e.tail.AddPartial(now, s.lats[:m], n-m, tau, s.seq)
+		s.seq++
+		return
+	}
 	e.tail.AddBatch(now, s.lats)
 	if e.cfg.CollectSamples {
 		for d := 0; d < n; d++ {
@@ -1189,6 +1277,166 @@ func (e *Engine) passSample(k int, now sim.Time) {
 	}
 }
 
+// lazyBound returns the bound τ = lazyFrac·tauRef under which the current
+// tick may leave samples pending, with its cutoff in soa.cut, or 0 when
+// the tick must compute every sample: under CollectSamples, before the
+// engine has read a p99, when the replay record's slot still holds a tick
+// the window may ask for, or when there is no cutoff. The cutoff is
+// searched for e^-lazyDrift·τ and kept while τ stays bitwise the same and
+// the stage parameters drift by at most lazyDrift (drift). A new τ (once
+// a second) refines it; a larger drift at the same τ moves it by one step
+// of cutoff, and over such ticks it closes in on the exact cutoff from
+// below.
+func (e *Engine) lazyBound() float64 {
+	s := &e.soa
+	if e.cfg.CollectSamples || !(s.tauRef > 0) || math.IsInf(s.tauRef, 1) {
+		return 0
+	}
+	if old := &s.lazy[s.seq%lazyRing]; old.pend && s.lastAt.Sub(old.at) <= TailWindow {
+		return 0
+	}
+	tau := lazyFrac * s.tauRef
+	if moved := tau != s.cutTau; moved || !(s.drift() <= lazyDrift) {
+		s.cut = s.cutoff(s.stageMu, s.stageSig, tau*math.Exp(-lazyDrift), s.cut, moved)
+		s.cutTau = tau
+		copy(s.cutMu, s.stageMu)
+		copy(s.cutSig, s.stageSig)
+	}
+	if s.cut <= 0 {
+		return 0
+	}
+	return tau
+}
+
+// drift bounds how far the log plan latency at the cutoff can have moved
+// since the stage parameters it was searched for: every stage's log value
+// there moved by mu'-mu + (sigma'-sigma)·cut, and the plan latency, made
+// of sums and maxima, moves by at most the largest such factor. A
+// parameter that is not finite, or a negative sigma (the cutoff then
+// certifies nothing), gives +Inf.
+func (s *soaState) drift() float64 {
+	d := 0.0
+	for j, m := range s.stageMu {
+		sg := s.stageSig[j]
+		if math.IsNaN(m) || math.IsInf(m, 0) || !(sg >= 0) || math.IsInf(sg, 1) {
+			return math.Inf(1)
+		}
+		d = max(d, m-s.cutMu[j]+(sg-s.cutSig[j])*s.cut)
+	}
+	return d
+}
+
+// cutoff returns a normal z > 0 at which the plan latency of the stage
+// values exp(mu_s + sigma_s·z) is at most (1-lazyMargin)·tau, or 0 when
+// it finds none or a stage's parameters are not finite with sigma_s >= 0.
+// A row whose every normal is at most z then has a latency below tau: a
+// stage value grows with its normal and the plan latency with each stage
+// value (sums and maxima), and lazyMargin covers the rounding.
+//
+// f(z) = ln L(z) - ln τ', with L the plan latency, is convex (sums and
+// maxima of log-convex terms are log-convex) with its slope between the
+// smallest and the largest sigma_s (lo, hi). So from one evaluation at
+// start (z99 when start is not positive), z - f/hi when f <= 0, or z -
+// f/lo when f > 0, is at most the root: the one step the tick takes from
+// its last cutoff. With refine, that evaluation instead brackets the
+// root — z - f/lo when f <= 0 is at or above it — and two secant steps
+// narrow the bracket from below: by convexity the chord lies above f, so
+// its root is at most f's. Where L under- or overflows, cutoff stops at
+// the last point it could evaluate.
+func (s *soaState) cutoff(mu, sigma []float64, tau, start float64, refine bool) float64 {
+	lo, hi := math.Inf(1), 0.0
+	for j, m := range mu {
+		sg := sigma[j]
+		if math.IsNaN(m) || math.IsInf(m, 0) || !(sg >= 0) || math.IsInf(sg, 1) {
+			return 0
+		}
+		lo, hi = min(lo, sg), max(hi, sg)
+	}
+	if hi == 0 || !(tau > 0) {
+		return 0
+	}
+	lnTau := math.Log(tau) + math.Log1p(-lazyMargin)
+	// f is NaN where L is too far from 1 for its rounding to stay
+	// relative (underflow, overflow).
+	f := func(z float64) float64 {
+		for j, m := range mu {
+			s.cutRow[j] = math.Exp(m + sigma[j]*z)
+		}
+		var l [1]float64
+		s.plan.evalCols(l[:], s.cutRow, len(s.cutRow), s.cols)
+		if !(l[0] >= 0x1p-1000 && l[0] <= 0x1p1000) {
+			return math.NaN()
+		}
+		return math.Log(l[0]) - lnTau
+	}
+	z := start
+	if !(z > 0) {
+		z = z99
+	}
+	d := f(z)
+	if math.IsNaN(d) {
+		return 0
+	}
+	var za, fa, zb, fb float64 // za at most the root, zb at least it
+	switch {
+	case d > 0 && lo == 0:
+		return 0
+	case d > 0:
+		za, zb, fb = z-d/lo, z, d
+		if !refine {
+			return max(za, 0)
+		}
+		fa = f(za)
+	case !refine || lo == 0:
+		return z - d/hi
+	default:
+		za, fa, zb = z, d, z-d/lo
+		fb = f(zb)
+	}
+	for range 2 {
+		if !(fa <= 0 && fb > fa) {
+			break
+		}
+		zs := za - fa*(zb-za)/(fb-fa)
+		fs := f(zs)
+		if !(fs <= 0) {
+			return max(zs, 0)
+		}
+		za, fa = zs, fs
+	}
+	return max(za, 0)
+}
+
+// recompute is the tail window's hook for the samples a lazy tick left
+// pending: it rewinds a generator to the tick's stream position and,
+// from the same stage parameters and through the same plan, computes the
+// skipped rows that can reach floor — their own bits. It does not go all
+// the way down to the floor: the rows it leaves pending are those the
+// cutoff for lazyFrac·floor certifies, so a window whose p99 keeps
+// falling does not call back for every small step. When no lower cutoff
+// helps, it computes every row still pending.
+func (e *Engine) recompute(tag uint64, floor float64, dst []float64) (int, float64) {
+	s := &e.soa
+	slot := int(tag % lazyRing)
+	rec := &s.lazy[slot]
+	if rec.seq != tag || !rec.pend {
+		panic("engine: tail window asked for a lazy tick whose record is gone")
+	}
+	stages := len(s.stagePod)
+	mu, sigma := s.lazyMu[slot*stages:][:stages], s.lazySig[slot*stages:][:stages]
+	tau := lazyFrac * floor
+	cut := s.cutoff(mu, sigma, tau, rec.cut, true)
+	if !(cut < rec.cut) {
+		cut = 0
+	}
+	s.replay.Reseed(rec.state)
+	m := s.sampler.DrawsBetween(s.vals, mu, sigma, cut, rec.cut, &s.replay)
+	s.plan.evalCols(dst[:m], s.vals, stages, s.cols)
+	rec.cut = cut
+	rec.pend = m < len(dst)
+	return m, tau
+}
+
 // finishTick is the shared tick epilogue: the once-per-second window
 // observation (the paper records the p99 once per second, §5.1's SLA
 // statistic), tick counters and fault-edge reporting.
@@ -1196,6 +1444,7 @@ func (e *Engine) finishTick(now sim.Time, load, qps float64, measuring bool) {
 	if measuring && now-e.lastObserve >= sim.Time(time.Second) {
 		e.lastObserve = now
 		e.tail.ObserveWindow(now)
+		e.soa.tauRef = e.tail.P99()
 		worst, _ := e.tail.Worst()
 		e.stats.WorstP99 = worst
 	}
@@ -1311,6 +1560,7 @@ func (e *Engine) controlTick(now sim.Time, load float64) {
 	// measurement-dropout fault, which poisons the controller's view (NaN
 	// or a stale replay) while the run statistics stay honest.
 	truthP99 := e.tail.P99()
+	e.soa.tauRef = truthP99
 	p99 := truthP99
 	degraded := false
 	degradedCause := ""

@@ -20,12 +20,15 @@ import (
 // pairedOutcome is everything observable about one run that the SoA
 // rewrite must not perturb: the aggregated statistics, the tail-tracker
 // window contents (probed at several quantiles plus the live count), and
-// the full observability event stream.
+// the full observability event stream. recomputes counts the calls the
+// tail window made during the run for samples a lazy tick left pending
+// (the reference tick leaves none), before the probes ask for the rest.
 type pairedOutcome struct {
-	stats     *RunStats
-	tailN     int
-	quantiles []float64
-	events    []obs.Event
+	stats      *RunStats
+	tailN      int
+	quantiles  []float64
+	events     []obs.Event
+	recomputes int
 }
 
 // runner drives a fresh engine through a run of the given duration and
@@ -105,8 +108,13 @@ func runOnce(t *testing.T, cfg Config, dur time.Duration, run runner) pairedOutc
 	if err != nil {
 		t.Fatal(err)
 	}
+	recomputes := 0
+	e.tail.SetRecompute(func(tag uint64, floor float64, dst []float64) (int, float64) {
+		recomputes++
+		return e.recompute(tag, floor, dst)
+	})
 	st := run(e, dur)
-	out := pairedOutcome{stats: st, tailN: e.tail.N(), events: sink.Events()}
+	out := pairedOutcome{stats: st, tailN: e.tail.N(), events: sink.Events(), recomputes: recomputes}
 	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
 		out.quantiles = append(out.quantiles, e.tail.Quantile(q))
 	}
@@ -120,9 +128,19 @@ func assertPairedEqual(t *testing.T, cfg Config, dur time.Duration) {
 	assertRunnerMatches(t, cfg, dur, runBlocks(t))
 }
 
+// assertRecomputed is assertPairedEqual for a run whose window p99 falls
+// far enough that the window must ask for samples lazy ticks left
+// pending: it also requires at least one such call.
+func assertRecomputed(t *testing.T, cfg Config, dur time.Duration) {
+	t.Helper()
+	if soa := assertRunnerMatches(t, cfg, dur, runBlocks(t)); soa.recomputes == 0 {
+		t.Errorf("no pending sample was recomputed")
+	}
+}
+
 // assertRunnerMatches runs cfg through run and through the scalar
-// reference and requires bitwise-identical outcomes.
-func assertRunnerMatches(t *testing.T, cfg Config, dur time.Duration, run runner) {
+// reference, requires bitwise-identical outcomes and returns run's.
+func assertRunnerMatches(t *testing.T, cfg Config, dur time.Duration, run runner) pairedOutcome {
 	t.Helper()
 	soa := runOnce(t, cfg, dur, run)
 	ref := runOnce(t, cfg, dur, runReference)
@@ -139,7 +157,7 @@ func assertRunnerMatches(t *testing.T, cfg Config, dur time.Duration, run runner
 	}
 	if len(soa.events) != len(ref.events) {
 		t.Errorf("obs event count = %d soa, %d ref", len(soa.events), len(ref.events))
-		return
+		return soa
 	}
 	for i := range soa.events {
 		if !eventsBitEqual(soa.events[i], ref.events[i]) {
@@ -147,6 +165,7 @@ func assertRunnerMatches(t *testing.T, cfg Config, dur time.Duration, run runner
 			break
 		}
 	}
+	return soa
 }
 
 // eventsBitEqual compares two obs events with float fields compared by
@@ -169,9 +188,10 @@ func eventsBitEqual(a, b obs.Event) bool {
 // patterns, warmups, sample counts, self-admission vs external mode —
 // across rows whose block boundaries matter (loads that move every tick,
 // a control period off the 2 s grid, RunUntil slices that cut blocks
-// between control ticks), and across every fault preset, whose
-// crash/storm/slowdown/drift/dropout hooks exercise the sparse-edit path
-// between passes.
+// between control ticks), across rows whose window p99 falls so that
+// lazily sampled ticks must be recomputed, and across every fault
+// preset, whose crash/storm/slowdown/drift/dropout hooks exercise the
+// sparse-edit path between passes.
 func TestTickSoAMatchesScalar(t *testing.T) {
 	rng := sim.NewRNG(2020).Fork("soa-differential")
 	services := []func() *workload.Service{workload.Redis, workload.ECommerce}
@@ -256,6 +276,29 @@ func TestTickSoAMatchesScalar(t *testing.T) {
 	t.Run("sliced-7-ticks", func(t *testing.T) {
 		assertRunnerMatches(t, colo(ramp), 20*time.Second, runSliced(7))
 	})
+
+	// Lazy sampling (DESIGN.md §9.6): rows where the window p99 falls
+	// inside a window, so that the p99 reads must fetch samples lazy ticks
+	// left pending below an older, higher p99 — a load step from 0.9 to
+	// 0.3, and the load step under a measurement dropout (the controller
+	// blind, the window still read) and under a profile drift that ends
+	// mid-run.
+	step := loadgen.Step{Levels: []float64{0.9, 0.3}, Dwell: 8 * time.Second}
+	t.Run("lazy-load-step", func(t *testing.T) { assertRecomputed(t, colo(step), 16*time.Second) })
+	for _, ev := range []faults.Event{
+		{Kind: faults.MeasurementDropout, At: 6 * time.Second, Duration: 5 * time.Second, Mode: faults.DropStale},
+		{Kind: faults.ProfileDrift, Pod: "MySQL", At: 2 * time.Second, Duration: 6 * time.Second, MuSkew: 1.6, SigmaSkew: 1.3},
+	} {
+		t.Run("lazy-load-step-"+string(ev.Kind), func(t *testing.T) {
+			sched := &faults.Schedule{Events: []faults.Event{ev}}
+			if err := sched.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			cfg := colo(step)
+			cfg.Faults = sched
+			assertRecomputed(t, cfg, 16*time.Second)
+		})
+	}
 
 	// Fault presets on the Rhythm policy over the full E-commerce graph:
 	// the sparse fault edits (crash kills marking rows dirty, storm and

@@ -101,13 +101,32 @@ func (m Model) Pressure(spec cluster.MachineSpec, lcDemand, beDemand cluster.Vec
 // CV inflation factor (>= 1) that the given pressure vector imposes on the
 // component, per its sensitivity vector.
 func (m Model) Inflation(comp *workload.Component, press cluster.Vector) (inflate, cvInflate float64) {
+	var pm PowMemo
+	return m.InflationMemo(comp, press, &pm)
+}
+
+// PowMemo remembers, per resource, the last pressure InflationMemo raised
+// to Gamma and the power. A caller that keeps one per machine skips the
+// math.Pow of every resource whose pressure has not moved bitwise since
+// the last call; Pow is pure, so the result has the same bits. The zero
+// value is empty (pressures of 0 never reach Pow). One memo serves one
+// Model.
+type PowMemo struct {
+	in, out cluster.Vector
+}
+
+// InflationMemo is Inflation with its math.Pow calls memoized in pm.
+func (m Model) InflationMemo(comp *workload.Component, press cluster.Vector, pm *PowMemo) (inflate, cvInflate float64) {
 	inflate = 1.0
 	total := 0.0
 	for r := 0; r < cluster.NumResources; r++ {
 		if press[r] <= 0 {
 			continue
 		}
-		inflate += comp.Sens[r] * math.Pow(press[r], m.Gamma)
+		if press[r] != pm.in[r] {
+			pm.in[r], pm.out[r] = press[r], math.Pow(press[r], m.Gamma)
+		}
+		inflate += comp.Sens[r] * pm.out[r]
 		total += press[r]
 	}
 	cvInflate = 1 + comp.CVSens*total

@@ -182,3 +182,29 @@ func TestLCNearSaturationFloor(t *testing.T) {
 		t.Fatalf("saturated-headroom pressure = %v", p[cluster.ResMemBW])
 	}
 }
+
+// TestInflationMemoMatchesInflation holds the memoized map to the plain
+// one bit for bit over a sequence of pressure vectors in which each
+// resource's pressure repeats, moves, drops to zero and comes back, as a
+// machine's pressure does between ticks.
+func TestInflationMemoMatchesInflation(t *testing.T) {
+	m := Default()
+	r := sim.NewRNG(6)
+	var pm PowMemo
+	var press cluster.Vector
+	for step := 0; step < 5000; step++ {
+		for i := range press {
+			switch r.Intn(4) {
+			case 0:
+				press[i] = m.PressureCap * r.Float64()
+			case 1:
+				press[i] = 0
+			}
+		}
+		gotInf, gotCV := m.InflationMemo(mysql(), press, &pm)
+		wantInf, wantCV := m.Inflation(mysql(), press)
+		if math.Float64bits(gotInf) != math.Float64bits(wantInf) || math.Float64bits(gotCV) != math.Float64bits(wantCV) {
+			t.Fatalf("step %d: memoized (%v, %v), plain (%v, %v)", step, gotInf, gotCV, wantInf, wantCV)
+		}
+	}
+}

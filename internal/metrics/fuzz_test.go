@@ -12,7 +12,10 @@ import (
 // the window; after it, each operation is an opcode byte and its operands:
 //
 //	op%4 == 0: Add       — step byte, value-seed byte
-//	op%4 == 1: AddBatch  — step byte, two size bytes (size 0..300), value-seed byte
+//	op%4 == 1: AddBatch  — step byte, two size bytes (size 0..300), value-seed byte;
+//	           with op >= 128 an AddPartial, and one more byte: the bound
+//	           (a value level) at or below which the batch's values are
+//	           left pending for the recompute hook
 //	op%4 == 2: Quantile  — q byte
 //	op%4 == 3: Quantile twice with no add between (the memoized read) — q byte
 //
@@ -52,6 +55,38 @@ func fuzzStep(now sim.Time, b byte, window time.Duration) sim.Time {
 	}
 }
 
+// recomputeHalf is a recompute hook over the pending samples of each tag:
+// for a positive floor it hands back the samples above half of it and
+// keeps the rest pending with that bound, and otherwise all of them. It
+// counts its calls in *calls when calls is not nil.
+func recomputeHalf(t *testing.T, pending map[uint64][]float64, calls *int) func(uint64, float64, []float64) (int, float64) {
+	return func(tag uint64, floor float64, dst []float64) (int, float64) {
+		vs := pending[tag]
+		if len(dst) != len(vs) {
+			t.Fatalf("recompute of batch %d: %d slots for %d pending samples", tag, len(dst), len(vs))
+		}
+		if calls != nil {
+			*calls++
+		}
+		bound := floor / 2
+		if !(floor > 0) {
+			bound = math.Inf(-1)
+		}
+		m := 0
+		var rest []float64
+		for _, v := range vs {
+			if v > bound {
+				dst[m] = v
+				m++
+			} else {
+				rest = append(rest, v)
+			}
+		}
+		pending[tag] = rest
+		return m, bound
+	}
+}
+
 func fuzzValues(vs []float64, seed byte) {
 	x := uint32(seed)*2654435761 + 1
 	for i := range vs {
@@ -69,15 +104,19 @@ func fuzzQ(b byte) float64 {
 	return float64(b) / 255
 }
 
-// FuzzTailTracker holds the tracker to the copy-and-sort refTracker: every
-// quantile read must match it bit for bit, and N must match after every
-// operation. Only the first 256 bytes of an input are decoded. The
-// committed corpus under testdata/fuzz/FuzzTailTracker covers
-// engine-shaped 80-sample ticks, one sample per timestamp, same-timestamp
-// appends across calls, backwards times, flushes, empty batches and
-// 300-sample batches.
+// FuzzTailTracker holds the tracker to the copy-and-sort refTracker over
+// the fully recomputed window: every quantile read must match it bit for
+// bit, and N must match after every operation. Pending samples are handed
+// back by recomputeHalf, in part where the floor allows. Only the first 256 bytes of an input are decoded. The committed
+// corpus under testdata/fuzz/FuzzTailTracker covers engine-shaped
+// 80-sample ticks, one sample per timestamp, same-timestamp appends
+// across calls, backwards times, flushes, empty batches and 300-sample
+// batches; the seeds below add partial ticks, all-pending batches and
+// partial batches at one timestamp.
 func FuzzTailTracker(f *testing.F) {
 	f.Add([]byte{1, 1, 4, 0, 80, 7, 3, 4, 1, 4, 0, 80, 9, 3, 4})
+	f.Add([]byte{2, 129, 4, 0, 80, 7, 40, 129, 4, 0, 80, 9, 30, 2, 180, 129, 4, 0, 80, 3, 64, 3, 4, 2, 0})
+	f.Add([]byte{2, 129, 0, 0, 80, 5, 255, 1, 0, 0, 3, 6, 129, 0, 0, 40, 8, 20, 3, 180, 3, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -89,6 +128,8 @@ func FuzzTailTracker(f *testing.F) {
 		window := windows[int(data[0])%len(windows)]
 		tt := NewTailTracker(window)
 		ref := &refTracker{window: window}
+		pending := map[uint64][]float64{}
+		tt.SetRecompute(recomputeHalf(t, pending, nil))
 		ops := &fuzzOps{data: data[1:]}
 		now := sim.Time(0)
 		var vs []float64
@@ -108,9 +149,25 @@ func FuzzTailTracker(f *testing.F) {
 				}
 				vs = append(vs[:0], make([]float64, size)...)
 				fuzzValues(vs, ops.next())
-				if op%4 == 0 {
+				switch {
+				case op%4 == 0:
 					tt.Add(now, vs[0])
-				} else {
+				case op >= 128:
+					bound := float64(ops.next()%64) / 8
+					var known, pend []float64
+					for _, v := range vs {
+						if v <= bound {
+							pend = append(pend, v)
+						} else {
+							known = append(known, v)
+						}
+					}
+					tag := uint64(step)
+					if len(pend) > 0 {
+						pending[tag] = pend
+					}
+					tt.AddPartial(now, known, len(pend), bound, tag)
+				default:
 					tt.AddBatch(now, vs)
 				}
 				for _, v := range vs {
@@ -135,32 +192,69 @@ func FuzzTailTracker(f *testing.F) {
 // timestamp, where the bound is skipped — with engine-shaped traffic:
 // batch sizes 1, 3, 80 and 200 at 100 ms ticks into a 3 s window, random
 // gaps, coarse (duplicated) values, and every quantile compared bit for
-// bit against the copy-and-sort oracle.
+// bit against the copy-and-sort oracle. The lazy rows add each batch as
+// the engine's lazy sampling pass does: the values at or below a cutoff
+// pending, with the cutoff as the bound. The cutoff drifts, and steps
+// from 0.9 to 0.2 of the value range and back, so that pending batches
+// reach the window's top values and must be recomputed, which the rows
+// require.
 func TestTailTrackerBatchBoundMatchesReference(t *testing.T) {
 	const window = 3 * time.Second
 	quantiles := []float64{0, 0.25, 0.5, 0.9, 0.99, 0.999, 1}
-	for _, size := range []int{1, 3, 80, 200} {
-		tt := NewTailTracker(window)
-		ref := &refTracker{window: window}
-		rng := sim.NewRNG(17).Fork("batch-bound")
-		now := sim.Time(0)
-		vs := make([]float64, size)
-		for step := 0; step < 400; step++ {
-			if rng.Float64() < 0.03 {
-				now = now.Add(time.Duration(rng.Float64() * float64(2*window)))
-			}
-			now = now.Add(100 * time.Millisecond)
-			for i := range vs {
-				vs[i] = float64(int(rng.Float64()*400)) / 100
-			}
-			tt.AddBatch(now, vs)
-			for _, v := range vs {
-				ref.add(now, v)
-			}
-			for _, q := range quantiles {
-				if got, want := tt.Quantile(q), ref.quantile(q); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("size %d step %d: quantile(%v) = %v, ref %v", size, step, q, got, want)
+	for _, lazy := range []bool{false, true} {
+		for _, size := range []int{1, 3, 80, 200} {
+			tt := NewTailTracker(window)
+			ref := &refTracker{window: window}
+			pending := map[uint64][]float64{}
+			recomputes := 0
+			tt.SetRecompute(recomputeHalf(t, pending, &recomputes))
+			rng := sim.NewRNG(17).Fork("batch-bound")
+			now := sim.Time(0)
+			vs := make([]float64, size)
+			for step := 0; step < 400; step++ {
+				if rng.Float64() < 0.03 {
+					now = now.Add(time.Duration(rng.Float64() * float64(2*window)))
 				}
+				now = now.Add(100 * time.Millisecond)
+				for i := range vs {
+					vs[i] = float64(int(rng.Float64()*400)) / 100
+				}
+				if lazy {
+					cut := 3.6 * (0.9 + 0.1*rng.Float64())
+					if step/50%2 == 1 {
+						cut = 0.8
+					}
+					var known, pend []float64
+					for _, v := range vs {
+						if v <= cut {
+							pend = append(pend, v)
+						} else {
+							known = append(known, v)
+						}
+					}
+					pending[uint64(step)] = pend
+					tt.AddPartial(now, known, len(pend), cut, uint64(step))
+				} else {
+					tt.AddBatch(now, vs)
+				}
+				for _, v := range vs {
+					ref.add(now, v)
+				}
+				// The lazy rows read only the p99 between ticks, as the
+				// engine does, and the full sweep, which recomputes
+				// everything, every 25 ticks.
+				qs := quantiles
+				if lazy && step%25 != 24 {
+					qs = []float64{0.99}
+				}
+				for _, q := range qs {
+					if got, want := tt.Quantile(q), ref.quantile(q); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("lazy %v size %d step %d: quantile(%v) = %v, ref %v", lazy, size, step, q, got, want)
+					}
+				}
+			}
+			if lazy && recomputes == 0 {
+				t.Errorf("size %d: no pending batch was recomputed", size)
 			}
 		}
 	}
@@ -212,5 +306,33 @@ func TestTailTrackerZeroAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, tick); allocs != 0 {
 		t.Fatalf("AddBatch+P99 allocates %.1f per tick, want 0", allocs)
+	}
+}
+
+// TestTailTrackerPartialZeroAllocs pins lazily fed traffic to zero heap
+// allocations once the window is full: an engine tick's AddPartial plus
+// the per-second read, with a bound that every query must recompute from
+// (the hook hands back every pending sample).
+func TestTailTrackerPartialZeroAllocs(t *testing.T) {
+	tt := NewTailTracker(3 * time.Second)
+	vs := make([]float64, 80)
+	rng := sim.NewRNG(3).Fork("allocs")
+	for i := range vs {
+		vs[i] = rng.Float64()
+	}
+	tt.SetRecompute(func(_ uint64, _ float64, dst []float64) (int, float64) {
+		return copy(dst, vs[8:]), 0
+	})
+	now := sim.Time(0)
+	tick := func() {
+		now = now.Add(100 * time.Millisecond)
+		tt.AddPartial(now, vs[:8], 72, 2, 0)
+		tt.P99()
+	}
+	for i := 0; i < 100; i++ {
+		tick()
+	}
+	if allocs := testing.AllocsPerRun(200, tick); allocs != 0 {
+		t.Fatalf("AddPartial+P99 allocates %.1f per tick, want 0", allocs)
 	}
 }

@@ -26,7 +26,7 @@ func ForceTier(t Tier) (restore func()) {
 // s = i%k and the Box-Muller normal z of (u1[i], u2[i]). len(out) must be
 // a whole number of rows.
 func Lognormals(out, u1, u2, mu, sigma []float64) {
-	c := chunkSampler{mu: mu, sigma: sigma}
+	c := Sampler{mu: mu, sigma: sigma}
 	c.init()
 	c.lognormals(out, u1, u2)
 }

@@ -98,3 +98,11 @@ func uniformsAVX512(zr, cs []float64, state *uint64) int
 //
 //go:noescape
 func lognormalAVX512(out, u1, u2, muPat, sigmaPat []float64, off int) int
+
+// normOverAVX512 writes the lazy samplers' element verdicts (normOver)
+// for u1 and u2, eight pairs per block, lane i to bit i%64 of over[i/64],
+// and returns the number of elements done: every whole block. len(u2)
+// must be at least len(u1), and len(u1) at most sumBatch.
+//
+//go:noescape
+func normOverAVX512(u1, u2 []float64, floor, t2 float64, over *[sumBatch / 64]uint64) int

@@ -816,3 +816,89 @@ fusedDone:
 	MOVQ DX, ret+128(FP)
 	VZEROUPPER
 	RET
+
+// normOverAVX512's constants: the bound's c2 = (2π)²/2, c4 = (2π)⁴/24 and
+// scale = 2·ln 2·(1 + 2^-40) as the Go constant expressions round them,
+// 1/4, and the mask that clears a float's sign bit.
+CONST1(nbC2<>, $0x4033BD3CC9BE45DE)
+CONST1(nbC4<>, $0x40503C1F081B5AC4)
+CONST1(nbScale<>, $0x3FF62E42FEFA501D)
+CONST1(nbQuarter<>, $0x3FD0000000000000)
+CONST1(nbAbs<>, $0x7FFFFFFFFFFFFFFF)
+
+// func normOverAVX512(u1, u2 []float64, floor, t2 float64, over *[sumBatch / 64]uint64) int
+//
+// The lazy samplers' certificate (normOver), eight uniform pairs per
+// block: lane i of a block is over when u1 < floor and normBound2(u1, u2)
+// > t2, and the block's eight verdicts go to byte i/8 of over, lane i in
+// bit i%8 — so element i lands in bit i%64 of word i/64. The bound is
+// normBound2's expression lane by lane, every multiply and add rounded
+// separately as the Go code does (no FMA), so every lane has its bits and
+// the verdicts are the scalar code's. Every block is done; the len%8 tail
+// is left to the caller. Only Z0-Z15 are used, all through VEX/EVEX
+// encodings.
+TEXT ·normOverAVX512(SB), NOSPLIT, $0-80
+	MOVQ         u1_base+0(FP), SI
+	MOVQ         u1_len+8(FP), CX
+	MOVQ         u2_base+24(FP), DI
+	VBROADCASTSD floor+48(FP), Z10
+	VBROADCASTSD t2+56(FP), Z11
+	MOVQ         over+64(FP), R8
+	XORQ         DX, DX
+	VBROADCASTSD one<>(SB), Z12
+	VBROADCASTSD two<>(SB), Z13
+	VBROADCASTSD half<>(SB), Z14
+	VBROADCASTSD nbC2<>(SB), Z15
+	MOVQ         $1022, R9
+	VPBROADCASTQ R9, Z9
+
+normOverLoop:
+	CMPQ CX, $8
+	JLT  normOverDone
+	VMOVUPD (SI), Z0
+	VMOVUPD (DI), Z1
+
+	// lg = float64(1022 - e) + (2-m)*(1 - 0.25*(m-1)), e the biased
+	// exponent and m the mantissa with the exponent of 1.
+	VPANDQ.BCST  logMant<>(SB), Z0, Z2
+	VPORQ.BCST   one<>(SB), Z2, Z2 // Z2 = m
+	VPSRLQ       $52, Z0, Z3
+	VPSUBQ       Z3, Z9, Z3
+	VCVTQQ2PD    Z3, Z3
+	VSUBPD       Z12, Z2, Z4
+	VMULPD.BCST  nbQuarter<>(SB), Z4, Z4
+	VSUBPD       Z4, Z12, Z4
+	VSUBPD       Z2, Z13, Z5
+	VMULPD       Z4, Z5, Z5
+	VADDPD       Z5, Z3, Z3 // Z3 = lg
+
+	// cs = 1 - w2*(c2 - c4*w2), w2 = w*w, w = 0.5 - |u2 - 0.5|.
+	VSUBPD      Z14, Z1, Z6
+	VPANDQ.BCST nbAbs<>(SB), Z6, Z6
+	VSUBPD      Z6, Z14, Z6
+	VMULPD      Z6, Z6, Z7
+	VMULPD.BCST nbC4<>(SB), Z7, Z8
+	VSUBPD      Z8, Z15, Z8
+	VMULPD      Z8, Z7, Z8
+	VSUBPD      Z8, Z12, Z8 // Z8 = cs
+
+	// bound = lg*cs*cs*scale; over = u1 < floor && bound > t2.
+	VMULPD      Z8, Z3, Z3
+	VMULPD      Z8, Z3, Z3
+	VMULPD.BCST nbScale<>(SB), Z3, Z3
+	VCMPPD      $0x11, Z10, Z0, K1
+	VCMPPD      $0x1E, Z11, Z3, K1, K1
+	KMOVB       K1, AX
+	MOVB        AX, (R8)(DX*1)
+
+	ADDQ $64, SI
+	ADDQ $64, DI
+	ADDQ $1, DX
+	SUBQ $8, CX
+	JMP  normOverLoop
+
+normOverDone:
+	SHLQ $3, DX
+	MOVQ DX, ret+72(FP)
+	VZEROUPPER
+	RET

@@ -13,3 +13,6 @@ func uniformsAVX512(_, _ []float64, _ *uint64) int { panic("sim: no vector kerne
 func lognormalAVX512(_, _, _, _, _ []float64, _ int) int {
 	panic("sim: no vector kernels")
 }
+func normOverAVX512(_, _ []float64, _, _ float64, _ *[sumBatch / 64]uint64) int {
+	panic("sim: no vector kernels")
+}

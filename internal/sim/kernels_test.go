@@ -345,7 +345,7 @@ func TestFusedKernelMatchesScalar(t *testing.T) {
 
 		run := func(tr Tier) []float64 {
 			defer ForceTier(tr)()
-			c := chunkSampler{mu: mu, sigma: sigma}
+			c := Sampler{mu: mu, sigma: sigma}
 			c.init()
 			out := make([]float64, n)
 			// The pass route uses u1 and u2 as scratch.
@@ -363,7 +363,7 @@ func TestFusedKernelMatchesScalar(t *testing.T) {
 
 		// The inputs must put rejected blocks mid-row with accepted blocks
 		// after them, or the re-entry offset went untested.
-		c := chunkSampler{mu: mu, sigma: sigma}
+		c := Sampler{mu: mu, sigma: sigma}
 		c.init()
 		muPat, sigmaPat := c.muPat[:k+7], c.sigmaPat[:k+7]
 		scratch := make([]float64, 8)
@@ -417,5 +417,52 @@ func BenchmarkUniformKernel(b *testing.B) {
 				BoxMullerUniforms(zr, cs, r)
 			}
 		})
+	}
+}
+
+// TestNormOverKernelMatchesScalar holds the AVX-512 certificate kernel to
+// normOver's scalar loop: the same verdict bits for generator uniforms and
+// for arbitrary floats in (0, 1) (the ends, powers of two, u2 at the
+// cosine's zeros and sign changes), at cutoffs from minCutoff to past any
+// normal the stream can produce, over lengths that leave every len%8
+// tail. The bound is computed lane by lane with the scalar code's
+// roundings, so a u1 or u2 on which it sits exactly at t² must fall the
+// same way on both paths.
+func TestNormOverKernelMatchesScalar(t *testing.T) {
+	requireTier(t, TierAVX512)
+	r := NewRNG(0x0e)
+	special := []float64{0x1p-53, 0x1p-52, 0.5, 0.25, 0.75, 1 - 0x1p-53, 0x1p-1022, 0.1, 0.9}
+	for trial := 0; trial < 4000; trial++ {
+		n := r.Intn(sumBatch + 1)
+		u1, u2 := make([]float64, n), make([]float64, n)
+		for i := range u1 {
+			switch r.Intn(4) {
+			case 0:
+				u1[i], u2[i] = special[r.Intn(len(special))], special[r.Intn(len(special))]
+			case 1:
+				u1[i], u2[i] = math.Float64frombits(r.Uint64()>>12|0x3F<<56)/2, r.Float64()
+			default:
+				u1[i], u2[i] = r.Float64(), r.Float64()
+				if u1[i] == 0 {
+					u1[i] = 0x1p-53
+				}
+			}
+		}
+		cut := minCutoff + 9*r.Float64()
+		floor, t2 := radiusFloor(cut), cut*cut
+		if trial%7 == 0 && n > 0 {
+			// A cutoff that one element's bound hits exactly.
+			i := r.Intn(n)
+			u1[i] = floor / 2
+			t2 = normBound2(u1[i], u2[i])
+		}
+		var got, want [sumBatch / 64]uint64
+		normOver(u1, u2, floor, t2, &got)
+		restore := ForceTier(TierScalar)
+		normOver(u1, u2, floor, t2, &want)
+		restore()
+		if got != want {
+			t.Fatalf("trial %d (n=%d, t=%v): verdicts %x, scalar %x", trial, n, cut, got, want)
+		}
 	}
 }

@@ -93,6 +93,11 @@ func (r *RNG) Reseed(seed uint64) {
 	r.state = seed
 }
 
+// State returns r's position in its stream: NewRNG(r.State()) (or Reseed)
+// continues the stream from here, so a caller that keeps it can replay
+// the draws that follow.
+func (r *RNG) State() uint64 { return r.state }
+
 // Uint64 returns the next 64 random bits.
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15
