@@ -93,7 +93,6 @@ var registry = []struct {
 	{"EngineTickColoSample", benchmarks.EngineTickColoSample},
 	{"EngineControlPeriodColo", benchmarks.EngineControlPeriodColo},
 	{"FleetTick", benchmarks.FleetTick},
-	{"PathP99", benchmarks.PathP99},
 	{"SampleKernel", benchmarks.SampleKernel},
 	{"SampleFilter", benchmarks.SampleFilter},
 	{"UniformKernel", benchmarks.UniformKernel},

@@ -32,9 +32,8 @@
 //     per-machine slices plus the serial scheduler barrier — reported
 //     both as ns/op and as a machines/s throughput metric (the
 //     datacenter-scale gate).
-//   - PathP99: the Monte Carlo path-tail estimator used by profiling.
 //   - SampleKernel: one 512-element LognormalDraws chunk, the batch the
-//     engine's sample pass and the path-tail estimator are built from,
+//     engine's sample pass and the end-to-end p99 estimator are built from,
 //     with "vector", "uniform" and "fused" metrics that are 1 when vector
 //     kernels, the AVX-512 uniform kernel and the fused AVX-512 kernel
 //     ran.
@@ -61,7 +60,6 @@ import (
 	"rhythm/internal/loadgen"
 	"rhythm/internal/metrics"
 	"rhythm/internal/obs"
-	"rhythm/internal/queueing"
 	"rhythm/internal/sim"
 	"rhythm/internal/workload"
 )
@@ -351,31 +349,6 @@ func FleetTick(b *testing.B) {
 		f.Step()
 	}
 	b.ReportMetric(float64(f.Machines()*b.N)/b.Elapsed().Seconds(), "machines/s")
-}
-
-// PathP99 measures the Monte Carlo path-tail estimator over the four-stage
-// E-commerce chain with the profiler's default sample count, in the
-// scratch-reuse pattern sweeps use (one buffer across all calls).
-func PathP99(b *testing.B) {
-	svc := workload.ECommerce()
-	stages := make([]queueing.Sojourn, 0, len(svc.Components))
-	for _, c := range svc.Components {
-		stages = append(stages, c.Station.At(0.7*svc.MaxLoadQPS, 1.1, 1.2, 1))
-	}
-	rng := sim.NewRNG(2020).Fork("bench-pathp99")
-	const n = 1000
-	// Warm the scratch before the timer: a sweep grows its buffer exactly
-	// once, so steady state — the thing worth measuring — is 0 allocs/op
-	// (pinned by TestPathP99ZeroAllocs).
-	var buf []float64
-	var sink float64
-	sink, buf = queueing.PathP99Into(buf, stages, n, rng)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink, buf = queueing.PathP99Into(buf, stages, n, rng)
-	}
-	_ = sink
 }
 
 // SampleKernel measures sim.LognormalDraws over one 512-element chunk

@@ -4,9 +4,6 @@ import (
 	"testing"
 
 	"rhythm/internal/obs"
-	"rhythm/internal/queueing"
-	"rhythm/internal/sim"
-	"rhythm/internal/workload"
 )
 
 // The benchmark bodies live in the non-test package file so that
@@ -21,7 +18,6 @@ func BenchmarkEngineTickInflation(b *testing.B)     { EngineTickInflation(b) }
 func BenchmarkEngineTickColo(b *testing.B)          { EngineTickColo(b) }
 func BenchmarkEngineControlPeriodColo(b *testing.B) { EngineControlPeriodColo(b) }
 func BenchmarkFleetTick(b *testing.B)               { FleetTick(b) }
-func BenchmarkPathP99(b *testing.B)                 { PathP99(b) }
 func BenchmarkSampleKernel(b *testing.B)            { SampleKernel(b) }
 func BenchmarkSampleFilter(b *testing.B)            { SampleFilter(b) }
 func BenchmarkUniformKernel(b *testing.B)           { UniformKernel(b) }
@@ -61,27 +57,5 @@ func TestColocatedFixtureRunsBE(t *testing.T) {
 		if v.Resident == 0 {
 			t.Errorf("pod %s hosts no BE instance after the warm-up", v.Pod)
 		}
-	}
-}
-
-// TestPathP99ZeroAllocs pins the steady-state path-tail estimate — the
-// exact loop PathP99 benchmarks — to zero heap allocations once the
-// scratch buffer has grown: sampling is stack-batched (sim.SumLognormals)
-// and the quantile comes from in-place selection, so a profiling sweep's
-// per-estimate cost is pure compute.
-func TestPathP99ZeroAllocs(t *testing.T) {
-	svc := workload.ECommerce()
-	stages := make([]queueing.Sojourn, 0, len(svc.Components))
-	for _, c := range svc.Components {
-		stages = append(stages, c.Station.At(0.7*svc.MaxLoadQPS, 1.1, 1.2, 1))
-	}
-	rng := sim.NewRNG(2020).Fork("alloc-pathp99")
-	const n = 1000
-	_, buf := queueing.PathP99Into(nil, stages, n, rng)
-	allocs := testing.AllocsPerRun(50, func() {
-		_, buf = queueing.PathP99Into(buf, stages, n, rng)
-	})
-	if allocs != 0 {
-		t.Fatalf("PathP99Into allocates %.1f per op at steady state, want 0", allocs)
 	}
 }

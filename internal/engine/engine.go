@@ -460,19 +460,17 @@ type soaState struct {
 	muSkew   []float64
 	sigSkew  []float64
 
-	// Sampling-pass layout: the call graph flattened to stages in
-	// traversal order (stagePod maps stage -> pod row), per-stage
-	// lognormal parameters gathered per tick, the SamplesPerTick×stages
-	// draw matrix (draw-major stage-minor, the frozen RNG order), the
-	// per-draw end-to-end latencies, and the plan's scratch columns (two
-	// SamplesPerTick columns per level below the root).
+	// Sampling-pass layout: the call graph's plan (its stages in
+	// Node.Latency's visiting order; stagePod maps stage -> pod row),
+	// per-stage lognormal parameters gathered per tick, the
+	// SamplesPerTick×stages draw matrix (draw-major stage-minor, the
+	// frozen RNG order) and the per-draw end-to-end latencies.
+	plan     *workload.Plan
 	stagePod []int
 	stageMu  []float64
 	stageSig []float64
 	vals     []float64
 	lats     []float64
-	plan     *samplePlan
-	cols     [][]float64
 
 	// Lazy sampling (DESIGN.md §9.6). sampler is the batched samplers'
 	// kept scratch. tauRef is the window's last p99 the engine read, and
@@ -517,58 +515,6 @@ type lazyTick struct {
 // utilization and the denormalized sojourn parameters.
 type opPoint struct {
 	bw, util, mu, sigma float64
-}
-
-// samplePlan mirrors workload.Node with the component name resolved to a
-// stage index: evalCols replays Node.Latency's exact recursion —
-// including its right-nested chain association and strict > parallel
-// max — over every row of the draw matrix at once. The association
-// matters: a flat left-to-right sum over the same addends rounds
-// differently, so the combine must copy the walk, not just its multiset
-// of terms.
-type samplePlan struct {
-	stage    int
-	parallel bool
-	children []*samplePlan
-}
-
-// evalCols sets out[d] to Node.Latency with sojourn(comp) replaced by
-// vals[d*stages+stage], for every draw d < len(out). It runs each plan
-// node as a loop over the draws rather than walking the graph per draw:
-// a node copies its own column, then a chain adds each child's column in
-// child order, and a parallel node adds the strict > maximum over its
-// children's columns, started at 0. Per draw these are Latency's IEEE
-// operations in Latency's order, so every out[d] has its bits. cols holds
-// two len(out) scratch columns per level below this node.
-func (n *samplePlan) evalCols(out, vals []float64, stages int, cols [][]float64) {
-	for d := range out {
-		out[d] = vals[d*stages+n.stage]
-	}
-	if len(n.children) == 0 {
-		return
-	}
-	col, worst := cols[0][:len(out)], cols[1][:len(out)]
-	if n.parallel {
-		clear(worst)
-		for _, ch := range n.children {
-			ch.evalCols(col, vals, stages, cols[2:])
-			for d, l := range col {
-				if l > worst[d] {
-					worst[d] = l
-				}
-			}
-		}
-		for d, w := range worst {
-			out[d] += w
-		}
-		return
-	}
-	for _, ch := range n.children {
-		ch.evalCols(col, vals, stages, cols[2:])
-		for d, l := range col {
-			out[d] += l
-		}
-	}
 }
 
 // Engine executes one configured run.
@@ -704,9 +650,9 @@ func New(cfg Config) (*Engine, error) {
 }
 
 // initSoA sizes the struct-of-arrays block, seeds the smoothing state,
-// flattens the call graph into the sampling plan and precomputes the tick
-// constants. Every pod row starts dirty so the first tick syncs the BE
-// caches.
+// builds the call graph's plan and maps its stages to pod rows, and
+// precomputes the tick constants. Every pod row starts dirty so the first
+// tick syncs the BE caches.
 func (e *Engine) initSoA() {
 	n := len(e.pods)
 	s := &e.soa
@@ -753,7 +699,10 @@ func (e *Engine) initSoA() {
 		// step, no per-tick zero check.
 		s.inflate[i], s.cvInfl[i] = 1, 1
 	}
-	s.plan = e.buildPlan(e.cfg.Service.Graph)
+	s.plan = workload.NewPlan(e.cfg.Service.Graph)
+	for _, c := range s.plan.Stages() {
+		s.stagePod = append(s.stagePod, e.podByName[c].idx)
+	}
 	stages := len(s.stagePod)
 	s.stageMu = make([]float64, stages)
 	s.stageSig = make([]float64, stages)
@@ -764,34 +713,7 @@ func (e *Engine) initSoA() {
 	s.cutSig = make([]float64, stages)
 	s.lazyMu = make([]float64, lazyRing*stages)
 	s.lazySig = make([]float64, lazyRing*stages)
-	s.cols = make([][]float64, 2*(s.plan.depth()-1))
-	for i := range s.cols {
-		s.cols[i] = make([]float64, SamplesPerTick)
-	}
 	s.warmupAt = sim.Time(0).Add(e.cfg.Warmup)
-}
-
-// buildPlan flattens the call graph in Latency's traversal order (node
-// first, then children left to right — the order Latency calls its
-// sojourn callback in, and so the order a per-draw walk draws in),
-// assigning each node the next stage index and recording which pod row it
-// samples.
-func (e *Engine) buildPlan(n *workload.Node) *samplePlan {
-	p := &samplePlan{stage: len(e.soa.stagePod), parallel: n.Parallel}
-	e.soa.stagePod = append(e.soa.stagePod, e.podByName[n.Comp].idx)
-	for _, ch := range n.Children {
-		p.children = append(p.children, e.buildPlan(ch))
-	}
-	return p
-}
-
-// depth is the number of plan nodes on the longest root-to-leaf path.
-func (n *samplePlan) depth() int {
-	d := 0
-	for _, ch := range n.children {
-		d = max(d, ch.depth())
-	}
-	return d + 1
 }
 
 // beOps are the BE lifecycle transitions the engine reports on the bus.
@@ -1254,7 +1176,7 @@ func (e *Engine) passSample(k int, now sim.Time) {
 	}
 	state := e.rng.State()
 	m := s.sampler.DrawsBetween(s.vals, s.stageMu, s.stageSig, cut, math.Inf(1), e.rng)
-	s.plan.evalCols(s.lats[:m], s.vals, stages, s.cols)
+	s.plan.Eval(s.lats[:m], s.vals)
 	if m < n {
 		slot := int(s.seq % lazyRing)
 		s.lazy[slot] = lazyTick{at: s.lastAt, seq: s.seq, cut: cut, state: state, pend: true}
@@ -1363,7 +1285,7 @@ func (s *soaState) cutoff(mu, sigma []float64, tau, start float64, refine bool) 
 			s.cutRow[j] = math.Exp(m + sigma[j]*z)
 		}
 		var l [1]float64
-		s.plan.evalCols(l[:], s.cutRow, len(s.cutRow), s.cols)
+		s.plan.Eval(l[:], s.cutRow)
 		if !(l[0] >= 0x1p-1000 && l[0] <= 0x1p1000) {
 			return math.NaN()
 		}
@@ -1431,7 +1353,7 @@ func (e *Engine) recompute(tag uint64, floor float64, dst []float64) (int, float
 	}
 	s.replay.Reseed(rec.state)
 	m := s.sampler.DrawsBetween(s.vals, mu, sigma, cut, rec.cut, &s.replay)
-	s.plan.evalCols(dst[:m], s.vals, stages, s.cols)
+	s.plan.Eval(dst[:m], s.vals)
 	rec.cut = cut
 	rec.pend = m < len(dst)
 	return m, tau

@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"slices"
+	"strconv"
 	"testing"
 
 	"rhythm/internal/loadgen"
@@ -10,35 +11,35 @@ import (
 	"rhythm/internal/workload"
 )
 
-// lazyPlan builds a k-stage sampling plan: a chain (each node's child is
-// the next stage), a fan-out (the root's children are every other stage,
-// taken in parallel), or, with mixed, a tree whose shape and parallel
-// flags come from r.
-func lazyPlan(k int, fanout, mixed bool, r *sim.RNG) *samplePlan {
-	nodes := make([]*samplePlan, k)
+// lazyPlan builds the plan of a k-node call graph: a chain (each node's
+// child is the next one), a fan-out (the root's children are every other
+// node, taken in parallel), or, with mixed, a tree whose shape and
+// parallel flags come from r.
+func lazyPlan(k int, fanout, mixed bool, r *sim.RNG) *workload.Plan {
+	nodes := make([]*workload.Node, k)
 	for i := range nodes {
-		nodes[i] = &samplePlan{stage: i}
+		nodes[i] = &workload.Node{Comp: strconv.Itoa(i)}
 	}
 	for i := 1; i < k; i++ {
 		parent := i - 1
 		switch {
 		case mixed:
 			parent = r.Intn(i)
-			nodes[parent].parallel = r.Float64() < 0.5
+			nodes[parent].Parallel = r.Float64() < 0.5
 		case fanout:
 			parent = 0
-			nodes[0].parallel = true
+			nodes[0].Parallel = true
 		}
-		nodes[parent].children = append(nodes[parent].children, nodes[i])
+		nodes[parent].Children = append(nodes[parent].Children, nodes[i])
 	}
-	return nodes[0]
+	return workload.NewPlan(nodes[0])
 }
 
 // FuzzLazyCutoff holds the lazy sampling pass's certificate to the plans
 // it combines, chain, fan-out and mixed: for stage parameters and a bound
 // τ from the fuzzer, the cutoff of either mode (one step, and refined),
 // from several starting points, must give every row whose normals are at
-// most the cutoff a plan latency (evalCols over exp(mu + sigma·z)) below
+// most the cutoff a plan latency (Plan.Eval over exp(mu + sigma·z)) below
 // τ — the rows at the cutoff itself, and random rows below it. Then, over
 // a tick's 80 draws, the rows a lazy tick skips, recomputed through a
 // replay, must each have a latency below τ, and with the rows it computed
@@ -56,11 +57,7 @@ func FuzzLazyCutoff(f *testing.F) {
 		k := int(kb%8) + 1
 		r := sim.NewRNG(seed)
 		plan := lazyPlan(k, shape%3 == 1, shape%3 == 2, r)
-		cols := make([][]float64, 2*(plan.depth()-1))
-		for i := range cols {
-			cols[i] = make([]float64, SamplesPerTick)
-		}
-		s := &soaState{plan: plan, cols: cols, cutRow: make([]float64, k)}
+		s := &soaState{plan: plan, cutRow: make([]float64, k)}
 		mu, sigma := make([]float64, k), make([]float64, k)
 		for j := range mu {
 			mu[j] = mu0 + 2*r.Float64() - 1
@@ -72,7 +69,7 @@ func FuzzLazyCutoff(f *testing.F) {
 				row[j] = math.Exp(mu[j] + sigma[j]*z[j])
 			}
 			var l [1]float64
-			plan.evalCols(l[:], row, k, cols)
+			plan.Eval(l[:], row)
 			return l[0]
 		}
 		at := func(z float64) []float64 {
@@ -118,15 +115,15 @@ func FuzzLazyCutoff(f *testing.F) {
 		all := make([]float64, SamplesPerTick*k)
 		sim.LognormalDraws(all, mu, sigma, sim.NewRNG(seed))
 		want := make([]float64, SamplesPerTick)
-		plan.evalCols(want, all, k, cols)
+		plan.Eval(want, all)
 		vals := make([]float64, SamplesPerTick*k)
 		got := make([]float64, 0, SamplesPerTick)
 		m := sm.DrawsBetween(vals, mu, sigma, cut, math.Inf(1), sim.NewRNG(seed))
 		got = append(got, make([]float64, m)...)
-		plan.evalCols(got, vals, k, cols)
+		plan.Eval(got, vals)
 		p := sm.DrawsBetween(vals, mu, sigma, 0, cut, sim.NewRNG(seed))
 		skipped := make([]float64, p)
-		plan.evalCols(skipped, vals, k, cols)
+		plan.Eval(skipped, vals)
 		for _, l := range skipped {
 			if !(l < tau) {
 				t.Fatalf("cutoff %v: a skipped row has latency %v, tau %v", cut, l, tau)
@@ -166,7 +163,7 @@ func TestLazyDriftKeepsCertificate(t *testing.T) {
 		s.cutRow[j] = math.Exp(mu[j] + 2.5*sigma[j])
 	}
 	var l0 [1]float64
-	s.plan.evalCols(l0[:], s.cutRow, k, s.cols)
+	s.plan.Eval(l0[:], s.cutRow)
 	s.tauRef = l0[0] / lazyFrac // a cutoff near 2.5
 	kept := 0
 	for step := 0; step < 4000; step++ {
@@ -192,7 +189,7 @@ func TestLazyDriftKeepsCertificate(t *testing.T) {
 			s.cutRow[j] = math.Exp(m + s.stageSig[j]*s.cut)
 		}
 		var l [1]float64
-		s.plan.evalCols(l[:], s.cutRow, k, s.cols)
+		s.plan.Eval(l[:], s.cutRow)
 		if !(l[0] < tau) {
 			t.Fatalf("step %d: cutoff %v (kept %v) gives latency %v, tau %v", step, s.cut, s.cut == before, l[0], tau)
 		}

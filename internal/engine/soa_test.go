@@ -380,63 +380,6 @@ func TestStepMatchesReferenceTick(t *testing.T) {
 	}
 }
 
-// TestEvalColsMatchesLatency holds the column-wise combine to the
-// per-draw Node.Latency walk on random call graphs — chains and parallel
-// fan-outs of up to four children, nested four deep, the shapes scenario
-// specs allow beyond the built-in services' single-child chains — over
-// draw matrices that mix in ±0, ±Inf and NaN. With two or more children
-// the chain's left-to-right association and the parallel max's strict >
-// both show in the bits.
-func TestEvalColsMatchesLatency(t *testing.T) {
-	r := sim.NewRNG(2020).Fork("evalcols")
-	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
-	var build func(depth int, plan *samplePlan) *workload.Node
-	stages := 0
-	build = func(depth int, plan *samplePlan) *workload.Node {
-		plan.stage = stages
-		plan.parallel = r.Float64() < 0.4
-		node := &workload.Node{Comp: fmt.Sprint(stages), Parallel: plan.parallel}
-		stages++
-		if depth > 1 && r.Float64() < 0.8 {
-			for c := 1 + r.Intn(4); c > 0; c-- {
-				ch := &samplePlan{}
-				node.Children = append(node.Children, build(depth-1, ch))
-				plan.children = append(plan.children, ch)
-			}
-		}
-		return node
-	}
-	for trial := 0; trial < 200; trial++ {
-		stages = 0
-		plan := &samplePlan{}
-		graph := build(1+r.Intn(4), plan)
-		draws := 1 + r.Intn(100)
-		vals := make([]float64, draws*stages)
-		for i := range vals {
-			vals[i] = math.Exp(-6 + 4*r.Float64())
-			if r.Float64() < 0.02 {
-				vals[i] = special[r.Intn(len(special))]
-			}
-		}
-		cols := make([][]float64, 2*(plan.depth()-1))
-		for i := range cols {
-			cols[i] = make([]float64, draws)
-		}
-		got := make([]float64, draws)
-		plan.evalCols(got, vals, stages, cols)
-		for d := range got {
-			want := graph.Latency(func(c string) float64 {
-				var stage int
-				fmt.Sscan(c, &stage)
-				return vals[d*stages+stage]
-			})
-			if math.Float64bits(got[d]) != math.Float64bits(want) {
-				t.Fatalf("trial %d draw %d: evalCols %v, Latency %v", trial, d, got[d], want)
-			}
-		}
-	}
-}
-
 // TestRunUntilChunkingUnchanged re-verifies the chunked-run bitwise
 // contract on the SoA core with faults active: a whole Run and unevenly
 // sliced RunUntil sweeps must agree exactly, dirty rows and fault scratch

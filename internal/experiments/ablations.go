@@ -35,14 +35,14 @@ func ablationContribution(ctx *Context) (*Table, error) {
 		n = 4000
 	}
 	rng := ctx.ScratchRNG("ablation-contribution")
-	var buf []float64
+	var sc e2eScratch
 	const load = 0.6
 
 	soloSJ := make(map[string]queueing.Sojourn)
 	for _, c := range svc.Components {
 		soloSJ[c.Name] = c.Station.Solo(load * svc.MaxLoadQPS)
 	}
-	solo, buf := e2eP99Into(buf, svc, soloSJ, n, rng)
+	solo := e2eP99Into(&sc, svc, soloSJ, n, rng)
 
 	// Measured sensitivity per pod under the mixed BE group.
 	var sens []float64
@@ -51,8 +51,7 @@ func ablationContribution(ctx *Context) (*Table, error) {
 		sum := 0.0
 		srcs := []string{"stream_dram(big)", "stream_llc(big)", "CPU_stress", "iperf"}
 		for _, src := range srcs {
-			var p99 float64
-			p99, buf = staticColocationP99(buf, svc, c.Name, src, load, n, rng)
+			p99 := staticColocationP99(&sc, svc, c.Name, src, load, n, rng)
 			sum += (p99 - solo) / solo
 		}
 		sens = append(sens, sum/float64(len(srcs)))
@@ -76,11 +75,7 @@ func ablationContribution(ctx *Context) (*Table, error) {
 		}
 		t.AddRow(name, f3(r))
 	}
-	status := "OK"
-	if productR <= 0 {
-		status = "MISMATCH"
-	}
-	t.Note("the Eq. 4 product correlates positively with sensitivity (r=%.2f) [%s]", productR, status)
+	t.Check(!(productR <= 0), "the Eq. 4 product correlates positively with sensitivity (r=%.2f)", productR)
 	return t, nil
 }
 
@@ -188,11 +183,7 @@ func ablationPairing(ctx *Context) (*Table, error) {
 			t.AddRow(sc.name, c.Name, ms(want), ms(got), fmt.Sprintf("%.2e", rel))
 		}
 	}
-	status := "OK"
-	if worst > 1e-5 {
-		status = "MISMATCH"
-	}
-	t.Note("worst relative mean error %.2e — §3.3: means are invariant under pairing ambiguity [%s]", worst, status)
+	t.Check(!(worst > 1e-5), "worst relative mean error %.2e — §3.3: means are invariant under pairing ambiguity", worst)
 	return t, nil
 }
 
@@ -244,11 +235,7 @@ func ablationIsolation(ctx *Context) (*Table, error) {
 		t.AddRow(mode, f3(st.MeanBEThroughput()), f3(st.MeanEMU()),
 			f3(st.WorstP99/sys.SLA), fmt.Sprintf("%d", st.Violations))
 	}
-	status := "OK"
-	if with <= without {
-		status = "MISMATCH"
-	}
-	t.Note("isolation lets the controller hold more BE work at equal safety: %.3f vs %.3f [%s]",
-		with, without, status)
+	t.Check(!(with <= without), "isolation lets the controller hold more BE work at equal safety: %.3f vs %.3f",
+		with, without)
 	return t, nil
 }

@@ -43,6 +43,16 @@ type Table struct {
 	// Notes carries derived headline numbers (the values EXPERIMENTS.md
 	// compares against the paper).
 	Notes []string
+	// Checks are the notes that carry a verdict against the paper, in
+	// note order, as data.
+	Checks []Check
+}
+
+// Check is one verdict against the paper: the note as rendered, verdict
+// suffix included, and whether the claim held.
+type Check struct {
+	Note  string
+	Holds bool
 }
 
 // AddRow appends a formatted row.
@@ -51,6 +61,19 @@ func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 // Note appends a formatted headline note.
 func (t *Table) Note(format string, args ...interface{}) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
+}
+
+// Check appends a formatted headline note that states a claim of the
+// paper, suffixed " [OK]" when it holds and " [MISMATCH]" when it does
+// not, and records the verdict in Checks.
+func (t *Table) Check(holds bool, format string, args ...any) {
+	verdict := " [MISMATCH]"
+	if holds {
+		verdict = " [OK]"
+	}
+	c := Check{Note: fmt.Sprintf(format, args...) + verdict, Holds: holds}
+	t.Notes = append(t.Notes, c.Note)
+	t.Checks = append(t.Checks, c)
 }
 
 // String renders the table as aligned plain text.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -29,13 +30,21 @@ func runExp(t *testing.T, id string) *Table {
 	return tab
 }
 
-// requireNoMismatch fails when any headline note flags a shape mismatch
-// against the paper.
+// requireNoMismatch fails when any check of the table's does not hold
+// against the paper, and when a note carries a verdict suffix that no
+// Check recorded (a verdict built as a string, out of the checks' reach).
 func requireNoMismatch(t *testing.T, tab *Table) {
 	t.Helper()
+	checked := map[string]bool{}
+	for _, c := range tab.Checks {
+		checked[c.Note] = true
+		if !c.Holds {
+			t.Errorf("%s: %s", tab.ID, c.Note)
+		}
+	}
 	for _, n := range tab.Notes {
-		if strings.Contains(n, "MISMATCH") {
-			t.Errorf("%s: %s", tab.ID, n)
+		if (strings.HasSuffix(n, " [OK]") || strings.HasSuffix(n, " [MISMATCH]")) && !checked[n] {
+			t.Errorf("%s: note carries a verdict no Check recorded: %s", tab.ID, n)
 		}
 	}
 }
@@ -128,6 +137,20 @@ func TestTableString(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("rendered table missing %q:\n%s", want, s)
 		}
+	}
+}
+
+// TestTableCheck: a check renders as a note with its verdict suffix and
+// is recorded as data, in note order.
+func TestTableCheck(t *testing.T) {
+	tab := &Table{ID: "x"}
+	tab.Note("plain")
+	tab.Check(true, "holds at %d", 1)
+	tab.Check(false, "fails at %.1f", 2.0)
+	wantNotes := []string{"plain", "holds at 1 [OK]", "fails at 2.0 [MISMATCH]"}
+	wantChecks := []Check{{"holds at 1 [OK]", true}, {"fails at 2.0 [MISMATCH]", false}}
+	if !slices.Equal(tab.Notes, wantNotes) || !slices.Equal(tab.Checks, wantChecks) {
+		t.Fatalf("notes %q, checks %v; want %q, %v", tab.Notes, tab.Checks, wantNotes, wantChecks)
 	}
 }
 

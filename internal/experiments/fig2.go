@@ -43,41 +43,54 @@ func sourceBE(src string) (bejobs.Type, bool) {
 	}
 }
 
+// e2eScratch is the end-to-end p99 estimator's kept state: the plan of
+// the service graph it last sampled, the per-stage lognormal parameters,
+// the sampler and the draw and latency buffers, all grown to the largest
+// call so far, so that a figure's sweep over loads and interference
+// sources allocates once per service. The zero value is ready to use.
+type e2eScratch struct {
+	graph      *workload.Node
+	plan       *workload.Plan
+	mu, sigma  []float64
+	sampler    sim.Sampler
+	vals, lats []float64
+}
+
 // e2eP99Into samples the service's end-to-end p99 with the given
-// per-component sojourn distributions, writing the n latency samples into
-// buf (grown only when too small) and returning the possibly-grown buffer
-// for the next call, so a figure's sweep over loads and interference
-// sources allocates one sample buffer total. The per-component lognormal
-// parameters are flattened out of the Sojourn values once per call, and
-// the tail is computed by O(n) selection; the draws and the estimate are
-// bit-identical to the seed's per-sample Sojourn.Sample + copy/sort
-// Quantile (frozen contract, sim.RNG.NormFloat64).
-func e2eP99Into(buf []float64, svc *workload.Service, sj map[string]queueing.Sojourn, n int, rng *sim.RNG) (float64, []float64) {
-	if cap(buf) < n {
-		buf = make([]float64, n)
+// per-component sojourn distributions from n draws of rng, through sc:
+// the engine's sampler and plan combine (the call graph's stages in
+// Node.Latency's visiting order, one normal per stage per draw in the
+// frozen stream order), then an O(n) selection of the p99. Every latency,
+// and so the estimate, is bit-identical to walking Node.Latency per draw
+// with one Sojourn.Sample per stage and taking the quantile of the
+// sorted samples.
+func e2eP99Into(sc *e2eScratch, svc *workload.Service, sj map[string]queueing.Sojourn, n int, rng *sim.RNG) float64 {
+	if sc.graph != svc.Graph {
+		sc.graph, sc.plan = svc.Graph, workload.NewPlan(svc.Graph)
+		k := len(sc.plan.Stages())
+		sc.mu, sc.sigma = make([]float64, k), make([]float64, k)
 	}
-	buf = buf[:n]
-	params := make(map[string][2]float64, len(sj))
-	for c, s := range sj {
-		mu, sg := s.LogParams()
-		params[c] = [2]float64{mu, sg}
+	for s, c := range sc.plan.Stages() {
+		sc.mu[s], sc.sigma[s] = sj[c].LogParams()
 	}
-	sample := func(c string) float64 {
-		p := params[c]
-		return math.Exp(p[0] + p[1]*rng.NormFloat64())
+	m := n * len(sc.mu)
+	if cap(sc.vals) < m {
+		sc.vals = make([]float64, m)
 	}
-	for i := range buf {
-		buf[i] = svc.Graph.Latency(sample)
+	if cap(sc.lats) < n {
+		sc.lats = make([]float64, n)
 	}
-	return sim.SelectQuantile(buf, 0.99), buf
+	vals, lats := sc.vals[:m], sc.lats[:n]
+	sc.sampler.DrawsBetween(vals, sc.mu, sc.sigma, math.Inf(-1), math.Inf(1), rng)
+	sc.plan.Eval(lats, vals)
+	return sim.SelectQuantile(lats, 0.99)
 }
 
 // staticColocationP99 computes the service p99 when one component is
 // statically co-located with an interference source (§2's methodology: no
-// controller, pinning only, shared LLC/DRAM/network). buf is the shared
-// sample scratch (see e2eP99Into).
-func staticColocationP99(buf []float64, svc *workload.Service, target string, src string,
-	load float64, n int, rng *sim.RNG) (float64, []float64) {
+// controller, pinning only, shared LLC/DRAM/network), sampled through sc.
+func staticColocationP99(sc *e2eScratch, svc *workload.Service, target string, src string,
+	load float64, n int, rng *sim.RNG) float64 {
 	model := interference.Unisolated()
 	spec := cluster.DefaultSpec()
 	sj := make(map[string]queueing.Sojourn, len(svc.Components))
@@ -102,7 +115,7 @@ func staticColocationP99(buf []float64, svc *workload.Service, target string, sr
 		}
 		sj[c.Name] = c.Station.At(qps, inflate, cvInflate, freq)
 	}
-	return e2eP99Into(buf, svc, sj, n, rng)
+	return e2eP99Into(sc, svc, sj, n, rng)
 }
 
 // fig2 characterizes the inconsistent interference tolerance of LC
@@ -129,7 +142,7 @@ func fig2(ctx *Context) (*Table, error) {
 		{workload.ECommerce(), []string{"Tomcat", "MySQL"}},
 	}
 	rng := ctx.ScratchRNG("fig2")
-	var buf []float64 // shared sample scratch across the whole sweep
+	var sc e2eScratch
 
 	// increase[src][pod] accumulates the mean increase for the notes.
 	increase := map[string]map[string]float64{}
@@ -140,15 +153,14 @@ func fig2(ctx *Context) (*Table, error) {
 			for _, c := range cs.svc.Components {
 				sj[c.Name] = c.Station.Solo(load * cs.svc.MaxLoadQPS)
 			}
-			solo[load], buf = e2eP99Into(buf, cs.svc, sj, n, rng)
+			solo[load] = e2eP99Into(&sc, cs.svc, sj, n, rng)
 		}
 		for _, pod := range cs.pods {
 			for _, src := range fig2Sources {
 				row := []string{cs.svc.Name, pod, src}
 				sum := 0.0
 				for _, load := range loads {
-					var p99 float64
-					p99, buf = staticColocationP99(buf, cs.svc, pod, src, load, n, rng)
+					p99 := staticColocationP99(&sc, cs.svc, pod, src, load, n, rng)
 					inc := (p99 - solo[load]) / solo[load]
 					sum += inc
 					row = append(row, pct(inc))
@@ -165,12 +177,8 @@ func fig2(ctx *Context) (*Table, error) {
 	// Headline orderings from §2.
 	note := func(src, hi, lo string) {
 		h, l := increase[src][hi], increase[src][lo]
-		status := "OK"
-		if h <= l {
-			status = "MISMATCH"
-		}
-		t.Note("%s: %s (+%.0f%%) vs %s (+%.0f%%) — paper: %s more sensitive [%s]",
-			src, hi, 100*h, lo, 100*l, hi, status)
+		t.Check(!(h <= l), "%s: %s (+%.0f%%) vs %s (+%.0f%%) — paper: %s more sensitive",
+			src, hi, 100*h, lo, 100*l, hi)
 	}
 	note("stream_llc(big)", "Master", "Slave")
 	note("stream_dram(big)", "Master", "Slave")
@@ -201,14 +209,14 @@ func fig7(ctx *Context) (*Table, error) {
 	}
 	svc := sys.Service
 	rng := ctx.ScratchRNG("fig7")
-	var buf []float64
+	var sc e2eScratch
 	const load = 0.6
 
 	soloSJ := make(map[string]queueing.Sojourn)
 	for _, c := range svc.Components {
 		soloSJ[c.Name] = c.Station.Solo(load * svc.MaxLoadQPS)
 	}
-	solo, buf := e2eP99Into(buf, svc, soloSJ, n, rng)
+	solo := e2eP99Into(&sc, svc, soloSJ, n, rng)
 
 	groups := map[string][]string{
 		"mixed":       {"stream_dram(big)", "stream_llc(big)", "CPU_stress", "iperf"},
@@ -227,8 +235,7 @@ func fig7(ctx *Context) (*Table, error) {
 		for _, g := range order {
 			sum := 0.0
 			for _, src := range groups[g] {
-				var p99 float64
-				p99, buf = staticColocationP99(buf, svc, c.Name, src, load, n, rng)
+				p99 := staticColocationP99(&sc, svc, c.Name, src, load, n, rng)
 				sum += (p99 - solo) / solo
 			}
 			v := sum / float64(len(groups[g]))
@@ -239,11 +246,7 @@ func fig7(ctx *Context) (*Table, error) {
 	}
 	for _, g := range order {
 		r := sim.Pearson(contribs, sens[g])
-		status := "OK"
-		if r <= 0 {
-			status = "MISMATCH"
-		}
-		t.Note("Pearson(contribution, sensitivity) under %s = %.2f — paper: positive for every BE [%s]", g, r, status)
+		t.Check(!(r <= 0), "Pearson(contribution, sensitivity) under %s = %.2f — paper: positive for every BE", g, r)
 	}
 	return t, nil
 }

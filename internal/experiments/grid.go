@@ -174,12 +174,9 @@ func podGrid(ctx *Context, id, metric string, get func(*engine.PodStats) float64
 		}
 	}
 	t.Note("mean Rhythm-Heracles gap across the grid: %+.3f", improveSum/float64(improveN))
-	status := "OK"
-	if rhythmAt85 <= heraclesAt85 {
-		status = "MISMATCH"
-	}
-	t.Note("at 85%% load: Rhythm total %.3f vs Heracles %.3f — paper: Heracles drops to zero BE co-location at 85%% [%s]",
-		rhythmAt85, heraclesAt85, status)
+	t.Check(!(rhythmAt85 <= heraclesAt85),
+		"at 85%% load: Rhythm total %.3f vs Heracles %.3f — paper: Heracles drops to zero BE co-location at 85%%",
+		rhythmAt85, heraclesAt85)
 	return t, nil
 }
 
@@ -230,11 +227,7 @@ func serviceGrid(ctx *Context, id, metric string, get func(*engine.RunStats) flo
 			best, bestV = gs.Service, v
 		}
 	}
-	status := "OK"
-	if bestV <= 0 {
-		status = "MISMATCH"
-	}
-	t.Note("best service: %s (%s) — paper: Solr benefits the most; improvements positive everywhere [%s]",
-		best, pct(bestV), status)
+	t.Check(!(bestV <= 0), "best service: %s (%s) — paper: Solr benefits the most; improvements positive everywhere",
+		best, pct(bestV))
 	return t, nil
 }

@@ -64,11 +64,7 @@ func fig6(ctx *Context) (*Table, error) {
 			minCoV = m
 		}
 	}
-	status := "OK"
-	if amoebaCoV != minCoV {
-		status = "MISMATCH"
-	}
-	t.Note("Amoeba has the smallest mean CoV (%.3f) — paper: most stable Servpod [%s]", amoebaCoV, status)
+	t.Check(amoebaCoV == minCoV, "Amoeba has the smallest mean CoV (%.3f) — paper: most stable Servpod", amoebaCoV)
 	return t, nil
 }
 
@@ -91,11 +87,7 @@ func fig8(ctx *Context) (*Table, error) {
 	t.Note("average CoV: MySQL %.3f, Tomcat %.3f", sim.Mean(prof.CoV["MySQL"]), sim.Mean(prof.CoV["Tomcat"]))
 	t.Note("loadlimit(MySQL) = %s — paper: 76%%", pct(prof.Loadlimits["MySQL"]))
 	t.Note("loadlimit(Tomcat) = %s — paper: 87%%", pct(prof.Loadlimits["Tomcat"]))
-	status := "OK"
-	if prof.Loadlimits["MySQL"] >= prof.Loadlimits["Tomcat"] {
-		status = "MISMATCH"
-	}
-	t.Note("MySQL's knee precedes Tomcat's [%s]", status)
+	t.Check(!(prof.Loadlimits["MySQL"] >= prof.Loadlimits["Tomcat"]), "MySQL's knee precedes Tomcat's")
 	return t, nil
 }
 

@@ -89,26 +89,16 @@ func fig17(ctx *Context) (*Table, error) {
 			counts[pod][controller.SuspendBE],
 			counts[pod][controller.StopBE])
 	}
-	status := "OK"
-	if counts["MySQL"][controller.SuspendBE] == 0 {
-		status = "MISMATCH"
-	}
-	t.Note("MySQL suspends BEs when the diurnal peak crosses its loadlimit [%s]", status)
+	t.Check(counts["MySQL"][controller.SuspendBE] != 0, "MySQL suspends BEs when the diurnal peak crosses its loadlimit")
 	// Tomcat must host BE jobs in the trough. MySQL does too in the
 	// paper; in this substrate the Algorithm 1 search sometimes leaves
 	// MySQL fully protective (slacklimit ~1), which is the same
 	// component-distinguishable structure pushed to its limit.
-	status = "OK"
-	if counts["Tomcat"][controller.AllowBEGrowth] == 0 {
-		status = "MISMATCH"
-	}
 	mysqlGrow := counts["MySQL"][controller.AllowBEGrowth]
 	th := sys.Thresholds["MySQL"]
-	if mysqlGrow == 0 && th.Slacklimit < 0.9 {
-		status = "MISMATCH"
-	}
-	t.Note("Tomcat grows BEs during the trough; MySQL grow-ticks=%d (slacklimit %.2f) [%s]",
-		mysqlGrow, th.Slacklimit, status)
+	t.Check(counts["Tomcat"][controller.AllowBEGrowth] != 0 && !(mysqlGrow == 0 && th.Slacklimit < 0.9),
+		"Tomcat grows BEs during the trough; MySQL grow-ticks=%d (slacklimit %.2f)",
+		mysqlGrow, th.Slacklimit)
 	return t, nil
 }
 
@@ -287,12 +277,8 @@ func tab2(ctx *Context) (*Table, error) {
 		t.AddRow(row...)
 	}
 	at100, _ := pointAt(slack, 1.0)
-	status := "OK"
-	if at100.Violations != 0 {
-		status = "MISMATCH"
-	}
-	t.Note("derived thresholds (100%% level): %d violations, %d kills — paper: 0/0 [%s]",
-		at100.Violations, at100.Kills, status)
+	t.Check(at100.Violations == 0, "derived thresholds (100%% level): %d violations, %d kills — paper: 0/0",
+		at100.Violations, at100.Kills)
 	// In this substrate the controller's guard band converts most
 	// would-be violations into pre-emptive BE kills, so the degradation
 	// from shrinking the slacklimit shows up as kills (the paper sees
@@ -301,12 +287,9 @@ func tab2(ctx *Context) (*Table, error) {
 	// Flag only an inverted trend (shrinking the limit must not make the
 	// system strictly safer); equal safety is possible here because the
 	// guard band absorbs mild mis-settings entirely.
-	status = "OK"
-	if reduced.Violations+reduced.Kills < at100.Violations+at100.Kills {
-		status = "MISMATCH"
-	}
-	t.Note("shrinking slacklimit to 70%% degrades safety: %d violations, %d kills vs %d/%d at 100%% — paper: 22 violations, 7 kills [%s]",
-		reduced.Violations, reduced.Kills, at100.Violations, at100.Kills, status)
+	t.Check(reduced.Violations+reduced.Kills >= at100.Violations+at100.Kills,
+		"shrinking slacklimit to 70%% degrades safety: %d violations, %d kills vs %d/%d at 100%% — paper: 22 violations, 7 kills",
+		reduced.Violations, reduced.Kills, at100.Violations, at100.Kills)
 	return t, nil
 }
 

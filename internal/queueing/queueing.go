@@ -235,47 +235,3 @@ func (s Station) Solo(lambda float64) Sojourn { return s.At(lambda, 1, 1, 1) }
 func (s Station) MaxRate() float64 {
 	return float64(s.Workers) / s.BaseService
 }
-
-// pathMaxStackStages bounds the stack-resident SoA scratch PathP99Into
-// flattens stage parameters into; deeper paths (no real service comes
-// close) fall back to heap slices.
-const pathMaxStackStages = 16
-
-// PathP99Into estimates the end-to-end p99 of a path — the sum of the given
-// per-stage sojourns — from n Monte Carlo draws of r. It samples because
-// the analytic convolution of lognormals has no closed form. buf is
-// caller-owned scratch: the n path sums are written into it (grown only
-// when cap(buf) < n; nil is fine) and the possibly-grown buffer is
-// returned for the next call, so a sweep that estimates many operating
-// points allocates once. No stages or n <= 0 give 0.
-//
-// Ownership: the returned slice aliases buf's storage, holds the n path
-// sums partially reordered by quantile selection (NOT sorted), and is
-// overwritten by the next call; callers that need the samples must copy
-// them. The estimate is identical to the seed implementation's
-// sort-then-interpolate — same draws in the same frozen RNG order (one
-// normal per stage per draw, sim.SumLognormals), same order statistics,
-// bit-for-bit — but runs in O(n) via sim.SelectQuantile and the batched
-// structure-of-arrays sample kernel instead of per-draw method dispatch
-// plus an O(n log n) sort. See DESIGN.md §9.
-func PathP99Into(buf []float64, stages []Sojourn, n int, r *sim.RNG) (float64, []float64) {
-	if len(stages) == 0 || n <= 0 {
-		return 0, buf
-	}
-	if cap(buf) < n {
-		buf = make([]float64, n)
-	}
-	buf = buf[:n]
-	var muArr, sgArr [pathMaxStackStages]float64
-	var mu, sg []float64
-	if len(stages) <= pathMaxStackStages {
-		mu, sg = muArr[:len(stages)], sgArr[:len(stages)]
-	} else {
-		mu, sg = make([]float64, len(stages)), make([]float64, len(stages))
-	}
-	for i, s := range stages {
-		mu[i], sg[i] = s.dist.LogParams()
-	}
-	sim.SumLognormals(buf, mu, sg, r)
-	return sim.SelectQuantile(buf, 0.99), buf
-}

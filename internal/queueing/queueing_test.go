@@ -3,7 +3,6 @@ package queueing
 import (
 	"fmt"
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -401,20 +400,6 @@ func TestCVGrowsWithLoad(t *testing.T) {
 	}
 }
 
-func TestPathP99AtLeastSingleStage(t *testing.T) {
-	s := defaultStation()
-	sj := s.Solo(0.5 * s.MaxRate())
-	r := sim.NewRNG(7)
-	one, _ := PathP99Into(nil, []Sojourn{sj}, 20000, r)
-	two, _ := PathP99Into(nil, []Sojourn{sj, sj}, 20000, sim.NewRNG(7))
-	if two <= one {
-		t.Fatalf("two stages should have higher p99: %v vs %v", two, one)
-	}
-	if p, _ := PathP99Into(nil, nil, 100, r); p != 0 {
-		t.Fatal("empty path should be 0")
-	}
-}
-
 func TestAtClampsDegenerateInputs(t *testing.T) {
 	s := defaultStation()
 	sj := s.At(0.5*s.MaxRate(), 0.5, 0.1, -1) // inflate<1, cvInflate<1, freq<=0
@@ -446,92 +431,6 @@ func TestAtClampsDegenerateLambda(t *testing.T) {
 		if sj.P99() != idle.P99() {
 			t.Fatalf("%s lambda: p99 %v, want %v", name, sj.P99(), idle.P99())
 		}
-	}
-}
-
-// seedPathP99 is the pre-optimization implementation, kept verbatim as the
-// differential oracle: per-draw Sojourn.Sample dispatch, full sort,
-// interpolated quantile. PathP99Into must reproduce its output
-// bit-for-bit AND leave the RNG at the same stream position.
-func seedPathP99(stages []Sojourn, n int, r *sim.RNG) float64 {
-	if len(stages) == 0 || n <= 0 {
-		return 0
-	}
-	buf := make([]float64, n)
-	for i := range buf {
-		t := 0.0
-		for _, s := range stages {
-			t += s.Sample(r)
-		}
-		buf[i] = t
-	}
-	sort.Float64s(buf)
-	return sim.QuantileSorted(buf, 0.99)
-}
-
-func pathStages(k int) []Sojourn {
-	s := defaultStation()
-	stages := make([]Sojourn, k)
-	for i := range stages {
-		frac := 0.3 + 0.15*float64(i)
-		stages[i] = s.At(frac*s.MaxRate(), 1+0.1*float64(i), 1+0.05*float64(i), 1)
-	}
-	return stages
-}
-
-func TestPathP99IntoMatchesSeedImplementation(t *testing.T) {
-	for _, k := range []int{1, 3, 4, 7} {
-		for _, n := range []int{1, 2, 100, 1000, 6000} {
-			stages := pathStages(k)
-
-			ref := sim.NewRNG(2020).Fork("path")
-			want := seedPathP99(stages, n, ref)
-
-			rng := sim.NewRNG(2020).Fork("path")
-			got, _ := PathP99Into(nil, stages, n, rng)
-
-			if math.Float64bits(want) != math.Float64bits(got) {
-				t.Fatalf("k=%d n=%d: PathP99Into = %x, seed oracle = %x",
-					k, n, math.Float64bits(got), math.Float64bits(want))
-			}
-			if a, b := ref.Uint64(), rng.Uint64(); a != b {
-				t.Fatalf("k=%d n=%d: RNG stream diverged after estimate", k, n)
-			}
-		}
-	}
-}
-
-// TestPathEstimatorMatchesSeedImplementation holds the reusable-estimator
-// contract (once the PathEstimator type, now PathP99Into with a carried
-// buffer) to the oracle: one scratch buffer is threaded through changing
-// stage sets and sample counts, so growth, reuse at a smaller n and the
-// 1-sample edge all see stale contents from the previous call.
-func TestPathEstimatorMatchesSeedImplementation(t *testing.T) {
-	var buf []float64
-	for _, k := range []int{1, 4, 7} {
-		stages := pathStages(k)
-		for _, n := range []int{1, 100, 5000} {
-			ref := sim.NewRNG(99).Fork("pe")
-			want := seedPathP99(stages, n, ref)
-
-			rng := sim.NewRNG(99).Fork("pe")
-			var got float64
-			got, buf = PathP99Into(buf, stages, n, rng)
-
-			if math.Float64bits(want) != math.Float64bits(got) {
-				t.Fatalf("k=%d n=%d: PathP99Into(reused buf) = %x, seed oracle = %x",
-					k, n, math.Float64bits(got), math.Float64bits(want))
-			}
-			if a, b := ref.Uint64(), rng.Uint64(); a != b {
-				t.Fatalf("k=%d n=%d: RNG stream diverged after estimate", k, n)
-			}
-		}
-	}
-	if p, _ := PathP99Into(buf, pathStages(4), 0, sim.NewRNG(1)); p != 0 {
-		t.Fatal("n<=0 should return 0")
-	}
-	if p, _ := PathP99Into(buf, nil, 100, sim.NewRNG(1)); p != 0 {
-		t.Fatal("no stages should return 0")
 	}
 }
 

@@ -71,9 +71,9 @@ func (l Lognormal) Sample(r *RNG) float64 {
 
 // LogParams returns the log-space mean and standard deviation, the
 // parameters a fused sampler needs to reproduce Sample's exact expression
-// (exp(mu + sigma*z)) without going through the method: SumLognormals and
-// the queueing path estimator flatten many distributions into (mu, sigma)
-// structure-of-arrays scratch and draw in bulk.
+// (exp(mu + sigma*z)) without going through the method: LognormalDraws
+// and Sampler.DrawsBetween take many distributions as (mu, sigma)
+// structure-of-arrays parameters and draw in bulk.
 func (l Lognormal) LogParams() (mu, sigma float64) { return l.mu, l.sigma }
 
 // Mean returns the linear-space mean.

@@ -8,9 +8,10 @@ import (
 )
 
 // FuzzLognormalKernels holds every kernel tier the host has to the scalar
-// tier on arbitrary inputs: the batched samplers over a k-stage path (k
-// from 1 to 9) whose first stage has the fuzzed mu and sigma and whose
-// last stage has mu = x; the fused route over uniform pairs with u
+// tier on arbitrary inputs: two successive LognormalDraws calls, the
+// second continuing the first's stream, over a k-stage path (k from 1 to
+// 9) whose first stage has the fuzzed mu and sigma and whose last stage
+// has mu = x; the fused route over uniform pairs with u
 // planted in u1 and sigma in u2; the uniform pass over up to 520 pairs
 // from the fuzzed seed as generator state; and each four-lane pass over
 // uniforms with u planted in them and exp arguments with x planted in
@@ -65,9 +66,9 @@ func FuzzLognormalKernels(f *testing.F) {
 		run := func() (outs [][]float64, nexts []uint64) {
 			// The samplers.
 			r := sim.NewRNG(seed)
-			vals := make([]float64, draws*stages+draws)
+			vals := make([]float64, 2*draws*stages)
 			sim.LognormalDraws(vals[:draws*stages], mus, sigmas, r)
-			sim.SumLognormals(vals[draws*stages:], mus, sigmas, r)
+			sim.LognormalDraws(vals[draws*stages:], mus, sigmas, r)
 			outs = append(outs, vals)
 			nexts = append(nexts, r.Uint64())
 

@@ -242,33 +242,31 @@ func TestExpKernelMatchesScalar(t *testing.T) {
 	checkPass(t, "expPass", in, expPass)
 }
 
-// TestSamplersVectorMatchesScalar holds both batched samplers to the same
-// bits and the same stream position at every kernel tier the host has as
-// at the scalar tier (and the scalar tier to the plain per-draw loop), for
+// TestSamplersVectorMatchesScalar holds two successive LognormalDraws
+// calls, the second continuing the first's stream, to the same bits and
+// the same stream position at every kernel tier the host has as at the
+// scalar tier (and the scalar tier to the plain per-draw loop), for
 // every path depth from 1 to 9, the depths either side of the fused
 // kernel's bound and one beyond the scratch chunk, with draw counts that
 // leave partial blocks, len%8 tails and partial chunks.
 func TestSamplersVectorMatchesScalar(t *testing.T) {
 	type result struct {
-		draws, sums []float64
-		next        uint64
+		draws, again []float64
+		next         uint64
 	}
 	sample := func(k, n int, mu, sigma []float64, perDraw bool) result {
 		r := NewRNG(uint64(1000*k + n))
-		res := result{draws: make([]float64, n*k), sums: make([]float64, n)}
+		res := result{draws: make([]float64, n*k), again: make([]float64, n*k)}
 		if perDraw {
-			for i := range res.draws {
-				s := i % k
-				res.draws[i] = math.Exp(mu[s] + sigma[s]*r.NormFloat64())
-			}
-			for i := range res.sums {
-				for s := 0; s < k; s++ {
-					res.sums[i] += math.Exp(mu[s] + sigma[s]*r.NormFloat64())
+			for _, out := range [][]float64{res.draws, res.again} {
+				for i := range out {
+					s := i % k
+					out[i] = math.Exp(mu[s] + sigma[s]*r.NormFloat64())
 				}
 			}
 		} else {
 			LognormalDraws(res.draws, mu, sigma, r)
-			SumLognormals(res.sums, mu, sigma, r)
+			LognormalDraws(res.again, mu, sigma, r)
 		}
 		res.next = r.Uint64()
 		return res
@@ -296,9 +294,9 @@ func TestSamplersVectorMatchesScalar(t *testing.T) {
 						t.Fatalf("k=%d n=%d LognormalDraws[%d]: %v, scalar %v", k, n, i, got.draws[i], want.draws[i])
 					}
 				}
-				for i := range want.sums {
-					if !sameBits(got.sums[i], want.sums[i]) {
-						t.Fatalf("k=%d n=%d SumLognormals[%d]: %v, scalar %v", k, n, i, got.sums[i], want.sums[i])
+				for i := range want.again {
+					if !sameBits(got.again[i], want.again[i]) {
+						t.Fatalf("k=%d n=%d second LognormalDraws[%d]: %v, scalar %v", k, n, i, got.again[i], want.again[i])
 					}
 				}
 				if got.next != want.next {

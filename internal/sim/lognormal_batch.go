@@ -6,100 +6,41 @@ import (
 )
 
 // sumBatch is the scratch extent (in draws×stages elements) of one
-// SumLognormals / LognormalDraws chunk: the u2 uniforms (and, for
-// SumLognormals, the values) live in float64 arrays of this size on the
-// stack, small enough to stay in L1 while the passes stream over them.
+// LognormalDraws chunk: the u2 uniforms live in a float64 array of this
+// size in the Sampler, small enough to stay in L1 while the passes stream
+// over the chunk.
 const sumBatch = 512
 
-// SumLognormals fills dst with len(dst) independent path sums over the
-// per-stage lognormal parameters mu and sigma (log-space, as returned by
-// Lognormal.LogParams):
-//
-//	dst[i] = Σ_s exp(mu[s] + sigma[s] * z_{i,s})
-//
-// where z_{i,s} are standard normal draws from r.
-//
-// The draw order is frozen (see RNG.NormFloat64): draw-major,
-// stage-minor — for each path sum i, one normal per stage s in stage
-// order — exactly the uniform stream a plain `for each i { for each s {
-// dist.Sample(r) } }` loop consumes, and every produced float is
-// bit-identical to that loop's. Byte-determinism of the experiment tables
-// depends on both properties.
-//
-// Internally the work is restructured for throughput rather than
-// per-draw: the uniforms for a chunk of draws are pulled from r in stream
-// order into stack scratch, the chunk's lognormal values are computed from
-// them (Sampler.draw), and each row is summed last, left to right.
-// How the values are computed depends on the host's kernel tier
-// (kernels_amd64.go): with AVX-512, the uniforms come eight pairs at a
-// time and one fused kernel turns each eight pairs into eight lognormal
-// values (radius, angle, exp argument and exp), for paths of at most
-// fusedMaxK stages; with AVX2 and FMA, the radius, angle and exp passes
-// each stream over the chunk four lanes at a time, with the exp arguments
-// in between computed in Go; elsewhere the same passes run scalar. Every
-// tier gives the same bits. Zero heap allocations.
-//
-// mu and sigma must have equal length; len(mu) == 0 zero-fills dst.
-func SumLognormals(dst []float64, mu, sigma []float64, r *RNG) {
-	k := len(mu)
-	if len(sigma) != k {
-		panic("sim: SumLognormals mu/sigma length mismatch")
-	}
-	if k == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	}
-	if k > sumBatch {
-		// Degenerate path depth; keep the frozen order with the plain
-		// per-draw loop rather than growing heap scratch.
-		for i := range dst {
-			t := 0.0
-			for s := 0; s < k; s++ {
-				t += math.Exp(mu[s] + sigma[s]*r.NormFloat64())
-			}
-			dst[i] = t
-		}
-		return
-	}
-	cs := Sampler{mu: mu, sigma: sigma}
-	cs.init()
-	var vals [sumBatch]float64
-	drawsPer := cs.rowsPerChunk()
-	n := len(dst)
-	for base := 0; base < n; base += drawsPer {
-		m := min(drawsPer, n-base)
-		row := vals[:m*k]
-		cs.draw(row, r)
-		// Accumulate each row left to right, as the per-draw loop does.
-		out := dst[base : base+m]
-		for d := range out {
-			t := 0.0
-			for _, v := range row[d*k : d*k+k] {
-				t += v
-			}
-			out[d] = t
-		}
-	}
-}
-
 // LognormalDraws fills dst with len(dst)/k complete draws over the
-// per-stage lognormal parameters mu and sigma (log-space), draw-major and
-// stage-minor:
+// per-stage lognormal parameters mu and sigma (log-space, as returned by
+// Lognormal.LogParams), draw-major and stage-minor:
 //
 //	dst[i*k+s] = exp(mu[s] + sigma[s] * z_{i,s})
 //
-// where z_{i,s} are standard normal draws from r and k = len(mu). It is
-// SumLognormals without the row accumulation: the same frozen uniform
-// stream and the same chunk routine at the same kernel tier, but the
-// per-stage values are written out individually so the caller can combine
-// them with an association other than a left-to-right sum (the engine's
-// latency graphs nest chains to the right and take maxima across parallel
-// fan-out, so their per-draw combine is not a flat Σ). Every element is
-// bit-identical to the plain per-draw loop
-// `math.Exp(mu[s] + sigma[s]*r.NormFloat64())` in the same order, and r is
-// left at the same stream position. Zero heap allocations.
+// where z_{i,s} are standard normal draws from r and k = len(mu).
+//
+// The draw order is frozen (see RNG.NormFloat64): for each draw i, one
+// normal per stage s in stage order — exactly the uniform stream a plain
+// per-draw loop `math.Exp(mu[s] + sigma[s]*r.NormFloat64())` consumes —
+// and every element is bit-identical to that loop's, with r left at the
+// same stream position. Byte-determinism of the experiment tables depends
+// on both properties. The caller combines a draw's stage values itself:
+// the end-to-end latency of a call graph nests chains to the right and
+// takes maxima across parallel fan-out (workload.Plan), so it is not a
+// flat Σ.
+//
+// Internally the work is restructured for throughput rather than
+// per-draw: the uniforms for a chunk of draws are pulled from r in stream
+// order into dst and the Sampler's u2 scratch, and the chunk's lognormal
+// values are computed from them (Sampler.draw). How the values are
+// computed depends on the host's kernel tier (kernels_amd64.go): with
+// AVX-512, the uniforms come eight pairs at a time and one fused kernel
+// turns each eight pairs into eight lognormal values (radius, angle, exp
+// argument and exp), for paths of at most fusedMaxK stages; with AVX2 and
+// FMA, the radius, angle and exp passes each stream over the chunk four
+// lanes at a time, with the exp arguments in between computed in Go;
+// elsewhere the same passes run scalar. Every tier gives the same bits.
+// Zero heap allocations.
 //
 // mu and sigma must have equal length, and len(dst) must be a multiple of
 // k; len(mu) == 0 requires len(dst) == 0 and is a no-op. Callers that
@@ -388,9 +329,9 @@ const fusedMaxK = 64
 // exp arguments from (muPat[t] = mu[t%k], so the eight lanes of a block
 // that starts at stage s read muPat[s:s+8]) and the scratch for one
 // chunk's u2 uniforms (the u1 uniforms go to the chunk's output, which
-// the values then overwrite). The free functions build one per call;
-// callers that sample every tick keep one, so that a call does not zero
-// its 5 KB again. The zero value is ready to use; it is not safe for
+// the values then overwrite). LognormalDraws builds one per call; callers
+// that sample repeatedly keep one, so that a call does not zero its 5 KB
+// again. The zero value is ready to use; it is not safe for
 // concurrent use.
 type Sampler struct {
 	mu, sigma       []float64
@@ -400,7 +341,7 @@ type Sampler struct {
 }
 
 // init picks the route for c.mu and c.sigma and, on the fused route,
-// fills the stage patterns. (The free functions set the parameters in a
+// fills the stage patterns. (LognormalDraws sets the parameters in a
 // composite literal: stored through the receiver, they would escape.)
 func (c *Sampler) init() {
 	k := len(c.mu)

@@ -133,12 +133,12 @@ func (r *RNG) Intn(n int) int {
 //	math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 //
 // bit-for-bit (the cosine goes through cos2pi, a branch-reduced kernel
-// differentially pinned to math.Cos). Batched samplers such as
-// SumLognormals re-implement this expression pass-by-pass over many draws
-// (four lanes at a time on AVX2+FMA hosts, the uniforms eight pairs at a
-// time on AVX-512 hosts, kernels_amd64.s);
-// any change here must be mirrored there and will show up as a stdout diff
-// in every golden experiment run. See DESIGN.md §9.
+// differentially pinned to math.Cos). The batched samplers
+// (LognormalDraws, Sampler) re-implement this expression pass-by-pass
+// over many draws (four lanes at a time on AVX2+FMA hosts, the uniforms
+// eight pairs at a time on AVX-512 hosts, kernels_amd64.s); any change
+// here must be mirrored there and will show up as a stdout diff in every
+// golden experiment run. See DESIGN.md §9.
 func (r *RNG) NormFloat64() float64 {
 	// Avoid u1 == 0 which would yield log(0).
 	u1 := r.Float64()

@@ -6,7 +6,7 @@ import "math"
 // QuantileSorted would return, without the sort: a Floyd–Rivest partial
 // selection materializes just the one or two order statistics the
 // interpolation reads, so the cost is O(n) instead of O(n log n). The
-// Monte Carlo tail estimator (queueing.PathP99Into) and the profiling
+// experiments' Monte Carlo end-to-end p99 estimator and the profiling
 // statistics path call this once per estimate over fresh random data,
 // where a full sort's comparison branches mispredict heavily.
 //
@@ -15,7 +15,7 @@ import "math"
 // first — Quantile does exactly that and remains the copying entry point.
 // Inputs must be NaN-free: selection uses plain < comparisons, while
 // sort.Float64s orders NaNs first. Every producer in this repository
-// (latency samples, path sums) is NaN-free by construction.
+// (latency samples) is NaN-free by construction.
 //
 // An empty xs returns 0, like Quantile.
 func SelectQuantile(xs []float64, q float64) float64 {
