@@ -25,8 +25,9 @@ func reduced() bool { return sim.RaceEnabled || testing.Short() }
 // reduced form the cheap experiments that still cover every concurrency
 // mechanism — scratch-RNG experiments (fig2, fig7, ablations),
 // deployment-backed figures (fig6, fig8, tab1) and the controller
-// timeline (fig17). The grid prefetch and threshold sweep run only in
-// the full form.
+// timeline (fig17). The pooled comparison cells — the grid prefetch,
+// fig15's and fig16's cells — and the threshold sweep run only in the
+// full form.
 func determinismIDs() []string {
 	if reduced() {
 		return []string{

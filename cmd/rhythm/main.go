@@ -23,9 +23,14 @@
 //	-jobs N       parallel worker count (default runtime.NumCPU(); 1 runs
 //	              serially; 0 or negative is a usage error). Tables are
 //	              byte-identical for every N — only wall-clock time
-//	              changes. Tables go to stdout; timing, speedup and
+//	              changes. Tables go to stdout; timing, CPU use and
 //	              profile-cache statistics go to stderr, so redirected
 //	              output is stable across worker counts.
+//	-cpuprofile F write a CPU profile of the invocation to F. Samples
+//	              carry pprof labels experiment=<id> and, for shared
+//	              deployments, the grid prefetch and the threshold
+//	              sweep, work=deploy/<service>, work=grid or work=sweep
+//	              (`go tool pprof -tags`).
 //	-trace-out F  write the observability event stream to F (controller
 //	              decisions with load/slack/action/reason, engine ticks,
 //	              BE lifecycle, cache lookups, pool dispatches). Tracing
@@ -64,6 +69,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/metrics"
 	"runtime/pprof"
 	"slices"
 	"sort"
@@ -443,13 +450,14 @@ func run(ctx *experiments.Context, ids []string, stdout, stderr io.Writer) error
 	if len(ids) == 1 && ids[0] == "all" {
 		ids = experiments.IDs()
 	}
+	cpu0 := cpuUsed()
 	start := time.Now()
 	results := ctx.RunAll(ids, 0)
 	wall := time.Since(start)
+	cpu := cpuUsed() - cpu0
 
 	// Tables on stdout, in request order, regardless of completion order;
 	// all timing on stderr so stdout is byte-identical for every -jobs.
-	var compute time.Duration
 	for _, res := range results {
 		if res.Err != nil {
 			return fmt.Errorf("%s: %w", res.ID, res.Err)
@@ -457,15 +465,28 @@ func run(ctx *experiments.Context, ids []string, stdout, stderr io.Writer) error
 		fmt.Fprintln(stdout, res.Table)
 		fmt.Fprintf(stderr, "(%s generated in %v)\n",
 			res.ID, res.Elapsed.Round(time.Millisecond))
-		compute += res.Elapsed
 	}
 	hits, misses := profiler.CacheStats()
 	fmt.Fprintf(stderr,
-		"\n%d experiments in %v wall (aggregate compute %v, speedup %.2fx, jobs=%d)\n",
-		len(results), wall.Round(time.Millisecond), compute.Round(time.Millisecond),
-		float64(compute)/float64(wall), sim.Jobs(ctx.Opts.Jobs))
+		"\n%d experiments in %v wall, %v CPU (%.2f busy, jobs=%d)\n",
+		len(results), wall.Round(time.Millisecond), cpu.Round(time.Millisecond),
+		cpu.Seconds()/wall.Seconds(), sim.Jobs(ctx.Opts.Jobs))
 	fmt.Fprintf(stderr, "profile cache: %d hits, %d misses\n", hits, misses)
 	return nil
+}
+
+// cpuUsed returns the CPU time the process has used so far, as the Go
+// runtime accounts it: the CPU time GOMAXPROCS made available minus the
+// idle part. The runtime refreshes these counters only when a garbage
+// collection ends, so cpuUsed forces one to read them current.
+func cpuUsed() time.Duration {
+	runtime.GC()
+	s := []metrics.Sample{
+		{Name: "/cpu/classes/total:cpu-seconds"},
+		{Name: "/cpu/classes/idle:cpu-seconds"},
+	}
+	metrics.Read(s)
+	return time.Duration((s[0].Value.Float64() - s[1].Value.Float64()) * float64(time.Second))
 }
 
 func profile(ctx *experiments.Context, args []string, stdout io.Writer) error {

@@ -255,11 +255,13 @@ func (c *Context) System(service string) (*core.System, error) {
 			e.err = err
 			return
 		}
-		e.sys, e.err = core.Deploy(svc, core.Options{
-			Profile: c.profileOptions(),
-			Slack:   c.slackOptions(),
-			Seed:    c.Opts.Seed,
-			Jobs:    c.Opts.Jobs,
+		charge("deploy/"+service, func() {
+			e.sys, e.err = core.Deploy(svc, core.Options{
+				Profile: c.profileOptions(),
+				Slack:   c.slackOptions(),
+				Seed:    c.Opts.Seed,
+				Jobs:    c.Opts.Jobs,
+			})
 		})
 	})
 	return e.sys, e.err

@@ -113,9 +113,11 @@ func (c *Context) gridKeys() []gridKey {
 func (c *Context) ensureGrid() error {
 	c.gridOnce.Do(func() {
 		keys := c.gridKeys()
-		c.gridErr = sim.ForEachErr(len(keys), c.jobs(), func(i int) error {
-			_, err := c.gridRun(keys[i])
-			return err
+		charge("grid", func() {
+			c.gridErr = sim.ForEachErr(len(keys), c.jobs(), func(i int) error {
+				_, err := c.gridRun(keys[i])
+				return err
+			})
 		})
 	})
 	return c.gridErr

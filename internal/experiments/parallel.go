@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"runtime/pprof"
 	"time"
 
 	"rhythm/internal/sim"
@@ -11,11 +13,12 @@ type Result struct {
 	ID    string
 	Table *Table
 	Err   error
-	// Elapsed is this experiment's own wall-clock time. Because
-	// experiments share singleflight caches, the first experiment to need
-	// an expensive artifact (a deployment, the comparison grid) absorbs
-	// its cost; summing Elapsed over a batch approximates the
-	// single-worker wall-clock, which is how the CLI estimates speedup.
+	// Elapsed is the wall-clock time from this experiment's start to its
+	// end. It includes time spent blocked on singleflight work (a
+	// deployment, the comparison grid) that another experiment started,
+	// and time its own pooled cells waited for a worker, so it measures
+	// neither this experiment's CPU nor its share of the batch: a sum of
+	// Elapsed over a batch counts shared work once per waiter.
 	Elapsed time.Duration
 }
 
@@ -30,6 +33,10 @@ type Result struct {
 // Opts.Seed, and all cross-experiment state is cached under singleflight
 // keys whose values do not depend on which worker computes them first.
 // cmd/rhythm's TestDeterminismHarness holds this property down.
+//
+// Each experiment runs under the pprof label experiment=<id>, which the
+// goroutines of its pooled cells inherit, so a CPU profile of the batch
+// splits by experiment (shared work is labelled by charge instead).
 func (c *Context) RunAll(ids []string, jobs int) []Result {
 	if len(ids) == 0 {
 		ids = IDs()
@@ -39,9 +46,31 @@ func (c *Context) RunAll(ids []string, jobs int) []Result {
 	}
 	out := make([]Result, len(ids))
 	sim.ForEach(len(ids), jobs, func(i int) {
-		start := time.Now()
-		tab, err := c.Run(ids[i])
-		out[i] = Result{ID: ids[i], Table: tab, Err: err, Elapsed: time.Since(start)}
+		pprof.Do(context.Background(), pprof.Labels("experiment", ids[i]), func(context.Context) {
+			start := time.Now()
+			tab, err := c.Run(ids[i])
+			out[i] = Result{ID: ids[i], Table: tab, Err: err, Elapsed: time.Since(start)}
+		})
 	})
 	return out
+}
+
+// charge runs fn to completion on a fresh goroutine that carries the
+// single pprof label work=<work>, so a CPU profile charges shared
+// singleflight work (a deployment, the grid prefetch, the threshold
+// sweep) to the work itself rather than to whichever experiment asked
+// for it first, and the caller's own labels are left as they were. A
+// panic in fn is re-raised on the caller.
+func charge(work string, fn func()) {
+	var panicked any
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer func() { panicked = recover() }()
+		pprof.Do(context.Background(), pprof.Labels("work", work), func(context.Context) { fn() })
+	}()
+	<-done
+	if panicked != nil {
+		panic(panicked)
+	}
 }

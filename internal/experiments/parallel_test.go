@@ -1,6 +1,11 @@
 package experiments
 
 import (
+	"bytes"
+	"context"
+	"runtime/pprof"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -62,4 +67,43 @@ func TestScratchRNGDeterministic(t *testing.T) {
 	if sharedCtx.ScratchRNG("fig2").Float64() == sharedCtx.ScratchRNG("fig6").Float64() {
 		t.Fatal("distinct labels produced identical first draws")
 	}
+}
+
+// goroutineLabels returns the label sets the goroutine profile lists for
+// the live goroutines, one `{...}` string per distinct stack group.
+func goroutineLabels(t *testing.T) []string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&b, 1); err != nil {
+		t.Fatal(err)
+	}
+	var sets []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if l, ok := strings.CutPrefix(line, "# labels: "); ok {
+			sets = append(sets, l)
+		}
+	}
+	return sets
+}
+
+// TestChargeLabelsSharedWork: charged work runs under its own work label
+// alone, not the asking experiment's; the caller's labels survive the
+// call; and a panic in the work reaches the caller.
+func TestChargeLabelsSharedWork(t *testing.T) {
+	pprof.Do(context.Background(), pprof.Labels("experiment", "figX"), func(context.Context) {
+		var inside []string
+		charge("deploy/Test", func() { inside = goroutineLabels(t) })
+		if !slices.Contains(inside, `{"work":"deploy/Test"}`) {
+			t.Errorf("charged work's labels %q lack work=deploy/Test alone", inside)
+		}
+		if after := goroutineLabels(t); !slices.Contains(after, `{"experiment":"figX"}`) {
+			t.Errorf("caller's labels %q lost experiment=figX", after)
+		}
+	})
+	defer func() {
+		if r := recover(); r != "boom" {
+			t.Fatalf("recovered %v, want the work's panic", r)
+		}
+	}()
+	charge("grid", func() { panic("boom") })
 }

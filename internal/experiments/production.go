@@ -7,6 +7,7 @@ import (
 	"rhythm/internal/bejobs"
 	"rhythm/internal/core"
 	"rhythm/internal/loadgen"
+	"rhythm/internal/sim"
 )
 
 func init() {
@@ -49,45 +50,56 @@ func fig15(ctx *Context) (*Table, error) {
 			"MemBW impr", "p99/SLA(Rhythm)", "violations"},
 	}
 	services := []string{"E-commerce", "Redis", "Solr", "Elgg", "Elasticsearch"}
+	bes := bejobs.EvaluationTypes()
+	// One pooled cell per (service, BE), rendered afterwards in this
+	// order; each cell's seed comes from its content, so the table is the
+	// same at any worker count.
+	cmps := make([]*core.Comparison, len(services)*len(bes))
+	ratios := make([]float64, len(cmps)) // Rhythm's worst p99 / SLA
+	err := sim.ForEachErr(len(cmps), ctx.jobs(), func(i int) error {
+		name, be := services[i/len(bes)], bes[i%len(bes)]
+		sys, err := ctx.System(name)
+		if err != nil {
+			return err
+		}
+		cmp, err := sys.Compare(core.RunConfig{
+			Pattern:  pattern,
+			BETypes:  []bejobs.Type{be},
+			Duration: duration,
+			Warmup:   warmup,
+			Seed:     ctx.Opts.Seed ^ hash(name+string(be)+"fig15"),
+			Faults:   ctx.Opts.Faults,
+		})
+		if err != nil {
+			return err
+		}
+		cmps[i], ratios[i] = cmp, cmp.Rhythm.WorstP99/sys.SLA
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	var worstRatio, bestEMU float64
 	var bestGroup string
 	allSafe := true
-	safeGroups, totalGroups := 0, 0
-	for _, name := range services {
-		sys, err := ctx.System(name)
-		if err != nil {
-			return nil, err
+	safeGroups, totalGroups := 0, len(cmps)
+	for i, cmp := range cmps {
+		name, be, ratio := services[i/len(bes)], bes[i%len(bes)], ratios[i]
+		emu := core.Improvement(cmp.Rhythm.MeanEMU(), cmp.Heracles.MeanEMU())
+		cpu := core.Improvement(cmp.Rhythm.MeanCPUUtil(), cmp.Heracles.MeanCPUUtil())
+		mbw := core.Improvement(cmp.Rhythm.MeanMemBWUtil(), cmp.Heracles.MeanMemBWUtil())
+		t.AddRow(name, string(be), pct(emu), pct(cpu), pct(mbw),
+			f3(ratio), fmt.Sprintf("%d", cmp.Rhythm.Violations))
+		if ratio > worstRatio {
+			worstRatio = ratio
 		}
-		for _, be := range bejobs.EvaluationTypes() {
-			cmp, err := sys.Compare(core.RunConfig{
-				Pattern:  pattern,
-				BETypes:  []bejobs.Type{be},
-				Duration: duration,
-				Warmup:   warmup,
-				Seed:     ctx.Opts.Seed ^ hash(name+string(be)+"fig15"),
-				Faults:   ctx.Opts.Faults,
-			})
-			if err != nil {
-				return nil, err
-			}
-			emu := core.Improvement(cmp.Rhythm.MeanEMU(), cmp.Heracles.MeanEMU())
-			cpu := core.Improvement(cmp.Rhythm.MeanCPUUtil(), cmp.Heracles.MeanCPUUtil())
-			mbw := core.Improvement(cmp.Rhythm.MeanMemBWUtil(), cmp.Heracles.MeanMemBWUtil())
-			ratio := cmp.Rhythm.WorstP99 / sys.SLA
-			t.AddRow(name, string(be), pct(emu), pct(cpu), pct(mbw),
-				f3(ratio), fmt.Sprintf("%d", cmp.Rhythm.Violations))
-			if ratio > worstRatio {
-				worstRatio = ratio
-			}
-			totalGroups++
-			if cmp.Rhythm.Violations > 0 {
-				allSafe = false
-			} else {
-				safeGroups++
-			}
-			if emu > bestEMU {
-				bestEMU, bestGroup = emu, name+"-"+string(be)
-			}
+		if cmp.Rhythm.Violations > 0 {
+			allSafe = false
+		} else {
+			safeGroups++
+		}
+		if emu > bestEMU {
+			bestEMU, bestGroup = emu, name+"-"+string(be)
 		}
 	}
 	// The paper reports a 0.99 worst case with zero violations. This
@@ -122,40 +134,45 @@ func fig16(ctx *Context) (*Table, error) {
 		Columns: []string{"BE", "load", "EMU(solo)", "EMU(Her)", "EMU(Rhy)",
 			"CPU(Her)", "CPU(Rhy)", "MemBW(Her)", "MemBW(Rhy)"},
 	}
-	var emuImpSum, cpuImpSum, mbwImpSum float64
-	var n int
-	for _, be := range bejobs.EvaluationTypes() {
-		for _, load := range loads {
-			cfg := core.RunConfig{
-				Pattern:  loadgen.Constant(load),
-				BETypes:  []bejobs.Type{be},
-				Duration: dur,
-				Warmup:   warm,
-				Seed:     ctx.Opts.Seed ^ hash("fig16"+string(be)) ^ uint64(load*1000),
-				Faults:   ctx.Opts.Faults,
-			}
-			cmp, err := sys.Compare(cfg)
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(string(be), pct(load),
-				f3(load), // solo EMU = the LC load itself
-				f3(cmp.Heracles.MeanEMU()), f3(cmp.Rhythm.MeanEMU()),
-				f3(cmp.Heracles.MeanCPUUtil()), f3(cmp.Rhythm.MeanCPUUtil()),
-				f3(cmp.Heracles.MeanMemBWUtil()), f3(cmp.Rhythm.MeanMemBWUtil()))
-			emuImpSum += core.Improvement(cmp.Rhythm.MeanEMU(), cmp.Heracles.MeanEMU())
-			cpuImpSum += core.Improvement(cmp.Rhythm.MeanCPUUtil(), cmp.Heracles.MeanCPUUtil())
-			mbwImpSum += core.Improvement(cmp.Rhythm.MeanMemBWUtil(), cmp.Heracles.MeanMemBWUtil())
-			n++
-		}
+	bes := bejobs.EvaluationTypes()
+	// One pooled cell per (BE, load), rendered afterwards in this order.
+	cmps := make([]*core.Comparison, len(bes)*len(loads))
+	err = sim.ForEachErr(len(cmps), ctx.jobs(), func(i int) error {
+		be, load := bes[i/len(loads)], loads[i%len(loads)]
+		var err error
+		cmps[i], err = sys.Compare(core.RunConfig{
+			Pattern:  loadgen.Constant(load),
+			BETypes:  []bejobs.Type{be},
+			Duration: dur,
+			Warmup:   warm,
+			Seed:     ctx.Opts.Seed ^ hash("fig16"+string(be)) ^ uint64(load*1000),
+			Faults:   ctx.Opts.Faults,
+		})
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
+	var emuImpSum, cpuImpSum, mbwImpSum float64
+	for i, cmp := range cmps {
+		be, load := bes[i/len(loads)], loads[i%len(loads)]
+		t.AddRow(string(be), pct(load),
+			f3(load), // solo EMU = the LC load itself
+			f3(cmp.Heracles.MeanEMU()), f3(cmp.Rhythm.MeanEMU()),
+			f3(cmp.Heracles.MeanCPUUtil()), f3(cmp.Rhythm.MeanCPUUtil()),
+			f3(cmp.Heracles.MeanMemBWUtil()), f3(cmp.Rhythm.MeanMemBWUtil()))
+		emuImpSum += core.Improvement(cmp.Rhythm.MeanEMU(), cmp.Heracles.MeanEMU())
+		cpuImpSum += core.Improvement(cmp.Rhythm.MeanCPUUtil(), cmp.Heracles.MeanCPUUtil())
+		mbwImpSum += core.Improvement(cmp.Rhythm.MeanMemBWUtil(), cmp.Heracles.MeanMemBWUtil())
+	}
+	n := float64(len(cmps))
 	for _, c := range sys.Profile.Contributions {
 		th := sys.Thresholds[c.Pod]
 		t.Note("contribution(%s) = %.3f, slacklimit %.3f — paper: 0.295/0.14/0.565 for media/frontend/user",
 			c.Pod, c.Normalized, th.Slacklimit)
 	}
 	t.Note("mean improvements: EMU %s, CPU %s, MemBW %s — paper: 14.3%%, 30.2%%, 45.8%%",
-		pct(emuImpSum/float64(n)), pct(cpuImpSum/float64(n)), pct(mbwImpSum/float64(n)))
+		pct(emuImpSum/n), pct(cpuImpSum/n), pct(mbwImpSum/n))
 	return t, nil
 }
 

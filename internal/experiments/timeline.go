@@ -116,7 +116,9 @@ type sweepPoint struct {
 
 func (c *Context) thresholdSweep() (slack, load []sweepPoint, err error) {
 	c.sweepOnce.Do(func() {
-		c.sweepSlack, c.sweepLoad, c.sweepErr = c.runThresholdSweep()
+		charge("sweep", func() {
+			c.sweepSlack, c.sweepLoad, c.sweepErr = c.runThresholdSweep()
+		})
 	})
 	return c.sweepSlack, c.sweepLoad, c.sweepErr
 }

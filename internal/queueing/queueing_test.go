@@ -212,7 +212,8 @@ func TestAtLanesMatchesOracle(t *testing.T) {
 // FuzzStationLanes holds AtLanes to the scalar oracle on arbitrary
 // stations and operating points: the fuzzed lane is placed among three
 // neighbours at scaled loads, at every position of a width-5 batch (one
-// full interleave group plus a padded one).
+// full interleave group plus a padded one). It also checks that doubling
+// the arrival rate never lowers the mean sojourn.
 func FuzzStationLanes(f *testing.F) {
 	f.Add(0.004, 0.5, 172, 1.2, 0.0, 4e4, 1.1, 1.2, 1.0)
 	f.Fuzz(func(t *testing.T, base, cv float64, workers int, growth, slf, lambda, inflate, cvInflate, freq float64) {
@@ -233,7 +234,133 @@ func FuzzStationLanes(f *testing.F) {
 			}
 			checkLanes(t, c)
 		}
+		// The mean sojourn is non-decreasing in the arrival rate.
+		lo, okLo := finiteMean(st, lambda, inflate, cvInflate, freq)
+		hi, okHi := finiteMean(st, 2*lambda, inflate, cvInflate, freq)
+		if okLo && okHi && lambda > 0 && hi < lo*(1-meanMonotoneTol) {
+			t.Fatalf("station %+v: mean %v at lambda %v, %v at twice that", st, lo, lambda, hi)
+		}
 	})
+}
+
+// relErr returns |got-want|/|want|, or |got| when want is 0.
+func relErr(got, want float64) float64 {
+	if want == 0 {
+		return math.Abs(got)
+	}
+	return math.Abs(got-want) / math.Abs(want)
+}
+
+// TestStationMatchesClosedForms holds Station.At, on stations without
+// load-dependent service or interference, to the textbook M/M/1 and M/M/2
+// waiting times to a relative 1e-12: M/M/1 Wq = rho/(mu(1-rho)) with
+// P(wait) = rho, M/M/2 Wq = rho^2/(mu(1-rho^2)). Unlike the lane tests,
+// which compare At with a second Erlang recursion, these fail when the
+// recursion itself is wrong.
+func TestStationMatchesClosedForms(t *testing.T) {
+	const tol = 1e-12
+	for _, svc := range []float64{1e-4, 0.002, 0.01, 0.37} {
+		mu := 1 / svc
+		for _, rho := range []float64{1e-6, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.98} {
+			for _, c := range []int{1, 2} {
+				st := Station{BaseService: svc, BaseCV: 0.5, Workers: c, LoadCVGrowth: 1}
+				lambda := rho * float64(c) * mu
+				sj := st.At(lambda, 1, 1, 1)
+				want := rho / (mu * (1 - rho))
+				if c == 2 {
+					want = rho * rho / (mu * (1 - rho*rho))
+				}
+				if e := relErr(sj.MeanWait, want); e > tol {
+					t.Errorf("M/M/%d service %v rho %v: Wq = %v, closed form %v (rel err %.2e)",
+						c, svc, rho, sj.MeanWait, want, e)
+				}
+				if e := relErr(sj.MeanService, svc); e > tol {
+					t.Errorf("M/M/%d service %v rho %v: service %v, want %v", c, svc, rho, sj.MeanService, svc)
+				}
+				if c == 1 {
+					// Wq = P(wait)/(mu - lambda), so P(wait) = Wq*(mu - lambda).
+					if pWait := sj.MeanWait * (mu - lambda); relErr(pWait, rho) > tol {
+						t.Errorf("M/M/1 service %v rho %v: P(wait) = %v, want rho", svc, rho, pWait)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStationIdleLimit: as rho -> 0 the wait vanishes and the mean sojourn
+// tends to the service time, at every worker count; at lambda = 0 both
+// hold exactly.
+func TestStationIdleLimit(t *testing.T) {
+	for _, c := range []int{1, 2, 8, 172} {
+		st := Station{BaseService: 0.004, BaseCV: 0.5, Workers: c, LoadCVGrowth: 1}
+		if sj := st.At(0, 1, 1, 1); sj.MeanWait != 0 || sj.Mean() != st.BaseService {
+			t.Errorf("c=%d idle: wait %v, mean %v, want 0 and %v", c, sj.MeanWait, sj.Mean(), st.BaseService)
+		}
+		prev := math.Inf(1)
+		for _, rho := range []float64{1e-2, 1e-4, 1e-6, 1e-9} {
+			sj := st.At(rho*st.MaxRate(), 1, 1, 1)
+			// Wq/service <= rho/(1-rho), the M/M/1 value, for every c.
+			if sj.MeanWait > prev || sj.MeanWait/st.BaseService > rho/(1-rho)*(1+1e-12) {
+				t.Errorf("c=%d rho %v: wait %v does not shrink with rho (previous %v)", c, rho, sj.MeanWait, prev)
+			}
+			if relErr(sj.Mean(), st.BaseService) > 2*rho {
+				t.Errorf("c=%d rho %v: mean %v not within %v of service %v", c, rho, sj.Mean(), 2*rho, st.BaseService)
+			}
+			prev = sj.MeanWait
+		}
+	}
+}
+
+// meanMonotoneTol is the relative slack the monotonicity properties allow:
+// the Erlang recursion rounds, so two operating points an ulp apart may
+// order their means either way by a few ulps.
+const meanMonotoneTol = 1e-12
+
+// finiteMean returns the mean sojourn at the operating point and whether
+// At produced a finite one (it panics, as NewLognormal does, on a
+// non-positive mean).
+func finiteMean(st Station, lambda, inflate, cvInflate, freq float64) (mean float64, ok bool) {
+	if catch(func() { mean = st.At(lambda, inflate, cvInflate, freq).Mean() }) {
+		return 0, false
+	}
+	return mean, !math.IsNaN(mean) && !math.IsInf(mean, 0)
+}
+
+// TestMeanSojournMonotone: the mean sojourn never falls as the arrival
+// rate or the interference inflation rises, on random stations with and
+// without load-dependent service, past the utilization cap included.
+func TestMeanSojournMonotone(t *testing.T) {
+	r := sim.NewRNG(2020).Fork("monotone")
+	for trial := 0; trial < 300; trial++ {
+		st := Station{
+			BaseService:  1e-4 + 0.02*r.Float64(),
+			BaseCV:       r.Float64(),
+			Workers:      1 + r.Intn(172),
+			LoadCVGrowth: 3 * r.Float64(),
+		}
+		if trial%2 == 1 {
+			st.ServiceLoadFactor = 2 * r.Float64()
+		}
+		infl, freq := 1+r.Float64(), 0.5+r.Float64()
+		prev := 0.0
+		for i := 0; i <= 24; i++ {
+			m, ok := finiteMean(st, 1.2*st.MaxRate()*float64(i)/24, infl, 1, freq)
+			if !ok || m < prev*(1-meanMonotoneTol) {
+				t.Fatalf("station %+v: mean %v at load step %d below %v", st, m, i, prev)
+			}
+			prev = m
+		}
+		lambda := 1.1 * r.Float64() * st.MaxRate()
+		prev = 0
+		for i := 0; i <= 24; i++ {
+			m, ok := finiteMean(st, lambda, 1+float64(i)/8, 1, freq)
+			if !ok || m < prev*(1-meanMonotoneTol) {
+				t.Fatalf("station %+v lambda %v: mean %v at inflate step %d below %v", st, lambda, m, i, prev)
+			}
+			prev = m
+		}
+	}
 }
 
 func TestErlangCKnownValues(t *testing.T) {
