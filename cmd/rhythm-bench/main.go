@@ -92,6 +92,10 @@ var registry = []struct {
 	{"EngineTickColoSojourn", benchmarks.EngineTickColoSojourn},
 	{"EngineTickColoSample", benchmarks.EngineTickColoSample},
 	{"EngineControlPeriodColo", benchmarks.EngineControlPeriodColo},
+	{"EngineControlPeriodRamp", benchmarks.EngineControlPeriodRamp},
+	{"StationAtLanes8", benchmarks.StationAtLanes(8)},
+	{"StationAtLanes64", benchmarks.StationAtLanes(64)},
+	{"StationAtLanes172", benchmarks.StationAtLanes(172)},
 	{"FleetTick", benchmarks.FleetTick},
 	{"SampleKernel", benchmarks.SampleKernel},
 	{"SampleFilter", benchmarks.SampleFilter},

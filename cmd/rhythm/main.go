@@ -69,8 +69,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/metrics"
 	"runtime/pprof"
 	"slices"
 	"sort"
@@ -473,20 +471,6 @@ func run(ctx *experiments.Context, ids []string, stdout, stderr io.Writer) error
 		cpu.Seconds()/wall.Seconds(), sim.Jobs(ctx.Opts.Jobs))
 	fmt.Fprintf(stderr, "profile cache: %d hits, %d misses\n", hits, misses)
 	return nil
-}
-
-// cpuUsed returns the CPU time the process has used so far, as the Go
-// runtime accounts it: the CPU time GOMAXPROCS made available minus the
-// idle part. The runtime refreshes these counters only when a garbage
-// collection ends, so cpuUsed forces one to read them current.
-func cpuUsed() time.Duration {
-	runtime.GC()
-	s := []metrics.Sample{
-		{Name: "/cpu/classes/total:cpu-seconds"},
-		{Name: "/cpu/classes/idle:cpu-seconds"},
-	}
-	metrics.Read(s)
-	return time.Duration((s[0].Value.Float64() - s[1].Value.Float64()) * float64(time.Second))
 }
 
 func profile(ctx *experiments.Context, args []string, stdout io.Writer) error {

@@ -27,7 +27,13 @@
 //   - EngineControlPeriodColo: one control period of that fixture per op
 //     through one RunUntil call, so its ticks run as one block: the
 //     operating points computed together and the sojourn misses resolved
-//     in interleaved lanes, as the experiments run them.
+//     in one batch per pod, as the experiments run them.
+//   - EngineControlPeriodRamp: one control period of that fixture under
+//     a repeating Algorithm 1 trial ramp, so the load moves every tick and
+//     every tick of the block misses the sojourn cache: the batched
+//     Erlang-B, Pow and lognormal-fit kernels at a block's full width.
+//   - StationAtLanes8/64/172: one 20-lane Station.AtLanes call at 8, 64
+//     and 172 workers, the sojourn fit alone.
 //   - FleetTick: one fleet epoch over a 100-machine fleet — the parallel
 //     per-machine slices plus the serial scheduler barrier — reported
 //     both as ns/op and as a machines/s throughput metric (the
@@ -60,6 +66,7 @@ import (
 	"rhythm/internal/loadgen"
 	"rhythm/internal/metrics"
 	"rhythm/internal/obs"
+	"rhythm/internal/queueing"
 	"rhythm/internal/sim"
 	"rhythm/internal/workload"
 )
@@ -279,8 +286,8 @@ func EngineTickColo(b *testing.B) {
 // EngineControlPeriodColo advances the co-located fixture one 2 s control
 // period per op through one Engine.RunUntil call, as the experiments run
 // it: the period's ticks form one block, whose operating points are
-// computed together and whose sojourn misses resolve in interleaved
-// Erlang-B lanes, followed by the control tick.
+// computed together and whose sojourn misses resolve in one
+// Station.AtLanes batch per pod, followed by the control tick.
 func EngineControlPeriodColo(b *testing.B) {
 	const period = 2 * time.Second
 	f := colocatedEngine(b)
@@ -288,6 +295,78 @@ func EngineControlPeriodColo(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.e.RunUntil(f.e.Now().Add(period))
+	}
+}
+
+// trialRamp is the load an Algorithm 1 trial drives, repeated without
+// end: a linear rise from half the probe load to the probe load over
+// rise, then back down, so the load moves on every tick as it does on a
+// trial's flank.
+type trialRamp struct {
+	probe float64
+	rise  time.Duration
+}
+
+// Load returns the ramp's load at time t.
+func (r trialRamp) Load(t sim.Time) float64 {
+	pos := math.Mod(t.Seconds()/r.rise.Seconds(), 2)
+	if pos > 1 {
+		pos = 2 - pos
+	}
+	return r.probe/2 + r.probe/2*pos
+}
+
+// EngineControlPeriodRamp is EngineControlPeriodColo under a moving load:
+// the co-located fixture's engine driven by a repeating trial ramp
+// between 35% and 70% load (30 s each way), one 2 s control period per
+// op. Every tick's load moves, so every tick of the period's block misses
+// the sojourn cache and moves the pressure: each pod resolves 20 sojourn
+// lanes in one Station.AtLanes call, and the block's moved pressures are
+// raised in one batch — the block phase as Algorithm 1's trials and the
+// production traces run it.
+func EngineControlPeriodRamp(b *testing.B) {
+	const period = 2 * time.Second
+	e, err := engine.New(engine.Config{
+		Service: workload.ECommerce(),
+		Pattern: trialRamp{probe: 0.7, rise: 30 * time.Second},
+		SLA:     0.5,
+		Policy:  controller.NewHeracles(),
+		BETypes: []bejobs.Type{bejobs.StreamLLC},
+		Seed:    2020,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e.RunUntil(sim.Time(0).Add(30 * time.Second))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.RunUntil(e.Now().Add(period))
+	}
+}
+
+// StationAtLanes returns the benchmark of one queueing.Station.AtLanes
+// call over 20 lanes — about the lanes a pod resolves per block on the
+// paper's workloads — at c workers: loads spread from 30% to 96% of the
+// station's rate and inflation from 1 to 1.4, so no two lanes share an
+// operating point. c = 8, 64 and 172 (SNMS UserService) span the
+// catalog; at small c the lognormal fit dominates the Erlang-B recursion.
+func StationAtLanes(c int) func(*testing.B) {
+	return func(b *testing.B) {
+		const lanes = 20
+		st := queueing.Station{BaseService: 0.004, BaseCV: 0.5, Workers: c, LoadCVGrowth: 1.2}
+		lambda, inflate, cvInflate := make([]float64, lanes), make([]float64, lanes), make([]float64, lanes)
+		for j := range lambda {
+			f := float64(j) / (lanes - 1)
+			lambda[j] = (0.3 + 0.66*f) * st.MaxRate()
+			inflate[j], cvInflate[j] = 1+0.4*f, 1+0.2*f
+		}
+		dst := make([]queueing.Sojourn, lanes)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			st.AtLanes(dst, lambda, inflate, cvInflate, 1)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package benchmarks
 
 import (
+	"fmt"
 	"testing"
 
 	"rhythm/internal/obs"
@@ -17,11 +18,17 @@ func BenchmarkEngineTick(b *testing.B)              { EngineTick(b) }
 func BenchmarkEngineTickInflation(b *testing.B)     { EngineTickInflation(b) }
 func BenchmarkEngineTickColo(b *testing.B)          { EngineTickColo(b) }
 func BenchmarkEngineControlPeriodColo(b *testing.B) { EngineControlPeriodColo(b) }
-func BenchmarkFleetTick(b *testing.B)               { FleetTick(b) }
-func BenchmarkSampleKernel(b *testing.B)            { SampleKernel(b) }
-func BenchmarkSampleFilter(b *testing.B)            { SampleFilter(b) }
-func BenchmarkUniformKernel(b *testing.B)           { UniformKernel(b) }
-func BenchmarkObsDisabled(b *testing.B)             { ObsDisabled(b) }
+func BenchmarkEngineControlPeriodRamp(b *testing.B) { EngineControlPeriodRamp(b) }
+func BenchmarkStationAtLanes(b *testing.B) {
+	for _, c := range []int{8, 64, 172} {
+		b.Run(fmt.Sprint(c), StationAtLanes(c))
+	}
+}
+func BenchmarkFleetTick(b *testing.B)     { FleetTick(b) }
+func BenchmarkSampleKernel(b *testing.B)  { SampleKernel(b) }
+func BenchmarkSampleFilter(b *testing.B)  { SampleFilter(b) }
+func BenchmarkUniformKernel(b *testing.B) { UniformKernel(b) }
+func BenchmarkObsDisabled(b *testing.B)   { ObsDisabled(b) }
 
 // TestObsDisabledZeroAllocs pins the observability contract in the test
 // suite (not just the bench harness): with no bus installed, the full set

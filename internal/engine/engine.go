@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -373,15 +374,17 @@ type beInst struct {
 // pass re-syncs the derived BE caches (beDemand, beFreq, beCores,
 // instCache) before anything reads them. See DESIGN.md §14.
 type soaState struct {
-	// Demand and pressure at the latest tick the block phase reached.
-	// Both are pure in the load and the BE row, so they are recomputed
-	// only when a tick's load differs bitwise from prevLoad, the load of
-	// the tick before, or the row was re-synced (opNew); a storm fault
-	// changes pressure at a fixed load, so fault runs recompute pressure
-	// every tick.
+	// Demand at the latest tick the block phase reached. Demand and
+	// pressure are pure in the load and the BE row, so they are
+	// recomputed only when a tick's load differs bitwise from prevLoad,
+	// the load of the tick before, or the row was re-synced (opNew); a
+	// storm fault changes pressure at a fixed load, so fault runs
+	// recompute pressure every tick. A recomputed pressure goes to the
+	// block row pressBlk[k*pods+i], flagged in pressNew.
 	lcDemand []cluster.Vector
-	press    []cluster.Vector
 	opNew    []bool
+	pressBlk []cluster.Vector
+	pressNew []bool
 	prevLoad float64
 
 	// BE aggregates, valid while beDirty is false: the machine's summed
@@ -402,15 +405,23 @@ type soaState struct {
 	// pressure vector and frequency cap, so the inflation pass recomputes
 	// the (inflate, cvInflate) targets only when that key changes; at a
 	// steady operating point most ticks see the previous tick's vector
-	// bit for bit. The inertia EMA still runs every tick.
+	// bit for bit. infPress is the pod's pressure as of the latest tick
+	// the inflation pass reached. The inertia EMA still runs every tick.
 	infPress []cluster.Vector
 	infCap   []float64
 	infOK    []bool
 	infTgt   [][2]float64
-	// On a miss, Model.InflationMemo still skips the math.Pow of every
-	// resource whose pressure did not move; powMemo holds each pod's last
-	// inputs and powers.
+	// Each pod's PowMemo holds its last pressures and their powers, so
+	// only a pressure that moved is raised to γ. The pressure pass queues
+	// every moved pressure of the block's ticks in powX, their resources
+	// per recomputed row in powMask (row k*pods+i), and passPow raises
+	// them all in one Model.Powers call into powY; the inflation pass
+	// settles each tick's powers from the front of powRest.
 	powMemo []interference.PowMemo
+	powMask []uint8
+	powX    []float64
+	powY    []float64
+	powRest []float64
 
 	// Cached sojourn distribution per operating point, as of the latest
 	// tick the block phase reached. The sojourn pass recomputes it —
@@ -657,7 +668,6 @@ func (e *Engine) initSoA() {
 	n := len(e.pods)
 	s := &e.soa
 	s.lcDemand = make([]cluster.Vector, n)
-	s.press = make([]cluster.Vector, n)
 	s.opNew = make([]bool, n)
 	s.beDemand = make([]cluster.Vector, n)
 	s.beFreq = make([]float64, n)
@@ -670,6 +680,9 @@ func (e *Engine) initSoA() {
 	s.infOK = make([]bool, n)
 	s.infTgt = make([][2]float64, n)
 	s.powMemo = make([]interference.PowMemo, n)
+	s.pressBlk = make([]cluster.Vector, n*maxBlock)
+	s.pressNew = make([]bool, n*maxBlock)
+	s.powMask = make([]uint8, n*maxBlock)
 	s.sojourn = make([]queueing.Sojourn, n)
 	s.sjKey = make([][5]float64, n)
 	s.sjOK = make([]bool, n)
@@ -841,9 +854,11 @@ func (e *Engine) Step(now sim.Time, load float64) {
 // runBlock advances the world by the n ticks from start, whose loads are
 // in blkLoad[:n], as two phases of SoA passes (DESIGN.md §14.1). Between
 // control ticks a machine's BE allocations are fixed, so the block phase
-// computes every tick's operating point — demand, pressure, inflation and
-// the sojourn fit — before any tick runs, and resolves each pod's
-// sojourn-cache misses together (resolveSojourn); it draws no RNG, emits
+// computes every tick's operating point before any tick runs: demand and
+// pressure for all n ticks (neither reads inflation), the powers of every
+// pressure that moved in one batch (passPow), then inflation and the
+// sojourn keys tick by tick, and it resolves each pod's sojourn-cache
+// misses together (resolveSojourn); it draws no RNG, emits
 // no event and writes no stats. The tick phase then runs utilization, BE
 // progress, sampling and the tick epilogue tick by tick. The differential
 // tests pin this bit for bit to the pre-SoA scalar tick run tick by tick
@@ -864,8 +879,11 @@ func (e *Engine) runBlock(start sim.Time, n int) {
 	}
 	for k := 0; k < n; k++ {
 		e.passDemand(k)
-		e.passPressure()
-		e.passInflation()
+		e.passPressure(k)
+	}
+	e.passPow()
+	for k := 0; k < n; k++ {
+		e.passInflation(k)
 		e.passSojourn(k)
 	}
 	e.resolveSojourn(n)
@@ -947,48 +965,75 @@ func (e *Engine) refreshBE(i int, p *podRuntime) {
 // markDirty flags a pod's SoA row for re-sync on the next tick.
 func (e *Engine) markDirty(p *podRuntime) { e.soa.beDirty[p.idx] = true }
 
-// passPressure maps demand to the interference pressure vector on the
-// rows whose demand moved, with storm faults multiplying the pressure
-// before the inflation map — a storm behaves exactly like that much more
-// BE demand hammering the machine.
-func (e *Engine) passPressure() {
+// passPressure maps demand to the interference pressure vector of block
+// tick k on the rows whose demand moved, with storm faults multiplying
+// the pressure before the inflation map — a storm behaves exactly like
+// that much more BE demand hammering the machine. It queues each
+// recomputed pressure its pod's PowMemo lacks for passPow.
+func (e *Engine) passPressure(k int) {
 	s := &e.soa
 	faultsOn := e.cfg.Faults != nil
+	row := k * len(e.pods)
 	for i, p := range e.pods {
-		if !s.opNew[i] && !faultsOn {
+		fresh := s.opNew[i] || faultsOn
+		s.pressNew[row+i] = fresh
+		if !fresh {
 			continue
 		}
-		press := e.cfg.Model.Pressure(p.machine.Spec, s.lcDemand[i], s.beDemand[i])
+		press := &s.pressBlk[row+i]
+		*press = e.cfg.Model.Pressure(p.machine.Spec, s.lcDemand[i], s.beDemand[i])
 		if faultsOn {
 			if m := s.stormMul[i]; m != 1 {
-				press = press.Scale(m)
+				*press = press.Scale(m)
 			}
 		}
-		s.press[i] = press
+		s.powX, s.powMask[row+i] = s.powMemo[i].Moved(press, s.powX)
 	}
 }
 
-// passInflation maps pressure to the latency inflation targets (a
-// machine-slowdown frequency cap stretches LC service time like any DVFS
-// step-down would), reusing the previous targets while the pod's
-// (pressure, frequency cap) key is unchanged, and applies the first-order
-// inertia of inertiaTau with the precomputed EMA coefficient — the same
-// alpha the scalar smooth recomputed per call, so the same bits.
-func (e *Engine) passInflation() {
+// passPow raises every pressure the block's pressure rows queued to the
+// model's γ in one Model.Powers call, for the inflation pass to settle.
+func (e *Engine) passPow() {
+	s := &e.soa
+	if len(s.powX) == 0 {
+		return
+	}
+	s.powY = slices.Grow(s.powY[:0], len(s.powX))[:len(s.powX)]
+	e.cfg.Model.Powers(s.powY, s.powX)
+	s.powX, s.powRest = s.powX[:0], s.powY
+}
+
+// passInflation maps block tick k's pressure to the latency inflation
+// targets (a machine-slowdown frequency cap stretches LC service time
+// like any DVFS step-down would), reusing the previous targets while the
+// pod's (pressure, frequency cap) key is unchanged, and applies the
+// first-order inertia of inertiaTau with the precomputed EMA coefficient
+// — the same alpha the scalar smooth recomputed per call, so the same
+// bits. A recomputed pressure settles its powers (passPow) first.
+func (e *Engine) passInflation(k int) {
 	s := &e.soa
 	faultsOn := e.cfg.Faults != nil
+	row := k * len(e.pods)
 	for i, p := range e.pods {
+		if s.pressNew[row+i] {
+			if mask := s.powMask[row+i]; mask != 0 {
+				s.powRest = s.powMemo[i].Settle(mask, s.powRest)
+			}
+			if press := &s.pressBlk[row+i]; *press != s.infPress[i] {
+				s.infPress[i], s.infOK[i] = *press, false
+			}
+		}
 		fc := 0.0
 		if faultsOn {
 			fc = s.freqCap[i]
 		}
-		if !s.infOK[i] || s.press[i] != s.infPress[i] || fc != s.infCap[i] {
-			inflate, cvInflate := e.cfg.Model.InflationMemo(p.comp, s.press[i], &s.powMemo[i])
+		if !s.infOK[i] || fc != s.infCap[i] {
+			inflate, cvInflate := e.cfg.Model.InflationMemo(p.comp, &s.infPress[i], &s.powMemo[i])
 			if fc > 0 && fc < p.machine.Spec.MaxGHz {
 				inflate *= interference.FreqInflation(p.comp, fc, p.machine.Spec.MaxGHz)
 			}
 			s.infTgt[i] = [2]float64{inflate, cvInflate}
-			s.infPress[i], s.infCap[i], s.infOK[i] = s.press[i], fc, true
+			s.infCap[i], s.infOK[i] = fc, true
 		}
 		inflate, cvInflate := s.infTgt[i][0], s.infTgt[i][1]
 		s.inflate[i] += (inflate - s.inflate[i]) * inertiaAlpha
@@ -1030,10 +1075,10 @@ func (e *Engine) passSojourn(k int) {
 }
 
 // resolveSojourn computes each pod's queued sojourn lanes in one
-// Station.AtLanes call — the block's Erlang-B recursions interleaved —
-// and fills the operating point of the block's ticks from the pod's first
-// miss to the last of its n ticks, carrying the cached distribution
-// forward over the ticks that hit.
+// Station.AtLanes call — the block's Erlang-B recursions and lognormal
+// fits batched — and fills the operating point of the block's ticks from
+// the pod's first miss to the last of its n ticks, carrying the cached
+// distribution forward over the ticks that hit.
 func (e *Engine) resolveSojourn(n int) {
 	s := &e.soa
 	pods := len(e.pods)
@@ -1397,8 +1442,9 @@ func (e *Engine) RunPass(name string, now sim.Time, load float64) bool {
 	case "demand":
 		e.passDemand(0)
 	case "inflation":
-		e.passPressure()
-		e.passInflation()
+		e.passPressure(0)
+		e.passPow()
+		e.passInflation(0)
 	case "sojourn":
 		e.passSojourn(0)
 		e.resolveSojourn(1)

@@ -17,6 +17,7 @@ import (
 	"math"
 
 	"rhythm/internal/cluster"
+	"rhythm/internal/sim"
 	"rhythm/internal/workload"
 )
 
@@ -99,41 +100,90 @@ func (m Model) Pressure(spec cluster.MachineSpec, lcDemand, beDemand cluster.Vec
 
 // Inflation returns the mean-service inflation factor (>= 1) and the
 // CV inflation factor (>= 1) that the given pressure vector imposes on the
-// component, per its sensitivity vector.
+// component, per its sensitivity vector. It is the scalar reference the
+// memoized, batched form (PowMemo, Powers, InflationMemo) reproduces.
 func (m Model) Inflation(comp *workload.Component, press cluster.Vector) (inflate, cvInflate float64) {
-	var pm PowMemo
-	return m.InflationMemo(comp, press, &pm)
-}
-
-// PowMemo remembers, per resource, the last pressure InflationMemo raised
-// to Gamma and the power. A caller that keeps one per machine skips the
-// math.Pow of every resource whose pressure has not moved bitwise since
-// the last call; Pow is pure, so the result has the same bits. The zero
-// value is empty (pressures of 0 never reach Pow). One memo serves one
-// Model.
-type PowMemo struct {
-	in, out cluster.Vector
-}
-
-// InflationMemo is Inflation with its math.Pow calls memoized in pm.
-func (m Model) InflationMemo(comp *workload.Component, press cluster.Vector, pm *PowMemo) (inflate, cvInflate float64) {
 	inflate = 1.0
 	total := 0.0
 	for r := 0; r < cluster.NumResources; r++ {
 		if press[r] <= 0 {
 			continue
 		}
-		if press[r] != pm.in[r] {
-			pm.in[r], pm.out[r] = press[r], math.Pow(press[r], m.Gamma)
+		inflate += comp.Sens[r] * math.Pow(press[r], m.Gamma)
+		total += press[r]
+	}
+	return inflate, m.cvInflation(comp, total)
+}
+
+// cvInflation is the CV inflation factor at total pressure total.
+func (m Model) cvInflation(comp *workload.Component, total float64) float64 {
+	cvInflate := 1 + comp.CVSens*total
+	if cvInflate > m.CVCap {
+		cvInflate = m.CVCap
+	}
+	return cvInflate
+}
+
+// PowMemo remembers, per resource, the last pressure raised to Gamma and
+// the power, so a caller that keeps one per machine raises only the
+// pressures that moved bitwise since: Pow is pure, so a remembered power
+// has the same bits. A caller batches the raising across machines and
+// ticks: Moved queues each tick's moved pressures, one Powers call raises
+// them all, and Settle hands each tick its powers back in the same order
+// before InflationMemo reads them. The zero value is empty (pressures of
+// 0 never reach Pow). One memo serves one Model.
+type PowMemo struct {
+	in, out cluster.Vector
+}
+
+// Moved appends to x the pressure of every resource whose power the memo
+// lacks — press[r] > 0 and not bitwise its last input — in resource
+// order, takes those pressures as the memo's inputs, and returns x and
+// the resources as a bit mask (bit r for resource r). Their powers must
+// reach the memo through Settle before InflationMemo reads it.
+func (pm *PowMemo) Moved(press *cluster.Vector, x []float64) ([]float64, uint8) {
+	var mask uint8
+	for r := 0; r < cluster.NumResources; r++ {
+		if p := press[r]; p > 0 && p != pm.in[r] {
+			pm.in[r] = p
+			x = append(x, p)
+			mask |= 1 << r
+		}
+	}
+	return x, mask
+}
+
+// Settle stores the powers of the resources in mask, a mask Moved
+// returned, from the front of y in resource order, and returns the rest
+// of y.
+func (pm *PowMemo) Settle(mask uint8, y []float64) []float64 {
+	for r := 0; mask != 0; r, mask = r+1, mask>>1 {
+		if mask&1 != 0 {
+			pm.out[r], y = y[0], y[1:]
+		}
+	}
+	return y
+}
+
+// Powers sets dst[j] = math.Pow(press[j], m.Gamma) for every j <
+// len(dst), bit for bit, as one batch (sim.PowLanes).
+func (m Model) Powers(dst, press []float64) { sim.PowLanes(dst, press, m.Gamma) }
+
+// InflationMemo is Inflation with the powers read from pm, which must
+// hold the power of every pressured resource of press: Moved then
+// Settle at press, or at an earlier pressure equal to it on those
+// resources.
+func (m Model) InflationMemo(comp *workload.Component, press *cluster.Vector, pm *PowMemo) (inflate, cvInflate float64) {
+	inflate = 1.0
+	total := 0.0
+	for r := 0; r < cluster.NumResources; r++ {
+		if press[r] <= 0 {
+			continue
 		}
 		inflate += comp.Sens[r] * pm.out[r]
 		total += press[r]
 	}
-	cvInflate = 1 + comp.CVSens*total
-	if cvInflate > m.CVCap {
-		cvInflate = m.CVCap
-	}
-	return inflate, cvInflate
+	return inflate, m.cvInflation(comp, total)
 }
 
 // FreqInflation returns the service-time multiplier when the component's

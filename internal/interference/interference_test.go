@@ -183,28 +183,84 @@ func TestLCNearSaturationFloor(t *testing.T) {
 	}
 }
 
-// TestInflationMemoMatchesInflation holds the memoized map to the plain
-// one bit for bit over a sequence of pressure vectors in which each
-// resource's pressure repeats, moves, drops to zero and comes back, as a
-// machine's pressure does between ticks.
+// TestInflationMemoMatchesInflation holds the memoized, batched map to
+// the plain one bit for bit, the way the engine drives it: blocks of up
+// to 32 ticks queue their moved pressures (Moved), raise them in one
+// Powers call, then settle and read them tick by tick. Each resource's
+// pressure repeats, moves, drops to zero and comes back, as a machine's
+// pressure does between ticks.
 func TestInflationMemoMatchesInflation(t *testing.T) {
 	m := Default()
 	r := sim.NewRNG(6)
 	var pm PowMemo
 	var press cluster.Vector
-	for step := 0; step < 5000; step++ {
-		for i := range press {
-			switch r.Intn(4) {
-			case 0:
-				press[i] = m.PressureCap * r.Float64()
-			case 1:
-				press[i] = 0
+	for block := 0; block < 500; block++ {
+		n := 1 + r.Intn(32)
+		ticks := make([]cluster.Vector, n)
+		masks := make([]uint8, n)
+		var x []float64
+		for k := range ticks {
+			for i := range press {
+				switch r.Intn(4) {
+				case 0:
+					press[i] = m.PressureCap * r.Float64()
+				case 1:
+					press[i] = 0
+				}
+			}
+			ticks[k] = press
+			x, masks[k] = pm.Moved(&ticks[k], x)
+		}
+		y := make([]float64, len(x))
+		m.Powers(y, x)
+		for k := range ticks {
+			y = pm.Settle(masks[k], y)
+			gotInf, gotCV := m.InflationMemo(mysql(), &ticks[k], &pm)
+			wantInf, wantCV := m.Inflation(mysql(), ticks[k])
+			if math.Float64bits(gotInf) != math.Float64bits(wantInf) || math.Float64bits(gotCV) != math.Float64bits(wantCV) {
+				t.Fatalf("block %d tick %d: memoized (%v, %v), plain (%v, %v)", block, k, gotInf, gotCV, wantInf, wantCV)
 			}
 		}
-		gotInf, gotCV := m.InflationMemo(mysql(), press, &pm)
-		wantInf, wantCV := m.Inflation(mysql(), press)
-		if math.Float64bits(gotInf) != math.Float64bits(wantInf) || math.Float64bits(gotCV) != math.Float64bits(wantCV) {
-			t.Fatalf("step %d: memoized (%v, %v), plain (%v, %v)", step, gotInf, gotCV, wantInf, wantCV)
+		if len(y) != 0 {
+			t.Fatalf("block %d: %d powers left unsettled", block, len(y))
 		}
 	}
+}
+
+// FuzzPowLanes holds Model.Powers (sim.PowLanes) to math.Pow bit for bit:
+// the fuzzed x planted among n lanes (1 to 40) of pressures in (0, 2]
+// drawn from seed, raised to the fuzzed y and to each shipped exponent —
+// the model's γ, 0.5, 2, 2.5, -1.3 and every catalog component's
+// FreqSens. The seed corpus covers the edge x values: subnormal, 1, huge,
+// NaN and ±Inf.
+func FuzzPowLanes(f *testing.F) {
+	for _, x := range []float64{1.37, 5e-324, 1, 1e300, math.NaN(), math.Inf(1), math.Inf(-1), 0x1p-1022, 0} {
+		f.Add(uint64(2020), x, 1.8, uint8(20))
+	}
+	f.Add(uint64(7), 0.9, -300.5, uint8(16))
+	ys := []float64{Default().Gamma, 0.5, 2, 2.5, -1.3}
+	for _, svc := range workload.Services() {
+		for _, c := range svc.Components {
+			ys = append(ys, c.FreqSens)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, x, y float64, width uint8) {
+		n := int(width%40) + 1
+		r := sim.NewRNG(seed)
+		xs := make([]float64, n)
+		for j := range xs {
+			xs[j] = 2 * (1 - r.Float64())
+		}
+		xs[r.Intn(n)] = x
+		got := make([]float64, n)
+		for _, y := range append(ys, y) {
+			m := Model{Gamma: y}
+			m.Powers(got, xs)
+			for j, v := range xs {
+				if want := math.Pow(v, y); math.Float64bits(got[j]) != math.Float64bits(want) && !(math.IsNaN(got[j]) && math.IsNaN(want)) {
+					t.Fatalf("Pow(%v, %v) lane %d of %d: Powers %x, math.Pow %x", v, y, j, n, math.Float64bits(got[j]), math.Float64bits(want))
+				}
+			}
+		}
+	})
 }

@@ -102,14 +102,20 @@ func (s Station) At(lambda, inflate, cvInflate, freqScale float64) Sojourn {
 	return out[0]
 }
 
-// lanes is AtLanes' interleave width: the number of Erlang-B recursions
-// one pass of erlangB advances side by side.
+// lanes is the scalar interleave width: the number of Erlang-B
+// recursions one pass of erlangB advances side by side.
 const lanes = 4
+
+// chunk is the number of lanes atBlocks fits per call: the size of its
+// stack scratch.
+const chunk = 32
 
 // AtLanes sets dst[j] to the sojourn distribution at the operating point
 // (lambda[j], inflate[j], cvInflate[j]) and freqScale, as At defines it,
 // for every lane j < len(dst); the three input slices are at least that
-// long. It runs up to four lanes' Erlang-B recursions interleaved, so
+// long. Where sim runs its AVX-512 kernels, whole eight-lane blocks go
+// through atBlocks. The rest, and every lane elsewhere, go four at a time
+// through the scalar code, whose Erlang-B recursions run interleaved so
 // their dependent divisions overlap instead of queueing one behind
 // another. Each lane performs At's scalar IEEE operations in At's order,
 // so every dst[j] has the bits of a lone At call.
@@ -117,46 +123,82 @@ func (s Station) AtLanes(dst []Sojourn, lambda, inflate, cvInflate []float64, fr
 	if freqScale <= 0 {
 		freqScale = 1
 	}
-	c := float64(s.Workers)
-	for lo := 0; lo < len(dst); lo += lanes {
+	lo := 0
+	for sim.KernelTier() >= sim.TierAVX512 && len(dst)-lo >= 8 {
+		m := min(chunk, (len(dst)-lo)&^7)
+		s.atBlocks(dst[lo:lo+m], lambda[lo:], inflate[lo:], cvInflate[lo:], freqScale)
+		lo += m
+	}
+	for ; lo < len(dst); lo += lanes {
 		n := min(lanes, len(dst)-lo)
 		var service, mu, a, rho [lanes]float64
 		for j := 0; j < n; j++ {
-			lam, infl := lambda[lo+j], inflate[lo+j]
-			if !(lam > 0) {
-				lam = 0 // negative or NaN offered load: idle
-			}
-			if infl < 1 {
-				infl = 1
-			}
-			svc := s.BaseService * infl / freqScale
-			if s.ServiceLoadFactor > 0 {
-				// Internal contention grows with nominal utilization.
-				rhoNom := lam * svc / c
-				if rhoNom > 1 {
-					rhoNom = 1
-				}
-				svc *= 1 + s.ServiceLoadFactor*rhoNom*rhoNom
-			}
-			m := 1 / svc
-			aj := lam / m // offered load in Erlangs
-			r := aj / c
-			if r > maxUtilization {
-				r = maxUtilization
-				aj = r * c
-			}
-			service[j], mu[j], a[j], rho[j] = svc, m, aj, r
+			service[j], mu[j], a[j], rho[j] = s.operatingPoint(lambda[lo+j], inflate[lo+j], freqScale)
 		}
 		var b [lanes]float64
 		b[0], b[1], b[2], b[3] = erlangB(s.Workers, &a, n)
 		for j := 0; j < n; j++ {
-			cvInfl := cvInflate[lo+j]
-			if cvInfl < 1 {
-				cvInfl = 1
-			}
-			s.finish(&dst[lo+j], service[j], mu[j], a[j], rho[j], b[j], cvInfl)
+			s.finish(&dst[lo+j], service[j], mu[j], a[j], rho[j], b[j], cvInflate[lo+j])
 		}
 	}
+}
+
+// atBlocks is AtLanes over whole eight-lane blocks, at most chunk lanes,
+// on sim's operating-point kernels: every lane's offered load first, then
+// the blocks' Erlang-B recursions in one sim.ErlangBBlocks call, the
+// waiting times and CVs in Go, and the lognormal fits in one
+// sim.NewLognormals call.
+func (s Station) atBlocks(dst []Sojourn, lambda, inflate, cvInflate []float64, freqScale float64) {
+	n := len(dst)
+	var service, mu, a, rho, b, mean, cv [chunk]float64
+	for j := 0; j < n; j++ {
+		service[j], mu[j], a[j], rho[j] = s.operatingPoint(lambda[j], inflate[j], freqScale)
+	}
+	// The kernel takes every block; lanes it left would run four at a time.
+	for j := sim.ErlangBBlocks(s.Workers, a[:n], b[:n]); j < n; j += lanes {
+		b[j], b[j+1], b[j+2], b[j+3] = erlangB(s.Workers, (*[lanes]float64)(a[j:j+lanes]), lanes)
+	}
+	for j := 0; j < n; j++ {
+		meanWait, cvj := s.waitCV(mu[j], a[j], rho[j], b[j], cvInflate[j])
+		dst[j] = Sojourn{MeanWait: meanWait, MeanService: service[j], CV: cvj, Utilization: rho[j]}
+		mean[j], cv[j] = meanWait+service[j], cvj
+	}
+	var dist [chunk]sim.Lognormal
+	sim.NewLognormals(dist[:n], mean[:n], cv[:n])
+	for j := 0; j < n; j++ {
+		dst[j].dist = dist[j]
+	}
+}
+
+// operatingPoint returns one lane's mean service time, service rate,
+// offered load (Erlangs, after the utilization cap) and utilization at
+// arrival rate lambda, interference inflation inflate and a positive
+// freqScale.
+func (s Station) operatingPoint(lambda, inflate, freqScale float64) (service, mu, a, rho float64) {
+	c := float64(s.Workers)
+	if !(lambda > 0) {
+		lambda = 0 // negative or NaN offered load: idle
+	}
+	if inflate < 1 {
+		inflate = 1
+	}
+	service = s.BaseService * inflate / freqScale
+	if s.ServiceLoadFactor > 0 {
+		// Internal contention grows with nominal utilization.
+		rhoNom := lambda * service / c
+		if rhoNom > 1 {
+			rhoNom = 1
+		}
+		service *= 1 + s.ServiceLoadFactor*rhoNom*rhoNom
+	}
+	mu = 1 / service
+	a = lambda / mu // offered load in Erlangs
+	rho = a / c
+	if rho > maxUtilization {
+		rho = maxUtilization
+		a = rho * c
+	}
+	return service, mu, a, rho
 }
 
 // erlangB returns the Erlang-B blocking probability of c servers at the
@@ -190,9 +232,25 @@ func erlangB(c int, a *[lanes]float64, n int) (b0, b1, b2, b3 float64) {
 func erlangBStep(a, b, k float64) float64 { return a * b / (k + a*b) }
 
 // finish sets *dst to one lane's sojourn distribution, from its offered
-// load a (Erlangs, after the utilization cap), its utilization rho and its
-// Erlang-B value b.
+// load a (Erlangs, after the utilization cap), its utilization rho, its
+// Erlang-B value b and its CV inflation.
 func (s Station) finish(dst *Sojourn, service, mu, a, rho, b, cvInflate float64) {
+	meanWait, cv := s.waitCV(mu, a, rho, b, cvInflate)
+	*dst = Sojourn{
+		MeanWait:    meanWait,
+		MeanService: service,
+		CV:          cv,
+		Utilization: rho,
+		dist:        sim.NewLognormal(meanWait+service, cv),
+	}
+}
+
+// waitCV returns one lane's mean waiting time and sojourn CV, the mean
+// (plus the service time) and CV its lognormal is fitted to.
+func (s Station) waitCV(mu, a, rho, b, cvInflate float64) (meanWait, cv float64) {
+	if cvInflate < 1 {
+		cvInflate = 1
+	}
 	// Erlang-C, the probability that an arrival waits, from Erlang-B: 1
 	// with no servers or at saturation.
 	pWait := 1.0
@@ -204,7 +262,6 @@ func (s Station) finish(dst *Sojourn, service, mu, a, rho, b, cvInflate float64)
 		pWait = b / (1 - r*(1-b))
 	}
 	// Mean M/M/c waiting time: Pwait / (c*mu - lambda).
-	meanWait := 0.0
 	if denom := float64(s.Workers)*mu - a*mu; denom > 0 {
 		meanWait = pWait / denom
 	}
@@ -213,18 +270,11 @@ func (s Station) finish(dst *Sojourn, service, mu, a, rho, b, cvInflate float64)
 	// servers shed or reject work before their tails become unbounded,
 	// so the CV saturates at maxCV.
 	const maxCV = 2.0
-	cv := s.BaseCV * cvInflate * (1 + s.LoadCVGrowth*rho*rho*rho*rho/(1-rho+0.05))
+	cv = s.BaseCV * cvInflate * (1 + s.LoadCVGrowth*rho*rho*rho*rho/(1-rho+0.05))
 	if cv > maxCV {
 		cv = maxCV
 	}
-	mean := meanWait + service
-	*dst = Sojourn{
-		MeanWait:    meanWait,
-		MeanService: service,
-		CV:          cv,
-		Utilization: rho,
-		dist:        sim.NewLognormal(mean, cv),
-	}
+	return meanWait, cv
 }
 
 // Solo returns the uncontended sojourn distribution at arrival rate lambda.

@@ -108,9 +108,12 @@ type laneCase struct {
 	freqScale                  float64
 }
 
-// checkLanes runs one AtLanes call and holds every lane to atOracle. A
-// panic (NewLognormal's, on a non-positive mean) must come from both or
-// neither, on the first lane the oracle panics on.
+// checkLanes runs one AtLanes call and holds every lane to atOracle and
+// to a lone At call, which runs one lane on the scalar paths: so at eight
+// lanes and more, where AtLanes takes sim's eight-lane kernels on hosts
+// that have them, every lane is also held to the scalar code of the
+// same binary. A panic (NewLognormal's, on a non-positive mean) must come
+// from both or neither, on the first lane the oracle panics on.
 func checkLanes(t *testing.T, c laneCase) {
 	t.Helper()
 	got := make([]Sojourn, len(c.lambda))
@@ -122,18 +125,19 @@ func checkLanes(t *testing.T, c laneCase) {
 			oraclePanic = true
 			break
 		}
-		if !lanePanic && !sojournBitsEqual(got[j], want) {
+		if lanePanic {
+			continue
+		}
+		if !sojournBitsEqual(got[j], want) {
 			t.Fatalf("%s: lane %d of %d (lambda %v, inflate %v, cvInflate %v, freq %v, station %+v):\nlanes  %+v\noracle %+v",
 				c.name, j, len(got), c.lambda[j], c.inflate[j], c.cvInflate[j], c.freqScale, c.st, got[j], want)
+		}
+		if one := c.st.At(c.lambda[j], c.inflate[j], c.cvInflate[j], c.freqScale); !sojournBitsEqual(one, got[j]) {
+			t.Fatalf("%s: lane %d of %d: lone At %+v differs from AtLanes %+v", c.name, j, len(got), one, got[j])
 		}
 	}
 	if lanePanic != oraclePanic {
 		t.Fatalf("%s: AtLanes panicked %v, oracle panicked %v", c.name, lanePanic, oraclePanic)
-	}
-	if len(got) == 1 && !lanePanic {
-		if one := c.st.At(c.lambda[0], c.inflate[0], c.cvInflate[0], c.freqScale); !sojournBitsEqual(one, got[0]) {
-			t.Fatalf("%s: At %+v differs from its one-lane AtLanes %+v", c.name, one, got[0])
-		}
 	}
 }
 
@@ -157,8 +161,10 @@ func repeat(v float64, n int) []float64 {
 // ErlangC-based oracle, bit for bit: random lanes on random stations, and
 // the edges — idle and NaN offered load, inflation factors below 1, the
 // utilization cap, one and 172 workers, a capped nominal utilization
-// under ServiceLoadFactor, lanes whose loads differ widely, and lane
-// counts that are not a multiple of the interleave width.
+// under ServiceLoadFactor, lanes whose loads differ widely, and every
+// lane count from 1 to 40: the scalar four-lane interleave and its lone
+// lane, the kernels' sixteen- and eight-lane blocks and their tails, and
+// more lanes than one batch (chunk) holds.
 func TestAtLanesMatchesOracle(t *testing.T) {
 	big := Station{BaseService: 0.004, BaseCV: 0.5, Workers: 172, LoadCVGrowth: 1.2}
 	one := Station{BaseService: 0.002, BaseCV: 0.3, Workers: 1, LoadCVGrowth: 0.5}
@@ -176,7 +182,7 @@ func TestAtLanesMatchesOracle(t *testing.T) {
 		{"inflate-inf", db, []float64{1000, 0}, []float64{math.Inf(1), math.Inf(1)}, repeat(1, 2), 1},
 		{"inflate-nan", big, []float64{1000}, []float64{nan}, []float64{nan}, 1},
 	}
-	for n := 1; n <= 9; n++ {
+	for n := 1; n <= 40; n++ {
 		lam := make([]float64, n)
 		for j := range lam {
 			lam[j] = float64(j+1) * 4000
@@ -198,7 +204,7 @@ func TestAtLanesMatchesOracle(t *testing.T) {
 		if r.Float64() < 0.3 {
 			st.ServiceLoadFactor = 2 * r.Float64()
 		}
-		n := 1 + r.Intn(23)
+		n := 1 + r.Intn(40)
 		c := laneCase{name: fmt.Sprintf("random-%d", trial), st: st, freqScale: 0.5 + r.Float64()}
 		for j := 0; j < n; j++ {
 			c.lambda = append(c.lambda, 1.1*r.Float64()*st.MaxRate())
@@ -209,11 +215,14 @@ func TestAtLanesMatchesOracle(t *testing.T) {
 	}
 }
 
-// FuzzStationLanes holds AtLanes to the scalar oracle on arbitrary
-// stations and operating points: the fuzzed lane is placed among three
-// neighbours at scaled loads, at every position of a width-5 batch (one
-// full interleave group plus a padded one). It also checks that doubling
-// the arrival rate never lowers the mean sojourn.
+// FuzzStationLanes holds AtLanes to the scalar oracle and to lone At
+// calls on arbitrary stations and operating points: the fuzzed lane is
+// placed among neighbours at scaled loads, at every position of a width-5
+// batch (one full scalar interleave group plus a padded one), and first,
+// in the middle and last in batches of 8, 13, 16, 21, 32 and 35 lanes,
+// which reach the eight-lane kernels' blocks, their tails and a second
+// batch. It also checks that doubling the arrival rate never lowers the
+// mean sojourn.
 func FuzzStationLanes(f *testing.F) {
 	f.Add(0.004, 0.5, 172, 1.2, 0.0, 4e4, 1.1, 1.2, 1.0)
 	f.Fuzz(func(t *testing.T, base, cv float64, workers int, growth, slf, lambda, inflate, cvInflate, freq float64) {
@@ -233,6 +242,21 @@ func FuzzStationLanes(f *testing.F) {
 				c.cvInflate = append(c.cvInflate, cvInflate)
 			}
 			checkLanes(t, c)
+		}
+		for _, width := range []int{8, 13, 16, 21, 32, 35} {
+			for _, pos := range []int{0, width / 2, width - 1} {
+				c := laneCase{name: fmt.Sprintf("width-%d-pos-%d", width, pos), st: st, freqScale: freq}
+				for j := 0; j < width; j++ {
+					l := lambda
+					if j != pos {
+						l = lambda * float64(j+1) / float64(width/2+1)
+					}
+					c.lambda = append(c.lambda, l)
+					c.inflate = append(c.inflate, inflate)
+					c.cvInflate = append(c.cvInflate, cvInflate)
+				}
+				checkLanes(t, c)
+			}
 		}
 		// The mean sojourn is non-decreasing in the arrival rate.
 		lo, okLo := finiteMean(st, lambda, inflate, cvInflate, freq)

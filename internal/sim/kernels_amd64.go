@@ -106,3 +106,29 @@ func lognormalAVX512(out, u1, u2, muPat, sigmaPat []float64, off int) int
 //
 //go:noescape
 func normOverAVX512(u1, u2 []float64, floor, t2 float64, over *[sumBatch / 64]uint64) int
+
+// erlangBAVX512 sets b[j] to the Erlang-B blocking probability of c
+// servers at offered load a[j], sixteen lanes (two interleaved blocks) at
+// a time and then eight, and returns the number of lanes done: len(b)
+// rounded down to a multiple of 8. len(a) must be at least len(b).
+//
+//go:noescape
+func erlangBAVX512(c int, a, b []float64) int
+
+// powAVX512 writes dst[i] = math.Pow(x[i], y) for the y that powSplit
+// split into yi and yf (neg when y < 0), eight lanes at a time, and
+// returns the number of elements done: a multiple of 8, stopping before
+// the first block with a lane off math.Pow's general path (PowLanes).
+// len(x) must be at least len(dst).
+//
+//go:noescape
+func powAVX512(dst, x []float64, yf float64, yi uint64, neg bool) int
+
+// lognormalFitAVX512 writes the log-space parameters NewLognormal(mean[i],
+// cv[i]) fits to mu[i] and sigma[i], eight lanes at a time, and returns
+// the number of elements done: a multiple of 8, stopping before the first
+// block with a lane off the fit's main path (NewLognormals). sigma, mean
+// and cv must be at least as long as mu.
+//
+//go:noescape
+func lognormalFitAVX512(mu, sigma, mean, cv []float64) int

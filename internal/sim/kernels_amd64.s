@@ -19,10 +19,19 @@
 //   lognormalAVX512: math.Exp(mu + sigma*(radius * cos2pi(u2))), the
 //                    radius, angle and exp ports above in 512-bit lanes.
 //
+// At TierAVX512 three more eight-lane kernels compute the engine's
+// operating points (oppoint.go):
+//
+//   erlangBAVX512:      the Erlang-B recursion of queueing's erlangBStep;
+//   powAVX512:          math.Pow down its general path for non-integer
+//                       y, over the log and exp ports above;
+//   lognormalFitAVX512: NewLognormal's fit, two logs and a square root.
+//
 // Each kernel walks whole blocks and returns how many elements it
 // finished. It stops early at the first block with a lane outside the
 // range where the scalar code takes its main path; the Go caller computes
-// that block (and the tail) with the scalar code and re-enters. Every
+// that block (and the tail) with the scalar code and re-enters
+// (NewLognormals finishes the rest of its batch in Go instead). Every
 // instruction is VEX- or EVEX-encoded (a legacy-SSE instruction among them
 // costs an SSE/AVX transition per block), the AVX-512 kernels use only
 // Z0-Z15, and every kernel ends with VZEROUPPER.
@@ -900,5 +909,332 @@ normOverLoop:
 normOverDone:
 	SHLQ $3, DX
 	MOVQ DX, ret+72(FP)
+	VZEROUPPER
+	RET
+
+// The operating-point kernels' constants: the smallest normal float64,
+// +Inf, and the integer bounds of math.Pow's Frexp squaring loop (its
+// exponent guard, |xe| <= 4096), of Frexp's exponent (biased - 1022) and
+// of a normal result's biased exponent (1..2046).
+CONST1(opMinNormal<>, $0x0010000000000000)
+CONST1(opInf<>, $0x7FF0000000000000)
+CONST1(qXeMax<>, $4096)
+CONST1(qXeMin<>, $-4096)
+CONST1(qFrexpBias<>, $1022)
+CONST1(qMaxBiased<>, $2046)
+
+// LOG8 sets k to archLog(x) in each lane on archLog's main path (0 < x <
+// +Inf, subnormals included): radiusAVX2's port of log_amd64.s, lane for
+// lane, in 512-bit registers. x is left as it is; f, s, s2, s4, t and K2
+// are clobbered. Z14 must hold 1.0.
+#define LOG8(x, k, f, s, s2, s4, t) \
+	VPANDQ.BCST logMant<>(SB), x, f; \
+	VPORQ.BCST  half<>(SB), f, f; \
+	VPSRLQ      $52, x, k; \
+	VPORQ.BCST  logMagic<>(SB), k, k; \
+	VSUBPD.BCST logMagicBias<>(SB), k, k; \
+	VCMPPD.BCST $2, logHSqrt2<>(SB), f, K2; \
+	VSUBPD.BCST one<>(SB), k, K2, k; \
+	VMULPD.BCST two<>(SB), f, K2, f; \
+	VSUBPD      Z14, f, f; \
+	VADDPD.BCST two<>(SB), f, s; \
+	VDIVPD      s, f, s; \
+	VMULPD      s, s, s2; \
+	VMULPD      s2, s2, s4; \
+	VMULPD.BCST logL7<>(SB), s4, t; \
+	VADDPD.BCST logL5<>(SB), t, t; \
+	VMULPD      s4, t, t; \
+	VADDPD.BCST logL3<>(SB), t, t; \
+	VMULPD      s4, t, t; \
+	VADDPD.BCST logL1<>(SB), t, t; \
+	VMULPD      t, s2, s2; \
+	VMULPD.BCST logL6<>(SB), s4, t; \
+	VADDPD.BCST logL4<>(SB), t, t; \
+	VMULPD      s4, t, t; \
+	VADDPD.BCST logL2<>(SB), t, t; \
+	VMULPD      t, s4, s4; \
+	VADDPD      s4, s2, s2; \
+	VMULPD.BCST half<>(SB), f, t; \
+	VMULPD      f, t, t; \
+	VADDPD      t, s2, s2; \
+	VMULPD      s2, s, s; \
+	VMULPD.BCST logLn2Lo<>(SB), k, s2; \
+	VADDPD      s2, s, s; \
+	VSUBPD      s, t, t; \
+	VSUBPD      f, t, t; \
+	VMULPD.BCST logLn2Hi<>(SB), k, k; \
+	VSUBPD      t, k, k
+
+// func erlangBAVX512(c int, a, b []float64) int
+//
+// The Erlang-B recursion B(k) = a·B(k−1)/(k + a·B(k−1)) from B(0) = 1 for
+// k = 1..c, per lane: the product a·B(k−1), the sum k + a·B(k−1) and the
+// quotient, each one rounded IEEE operation as in queueing's erlangBStep,
+// with k an exact float that steps by 1. Division is correctly rounded,
+// so every lane has the scalar bits. Two blocks of eight advance side by
+// side while sixteen lanes remain, so their dependent divisions overlap;
+// then one block of eight; the len%8 tail is left to the caller. Only
+// Z0-Z15 are used, all through EVEX encodings.
+TEXT ·erlangBAVX512(SB), NOSPLIT, $0-64
+	MOVQ         c+0(FP), R8
+	MOVQ         a_base+8(FP), SI
+	MOVQ         b_base+32(FP), DI
+	MOVQ         b_len+40(FP), CX
+	XORQ         DX, DX
+	VBROADCASTSD one<>(SB), Z15
+
+erlangB16:
+	CMPQ    CX, $16
+	JLT     erlangB8
+	VMOVUPD (SI), Z0
+	VMOVUPD 64(SI), Z1
+	VMOVAPD Z15, Z2              // B(0) = 1
+	VMOVAPD Z15, Z3
+	VMOVAPD Z15, Z4              // k = 1
+	MOVQ    R8, R9
+	TESTQ   R9, R9
+	JLE     erlangB16Done
+
+erlangB16Step:
+	VMULPD Z2, Z0, Z5            // a·B(k−1)
+	VMULPD Z3, Z1, Z6
+	VADDPD Z5, Z4, Z7            // k + a·B(k−1)
+	VADDPD Z6, Z4, Z8
+	VDIVPD Z7, Z5, Z2            // B(k)
+	VDIVPD Z8, Z6, Z3
+	VADDPD Z15, Z4, Z4
+	DECQ   R9
+	JNE    erlangB16Step
+
+erlangB16Done:
+	VMOVUPD Z2, (DI)
+	VMOVUPD Z3, 64(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, DI
+	ADDQ    $16, DX
+	SUBQ    $16, CX
+	JMP     erlangB16
+
+erlangB8:
+	CMPQ    CX, $8
+	JLT     erlangBDone
+	VMOVUPD (SI), Z0
+	VMOVAPD Z15, Z2
+	VMOVAPD Z15, Z4
+	MOVQ    R8, R9
+	TESTQ   R9, R9
+	JLE     erlangB8Done
+
+erlangB8Step:
+	VMULPD Z2, Z0, Z5
+	VADDPD Z5, Z4, Z7
+	VDIVPD Z7, Z5, Z2
+	VADDPD Z15, Z4, Z4
+	DECQ   R9
+	JNE    erlangB8Step
+
+erlangB8Done:
+	VMOVUPD Z2, (DI)
+	ADDQ    $8, DX
+
+erlangBDone:
+	MOVQ DX, ret+56(FP)
+	VZEROUPPER
+	RET
+
+// func powAVX512(dst, x []float64, yf float64, yi uint64, neg bool) int
+//
+// math.Pow(x, y) down its general path, eight lanes at a time, for the y
+// that powSplit split into yi and yf (after math.Pow's yf > 0.5
+// adjustment; neg when y < 0):
+//
+//	a1 := Exp(yf * Log(x))          LOG8, one rounded multiply, expAVX2's archExp port
+//	x1, xe := Frexp(x)              mantissa | 0.5 and biased exponent - 1022
+//	for i := yi; i != 0; i >>= 1 {  the same for every lane
+//		(guard: -4096 <= xe <= 4096)
+//		if i&1 == 1 { a1 *= x1; ae += xe }
+//		x1 *= x1; xe <<= 1
+//		if x1 < .5 { x1 += x1; xe-- }   merge-masked
+//	}
+//	if neg { a1 = 1 / a1; ae = -ae }
+//	Ldexp(a1, ae)                   ae added to a1's exponent field
+//
+// with xe and ae in 64-bit lanes. A block is done only when every lane
+// stays on that path: x finite, positive, normal and not 1 (so Log, Frexp
+// and Pow's special cases take no other branch), the exp argument on
+// archExp's main path, the loop guard never firing, and a1 and the result
+// normal, which makes Ldexp an exact exponent add. The kernel stops
+// before the first block that fails; the len%8 tail is left to the
+// caller. Only Z0-Z15 are used, all through EVEX encodings; Z13 = yf,
+// Z14 = 1.0 and Z15 = 0 stay in registers.
+TEXT ·powAVX512(SB), NOSPLIT, $0-80
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	MOVQ         x_base+24(FP), SI
+	VBROADCASTSD yf+48(FP), Z13
+	MOVQ         yi+56(FP), R8
+	MOVBQZX      neg+64(FP), R10
+	XORQ         DX, DX
+	VPXORQ       Z15, Z15, Z15
+	VBROADCASTSD one<>(SB), Z14
+
+powLoop:
+	CMPQ    CX, $8
+	JLT     powDone
+	VMOVUPD (SI), Z0             // x
+
+	// x finite, positive, normal and not 1.
+	VCMPPD.BCST $13, opMinNormal<>(SB), Z0, K1
+	VCMPPD.BCST $1, opInf<>(SB), Z0, K1, K1
+	VCMPPD      $4, Z14, Z0, K1, K1
+
+	// a1 := Exp(yf * Log(x)), on archExp's main path: the argument at
+	// most Overflow and -1023 < k < 1024.
+	LOG8(Z0, Z1, Z2, Z3, Z4, Z5, Z6)
+	VMULPD            Z13, Z1, Z1
+	VMULPD.BCST       expLog2E<>(SB), Z1, Z3
+	VCVTPD2QQ         Z3, Z3     // Z3 = k
+	VCMPPD.BCST       $2, expOverflow<>(SB), Z1, K1, K1
+	VPCMPQ.BCST       $6, qMinK<>(SB), Z3, K1, K1
+	VPCMPQ.BCST       $1, qMaxK<>(SB), Z3, K1, K1
+	VCVTQQ2PD         Z3, Z4
+	VFNMADD231PD.BCST expLn2U<>(SB), Z4, Z1
+	VFNMADD231PD.BCST expLn2L<>(SB), Z4, Z1
+	VMULPD.BCST       expSixteenth<>(SB), Z1, Z1
+	VBROADCASTSD      expT7<>(SB), Z4
+	VFMADD213PD.BCST  expT6<>(SB), Z1, Z4
+	VFMADD213PD.BCST  expT5<>(SB), Z1, Z4
+	VFMADD213PD.BCST  expT4<>(SB), Z1, Z4
+	VFMADD213PD.BCST  expT3<>(SB), Z1, Z4
+	VFMADD213PD.BCST  expT2<>(SB), Z1, Z4
+	VFMADD213PD.BCST  half<>(SB), Z1, Z4
+	VFMADD213PD.BCST  one<>(SB), Z1, Z4
+	VMULPD            Z4, Z1, Z1
+	VADDPD.BCST       two<>(SB), Z1, Z4
+	VMULPD            Z4, Z1, Z1
+	VADDPD.BCST       two<>(SB), Z1, Z4
+	VMULPD            Z4, Z1, Z1
+	VADDPD.BCST       two<>(SB), Z1, Z4
+	VMULPD            Z4, Z1, Z1
+	VADDPD.BCST       two<>(SB), Z1, Z4
+	VFMADD213PD.BCST  one<>(SB), Z4, Z1
+	VPADDQ.BCST       expBias<>(SB), Z3, Z3
+	VPSLLQ            $52, Z3, Z3
+	VMULPD            Z3, Z1, Z2 // Z2 = a1
+
+	// x1, xe := Frexp(x); ae := 0
+	VPANDQ.BCST logMant<>(SB), Z0, Z3
+	VPORQ.BCST  half<>(SB), Z3, Z3         // Z3 = x1
+	VPSRLQ      $52, Z0, Z4
+	VPSUBQ.BCST qFrexpBias<>(SB), Z4, Z4   // Z4 = xe
+	VPXORQ      Z5, Z5, Z5                 // Z5 = ae
+	MOVQ        R8, R9
+	TESTQ       R9, R9
+	JEQ         powSquaresDone
+
+powSquares:
+	VPCMPQ.BCST $5, qXeMin<>(SB), Z4, K1, K1
+	VPCMPQ.BCST $2, qXeMax<>(SB), Z4, K1, K1
+	TESTQ       $1, R9
+	JEQ         powSquare
+	VMULPD      Z3, Z2, Z2
+	VPADDQ      Z4, Z5, Z5
+
+powSquare:
+	VMULPD      Z3, Z3, Z3
+	VPADDQ      Z4, Z4, Z4
+	VCMPPD.BCST $1, half<>(SB), Z3, K2
+	VADDPD      Z3, Z3, K2, Z3
+	VPSUBQ.BCST qOne<>(SB), Z4, K2, Z4
+	SHRQ        $1, R9
+	JNE         powSquares
+
+powSquaresDone:
+	TESTQ  R10, R10
+	JEQ    powLdexp
+	VDIVPD Z2, Z14, Z2           // a1 = 1 / a1
+	VPSUBQ Z5, Z15, Z5           // ae = -ae
+
+	// Ldexp(a1, ae) for a normal a1 whose exponent plus ae stays normal:
+	// add ae to the exponent field.
+powLdexp:
+	VPSRLQ      $52, Z2, Z6
+	VPCMPQ.BCST $5, qOne<>(SB), Z6, K1, K1
+	VPCMPQ.BCST $2, qMaxBiased<>(SB), Z6, K1, K1
+	VPADDQ      Z5, Z6, Z6
+	VPCMPQ.BCST $5, qOne<>(SB), Z6, K1, K1
+	VPCMPQ.BCST $2, qMaxBiased<>(SB), Z6, K1, K1
+	KORTESTB    K1, K1
+	JCC         powDone          // some lane is off the general path
+	VPSLLQ      $52, Z5, Z5
+	VPADDQ      Z5, Z2, Z2
+	VMOVUPD     Z2, (DI)
+
+	ADDQ $64, SI
+	ADDQ $64, DI
+	ADDQ $8, DX
+	SUBQ $8, CX
+	JMP  powLoop
+
+powDone:
+	MOVQ DX, ret+72(FP)
+	VZEROUPPER
+	RET
+
+// func lognormalFitAVX512(mu, sigma, mean, cv []float64) int
+//
+// NewLognormal's fit, eight lanes at a time: s2 = Log(1 + cv*cv) (one
+// rounded multiply and add, then LOG8), mu = Log(mean) - s2/2 (LOG8, then
+// the halving, exact as the scalar division by 2 is, and one rounded
+// subtract) and sigma = Sqrt(s2) (VSQRTPD, correctly rounded as
+// math.Sqrt's SQRTSD is). A block is done only when every lane has
+// 0 < mean < +Inf, cv >= 0 and 1 + cv*cv < +Inf, so NewLognormal would not
+// panic and both logs take archLog's main path. The kernel stops before
+// the first block that fails; the len%8 tail is left to the caller. Only
+// Z0-Z15 are used, all through EVEX encodings.
+TEXT ·lognormalFitAVX512(SB), NOSPLIT, $0-104
+	MOVQ         mu_base+0(FP), DI
+	MOVQ         mu_len+8(FP), CX
+	MOVQ         sigma_base+24(FP), R8
+	MOVQ         mean_base+48(FP), SI
+	MOVQ         cv_base+72(FP), R9
+	XORQ         DX, DX
+	VPXORQ       Z15, Z15, Z15
+	VBROADCASTSD one<>(SB), Z14
+
+fitLoop:
+	CMPQ    CX, $8
+	JLT     fitDone
+	VMOVUPD (SI), Z0             // mean
+	VMOVUPD (R9), Z8             // cv
+
+	VCMPPD      $1, Z0, Z15, K1
+	VCMPPD.BCST $1, opInf<>(SB), Z0, K1, K1
+	VCMPPD      $13, Z15, Z8, K1, K1
+	VMULPD      Z8, Z8, Z8
+	VADDPD      Z14, Z8, Z8      // 1 + cv*cv
+	VCMPPD.BCST $1, opInf<>(SB), Z8, K1, K1
+
+	LOG8(Z8, Z9, Z10, Z11, Z12, Z13, Z7)
+	LOG8(Z0, Z1, Z2, Z3, Z4, Z5, Z6)
+	KORTESTB K1, K1
+	JCC      fitDone             // some lane is off the main path
+
+	VMULPD.BCST half<>(SB), Z9, Z2
+	VSUBPD      Z2, Z1, Z1       // mu
+	VSQRTPD     Z9, Z9           // sigma
+	VMOVUPD     Z1, (DI)
+	VMOVUPD     Z9, (R8)
+
+	ADDQ $64, SI
+	ADDQ $64, R9
+	ADDQ $64, DI
+	ADDQ $64, R8
+	ADDQ $8, DX
+	SUBQ $8, CX
+	JMP  fitLoop
+
+fitDone:
+	MOVQ DX, ret+96(FP)
 	VZEROUPPER
 	RET

@@ -16,3 +16,8 @@ func lognormalAVX512(_, _, _, _, _ []float64, _ int) int {
 func normOverAVX512(_, _ []float64, _, _ float64, _ *[sumBatch / 64]uint64) int {
 	panic("sim: no vector kernels")
 }
+func erlangBAVX512(int, []float64, []float64) int { panic("sim: no vector kernels") }
+func powAVX512(_, _ []float64, _ float64, _ uint64, _ bool) int {
+	panic("sim: no vector kernels")
+}
+func lognormalFitAVX512(_, _, _, _ []float64) int { panic("sim: no vector kernels") }

@@ -38,6 +38,11 @@ func forEachTier(t *testing.T, f func(t *testing.T, tr Tier)) {
 // and pins that ForceTier moves the dispatch and puts it back.
 func TestKernelDispatch(t *testing.T) {
 	t.Logf("sampler kernel tier: %v (scalar < avx2 < avx512)", hostTier)
+	if hostTier >= TierAVX512 {
+		t.Logf("operating-point kernels (Erlang-B, Pow, lognormal fit): avx512")
+	} else {
+		t.Logf("operating-point kernels (Erlang-B, Pow, lognormal fit): SKIP, scalar Go below avx512")
+	}
 	if KernelTier() != hostTier {
 		t.Fatalf("KernelTier() = %v, want the probed %v", KernelTier(), hostTier)
 	}

@@ -309,7 +309,7 @@ const (
 	// TierAVX512 draws the uniforms eight pairs at a time and turns them
 	// into lognormal values with one fused kernel (AVX-512F and DQ), for
 	// paths of at most fusedMaxK stages; deeper paths take the AVX2
-	// passes.
+	// passes. It also runs the operating-point kernels (oppoint.go).
 	TierAVX512
 )
 

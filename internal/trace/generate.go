@@ -2,7 +2,7 @@ package trace
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"rhythm/internal/queueing"
@@ -125,6 +125,7 @@ func Generate(tp *Topology, sojourns map[string]queueing.Sojourn, opts GenOption
 	for _, c := range tp.Service.Components {
 		g.truth.Sojourn[c.Name] = make([]float64, opts.Requests)
 	}
+	g.events = make([]Event, 0, opts.Requests*(4+visitEvents(tp.Service.Graph))+len(tp.Pods)*max(opts.NoiseEvents, 0))
 
 	at := sim.Time(0)
 	for i := 0; i < opts.Requests; i++ {
@@ -132,8 +133,49 @@ func Generate(tp *Topology, sojourns map[string]queueing.Sojourn, opts GenOption
 		g.request(i, at)
 	}
 	g.injectNoise()
-	sort.SliceStable(g.events, func(a, b int) bool { return g.events[a].At < g.events[b].At })
+	g.sortEvents()
 	return g.events, g.truth, nil
+}
+
+// visitEvents is the number of events visit emits for the subtree at n: a
+// RECV and a SEND per node, and a SEND and a RECV per call to a child. A
+// request adds four more: the client's SEND and RECV, and the entry pod's
+// ACCEPT and CLOSE.
+func visitEvents(n *workload.Node) int {
+	c := 2
+	for _, ch := range n.Children {
+		c += 2 + visitEvents(ch)
+	}
+	return c
+}
+
+// sortEvents orders the log by time, events with equal times in emission
+// order: the output of a stable sort, which is unique. It sorts (time,
+// index) keys and gathers the events once, rather than swapping the
+// events themselves.
+func (g *generator) sortEvents() {
+	type key struct {
+		at sim.Time
+		i  int
+	}
+	keys := make([]key, len(g.events))
+	for i, ev := range g.events {
+		keys[i] = key{ev.At, i}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if a.at != b.at {
+			if a.at < b.at {
+				return -1
+			}
+			return 1
+		}
+		return a.i - b.i
+	})
+	sorted := make([]Event, len(keys))
+	for j, k := range keys {
+		sorted[j] = g.events[k.i]
+	}
+	g.events = sorted
 }
 
 // ctxFor returns the thread context handling request req at pod.

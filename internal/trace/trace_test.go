@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -313,5 +314,41 @@ func TestPersistentConnectionsShareMsgIDs(t *testing.T) {
 	}
 	if len(ids) > 2 {
 		t.Fatalf("persistent connections should share identifiers, got %d distinct", len(ids))
+	}
+}
+
+// TestGenerateSizesAndSortsEvents checks, for every shipped service, that
+// the event log has exactly the size Generate reserves for it (so the
+// log is never regrown) and is in time order.
+func TestGenerateSizesAndSortsEvents(t *testing.T) {
+	for _, svc := range workload.Services() {
+		opts := GenOptions{Requests: 50, Rate: 400, Threads: 3, NoiseEvents: 7, Seed: 9}
+		evs, _, tp := generate(t, svc, opts)
+		if want := opts.Requests*(4+visitEvents(svc.Graph)) + len(tp.Pods)*opts.NoiseEvents; len(evs) != want || cap(evs) != want {
+			t.Errorf("%s: %d events (cap %d), want %d", svc.Name, len(evs), cap(evs), want)
+		}
+		for i := 1; i < len(evs); i++ {
+			if evs[i].At < evs[i-1].At {
+				t.Fatalf("%s: event %d at %v before event %d at %v", svc.Name, i, evs[i].At, i-1, evs[i-1].At)
+			}
+		}
+	}
+}
+
+// TestSortEventsIsStable holds sortEvents to sort.SliceStable on a log
+// with many equal times, each event tagged with its emission index.
+func TestSortEventsIsStable(t *testing.T) {
+	r := sim.NewRNG(4)
+	g := &generator{}
+	for i := 0; i < 5000; i++ {
+		g.events = append(g.events, Event{At: sim.Time(r.Intn(300)), Ctx: Context{PID: i}})
+	}
+	want := append([]Event(nil), g.events...)
+	sort.SliceStable(want, func(a, b int) bool { return want[a].At < want[b].At })
+	g.sortEvents()
+	for i := range want {
+		if g.events[i] != want[i] {
+			t.Fatalf("event %d: sortEvents %+v, stable sort %+v", i, g.events[i], want[i])
+		}
 	}
 }
