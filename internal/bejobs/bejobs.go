@@ -12,7 +12,6 @@ package bejobs
 
 import (
 	"fmt"
-	"sort"
 
 	"rhythm/internal/cluster"
 )
@@ -192,16 +191,6 @@ func Types() []Type {
 // grids, which use SL/SD/CS/LS/IC/WC).
 func EvaluationTypes() []Type {
 	return []Type{StreamLLC, StreamDRAM, CPUStress, LSTM, ImageClassify, Wordcount}
-}
-
-// All returns every cataloged type, including intensity variants, sorted.
-func All() []Type {
-	out := make([]Type, 0, len(catalog))
-	for t := range catalog {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // State is the lifecycle state of a BE instance.

@@ -175,13 +175,12 @@ func TestStateString(t *testing.T) {
 }
 
 func TestAllIncludesVariants(t *testing.T) {
-	all := All()
-	if len(all) != 11 { // 7 base + 4 intensity variants
-		t.Fatalf("All() = %d entries, want 11", len(all))
+	if len(catalog) != 11 { // 7 base + 4 intensity variants
+		t.Fatalf("catalog has %d entries, want 11", len(catalog))
 	}
-	for i := 1; i < len(all); i++ {
-		if all[i-1] >= all[i] {
-			t.Fatal("All() not sorted")
+	for typ := range catalog {
+		if _, err := Lookup(typ); err != nil {
+			t.Fatalf("Lookup(%s): %v", typ, err)
 		}
 	}
 }

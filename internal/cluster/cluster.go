@@ -138,18 +138,17 @@ type Alloc struct {
 // bandwidth never exceeds the spec. Machine is not safe for concurrent use;
 // the simulation is single-threaded.
 //
-// Alongside the ledger map the machine maintains its owners in the sorted
-// order every reader wants (LC first, then by name): free-capacity checks
-// walk a flat slice instead of the map, re-granting an existing owner
-// updates its Alloc in place, and the subcontrollers iterate BE owners
-// without the per-call sort the old BEOwners paid. That keeps control
-// ticks allocation-free — the fleet layer runs ~100 of them per epoch.
+// The ledger is one sorted index, owners in the order every reader wants
+// (LC first, then BE, each by name) beside their grants: lookups binary
+// search it, free-capacity checks walk it as a flat slice, re-granting an
+// existing owner updates its Alloc in place, and the subcontrollers
+// iterate the BE suffix without sorting. That keeps control ticks
+// allocation-free — the fleet layer runs ~100 of them per epoch.
 type Machine struct {
 	Name string
 	Spec MachineSpec
 
-	allocs map[Owner]*Alloc
-	// owners and ownerAllocs mirror allocs in sorted order (LC owners
+	// owners and ownerAllocs are the ledger in sorted order (LC owners
 	// first, then BE, each by name); lcCount is the LC prefix length.
 	owners      []Owner
 	ownerAllocs []*Alloc
@@ -180,7 +179,7 @@ func (e *overcommitError) Error() string {
 
 // NewMachine returns an empty machine with the given spec.
 func NewMachine(name string, spec MachineSpec) *Machine {
-	return &Machine{Name: name, Spec: spec, allocs: make(map[Owner]*Alloc)}
+	return &Machine{Name: name, Spec: spec}
 }
 
 // Alloc returns the current grant for owner, or nil if none. The pointed-to
@@ -188,7 +187,10 @@ func NewMachine(name string, spec MachineSpec) *Machine {
 // always reads the owner's current grant (and must be re-fetched only after
 // a Release).
 func (m *Machine) Alloc(o Owner) *Alloc {
-	return m.allocs[o]
+	if i, ok := m.ownerIdx(o); ok {
+		return m.ownerAllocs[i]
+	}
+	return nil
 }
 
 // ownerIdx returns the sorted position of o in owners and whether it is
@@ -207,9 +209,8 @@ func (m *Machine) ownerIdx(o Owner) (int, bool) {
 	return lo, lo < len(m.owners) && m.owners[lo] == o
 }
 
-// insertOwner adds o at its sorted position; the caller guarantees absence.
-func (m *Machine) insertOwner(o Owner, a *Alloc) {
-	i, _ := m.ownerIdx(o)
+// insertOwner adds o at sorted position i, which ownerIdx reported absent.
+func (m *Machine) insertOwner(i int, o Owner, a *Alloc) {
 	m.owners = append(m.owners, Owner{})
 	copy(m.owners[i+1:], m.owners[i:])
 	m.owners[i] = o
@@ -221,12 +222,9 @@ func (m *Machine) insertOwner(o Owner, a *Alloc) {
 	}
 }
 
-// removeOwner drops o from the sorted mirrors if present.
-func (m *Machine) removeOwner(o Owner) {
-	i, ok := m.ownerIdx(o)
-	if !ok {
-		return
-	}
+// removeOwner drops the owner at sorted position i.
+func (m *Machine) removeOwner(i int) {
+	o := m.owners[i]
 	m.owners = append(m.owners[:i], m.owners[i+1:]...)
 	m.ownerAllocs = append(m.ownerAllocs[:i], m.ownerAllocs[i+1:]...)
 	if o.Kind == OwnerLC {
@@ -234,13 +232,7 @@ func (m *Machine) removeOwner(o Owner) {
 	}
 }
 
-// Owners returns a copy of all owners with grants, sorted for determinism
-// (LC first, then by name).
-func (m *Machine) Owners() []Owner {
-	return append([]Owner(nil), m.owners...)
-}
-
-// used sums all grants, walking the sorted mirror so the float sums are
+// used sums all grants, walking the sorted ledger so the float sums are
 // evaluated in a deterministic order.
 func (m *Machine) used() Alloc {
 	var u Alloc
@@ -277,9 +269,11 @@ func (m *Machine) Grant(o Owner, a Alloc) error {
 		return fmt.Errorf("cluster: frequency %.2f GHz outside [%.2f, %.2f]",
 			a.FreqGHz, m.Spec.MinGHz, m.Spec.MaxGHz)
 	}
-	if prev, had := m.allocs[o]; had {
+	i, had := m.ownerIdx(o)
+	if had {
 		// Re-grant: update the existing Alloc in place so no allocation
 		// happens and held pointers keep reading the current grant.
+		prev := m.ownerAllocs[i]
 		old := *prev
 		*prev = a
 		u := m.used()
@@ -294,13 +288,11 @@ func (m *Machine) Grant(o Owner, a Alloc) error {
 	// would force a on the re-grant hot path onto the heap too.
 	na := new(Alloc)
 	*na = a
-	m.allocs[o] = na
-	m.insertOwner(o, na)
+	m.insertOwner(i, o, na)
 	u := m.used()
 	if u.Cores > m.Spec.Cores || u.LLCWays > m.Spec.LLCWays ||
 		u.MemoryGB > m.Spec.MemoryGB+1e-9 || u.NetGbps > m.Spec.NetGbps+1e-9 {
-		delete(m.allocs, o)
-		m.removeOwner(o)
+		m.removeOwner(i)
 		return m.oversubscribed(o, u)
 	}
 	return nil
@@ -317,28 +309,13 @@ func (m *Machine) oversubscribed(o Owner, u Alloc) error {
 
 // Release removes owner's allocation. Releasing an absent owner is a no-op.
 func (m *Machine) Release(o Owner) {
-	if _, ok := m.allocs[o]; !ok {
-		return
+	if i, ok := m.ownerIdx(o); ok {
+		m.removeOwner(i)
 	}
-	delete(m.allocs, o)
-	m.removeOwner(o)
-}
-
-// LCAlloc returns the (single) LC allocation on the machine, or nil.
-func (m *Machine) LCAlloc() *Alloc {
-	if m.lcCount == 0 {
-		return nil
-	}
-	return m.ownerAllocs[0]
-}
-
-// BEOwners returns a copy of the BE owners on the machine, sorted by name.
-func (m *Machine) BEOwners() []Owner {
-	return append([]Owner(nil), m.BEOwnersView()...)
 }
 
 // BEOwnersView returns the BE owners sorted by name as a read-only view of
-// the machine's internal mirror: valid until the next Grant of a new owner
+// the machine's sorted ledger: valid until the next Grant of a new owner
 // or Release, and never to be mutated by the caller. Re-granting an
 // existing owner (the subcontrollers' step operations) does not disturb
 // it, so iterating the view while adjusting grants is safe — the
@@ -358,28 +335,4 @@ func (m *Machine) BETotals() Alloc {
 		u.NetGbps += a.NetGbps
 	}
 	return u
-}
-
-// Cluster is a named set of machines.
-type Cluster struct {
-	Machines []*Machine
-}
-
-// New returns a cluster of n machines with the given spec, named m0..m(n-1).
-func New(n int, spec MachineSpec) *Cluster {
-	c := &Cluster{}
-	for i := 0; i < n; i++ {
-		c.Machines = append(c.Machines, NewMachine(fmt.Sprintf("m%d", i), spec))
-	}
-	return c
-}
-
-// Machine returns the machine with the given name, or nil.
-func (c *Cluster) Machine(name string) *Machine {
-	for _, m := range c.Machines {
-		if m.Name == name {
-			return m
-		}
-	}
-	return nil
 }

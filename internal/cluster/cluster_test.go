@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -113,12 +114,17 @@ func TestOwnersSortedDeterministically(t *testing.T) {
 	if err := m.Grant(lc("pod"), Alloc{Cores: 1}); err != nil {
 		t.Fatal(err)
 	}
-	got := m.Owners()
 	want := []Owner{lc("pod"), be("a"), be("q"), be("z")}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("owners = %v, want %v", got, want)
+	if !reflect.DeepEqual(m.owners, want) || m.lcCount != 1 {
+		t.Fatalf("owners = %v (lc prefix %d), want %v", m.owners, m.lcCount, want)
+	}
+	for i, o := range m.owners {
+		if m.ownerAllocs[i] != m.Alloc(o) {
+			t.Fatalf("ledger row %d (%v) holds a different *Alloc than Alloc returns", i, o)
 		}
+	}
+	if got := m.BEOwnersView(); !reflect.DeepEqual(got, want[1:]) {
+		t.Fatalf("BE owners = %v, want %v", got, want[1:])
 	}
 }
 
@@ -137,25 +143,28 @@ func TestBETotalsExcludesLC(t *testing.T) {
 	if tot.Cores != 5 || tot.LLCWays != 3 || tot.MemoryGB != 4 {
 		t.Fatalf("BE totals = %+v", tot)
 	}
-	if got := m.LCAlloc(); got == nil || got.Cores != 20 {
+	if got := m.Alloc(lc("pod")); got == nil || got.Cores != 20 {
 		t.Fatalf("LC alloc = %+v", got)
 	}
-	if n := len(m.BEOwners()); n != 2 {
+	if n := len(m.BEOwnersView()); n != 2 {
 		t.Fatalf("BE owners = %d, want 2", n)
 	}
 }
 
 // Property: a sequence of random grants/releases never leaves the ledger
-// oversubscribed, and failed grants never change free counts.
+// oversubscribed, Alloc agrees with a reference map after every step, and
+// a failed grant changes neither.
 func TestLedgerInvariantProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := sim.NewRNG(seed)
 		m := NewMachine("m0", DefaultSpec())
-		names := []string{"a", "b", "c", "d", "e"}
+		ref := map[Owner]Alloc{}
+		owners := []Owner{lc("pod"), be("a"), be("b"), be("c"), be("d"), be("e")}
 		for i := 0; i < 200; i++ {
-			o := be(names[r.Intn(len(names))])
+			o := owners[r.Intn(len(owners))]
 			if r.Float64() < 0.3 {
 				m.Release(o)
+				delete(ref, o)
 			} else {
 				a := Alloc{
 					Cores:    r.Intn(30),
@@ -163,11 +172,23 @@ func TestLedgerInvariantProperty(t *testing.T) {
 					MemoryGB: float64(r.Intn(100)),
 					NetGbps:  r.Float64() * 5,
 				}
-				_ = m.Grant(o, a) // errors are fine; state must stay valid
+				if m.Grant(o, a) == nil {
+					ref[o] = a
+				}
 			}
 			if m.FreeCores() < 0 || m.FreeLLCWays() < 0 ||
 				m.FreeMemoryGB() < -1e-9 || m.FreeNetGbps() < -1e-9 {
 				return false
+			}
+			if len(m.owners) != len(ref) {
+				return false
+			}
+			for _, o := range owners {
+				want, ok := ref[o]
+				got := m.Alloc(o)
+				if ok != (got != nil) || ok && *got != want {
+					return false
+				}
 			}
 		}
 		return true
@@ -177,16 +198,39 @@ func TestLedgerInvariantProperty(t *testing.T) {
 	}
 }
 
-func TestClusterLookup(t *testing.T) {
-	c := New(4, DefaultSpec())
-	if len(c.Machines) != 4 {
-		t.Fatalf("machines = %d", len(c.Machines))
+// TestLedgerZeroAllocs pins the control-tick ledger operations to zero
+// allocations: a lookup, a re-grant of an existing owner, and a failed
+// headroom probe.
+func TestLedgerZeroAllocs(t *testing.T) {
+	m := NewMachine("m0", DefaultSpec())
+	for _, o := range []Owner{lc("pod"), be("a"), be("b")} {
+		if err := m.Grant(o, Alloc{Cores: 4, LLCWays: 2}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if c.Machine("m2") == nil {
-		t.Fatal("m2 missing")
+	held := m.Alloc(be("a"))
+	cores := 4
+	for name, fn := range map[string]func(){
+		"Alloc": func() { _ = m.Alloc(be("b")) },
+		"re-grant": func() {
+			cores = 9 - cores // alternate 4 and 5
+			if err := m.Grant(be("a"), Alloc{Cores: cores, LLCWays: 2}); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"failed probe": func() {
+			if m.Grant(be("b"), Alloc{Cores: 100}) == nil {
+				t.Fatal("oversubscribing grant accepted")
+			}
+		},
+	} {
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, n)
+		}
 	}
-	if c.Machine("nope") != nil {
-		t.Fatal("phantom machine")
+	// A held pointer reads the current grant after re-grants.
+	if held != m.Alloc(be("a")) || held.Cores != cores {
+		t.Fatalf("held alloc = %+v, want the current grant (%d cores)", held, cores)
 	}
 }
 

@@ -8,8 +8,8 @@
 //
 // A Context is safe for concurrent use: RunAll executes experiments on a
 // worker pool, and the shared state a Context caches — deployed systems,
-// grid comparisons, the threshold sweep — is guarded by per-key
-// singleflight entries, so concurrent experiments needing the same
+// grid comparisons, the threshold sweep — is held in sim.Memo singleflight
+// caches and sync.Once slots, so concurrent experiments needing the same
 // expensive artifact compute it once and block for the result while
 // distinct artifacts compute in parallel. Every experiment derives its
 // randomness from content-keyed substreams of Opts.Seed (sim.RNG.Fork /
@@ -157,15 +157,14 @@ func (o Options) withDefaults() Options {
 
 // Context caches expensive shared state (deployed Rhythm systems, grid
 // comparisons, threshold sweeps) across experiments in one process,
-// mirroring the paper's profile-once design. Each cache entry is a
-// singleflight slot: concurrent experiments wanting the same artifact
-// share one computation, while distinct artifacts proceed in parallel.
+// mirroring the paper's profile-once design. Each keyed cache is a
+// sim.Memo: concurrent experiments wanting the same artifact share one
+// computation, while distinct artifacts proceed in parallel.
 type Context struct {
 	Opts Options
 
-	mu      sync.Mutex
-	systems map[string]*systemEntry
-	grid    map[gridKey]*gridEntry
+	systems sim.Memo[string, *core.System]
+	grid    sim.Memo[gridKey, *core.Comparison]
 
 	gridOnce sync.Once
 	gridErr  error
@@ -176,25 +175,9 @@ type Context struct {
 	sweepLoad  []sweepPoint
 }
 
-type systemEntry struct {
-	once sync.Once
-	sys  *core.System
-	err  error
-}
-
-type gridEntry struct {
-	once sync.Once
-	cmp  *core.Comparison
-	err  error
-}
-
 // NewContext returns a fresh experiment context.
 func NewContext(opts Options) *Context {
-	return &Context{
-		Opts:    opts.withDefaults(),
-		systems: make(map[string]*systemEntry),
-		grid:    make(map[gridKey]*gridEntry),
-	}
+	return &Context{Opts: opts.withDefaults()}
 }
 
 // jobs resolves the context's worker count.
@@ -242,29 +225,22 @@ func (c *Context) slackOptions() profiler.SlackOptions {
 // services proceed in parallel (and hit the process-wide profile cache,
 // so fresh contexts with the same options redeploy almost for free).
 func (c *Context) System(service string) (*core.System, error) {
-	c.mu.Lock()
-	e, ok := c.systems[service]
-	if !ok {
-		e = &systemEntry{}
-		c.systems[service] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
+	sys, _, err := c.systems.Do(service, func() (sys *core.System, err error) {
 		svc, err := workload.ByName(service)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
 		charge("deploy/"+service, func() {
-			e.sys, e.err = core.Deploy(svc, core.Options{
+			sys, err = core.Deploy(svc, core.Options{
 				Profile: c.profileOptions(),
 				Slack:   c.slackOptions(),
 				Seed:    c.Opts.Seed,
 				Jobs:    c.Opts.Jobs,
 			})
 		})
+		return sys, err
 	})
-	return e.sys, e.err
+	return sys, err
 }
 
 // Runner generates one experiment table.

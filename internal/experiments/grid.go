@@ -63,24 +63,16 @@ type gridKey struct {
 // The cell's seed is derived from the cell's content, so the value is the
 // same whichever experiment or worker computes it first.
 func (c *Context) gridRun(key gridKey) (*core.Comparison, error) {
-	c.mu.Lock()
-	e, ok := c.grid[key]
-	if !ok {
-		e = &gridEntry{}
-		c.grid[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
+	cmp, _, err := c.grid.Do(key, func() (*core.Comparison, error) {
 		sys, err := c.System(key.service)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
 		dur, warm := 120*time.Second, 30*time.Second
 		if c.Opts.Quick {
 			dur, warm = 50*time.Second, 16*time.Second
 		}
-		e.cmp, e.err = sys.Compare(core.RunConfig{
+		return sys.Compare(core.RunConfig{
 			Pattern:  loadgen.Constant(key.load),
 			BETypes:  []bejobs.Type{key.be},
 			Duration: dur,
@@ -89,7 +81,7 @@ func (c *Context) gridRun(key gridKey) (*core.Comparison, error) {
 			Faults:   c.Opts.Faults,
 		})
 	})
-	return e.cmp, e.err
+	return cmp, err
 }
 
 // gridKeys enumerates every cell of the Figs. 9-14 grid in rendering

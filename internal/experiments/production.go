@@ -175,9 +175,3 @@ func fig16(ctx *Context) (*Table, error) {
 		pct(emuImpSum/n), pct(cpuImpSum/n), pct(mbwImpSum/n))
 	return t, nil
 }
-
-// ProductionPatternForDebug exposes the production pattern for debugging
-// tools; not part of the stable surface.
-func ProductionPatternForDebug(ctx *Context) (*loadgen.Diurnal, time.Duration, time.Duration) {
-	return productionPattern(ctx)
-}

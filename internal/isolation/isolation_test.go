@@ -19,7 +19,7 @@ func newAgent(t *testing.T) *Agent {
 
 func TestPinLC(t *testing.T) {
 	a := newAgent(t)
-	lc := a.Machine.LCAlloc()
+	lc := a.Machine.Alloc(cluster.Owner{Kind: cluster.OwnerLC, Name: "MySQL"})
 	if lc == nil || lc.Cores != 12 || lc.LLCWays != 8 {
 		t.Fatalf("LC alloc = %+v", lc)
 	}

@@ -140,11 +140,6 @@ func (r Replay) Load(t sim.Time) float64 {
 	return r.Samples[i]*(1-frac) + r.Samples[i+1]*frac
 }
 
-// SweepLevels returns the profiling sweep used throughout the paper's
-// figures: from 5% to 85% of max load in 20-point steps (Fig. 9-14 use
-// 5/25/45/65/85; Fig. 6 uses a finer 1..85 sweep).
-func SweepLevels() []float64 { return []float64{0.05, 0.25, 0.45, 0.65, 0.85} }
-
 // FineSweepLevels returns the fine-grained profiling sweep of Fig. 6/8
 // (1% to 97% in 4-point steps), dense enough to locate the CoV knee that
 // defines loadlimit.

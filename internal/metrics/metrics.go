@@ -321,11 +321,6 @@ func (tt *TailTracker) N() int {
 	return tt.n
 }
 
-// Cap returns the value ring's capacity in samples. It is bounded by twice
-// the window's high-water occupancy (plus the 64-slot floor) — the
-// regression test for the old tracker's unbounded growth reads it.
-func (tt *TailTracker) Cap() int { return len(tt.vals) }
-
 // Quantile returns the q-quantile over the current window (0 when empty),
 // bit-equal to sorting a copy of the window and evaluating
 // sim.QuantileSorted (the seed tracker's computation).
@@ -483,9 +478,6 @@ func (tt *TailTracker) ObserveWindow(t sim.Time) {
 
 // Worst returns the worst window p99 observed so far and when it occurred.
 func (tt *TailTracker) Worst() (float64, sim.Time) { return tt.worst, tt.worstAt }
-
-// ResetWorst clears the running worst-case (used between profiling phases).
-func (tt *TailTracker) ResetWorst() { tt.worst, tt.worstAt = 0, 0 }
 
 // EMU is the effective machine utilization of §5.1:
 // LC throughput (load normalized to max load) plus BE throughput (jobs

@@ -52,10 +52,6 @@ func TestTailTrackerWorst(t *testing.T) {
 	if worst != 100 || at != sim.FromSeconds(0.1) {
 		t.Fatalf("worst = %v at %v", worst, at)
 	}
-	tt.ResetWorst()
-	if w, _ := tt.Worst(); w != 0 {
-		t.Fatal("reset did not clear worst")
-	}
 }
 
 func TestTailTrackerDefaultWindow(t *testing.T) {

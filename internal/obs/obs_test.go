@@ -357,7 +357,7 @@ func TestSyncWriterAtomicLines(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			for i := 0; i < lines; i++ {
-				w.Printf("worker-%d line %d suffix\n", id, i)
+				fmt.Fprintf(w, "worker-%d line %d suffix\n", id, i)
 			}
 		}(id)
 	}

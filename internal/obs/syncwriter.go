@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"sync"
 )
@@ -35,9 +34,4 @@ func (s *SyncWriter) Write(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.w.Write(p)
-}
-
-// Printf formats and writes one diagnostic message atomically.
-func (s *SyncWriter) Printf(format string, args ...interface{}) {
-	fmt.Fprintf(s, format, args...)
 }

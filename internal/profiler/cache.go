@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"rhythm/internal/obs"
+	"rhythm/internal/sim"
 	"rhythm/internal/workload"
 )
 
@@ -33,34 +33,14 @@ import (
 // Cached values are shared: every hit returns the same *Profile pointer,
 // so consumers must treat profiles as immutable (CachedSlacklimits returns
 // a fresh map copy instead, because threshold maps are routinely edited by
-// sweep experiments). Both caches are singleflight: concurrent misses on
-// one key run the computation once and everyone blocks for the result.
+// sweep experiments). Both caches are sim.Memo singleflight caches:
+// concurrent misses on one key run the computation once and everyone
+// blocks for the result.
 
-type profileEntry struct {
-	once sync.Once
-	prof *Profile
-	err  error
-}
-
-type slackEntry struct {
-	once sync.Once
-	sl   map[string]float64
-	err  error
-}
-
-var profileCache = struct {
-	mu     sync.Mutex
-	m      map[string]*profileEntry
-	hits   uint64
-	misses uint64
-}{m: make(map[string]*profileEntry)}
-
-var slackCache = struct {
-	mu     sync.Mutex
-	m      map[string]*slackEntry
-	hits   uint64
-	misses uint64
-}{m: make(map[string]*slackEntry)}
+var (
+	profileCache sim.Memo[string, *Profile]
+	slackCache   sim.Memo[string, map[string]float64]
+)
 
 // ProfileKey returns the cache key for profiling svc under opts: the
 // service name plus the normalized sweep options, excluding Jobs.
@@ -89,25 +69,21 @@ func slackKey(profileKey string, opts SlackOptions) string {
 // as read-only.
 func CachedRun(svc *workload.Service, opts Options) (*Profile, error) {
 	key := ProfileKey(svc, opts)
-	profileCache.mu.Lock()
-	e, ok := profileCache.m[key]
-	if ok {
-		profileCache.hits++
-	} else {
-		e = &profileEntry{}
-		profileCache.m[key] = e
-		profileCache.misses++
+	prof, hit, err := profileCache.Do(key, func() (*Profile, error) {
+		cacheEvent("profile", key, false)
+		return Run(svc, opts)
+	})
+	if hit {
+		cacheEvent("profile", key, true)
 	}
-	profileCache.mu.Unlock()
-	cacheEvent("profile", key, ok)
-	e.once.Do(func() { e.prof, e.err = Run(svc, opts) })
-	return e.prof, e.err
+	return prof, err
 }
 
 // cacheEvent reports one lookup on the observability bus (free when no bus
 // is installed). A "hit" is any arrival at an existing key, including those
 // that block on the in-flight first computation — the same accounting
-// CacheStats uses.
+// CacheStats uses. A miss reports before its computation starts, a hit
+// once its value is ready.
 func cacheEvent(cache, key string, hit bool) {
 	bus := obs.Active()
 	if bus == nil {
@@ -128,23 +104,18 @@ func cacheEvent(cache, key string, hit bool) {
 // Table 2 sweeps).
 func CachedSlacklimits(profileKey string, prof *Profile, opts SlackOptions) (map[string]float64, error) {
 	key := slackKey(profileKey, opts)
-	slackCache.mu.Lock()
-	e, ok := slackCache.m[key]
-	if ok {
-		slackCache.hits++
-	} else {
-		e = &slackEntry{}
-		slackCache.m[key] = e
-		slackCache.misses++
+	sl, hit, err := slackCache.Do(key, func() (map[string]float64, error) {
+		cacheEvent("slacklimit", key, false)
+		return FindSlacklimits(prof, opts)
+	})
+	if hit {
+		cacheEvent("slacklimit", key, true)
 	}
-	slackCache.mu.Unlock()
-	cacheEvent("slacklimit", key, ok)
-	e.once.Do(func() { e.sl, e.err = FindSlacklimits(prof, opts) })
-	if e.err != nil {
-		return nil, e.err
+	if err != nil {
+		return nil, err
 	}
-	out := make(map[string]float64, len(e.sl))
-	for k, v := range e.sl {
+	out := make(map[string]float64, len(sl))
+	for k, v := range sl {
 		out[k] = v
 	}
 	return out, nil
@@ -154,42 +125,15 @@ func CachedSlacklimits(profileKey string, prof *Profile, opts SlackOptions) (map
 // and the slacklimit cache (a miss is the first arrival at a key; the
 // arrivals that block on an in-flight computation count as hits).
 func CacheStats() (hits, misses uint64) {
-	profileCache.mu.Lock()
-	hits, misses = profileCache.hits, profileCache.misses
-	profileCache.mu.Unlock()
-	slackCache.mu.Lock()
-	hits += slackCache.hits
-	misses += slackCache.misses
-	slackCache.mu.Unlock()
-	return hits, misses
+	ph, pm := profileCache.Stats()
+	sh, sm := slackCache.Stats()
+	return ph + sh, pm + sm
 }
 
 // CachedKeys returns the sorted keys currently resident, for debugging and
 // tests.
 func CachedKeys() []string {
-	var out []string
-	profileCache.mu.Lock()
-	for k := range profileCache.m {
-		out = append(out, k)
-	}
-	profileCache.mu.Unlock()
-	slackCache.mu.Lock()
-	for k := range slackCache.m {
-		out = append(out, k)
-	}
-	slackCache.mu.Unlock()
+	out := append(profileCache.Keys(), slackCache.Keys()...)
 	sort.Strings(out)
 	return out
-}
-
-// resetCache drops every cached entry and zeroes the counters (tests only).
-func resetCache() {
-	profileCache.mu.Lock()
-	profileCache.m = make(map[string]*profileEntry)
-	profileCache.hits, profileCache.misses = 0, 0
-	profileCache.mu.Unlock()
-	slackCache.mu.Lock()
-	slackCache.m = make(map[string]*slackEntry)
-	slackCache.hits, slackCache.misses = 0, 0
-	slackCache.mu.Unlock()
 }

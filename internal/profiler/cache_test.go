@@ -200,3 +200,9 @@ func TestCachedSlacklimitsReturnsCopy(t *testing.T) {
 		t.Fatalf("expected 2 resident keys (profile + slack), got %v", CachedKeys())
 	}
 }
+
+// resetCache drops every cached entry and zeroes the counters.
+func resetCache() {
+	profileCache.Reset()
+	slackCache.Reset()
+}

@@ -5,33 +5,6 @@ import (
 	"math"
 )
 
-// Dist is a one-dimensional distribution of non-negative values (service
-// times, message sizes). Implementations must be deterministic given the
-// RNG stream.
-type Dist interface {
-	// Sample draws one value using r.
-	Sample(r *RNG) float64
-	// Mean returns the distribution mean.
-	Mean() float64
-	// CV returns the coefficient of variation (stddev / mean).
-	CV() float64
-}
-
-// Exponential is an exponential distribution with the given mean.
-type Exponential struct{ M float64 }
-
-// NewExponential returns an exponential distribution with mean m.
-func NewExponential(m float64) Exponential { return Exponential{M: m} }
-
-// Sample draws an exponential variate.
-func (e Exponential) Sample(r *RNG) float64 { return e.M * r.ExpFloat64() }
-
-// Mean returns the mean.
-func (e Exponential) Mean() float64 { return e.M }
-
-// CV returns 1 (exponential distributions have unit CV).
-func (e Exponential) CV() float64 { return 1 }
-
 // Lognormal is a lognormal distribution parameterized by its (linear-space)
 // mean and coefficient of variation, the natural parameterization for
 // service-time models where we calibrate mean and tail heaviness
@@ -85,56 +58,6 @@ func (l Lognormal) CV() float64 { return l.cv }
 // Quantile returns the q-quantile (0 < q < 1) of the lognormal.
 func (l Lognormal) Quantile(q float64) float64 {
 	return math.Exp(l.mu + l.sigma*normQuantile(q))
-}
-
-// Pareto is a bounded Pareto used for heavy-tailed message sizes.
-type Pareto struct {
-	Alpha float64 // tail index (> 1 for finite mean)
-	Xm    float64 // minimum value
-	Cap   float64 // upper truncation (0 means unbounded)
-}
-
-// Sample draws a Pareto variate, truncated at Cap when Cap > 0. It panics
-// on a degenerate distribution (Alpha <= 0, NaN parameters, or Xm <= 0):
-// such a Pareto has no valid density, and silently returning the Inf/NaN
-// that the sampling formula produces would poison every statistic
-// downstream of the draw.
-func (p Pareto) Sample(r *RNG) float64 {
-	if !(p.Alpha > 0) {
-		panic(fmt.Sprintf("sim: Pareto tail index Alpha must be positive, got %g", p.Alpha))
-	}
-	if !(p.Xm > 0) {
-		panic(fmt.Sprintf("sim: Pareto minimum Xm must be positive, got %g", p.Xm))
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	v := p.Xm / math.Pow(u, 1/p.Alpha)
-	if p.Cap > 0 && v > p.Cap {
-		v = p.Cap
-	}
-	return v
-}
-
-// Mean returns the untruncated mean (infinite when Alpha <= 1).
-func (p Pareto) Mean() float64 {
-	if p.Alpha <= 1 {
-		return math.Inf(1)
-	}
-	return p.Alpha * p.Xm / (p.Alpha - 1)
-}
-
-// CV returns the untruncated coefficient of variation (infinite when
-// Alpha <= 2).
-func (p Pareto) CV() float64 {
-	if p.Alpha <= 2 {
-		return math.Inf(1)
-	}
-	// Var = xm^2 * a / ((a-1)^2 (a-2))
-	a := p.Alpha
-	variance := p.Xm * p.Xm * a / ((a - 1) * (a - 1) * (a - 2))
-	return math.Sqrt(variance) / p.Mean()
 }
 
 // normQuantile returns the standard normal quantile using the

@@ -6,27 +6,13 @@ import (
 	"testing/quick"
 )
 
-func sampleMoments(d Dist, n int, seed uint64) (mean, cv float64) {
+func sampleMoments(d Lognormal, n int, seed uint64) (mean, cv float64) {
 	r := NewRNG(seed)
 	var w Welford
 	for i := 0; i < n; i++ {
 		w.Add(d.Sample(r))
 	}
 	return w.Mean(), w.CV()
-}
-
-func TestExponentialMoments(t *testing.T) {
-	d := NewExponential(3.5)
-	mean, cv := sampleMoments(d, 200000, 1)
-	if math.Abs(mean-3.5)/3.5 > 0.02 {
-		t.Fatalf("mean = %v, want ~3.5", mean)
-	}
-	if math.Abs(cv-1) > 0.03 {
-		t.Fatalf("cv = %v, want ~1", cv)
-	}
-	if d.Mean() != 3.5 || d.CV() != 1 {
-		t.Fatalf("analytic moments wrong: %v, %v", d.Mean(), d.CV())
-	}
 }
 
 func TestLognormalMoments(t *testing.T) {
@@ -91,31 +77,6 @@ func TestLognormalQuantileMatchesSamples(t *testing.T) {
 	}
 }
 
-func TestParetoBounds(t *testing.T) {
-	p := Pareto{Alpha: 1.5, Xm: 100, Cap: 100000}
-	r := NewRNG(9)
-	for i := 0; i < 50000; i++ {
-		v := p.Sample(r)
-		if v < p.Xm || v > p.Cap {
-			t.Fatalf("sample %v outside [%v,%v]", v, p.Xm, p.Cap)
-		}
-	}
-}
-
-func TestParetoMoments(t *testing.T) {
-	p := Pareto{Alpha: 3, Xm: 2}
-	if math.Abs(p.Mean()-3) > 1e-12 {
-		t.Fatalf("mean = %v, want 3", p.Mean())
-	}
-	if math.IsInf(p.CV(), 1) {
-		t.Fatal("cv should be finite for alpha=3")
-	}
-	inf := Pareto{Alpha: 1, Xm: 2}
-	if !math.IsInf(inf.Mean(), 1) {
-		t.Fatal("mean should be infinite for alpha=1")
-	}
-}
-
 func TestNormQuantileInverseOfCDF(t *testing.T) {
 	// Known values of the standard normal quantile.
 	cases := map[float64]float64{
@@ -147,56 +108,13 @@ func TestNormQuantileSymmetry(t *testing.T) {
 }
 
 func TestDistSamplesNonNegative(t *testing.T) {
-	dists := []Dist{
-		NewExponential(1),
-		NewLognormal(1, 0.5),
-		Pareto{Alpha: 2, Xm: 1},
-	}
+	dists := []Lognormal{NewLognormal(1, 0.5), NewLognormal(0.003, 1.2)}
 	r := NewRNG(31)
 	for _, d := range dists {
 		for i := 0; i < 10000; i++ {
 			if v := d.Sample(r); v < 0 {
 				t.Fatalf("%T produced negative sample %v", d, v)
 			}
-		}
-	}
-}
-
-// TestParetoDegenerate pins the descriptive panics for distributions with
-// no valid density: non-positive or NaN tail index and minimum.
-func TestParetoDegenerate(t *testing.T) {
-	cases := []struct {
-		name string
-		p    Pareto
-	}{
-		{"zero alpha", Pareto{Alpha: 0, Xm: 1}},
-		{"negative alpha", Pareto{Alpha: -2, Xm: 1}},
-		{"nan alpha", Pareto{Alpha: math.NaN(), Xm: 1}},
-		{"zero xm", Pareto{Alpha: 1.5, Xm: 0}},
-		{"negative xm", Pareto{Alpha: 1.5, Xm: -3}},
-		{"nan xm", Pareto{Alpha: 1.5, Xm: math.NaN()}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: Sample did not panic", tc.name)
-				}
-			}()
-			tc.p.Sample(NewRNG(1))
-		})
-	}
-}
-
-// TestParetoValidStillSamples guards the guard: a well-formed Pareto keeps
-// sampling within its support.
-func TestParetoValidStillSamples(t *testing.T) {
-	p := Pareto{Alpha: 1.5, Xm: 2, Cap: 50}
-	r := NewRNG(5)
-	for i := 0; i < 1000; i++ {
-		v := p.Sample(r)
-		if v < p.Xm || v > p.Cap {
-			t.Fatalf("sample %v outside [%v, %v]", v, p.Xm, p.Cap)
 		}
 	}
 }

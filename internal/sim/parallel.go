@@ -126,3 +126,72 @@ func ForEachErr(n, jobs int, fn func(i int) error) error {
 	}
 	return nil
 }
+
+// Memo is a keyed singleflight cache: the first Do for a key runs fn, and
+// every later Do for that key — from any goroutine, including those that
+// arrive while fn is still running — waits for that one call and returns
+// its value and error. Errors are cached like values. It is the cache
+// behind every profile-once artifact (the profiler's profile and
+// slacklimit caches, an experiment context's deployments and grid cells);
+// the zero value is ready to use.
+type Memo[K comparable, V any] struct {
+	mu           sync.Mutex
+	m            map[K]*memoEntry[V]
+	hits, misses uint64
+}
+
+type memoEntry[V any] struct {
+	once sync.Once
+	v    V
+	err  error
+}
+
+// Do returns the value for key, computing it with fn on the key's first
+// arrival. hit reports whether the key already existed, so an arrival
+// that blocks on the in-flight first computation counts as a hit. A panic
+// in fn propagates to the first caller and leaves later callers the zero
+// value, as sync.Once does.
+func (c *Memo[K, V]) Do(key K, fn func() (V, error)) (v V, hit bool, err error) {
+	c.mu.Lock()
+	e, hit := c.m[key]
+	if hit {
+		c.hits++
+	} else {
+		if c.m == nil {
+			c.m = make(map[K]*memoEntry[V])
+		}
+		e = &memoEntry[V]{}
+		c.m[key] = e
+		c.misses++
+	}
+	c.mu.Unlock()
+	e.once.Do(func() { e.v, e.err = fn() })
+	return e.v, hit, e.err
+}
+
+// Stats reports cumulative hits and misses (a miss is a key's first
+// arrival).
+func (c *Memo[K, V]) Stats() (hits, misses uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hits, c.misses
+}
+
+// Keys returns the resident keys in no particular order.
+func (c *Memo[K, V]) Keys() []K {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]K, 0, len(c.m))
+	for k := range c.m {
+		out = append(out, k)
+	}
+	return out
+}
+
+// Reset drops every entry and zeroes the counters. Calls in flight finish
+// against the dropped entries.
+func (c *Memo[K, V]) Reset() {
+	c.mu.Lock()
+	c.m, c.hits, c.misses = nil, 0, 0
+	c.mu.Unlock()
+}

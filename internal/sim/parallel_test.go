@@ -3,6 +3,9 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -106,5 +109,98 @@ func TestJobsDefault(t *testing.T) {
 	}
 	if Jobs(0) < 1 || Jobs(-1) < 1 {
 		t.Fatal("default must be at least 1")
+	}
+}
+
+func TestMemoSingleflight(t *testing.T) {
+	var m Memo[string, int]
+	started, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	const waiters = 7
+	results := make([]int, waiters+1)
+	hits := make([]bool, waiters+1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		results[0], hits[0], _ = m.Do("k", func() (int, error) {
+			calls.Add(1)
+			close(started)
+			<-release
+			return 42, nil
+		})
+	}()
+	<-started
+	for w := 1; w <= waiters; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			results[w], hits[w], _ = m.Do("k", func() (int, error) {
+				calls.Add(1)
+				return -1, nil
+			})
+		}(w)
+	}
+	// Every later arrival counts as a hit while the first call still runs.
+	for {
+		h, misses := m.Stats()
+		if misses != 1 {
+			t.Fatalf("misses = %d while in flight, want 1", misses)
+		}
+		if h == waiters {
+			break
+		}
+		runtime.Gosched()
+	}
+	close(release)
+	wg.Wait()
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("fn ran %d times, want 1", n)
+	}
+	for w, v := range results {
+		if v != 42 || hits[w] != (w > 0) {
+			t.Fatalf("arrival %d: value %d, hit %t", w, v, hits[w])
+		}
+	}
+}
+
+func TestMemoCachesErrors(t *testing.T) {
+	var m Memo[int, string]
+	boom := errors.New("boom")
+	calls := 0
+	for i := 0; i < 3; i++ {
+		v, hit, err := m.Do(1, func() (string, error) { calls++; return "partial", boom })
+		if err != boom || v != "partial" || hit != (i > 0) {
+			t.Fatalf("call %d: (%q, %t, %v)", i, v, hit, err)
+		}
+	}
+	if calls != 1 {
+		t.Fatalf("failing fn ran %d times, want 1", calls)
+	}
+	if hits, misses := m.Stats(); hits != 2 || misses != 1 {
+		t.Fatalf("stats = %d hits, %d misses, want 2, 1", hits, misses)
+	}
+}
+
+func TestMemoKeysAndReset(t *testing.T) {
+	var m Memo[string, int]
+	if len(m.Keys()) != 0 {
+		t.Fatal("zero Memo has keys")
+	}
+	for _, k := range []string{"b", "a", "b", "c"} {
+		m.Do(k, func() (int, error) { return len(k), nil })
+	}
+	keys := m.Keys()
+	sort.Strings(keys)
+	if fmt.Sprint(keys) != "[a b c]" {
+		t.Fatalf("keys = %v", keys)
+	}
+	m.Reset()
+	if hits, misses := m.Stats(); hits != 0 || misses != 0 || len(m.Keys()) != 0 {
+		t.Fatalf("after Reset: %d hits, %d misses, keys %v", hits, misses, m.Keys())
+	}
+	// A reset key computes afresh.
+	if v, hit, _ := m.Do("a", func() (int, error) { return 7, nil }); v != 7 || hit {
+		t.Fatalf("after Reset: (%d, %t), want (7, false)", v, hit)
 	}
 }

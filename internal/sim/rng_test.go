@@ -147,6 +147,15 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
+// Shuffle randomizes the order of n elements using the provided swap
+// function, matching the contract of math/rand.Shuffle.
+func (r *RNG) Shuffle(n int, swap func(i, j int)) {
+	for i := n - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		swap(i, j)
+	}
+}
+
 func TestShufflePreservesMultiset(t *testing.T) {
 	r := NewRNG(23)
 	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}

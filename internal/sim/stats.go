@@ -21,9 +21,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// N returns the number of samples.
-func (w *Welford) N() int { return w.n }
-
 // Mean returns the running mean (0 with no samples).
 func (w *Welford) Mean() float64 { return w.mean }
 
@@ -47,22 +44,6 @@ func (w *Welford) CV() float64 {
 		return 0
 	}
 	return w.Std() / math.Abs(w.mean)
-}
-
-// Merge folds another accumulator into w (Chan et al. parallel update).
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := float64(w.n + o.n)
-	d := o.mean - w.mean
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/n
-	w.mean += d * float64(o.n) / n
-	w.n += o.n
 }
 
 // Mean returns the arithmetic mean of xs (0 for empty input).

@@ -70,32 +70,6 @@ func TestWelfordCVZeroMean(t *testing.T) {
 	}
 }
 
-func TestWelfordMergeEqualsSequential(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := NewRNG(seed)
-		n := 2 + r.Intn(100)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = r.NormFloat64() * 10
-		}
-		var all, a, b Welford
-		for i, x := range xs {
-			all.Add(x)
-			if i < n/2 {
-				a.Add(x)
-			} else {
-				b.Add(x)
-			}
-		}
-		a.Merge(b)
-		return math.Abs(a.Mean()-all.Mean()) < 1e-9 &&
-			math.Abs(a.Var()-all.Var()) < 1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestQuantileAgainstSortedDefinition(t *testing.T) {
 	xs := []float64{9, 1, 8, 2, 7, 3, 6, 4, 5}
 	if got := Quantile(xs, 0); got != 1 {
