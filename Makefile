@@ -16,7 +16,7 @@ GO ?= go
 # CI always has network and runs it for real.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: check fmt vet build test exact race staticcheck bench bench-tables bench-compare bench-gate golden golden-update
+.PHONY: check fmt vet build test exact race staticcheck bench bench-compare bench-gate golden golden-update
 
 check: fmt vet build exact race staticcheck
 
@@ -60,11 +60,6 @@ staticcheck:
 # "Benchmarks" for the file format.
 bench:
 	$(GO) run ./cmd/rhythm-bench -out BENCH_engine.json
-
-# bench-tables regenerates every evaluation table through the benchmark
-# harness (the pre-PR-2 `make bench`).
-bench-tables:
-	$(GO) test -bench=. -benchmem
 
 # bench-compare diffs a fresh benchmark run against the committed
 # BENCH_engine.json baseline: per-benchmark ns/op, allocs/op and B/op

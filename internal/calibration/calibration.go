@@ -11,9 +11,10 @@
 //
 // The package deliberately shares its text grammar with the exporter:
 // series keys, label escaping and float rendering all go through
-// internal/obs's promtext helpers, so the sink and this parser cannot
-// drift — the round-trip property test pins write(parse(x)) == x over
-// generated instrument sets.
+// internal/obs's promtext helpers, and a live bus (Snapshot) or a replayed
+// trace (ImportJSONL) is read through the text obs.WriteMetrics writes, so
+// the sink is the one flattener — the round-trip property test pins the
+// parsed series against the instruments over generated instrument sets.
 //
 // Decode style follows internal/workload: strict field validation with
 // JSON-path FieldErrors ("events[12].kind", "lines[3]"), every defect
@@ -21,6 +22,7 @@
 package calibration
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -302,31 +304,20 @@ func (s *MetricSet) Histogram(family string, labels ...string) (*HistogramSeries
 	return h, nil
 }
 
-// Snapshot flattens a live bus's instruments into a MetricSet — the
-// "predicted" side of a calibration run. It renders through the same
-// grammar the Prometheus sink writes, so Snapshot(bus) equals
-// ImportPrometheus(WriteMetrics(bus)) exactly.
+// Snapshot reads a live bus's instruments into a MetricSet — the
+// "predicted" side of a calibration run — by parsing the text the
+// Prometheus sink writes, so Snapshot(bus) equals
+// ImportPrometheus(WriteMetrics(bus)) by construction and obs.WriteMetrics
+// is the one place an instrument becomes series.
 func Snapshot(bus *obs.Bus) *MetricSet {
-	s := NewMetricSet()
-	for _, p := range bus.Snapshot() {
-		s.setType(p.Name, p.Type)
-		switch p.Type {
-		case "histogram":
-			for i, bound := range p.Bounds {
-				s.add(p.Name+"_bucket",
-					append(append([]string{}, p.Labels...), "le", obs.FormatMetricValue(bound)),
-					float64(p.Cumulative[i]))
-			}
-			s.add(p.Name+"_bucket",
-				append(append([]string{}, p.Labels...), "le", "+Inf"),
-				float64(p.Cumulative[len(p.Bounds)]))
-			s.add(p.Name+"_sum", p.Labels, p.Sum)
-			s.add(p.Name+"_count", p.Labels, float64(p.Count))
-		default:
-			s.add(p.Name, p.Labels, p.Value)
-		}
+	var buf bytes.Buffer
+	bus.WriteMetrics(&buf) // a bytes.Buffer write cannot fail
+	// The sink's longest line is shorter than its whole text.
+	set, err := parsePrometheus(&buf, buf.Len()+1)
+	if err != nil {
+		panic("calibration: invariant breach: the metrics sink wrote text its parser rejects: " + err.Error())
 	}
-	return s
+	return set
 }
 
 // familyOfKey strips the label set, returning the series' family-ish name

@@ -12,11 +12,11 @@ import (
 	"rhythm/internal/obs"
 )
 
-// ImportJSONL parses an obs JSONL event trace (-trace-out) and aggregates
-// it into the same instrument families the engine registers on a live
-// bus, so a trace and a -metrics-out snapshot of the same run calibrate
-// against each other. The reconstruction mirrors the engine's emit points
-// one-to-one (DESIGN.md §13 documents the mapping):
+// ImportJSONL parses an obs JSONL event trace (-trace-out) and replays it
+// into a private obs.Bus, driving the same instruments the engine
+// registers on a live bus, so a trace and a -metrics-out snapshot of the
+// same run calibrate against each other. The replay mirrors the engine's
+// emit points one-to-one (DESIGN.md §13 documents the mapping):
 //
 //	tick events                      -> rhythm_engine_ticks_total
 //	run phase=start events           -> rhythm_engine_runs_total
@@ -34,13 +34,15 @@ import (
 // instrument family at all. Families that never pass through events
 // (per-pod sojourn histograms, scheduler health counters) cannot be
 // reconstructed from a trace and simply stay absent — Compare reports
-// them as informational one-sided series.
+// them as informational one-sided series. The set is Snapshot of the
+// replayed bus, so it is flattened exactly as the sink writes.
 //
 // Decoding is strict: unknown fields, missing required fields and
 // non-object lines each produce a FieldError naming the event and field
 // ("events[12].kind"); all defects are collected and joined.
 func ImportJSONL(r io.Reader) (*MetricSet, error) {
-	agg := newJSONLAggregator()
+	bus := obs.NewBus()
+	seenTick := make(map[string]bool) // scope\x00at of replayed control ticks
 	var defects []error
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
@@ -74,15 +76,15 @@ func ImportJSONL(r io.Reader) (*MetricSet, error) {
 				fmt.Sprintf("unknown event kind %q", *ev.Kind)})
 			continue
 		}
-		agg.observe(&ev)
+		replay(bus, &ev, seenTick)
 	}
 	if err := sc.Err(); err != nil {
-		defects = append(defects, fmt.Errorf("calibration: reading trace: %w", err))
+		defects = append(defects, FieldError{fmt.Sprintf("events[%d]", n+1), err.Error()})
 	}
 	if err := joinDefects(defects); err != nil {
 		return nil, err
 	}
-	return agg.finish(), nil
+	return Snapshot(bus), nil
 }
 
 // jsonlEvent is the strict flat union over every field the JSONL sink
@@ -138,65 +140,19 @@ func decodeReason(err error) string {
 	return strings.TrimPrefix(err.Error(), "json: ")
 }
 
-// histAccum accumulates observations into fixed bounds, mirroring
-// obs.Histogram, so the reconstructed series flattens identically.
-type histAccum struct {
-	bounds []float64
-	counts []uint64
-	sum    float64
-	count  uint64
-}
-
-func newHistAccum(bounds []float64) *histAccum {
-	return &histAccum{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-}
-
-func (h *histAccum) observe(v float64) {
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i]++
-	h.count++
-	h.sum += v
-}
-
-// jsonlAggregator folds events into instrument families.
-type jsonlAggregator struct {
-	counters map[string]uint64 // canonical key -> count
-	families map[string]string // family -> type
-	slack    *histAccum
-	p99      *histAccum
-	load     *histAccum
-	seenTick map[string]bool // scope\x00at dedupe for per-control-tick observations
-}
-
-func newJSONLAggregator() *jsonlAggregator {
-	return &jsonlAggregator{
-		counters: make(map[string]uint64),
-		families: make(map[string]string),
-		slack:    newHistAccum(obs.DefBuckets),
-		p99:      newHistAccum(obs.LatencyBuckets),
-		load:     newHistAccum(obs.DefBuckets),
-		seenTick: make(map[string]bool),
-	}
-}
-
-func (a *jsonlAggregator) inc(family string, labels ...string) {
-	a.families[family] = "counter"
-	a.counters[canonicalKey(family, labels)]++
-}
-
-func (a *jsonlAggregator) observe(ev *jsonlEvent) {
+// replay drives bus's instruments as the engine's emit point for ev did.
+// seenTick holds the (scope, at) control ticks whose slack, p99 and load
+// observations are already recorded.
+func replay(bus *obs.Bus, ev *jsonlEvent, seenTick map[string]bool) {
 	switch *ev.Kind {
 	case "tick":
-		a.inc("rhythm_engine_ticks_total")
+		bus.Counter("rhythm_engine_ticks_total").Inc()
 	case "run":
 		if ev.Phase == "start" {
-			a.inc("rhythm_engine_runs_total")
+			bus.Counter("rhythm_engine_runs_total").Inc()
 		}
 	case "decision":
-		a.inc("rhythm_decisions_total", "action", ev.Action)
+		bus.Counter("rhythm_decisions_total", "action", ev.Action).Inc()
 		// The engine observes slack, window p99 and offered load once per
 		// control tick; decision events are per pod but share the tick's
 		// (scope, at) and values, so the first event of each tick
@@ -206,65 +162,30 @@ func (a *jsonlAggregator) observe(ev *jsonlEvent) {
 			at = *ev.At
 		}
 		tick := ev.Scope + "\x00" + obs.FormatMetricValue(at)
-		if a.seenTick[tick] {
+		if seenTick[tick] {
 			return
 		}
-		a.seenTick[tick] = true
+		seenTick[tick] = true
 		if ev.Slack != nil {
-			a.slack.observe(*ev.Slack)
+			bus.Histogram("rhythm_decision_slack", obs.DefBuckets).Observe(*ev.Slack)
 		}
 		if ev.P99 != nil {
-			a.p99.observe(*ev.P99)
+			bus.Histogram("rhythm_window_p99_seconds", obs.LatencyBuckets).Observe(*ev.P99)
 		}
 		if ev.Load != nil && !math.IsNaN(*ev.Load) {
-			a.load.observe(*ev.Load)
+			bus.Histogram("rhythm_offered_load", obs.DefBuckets).Observe(*ev.Load)
 		}
 	case "be":
 		if engineBEOps[ev.Op] {
-			a.inc("rhythm_be_events_total", "op", ev.Op)
+			bus.Counter("rhythm_be_events_total", "op", ev.Op).Inc()
 		}
 	case "fault":
-		a.inc("rhythm_fault_events_total")
+		bus.Counter("rhythm_fault_events_total").Inc()
 	case "experiment":
 		if ev.Phase == "start" {
-			a.inc("rhythm_experiments_total", "id", ev.ID)
+			bus.Counter("rhythm_experiments_total", "id", ev.ID).Inc()
 		}
 	}
-}
-
-// finish flattens the aggregation into a MetricSet.
-func (a *jsonlAggregator) finish() *MetricSet {
-	set := NewMetricSet()
-	for family, typ := range a.families {
-		set.setType(family, typ)
-	}
-	for key, n := range a.counters {
-		name, labels, _ := obs.ParseSeriesKey(key)
-		set.add(name, labels, float64(n))
-	}
-	for _, h := range []struct {
-		name string
-		acc  *histAccum
-	}{
-		{"rhythm_decision_slack", a.slack},
-		{"rhythm_window_p99_seconds", a.p99},
-		{"rhythm_offered_load", a.load},
-	} {
-		if h.acc.count == 0 {
-			continue
-		}
-		set.setType(h.name, "histogram")
-		cum := uint64(0)
-		for i, bound := range h.acc.bounds {
-			cum += h.acc.counts[i]
-			set.add(h.name+"_bucket", []string{"le", obs.FormatMetricValue(bound)}, float64(cum))
-		}
-		cum += h.acc.counts[len(h.acc.bounds)]
-		set.add(h.name+"_bucket", []string{"le", "+Inf"}, float64(cum))
-		set.add(h.name+"_sum", nil, h.acc.sum)
-		set.add(h.name+"_count", nil, float64(h.acc.count))
-	}
-	return set
 }
 
 // ImportFile reads an observed-metrics artifact, dispatching on the file

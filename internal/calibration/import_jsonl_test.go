@@ -75,7 +75,7 @@ func TestImportJSONLStrict(t *testing.T) {
 		`{"seq":4}`,
 		`{"seq":5,"kind":"martian"}`,
 		`not json at all`,
-		"",
+		strings.Repeat("x", 1<<20),
 	}, "\n")
 	_, err := ImportJSONL(strings.NewReader(src))
 	if err == nil {
@@ -88,6 +88,7 @@ func TestImportJSONLStrict(t *testing.T) {
 		"events[3].kind: missing event kind",
 		`events[4].kind: unknown event kind "martian"`,
 		"events[5]:",
+		"events[6]: bufio.Scanner: token too long",
 	} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("error missing %q:\n%s", want, msg)

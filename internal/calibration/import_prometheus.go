@@ -26,12 +26,15 @@ import (
 //
 // A trailing integer timestamp (external scrapes carry them) is accepted
 // and ignored; duplicate series and malformed keys, values or TYPE
-// declarations are defects.
-func ImportPrometheus(r io.Reader) (*MetricSet, error) {
+// declarations are defects. Lines longer than 1 MiB are rejected.
+func ImportPrometheus(r io.Reader) (*MetricSet, error) { return parsePrometheus(r, 1<<20) }
+
+// parsePrometheus is ImportPrometheus with lines of up to maxLine bytes.
+func parsePrometheus(r io.Reader, maxLine int) (*MetricSet, error) {
 	set := NewMetricSet()
 	var defects []error
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	sc.Buffer(make([]byte, 0, 64<<10), maxLine)
 	n := -1
 	for sc.Scan() {
 		n++
@@ -93,7 +96,7 @@ func ImportPrometheus(r io.Reader) (*MetricSet, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		defects = append(defects, fmt.Errorf("calibration: reading snapshot: %w", err))
+		defects = append(defects, FieldError{fmt.Sprintf("lines[%d]", n+1), err.Error()})
 	}
 	if err := joinDefects(defects); err != nil {
 		return nil, err

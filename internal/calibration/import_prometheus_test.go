@@ -68,7 +68,7 @@ ok_total 1
 bare-no-value
 good_value{l="x"} not-a-number
 ok_total 2
-`
+` + strings.Repeat("x", 1<<20) + "\n"
 	_, err := ImportPrometheus(strings.NewReader(src))
 	if err == nil {
 		t.Fatal("want defects, got nil")
@@ -80,6 +80,7 @@ ok_total 2
 		"lines[4]: malformed sample line",
 		`lines[5]: bad value "not-a-number"`,
 		"lines[6]: duplicate series ok_total",
+		"lines[7]: bufio.Scanner: token too long",
 	} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("error missing %q:\n%s", want, msg)

@@ -62,7 +62,7 @@ func fleetExperiment(ctx *Context) (*Table, error) {
 		return nil, err
 	}
 
-	seed := ctx.Opts.Seed ^ hash("fleet"+preset)
+	seed := ctx.Opts.Seed ^ sim.LabelHash("fleet"+preset)
 	pattern, err := loadgen.NewDiurnal(dur/2, 0.35, 0.85, 0.08, sim.SubSeed(seed, "fleet/load"))
 	if err != nil {
 		return nil, err

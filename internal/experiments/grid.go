@@ -77,7 +77,7 @@ func (c *Context) gridRun(key gridKey) (*core.Comparison, error) {
 			BETypes:  []bejobs.Type{key.be},
 			Duration: dur,
 			Warmup:   warm,
-			Seed:     c.Opts.Seed ^ hash(string(key.be)+key.service) ^ uint64(key.load*1000),
+			Seed:     c.Opts.Seed ^ sim.LabelHash(string(key.be)+key.service) ^ uint64(key.load*1000),
 			Faults:   c.Opts.Faults,
 		})
 	})
@@ -113,15 +113,6 @@ func (c *Context) ensureGrid() error {
 		})
 	})
 	return c.gridErr
-}
-
-func hash(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // podGrid renders Figs. 9-11: the focus Servpod's metric under Rhythm and

@@ -67,7 +67,7 @@ func fig15(ctx *Context) (*Table, error) {
 			BETypes:  []bejobs.Type{be},
 			Duration: duration,
 			Warmup:   warmup,
-			Seed:     ctx.Opts.Seed ^ hash(name+string(be)+"fig15"),
+			Seed:     ctx.Opts.Seed ^ sim.LabelHash(name+string(be)+"fig15"),
 			Faults:   ctx.Opts.Faults,
 		})
 		if err != nil {
@@ -145,7 +145,7 @@ func fig16(ctx *Context) (*Table, error) {
 			BETypes:  []bejobs.Type{be},
 			Duration: dur,
 			Warmup:   warm,
-			Seed:     ctx.Opts.Seed ^ hash("fig16"+string(be)) ^ uint64(load*1000),
+			Seed:     ctx.Opts.Seed ^ sim.LabelHash("fig16"+string(be)) ^ uint64(load*1000),
 			Faults:   ctx.Opts.Faults,
 		})
 		return err

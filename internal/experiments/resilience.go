@@ -79,7 +79,7 @@ func resilience(ctx *Context) (*Table, error) {
 			BETypes:  []bejobs.Type{bejobs.Wordcount},
 			Duration: dur,
 			Warmup:   warm,
-			Seed:     ctx.Opts.Seed ^ hash("resilience"+rc.storm),
+			Seed:     ctx.Opts.Seed ^ sim.LabelHash("resilience"+rc.storm),
 			Policy:   pol,
 			Faults:   sched,
 		})

@@ -93,7 +93,7 @@ func scenarioRun(ctx *Context) (*Table, error) {
 			BETypes:        betypes,
 			Duration:       spec.Duration(),
 			Warmup:         spec.Warmup(),
-			Seed:           ctx.Opts.Seed ^ hash("scenario/"+spec.Name+"/"+names[i]),
+			Seed:           ctx.Opts.Seed ^ sim.LabelHash("scenario/"+spec.Name+"/"+names[i]),
 			Policy:         pol,
 			CollectSamples: true,
 			Faults:         ctx.Opts.Faults,

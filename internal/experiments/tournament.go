@@ -121,7 +121,7 @@ func tournament(ctx *Context) (*Table, error) {
 			BETypes:        wl.betypes,
 			Duration:       wl.dur,
 			Warmup:         wl.warm,
-			Seed:           ctx.Opts.Seed ^ hash("tournament/"+wl.name+"/"+pol),
+			Seed:           ctx.Opts.Seed ^ sim.LabelHash("tournament/"+wl.name+"/"+pol),
 			Policy:         core.PolicyNamed(pol),
 			CollectSamples: true,
 			Faults:         sched,

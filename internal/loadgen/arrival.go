@@ -219,13 +219,7 @@ func NewMultiDiurnal(comps []PeriodComponent, min, max, burst float64, seed uint
 			d.noisePer = c.Period
 		}
 	}
-	r := sim.NewRNG(seed)
-	d.noise = make([]float64, diurnalNoiseSteps)
-	v := 0.0
-	for i := range d.noise {
-		v = 0.85*v + 0.3*(r.Float64()*2-1)
-		d.noise[i] = sim.Clamp(v, -1, 1)
-	}
+	d.noise = burstNoise(seed)
 	return d, nil
 }
 

@@ -81,16 +81,20 @@ func NewDiurnal(period time.Duration, min, max, burst float64, seed uint64) (*Di
 	if min < 0 || max <= min {
 		return nil, fmt.Errorf("loadgen: need 0 <= min < max, got [%v, %v]", min, max)
 	}
-	d := &Diurnal{Period: period, Min: min, Max: max, Burst: burst}
+	return &Diurnal{Period: period, Min: min, Max: max, Burst: burst, noise: burstNoise(seed)}, nil
+}
+
+// burstNoise is the diurnal patterns' smooth bounded burst noise from
+// seed: diurnalNoiseSteps values of an AR(1) walk pulled back to zero.
+func burstNoise(seed uint64) []float64 {
 	r := sim.NewRNG(seed)
-	d.noise = make([]float64, diurnalNoiseSteps)
-	// Smooth bounded noise: an AR(1) walk pulled back to zero.
+	noise := make([]float64, diurnalNoiseSteps)
 	v := 0.0
-	for i := range d.noise {
+	for i := range noise {
 		v = 0.85*v + 0.3*(r.Float64()*2-1)
-		d.noise[i] = sim.Clamp(v, -1, 1)
+		noise[i] = sim.Clamp(v, -1, 1)
 	}
-	return d, nil
+	return noise
 }
 
 // Load returns the diurnal load at time t.

@@ -7,12 +7,11 @@ package obs
 // importer (internal/calibration) go through these helpers, so the writer
 // and the parser cannot drift: every key the sink emits parses back to
 // the same (name, labels) pair, which the round-trip property test in
-// internal/calibration pins.
+// internal/calibration pins. Which series an instrument becomes is
+// WriteMetrics' business alone.
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -167,90 +166,3 @@ func FormatMetricValue(v float64) string { return strconv.FormatFloat(v, 'g', -1
 // ParseMetricValue is the inverse of FormatMetricValue; it also accepts
 // the exposition spellings +Inf/-Inf/NaN (strconv does).
 func ParseMetricValue(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
-
-// BucketKey renders the series key of one histogram bucket line:
-// name_bucket{<labels,>le="<bound>"} with the le label last, as the
-// exposition format convention has it.
-func BucketKey(name string, labels []string, bound float64) string {
-	le := "+Inf"
-	if !math.IsInf(bound, 1) {
-		le = FormatMetricValue(bound)
-	}
-	return SeriesKey(name+"_bucket", append(append([]string{}, labels...), "le", le))
-}
-
-// MetricPoint is one instrument's exported state, the unit of
-// Bus.Snapshot. Counters and gauges carry Value; histograms carry Bounds
-// (finite upper bounds), Cumulative (one cumulative count per bound plus
-// the +Inf bucket), Sum and Count.
-type MetricPoint struct {
-	// Name is the metric family name; Key the full series key
-	// (SeriesKey(Name, Labels)).
-	Name string
-	Key  string
-	// Labels are the alternating key/value pairs the instrument was
-	// registered with.
-	Labels []string
-	// Type is "counter", "gauge" or "histogram".
-	Type string
-	// Value is the counter count (exact below 2^53) or gauge value.
-	Value float64
-	// Bounds are the finite bucket upper bounds; Cumulative has
-	// len(Bounds)+1 entries, cumulative in bound order, ending at +Inf.
-	Bounds     []float64
-	Cumulative []uint64
-	Sum        float64
-	Count      uint64
-}
-
-// Snapshot returns the state of every instrument registered on the bus,
-// sorted by family name then series key — the same deterministic order
-// WriteMetrics renders. Safe on a nil bus (returns nil).
-func (b *Bus) Snapshot() []MetricPoint {
-	if b == nil {
-		return nil
-	}
-	var out []MetricPoint
-	b.imu.Lock()
-	for key, c := range b.counters {
-		out = append(out, snapPoint(key, "counter", float64(c.Value()), nil))
-	}
-	for key, g := range b.gauges {
-		out = append(out, snapPoint(key, "gauge", g.Value(), nil))
-	}
-	for key, h := range b.histograms {
-		p := snapPoint(key, "histogram", 0, h)
-		out = append(out, p)
-	}
-	b.imu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Key < out[j].Key
-	})
-	return out
-}
-
-// snapPoint builds one MetricPoint from a registered series key. Keys are
-// rendered by SeriesKey at registration, so parsing back cannot fail; a
-// corrupted key degrades to an unlabeled family of the full key.
-func snapPoint(key, typ string, value float64, h *Histogram) MetricPoint {
-	name, labels, err := ParseSeriesKey(key)
-	if err != nil {
-		name, labels = key, nil
-	}
-	p := MetricPoint{Name: name, Key: key, Labels: labels, Type: typ, Value: value}
-	if h != nil {
-		p.Bounds = append([]float64(nil), h.bounds...)
-		p.Cumulative = make([]uint64, len(h.bounds)+1)
-		cum := uint64(0)
-		for i := range h.counts {
-			cum += h.counts[i].Load()
-			p.Cumulative[i] = cum
-		}
-		p.Sum = math.Float64frombits(h.sumBits.Load())
-		p.Count = h.count.Load()
-	}
-	return p
-}

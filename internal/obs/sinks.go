@@ -2,9 +2,11 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
+	"sort"
 	"strconv"
 	"sync"
 )
@@ -384,54 +386,81 @@ func (s *MemorySink) Reset() {
 // Prometheus text-format snapshot
 
 // WriteMetrics writes every instrument registered on the bus in Prometheus
-// text exposition format. Families are sorted by name and series within a
-// family by key, so successive snapshots diff cleanly; histogram buckets
-// render cumulatively in bound order (the le ordering the exposition
-// format requires) ending at +Inf, followed by _sum and _count. Every
-// line goes through the shared grammar of promtext.go, which is what the
-// calibration importer parses — the round-trip is pinned by test.
+// text exposition format. It is the one place an instrument becomes
+// series: a counter or gauge is one line under its key; a histogram is one
+// _bucket line per bound, cumulative in bound order (the le ordering the
+// exposition format requires) with the le label last, ending at +Inf,
+// then _sum and _count. Families are sorted by name and series within a
+// family by key, so successive snapshots diff cleanly. Keys and values go
+// through the shared grammar of promtext.go, which is what the calibration
+// importer parses; calibration.Snapshot reads a live bus through this text.
 func (b *Bus) WriteMetrics(w io.Writer) error {
 	if b == nil {
 		return nil
 	}
-	points := b.Snapshot()
-	prevFamily := ""
-	for _, p := range points {
-		if p.Name != prevFamily {
-			prevFamily = p.Name
-			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", p.Name, p.Type); err != nil {
-				return err
-			}
+	type series struct {
+		name, key, typ string
+		labels         []string
+		c              *Counter
+		g              *Gauge
+		h              *Histogram
+	}
+	var all []series
+	b.imu.Lock()
+	for key, c := range b.counters {
+		all = append(all, series{key: key, typ: "counter", c: c})
+	}
+	for key, g := range b.gauges {
+		all = append(all, series{key: key, typ: "gauge", g: g})
+	}
+	for key, h := range b.histograms {
+		all = append(all, series{key: key, typ: "histogram", h: h})
+	}
+	b.imu.Unlock()
+	for i := range all {
+		// Keys were rendered by SeriesKey at registration, so they parse
+		// back; one that does not renders as an unlabeled family of the
+		// full key.
+		name, labels, err := ParseSeriesKey(all[i].key)
+		if err != nil {
+			name, labels = all[i].key, nil
 		}
-		switch p.Type {
-		case "histogram":
-			for i, bound := range p.Bounds {
-				if _, err := fmt.Fprintf(w, "%s %d\n",
-					BucketKey(p.Name, p.Labels, bound), p.Cumulative[i]); err != nil {
-					return err
-				}
+		all[i].name, all[i].labels = name, labels
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].name != all[j].name {
+			return all[i].name < all[j].name
+		}
+		return all[i].key < all[j].key
+	})
+
+	var buf bytes.Buffer
+	family := ""
+	for _, s := range all {
+		if s.name != family {
+			family = s.name
+			fmt.Fprintf(&buf, "# TYPE %s %s\n", s.name, s.typ)
+		}
+		switch {
+		case s.h != nil:
+			bucket := func(le string) string {
+				return SeriesKey(s.name+"_bucket", append(append([]string{}, s.labels...), "le", le))
 			}
-			if _, err := fmt.Fprintf(w, "%s %d\n",
-				BucketKey(p.Name, p.Labels, math.Inf(1)), p.Cumulative[len(p.Bounds)]); err != nil {
-				return err
+			cum := uint64(0)
+			for i, bound := range s.h.bounds {
+				cum += s.h.counts[i].Load()
+				fmt.Fprintf(&buf, "%s %d\n", bucket(FormatMetricValue(bound)), cum)
 			}
-			if _, err := fmt.Fprintf(w, "%s %s\n",
-				SeriesKey(p.Name+"_sum", p.Labels), FormatMetricValue(p.Sum)); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s %d\n",
-				SeriesKey(p.Name+"_count", p.Labels), p.Count); err != nil {
-				return err
-			}
-		case "counter":
-			if _, err := fmt.Fprintf(w, "%s %d\n", p.Key, uint64(p.Value)); err != nil {
-				return err
-			}
+			cum += s.h.counts[len(s.h.bounds)].Load()
+			fmt.Fprintf(&buf, "%s %d\n", bucket("+Inf"), cum)
+			fmt.Fprintf(&buf, "%s %s\n", SeriesKey(s.name+"_sum", s.labels), FormatMetricValue(s.h.Sum()))
+			fmt.Fprintf(&buf, "%s %d\n", SeriesKey(s.name+"_count", s.labels), s.h.Count())
+		case s.c != nil:
+			fmt.Fprintf(&buf, "%s %d\n", s.key, s.c.Value())
 		default:
-			if _, err := fmt.Fprintf(w, "%s %s\n", p.Key, FormatMetricValue(p.Value)); err != nil {
-				return err
-			}
+			fmt.Fprintf(&buf, "%s %s\n", s.key, FormatMetricValue(s.g.Value()))
 		}
 	}
-	return nil
+	_, err := w.Write(buf.Bytes())
+	return err
 }

@@ -48,7 +48,7 @@ func NewRNG(seed uint64) *RNG {
 // another goroutine may be using — that is a data race, not merely a
 // determinism hazard.
 func (r *RNG) Fork(label string) *RNG {
-	return &RNG{state: r.state ^ labelHash(label) ^ 0x9e3779b97f4a7c15}
+	return &RNG{state: r.state ^ LabelHash(label) ^ 0x9e3779b97f4a7c15}
 }
 
 // SubSeed returns the seed of the substream that NewRNG(seed).Fork(label)
@@ -58,7 +58,7 @@ func (r *RNG) Fork(label string) *RNG {
 // seeds, so no RNG is ever shared, and the resulting streams are
 // independent of both worker count and execution order.
 func SubSeed(seed uint64, label string) uint64 {
-	return seed ^ labelHash(label) ^ 0x9e3779b97f4a7c15
+	return seed ^ LabelHash(label) ^ 0x9e3779b97f4a7c15
 }
 
 // SubSeedBytes is SubSeed for a label assembled in a byte buffer: it
@@ -75,8 +75,9 @@ func SubSeedBytes(seed uint64, label []byte) uint64 {
 	return seed ^ h ^ 0x9e3779b97f4a7c15
 }
 
-// labelHash is FNV-1a over the label bytes.
-func labelHash(label string) uint64 {
+// LabelHash is FNV-1a over the label bytes, the hash every content-keyed
+// seed in the repo is derived from.
+func LabelHash(label string) uint64 {
 	h := uint64(14695981039346656037) // FNV-1a offset basis
 	for i := 0; i < len(label); i++ {
 		h ^= uint64(label[i])

@@ -49,8 +49,9 @@ func (r *Result) TailE2E(q float64) float64 { return sim.Quantile(r.E2Es, q) }
 // Analyze runs the §3.3 pipeline over an event log: filter by context
 // identifier, pair intra-Servpod events by context relation (FIFO in order
 // of occurrence, as the paper specifies), pair inter-Servpod events by
-// message relation, and extract per-pod sojourn statistics plus
-// per-request end-to-end latencies from the entry pod's ACCEPT/CLOSE pairs.
+// message relation — both in BuildCPG — and extract per-pod sojourn
+// statistics from the context edges plus per-request end-to-end latencies
+// from the entry pod's ACCEPT/CLOSE pairs.
 //
 // Individual pairings can be wrong when non-blocking threads interleave
 // requests or persistent TCP connections share message identifiers; the
@@ -74,76 +75,48 @@ func Analyze(events []Event, pods []PodAddr, entry string) (*Result, error) {
 		return nil, fmt.Errorf("trace: entry pod %q not among the %d Servpods", entry, len(pods))
 	}
 
-	// Defensive sort: SystemTap logs arrive roughly ordered but merged
-	// across CPUs.
-	evs := make([]Event, len(events))
-	copy(evs, events)
-	sort.SliceStable(evs, func(a, b int) bool { return evs[a].At < evs[b].At })
-
-	res := &Result{PerPod: make(map[string]*PodStats)}
+	g, podOf := buildCPG(events, pods)
+	res := &Result{PerPod: make(map[string]*PodStats), Filtered: len(events) - len(g.Events)}
 	for _, p := range pods {
 		res.PerPod[p.Name] = &PodStats{}
 	}
-
-	podOf := func(c Context) (string, bool) {
-		for _, p := range pods {
-			if p.matches(c) {
-				return p.Name, true
-			}
-		}
-		return "", false
+	stats := make([]*PodStats, len(pods))
+	for i, p := range pods {
+		stats[i] = res.PerPod[p.Name]
 	}
 
-	// Intra-pod pairing state: FIFO of unmatched RECV timestamps per
-	// context; ACCEPT/CLOSE FIFO per entry-pod context for E2E.
-	type ctxKey Context
-	recvQ := make(map[ctxKey][]sim.Time)
-	acceptQ := make(map[ctxKey][]sim.Time)
-
-	// Inter-pod pairing state: FIFO of unmatched SEND timestamps per
-	// message identifier.
-	sendQ := make(map[MsgID][]sim.Time)
-
-	for _, e := range evs {
-		pod, ok := podOf(e.Ctx)
-		if !ok {
-			res.Filtered++
+	// One pass over the events: every SEND starts out unmatched, and the
+	// entry pod's ACCEPT/CLOSE pairs (FIFO per context) give the
+	// end-to-end latencies.
+	acceptQ := make(map[Context][]sim.Time)
+	for i := range g.Events {
+		e := &g.Events[i]
+		switch {
+		case e.Type == Send:
+			stats[podOf[i]].UnmatchedSends++
+		case pods[podOf[i]].Name != entry:
+		case e.Type == Accept:
+			acceptQ[e.Ctx] = append(acceptQ[e.Ctx], e.At)
+			res.Requests++
+		case e.Type == Close:
+			if q := acceptQ[e.Ctx]; len(q) > 0 {
+				res.E2Es = append(res.E2Es, e.At.Sub(q[0]).Seconds())
+				acceptQ[e.Ctx] = q[1:]
+			}
+		}
+	}
+	// Context edges come in SEND order, so each pod's sojourn sum adds its
+	// pairs in order of occurrence.
+	for _, edge := range g.Edges {
+		if edge.Kind == MessageEdge {
+			res.MessageEdges++
 			continue
 		}
-		st := res.PerPod[pod]
-		ck := ctxKey(e.Ctx)
-		switch e.Type {
-		case Accept:
-			if pod == entry {
-				acceptQ[ck] = append(acceptQ[ck], e.At)
-				res.Requests++
-			}
-		case Close:
-			if pod == entry {
-				if q := acceptQ[ck]; len(q) > 0 {
-					res.E2Es = append(res.E2Es, e.At.Sub(q[0]).Seconds())
-					acceptQ[ck] = q[1:]
-				}
-			}
-		case Recv:
-			recvQ[ck] = append(recvQ[ck], e.At)
-			// Message relation: this RECV completes a SEND from a
-			// neighbouring pod with the same five-tuple.
-			if q := sendQ[e.Msg]; len(q) > 0 {
-				sendQ[e.Msg] = q[1:]
-				res.MessageEdges++
-			}
-		case Send:
-			if q := recvQ[ck]; len(q) > 0 {
-				st.Pairs++
-				st.TotalSojourn += e.At.Sub(q[0]).Seconds()
-				recvQ[ck] = q[1:]
-				res.ContextEdges++
-			} else {
-				st.UnmatchedSends++
-			}
-			sendQ[e.Msg] = append(sendQ[e.Msg], e.At)
-		}
+		res.ContextEdges++
+		st := stats[podOf[edge.To]]
+		st.Pairs++
+		st.UnmatchedSends--
+		st.TotalSojourn += g.Events[edge.To].At.Sub(g.Events[edge.From].At).Seconds()
 	}
 
 	if res.Requests == 0 {
@@ -180,42 +153,62 @@ type CPG struct {
 }
 
 // BuildCPG constructs the causal path graph over the pod events of the
-// log, using the same pairing discipline as Analyze but retaining the
-// explicit graph (Fig. 4 of the paper).
+// log (Fig. 4 of the paper), the pairing Analyze reads its statistics
+// from.
 func BuildCPG(events []Event, pods []PodAddr) *CPG {
-	evs := make([]Event, 0, len(events))
-	for _, e := range events {
-		for _, p := range pods {
-			if p.matches(e.Ctx) {
-				evs = append(evs, e)
+	g, _ := buildCPG(events, pods)
+	return g
+}
+
+// buildCPG is BuildCPG that also returns, per CPG event, the index of the
+// first pod in pods whose context it matches.
+func buildCPG(events []Event, pods []PodAddr) (*CPG, []int) {
+	// Filter, then sort the survivors by time. The sort is stable
+	// (SystemTap logs arrive roughly ordered but merged across CPUs) and
+	// moves small references, so each pod event is copied once.
+	type ref struct {
+		at     sim.Time
+		i, pod int
+	}
+	refs := make([]ref, 0, len(events))
+	for i := range events {
+		for j := range pods {
+			if pods[j].matches(events[i].Ctx) {
+				refs = append(refs, ref{events[i].At, i, j})
 				break
 			}
 		}
 	}
-	sort.SliceStable(evs, func(a, b int) bool { return evs[a].At < evs[b].At })
+	sort.SliceStable(refs, func(a, b int) bool { return refs[a].at < refs[b].at })
+	g := &CPG{Events: make([]Event, len(refs)), Edges: make([]CPGEdge, 0, len(refs))}
+	podOf := make([]int, len(refs))
+	for k, r := range refs {
+		g.Events[k] = events[r.i]
+		podOf[k] = r.pod
+	}
 
-	g := &CPG{Events: evs}
-	type ctxKey Context
-	recvQ := make(map[ctxKey][]int)
+	// Each RECV closes at most one message edge and each SEND at most one
+	// context edge, so Edges never outgrows its capacity.
+	recvQ := make(map[Context][]int)
 	sendQ := make(map[MsgID][]int)
-	for i, e := range evs {
-		ck := ctxKey(e.Ctx)
+	for i := range g.Events {
+		e := &g.Events[i]
 		switch e.Type {
 		case Recv:
-			recvQ[ck] = append(recvQ[ck], i)
+			recvQ[e.Ctx] = append(recvQ[e.Ctx], i)
 			if q := sendQ[e.Msg]; len(q) > 0 {
 				g.Edges = append(g.Edges, CPGEdge{From: q[0], To: i, Kind: MessageEdge})
 				sendQ[e.Msg] = q[1:]
 			}
 		case Send:
-			if q := recvQ[ck]; len(q) > 0 {
+			if q := recvQ[e.Ctx]; len(q) > 0 {
 				g.Edges = append(g.Edges, CPGEdge{From: q[0], To: i, Kind: ContextEdge})
-				recvQ[ck] = q[1:]
+				recvQ[e.Ctx] = q[1:]
 			}
 			sendQ[e.Msg] = append(sendQ[e.Msg], i)
 		}
 	}
-	return g
+	return g, podOf
 }
 
 // Acyclic reports whether the CPG has no directed cycles. Causal edges
