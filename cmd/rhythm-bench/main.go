@@ -100,6 +100,7 @@ var registry = []struct {
 	{"SampleKernel", benchmarks.SampleKernel},
 	{"SampleFilter", benchmarks.SampleFilter},
 	{"UniformKernel", benchmarks.UniformKernel},
+	{"FindSlacklimits", benchmarks.FindSlacklimits},
 	{"ObsDisabled", benchmarks.ObsDisabled},
 }
 

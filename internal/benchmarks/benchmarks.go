@@ -49,6 +49,10 @@
 //     certificate kernel ran.
 //   - UniformKernel: that chunk's first pass alone, its 512 Box-Muller
 //     uniform pairs, with the "uniform" metric.
+//   - FindSlacklimits: Algorithm 1's whole search for one service
+//     (E-commerce, profiled once at the quick options `run all -quick
+//     -seed 2020` uses) at jobs=1, every trial an engine run that stops
+//     at its verdict.
 //   - ObsDisabled: every observability emit point with no bus installed —
 //     the nil-check path the engine hot loop pays on untraced runs, pinned
 //     at 0 allocs/op (TestObsDisabledZeroAllocs).
@@ -56,6 +60,7 @@ package benchmarks
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -66,6 +71,7 @@ import (
 	"rhythm/internal/loadgen"
 	"rhythm/internal/metrics"
 	"rhythm/internal/obs"
+	"rhythm/internal/profiler"
 	"rhythm/internal/queueing"
 	"rhythm/internal/sim"
 	"rhythm/internal/workload"
@@ -500,6 +506,36 @@ func ran(on bool) float64 {
 		return 1
 	}
 	return 0
+}
+
+// slackProfile is the FindSlacklimits row's profile, made once per
+// process: testing.Benchmark calls the body once per b.N it tries.
+var slackProfile = sync.OnceValues(func() (*profiler.Profile, error) {
+	return profiler.Run(workload.ECommerce(), profiler.Options{
+		Levels:        []float64{0.1, 0.3, 0.5, 0.65, 0.75, 0.85, 0.93},
+		LevelDuration: 5 * time.Second,
+		UseTracer:     true,
+		TraceRequests: 300,
+		Seed:          2020,
+	})
+})
+
+// FindSlacklimits measures one Algorithm 1 search (the offline phase's
+// largest cost) on one worker, so the row times the trials themselves,
+// not their fan-out.
+func FindSlacklimits(b *testing.B) {
+	prof, err := slackProfile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := profiler.SlackOptions{StepDuration: 80 * time.Second, Seed: 2021, Jobs: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := profiler.FindSlacklimits(prof, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // ObsDisabled measures the full set of observability emit points with no

@@ -24,11 +24,12 @@ func BenchmarkStationAtLanes(b *testing.B) {
 		b.Run(fmt.Sprint(c), StationAtLanes(c))
 	}
 }
-func BenchmarkFleetTick(b *testing.B)     { FleetTick(b) }
-func BenchmarkSampleKernel(b *testing.B)  { SampleKernel(b) }
-func BenchmarkSampleFilter(b *testing.B)  { SampleFilter(b) }
-func BenchmarkUniformKernel(b *testing.B) { UniformKernel(b) }
-func BenchmarkObsDisabled(b *testing.B)   { ObsDisabled(b) }
+func BenchmarkFleetTick(b *testing.B)       { FleetTick(b) }
+func BenchmarkSampleKernel(b *testing.B)    { SampleKernel(b) }
+func BenchmarkSampleFilter(b *testing.B)    { SampleFilter(b) }
+func BenchmarkUniformKernel(b *testing.B)   { UniformKernel(b) }
+func BenchmarkFindSlacklimits(b *testing.B) { FindSlacklimits(b) }
+func BenchmarkObsDisabled(b *testing.B)     { ObsDisabled(b) }
 
 // TestObsDisabledZeroAllocs pins the observability contract in the test
 // suite (not just the bench harness): with no bus installed, the full set

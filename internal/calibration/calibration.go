@@ -59,9 +59,18 @@ func joinDefects(defects []error) error {
 // is not usable; build one with NewMetricSet, Snapshot or the importers.
 type MetricSet struct {
 	values map[string]float64
-	types  map[string]string // family name -> counter | gauge | histogram
-	keys   []string          // sorted cache, rebuilt when stale
+	types  map[string]string   // family name -> counter | gauge | histogram
+	byName map[string][]series // series name -> its series, sorted by key while !stale
+	keys   []string            // sorted cache, rebuilt when stale
 	stale  bool
+}
+
+// series is one stored series key with its labels as the key renders
+// them (sorted), kept from when the sample was added so that readers
+// never parse a key back.
+type series struct {
+	key    string
+	labels []string
 }
 
 // NewMetricSet returns an empty set.
@@ -69,14 +78,22 @@ func NewMetricSet() *MetricSet {
 	return &MetricSet{
 		values: make(map[string]float64),
 		types:  make(map[string]string),
+		byName: make(map[string][]series),
 	}
 }
 
 // canonicalKey renders a series key with label pairs sorted by name (then
 // value), through the shared exposition grammar.
 func canonicalKey(name string, labels []string) string {
+	key, _ := canonical(name, labels)
+	return key
+}
+
+// canonical is canonicalKey that also returns the sorted label pairs it
+// rendered.
+func canonical(name string, labels []string) (string, []string) {
 	if len(labels) == 0 {
-		return name
+		return name, nil
 	}
 	type pair struct{ k, v string }
 	pairs := make([]pair, 0, len(labels)/2)
@@ -93,17 +110,18 @@ func canonicalKey(name string, labels []string) string {
 	for _, p := range pairs {
 		flat = append(flat, p.k, p.v)
 	}
-	return obs.SeriesKey(name, flat)
+	return obs.SeriesKey(name, flat), flat
 }
 
 // add records one scalar sample under the canonical form of key. It
 // reports false when the series already exists (duplicate data line).
 func (s *MetricSet) add(name string, labels []string, v float64) bool {
-	key := canonicalKey(name, labels)
+	key, sorted := canonical(name, labels)
 	if _, dup := s.values[key]; dup {
 		return false
 	}
 	s.values[key] = v
+	s.byName[name] = append(s.byName[name], series{key, sorted})
 	s.stale = true
 	return true
 }
@@ -129,9 +147,18 @@ func (s *MetricSet) Keys() []string {
 			s.keys = append(s.keys, k)
 		}
 		sort.Strings(s.keys)
+		for _, ss := range s.byName {
+			sort.Slice(ss, func(i, j int) bool { return ss[i].key < ss[j].key })
+		}
 		s.stale = false
 	}
 	return s.keys
+}
+
+// seriesNamed returns the series of one name, sorted by key.
+func (s *MetricSet) seriesNamed(name string) []series {
+	s.Keys()
+	return s.byName[name]
 }
 
 // Value returns the sample stored under the series key (canonical label
@@ -160,14 +187,10 @@ func (s *MetricSet) Families() []string {
 // rhythm_experiments_total{id="..."}).
 func (s *MetricSet) LabelValues(family, label string) []string {
 	seen := make(map[string]bool)
-	for _, key := range s.Keys() {
-		name, labels, err := obs.ParseSeriesKey(key)
-		if err != nil || name != family {
-			continue
-		}
-		for i := 0; i+1 < len(labels); i += 2 {
-			if labels[i] == label {
-				seen[labels[i+1]] = true
+	for _, sr := range s.seriesNamed(family) {
+		for i := 0; i+1 < len(sr.labels); i += 2 {
+			if sr.labels[i] == label {
+				seen[sr.labels[i+1]] = true
 			}
 		}
 	}
@@ -242,12 +265,9 @@ func (s *MetricSet) Histogram(family string, labels ...string) (*HistogramSeries
 		cum   uint64
 	}
 	var buckets []bucket
-	for _, key := range s.Keys() {
-		name, kl, err := obs.ParseSeriesKey(key)
-		if err != nil || name != family+"_bucket" {
-			continue
-		}
+	for _, sr := range s.seriesNamed(family + "_bucket") {
 		var le string
+		kl := sr.labels
 		rest := make([]string, 0, len(kl))
 		for i := 0; i+1 < len(kl); i += 2 {
 			if kl[i] == "le" {
@@ -261,12 +281,12 @@ func (s *MetricSet) Histogram(family string, labels ...string) (*HistogramSeries
 		}
 		bound := math.Inf(1)
 		if le != "+Inf" {
-			bound, err = obs.ParseMetricValue(le)
-			if err != nil {
-				return nil, fmt.Errorf("calibration: %s: bad le value %q", key, le)
+			var err error
+			if bound, err = obs.ParseMetricValue(le); err != nil {
+				return nil, fmt.Errorf("calibration: %s: bad le value %q", sr.key, le)
 			}
 		}
-		buckets = append(buckets, bucket{bound, uint64(s.values[key])})
+		buckets = append(buckets, bucket{bound, uint64(s.values[sr.key])})
 	}
 	if len(buckets) == 0 {
 		return nil, fmt.Errorf("calibration: %s%s: no bucket series", family, want)

@@ -11,6 +11,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -550,6 +551,10 @@ type Engine struct {
 	cursor      sim.Time
 	nextControl sim.Time
 
+	// verdictOnly marks a Violates run: the ticks skip the once-a-second
+	// worst-p99 observation, which only RunStats.WorstP99 reads.
+	verdictOnly bool
+
 	// evicted accumulates killed/crashed BE instances for TakeEvicted;
 	// only populated under Config.ExternalBE.
 	evicted []EvictedBE
@@ -778,20 +783,60 @@ func (e *Engine) Run(duration time.Duration) (*RunStats, error) {
 	if duration <= 0 {
 		return nil, fmt.Errorf("engine: non-positive run duration %v", duration)
 	}
-	e.stats.Duration = duration
 	end := sim.Time(0).Add(duration)
-
-	if e.obsScope.Enabled() {
-		e.obsRuns.Inc()
-		e.obsScope.RunPhase(0, "start", fmt.Sprintf("service=%s policy=%s sla=%gs duration=%v seed=%d",
-			e.cfg.Service.Name, e.stats.Policy, e.cfg.SLA, duration, e.cfg.Seed))
-	}
+	e.openRun(duration)
 	e.RunUntil(end)
 	if e.obsScope.Enabled() {
 		e.obsScope.RunPhase(int64(end), "end", fmt.Sprintf("worst_p99=%gs violations=%d",
 			e.stats.WorstP99, e.stats.Violations))
 	}
 	return e.stats, nil
+}
+
+// openRun records a run's duration and, under tracing, emits its start
+// bracket.
+func (e *Engine) openRun(duration time.Duration) {
+	e.stats.Duration = duration
+	if e.obsScope.Enabled() {
+		e.obsRuns.Inc()
+		e.obsScope.RunPhase(0, "start", fmt.Sprintf("service=%s policy=%s sla=%gs duration=%v seed=%d",
+			e.cfg.Service.Name, e.stats.Policy, e.cfg.SLA, duration, e.cfg.Seed))
+	}
+}
+
+// Violates answers Algorithm 1's run_system question (§3.5.1) for a
+// fresh engine: does the run of the given duration violate the SLA? It
+// executes the same blocks and control ticks as Run, one control period
+// at a time (RunUntil slices, which TestRunUntilMatchesRun pins to Run's
+// bits), and stops at the verdict: true at the first post-warm-up control
+// tick whose window p99 exceeds the SLA, so it equals Run(d).Violations >
+// 0; false at the end of the run, or at the next control-period boundary
+// once ctx is cancelled (the caller no longer needs the answer). It takes
+// no once-a-second worst-p99 observation: the control ticks read the same
+// window p99 either way, and the lazy bound refreshes at them.
+func (e *Engine) Violates(ctx context.Context, duration time.Duration) (bool, error) {
+	if duration <= 0 {
+		return false, fmt.Errorf("engine: non-positive run duration %v", duration)
+	}
+	end := sim.Time(0).Add(duration)
+	e.verdictOnly = true
+	e.openRun(duration)
+	stop := "end"
+	for e.cursor < end && e.stats.Violations == 0 {
+		if ctx.Err() != nil {
+			stop = "cancel"
+			break
+		}
+		e.RunUntil(min(e.nextControl.Add(TickDt), end))
+	}
+	violated := e.stats.Violations > 0
+	if violated {
+		stop = "violation"
+	}
+	if e.obsScope.Enabled() {
+		e.obsScope.RunPhase(int64(e.cursor), "end", fmt.Sprintf("stop=%s violations=%d", stop, e.stats.Violations))
+	}
+	return violated, nil
 }
 
 // RunUntil advances the simulation up to (but not including) end on the
@@ -801,7 +846,7 @@ func (e *Engine) Run(duration time.Duration) (*RunStats, error) {
 // the identical RNG streams — the invariant that lets the fleet layer
 // interleave scheduler barriers between slices without perturbing any
 // per-machine byte. The caller owns end-of-run bookkeeping (stats.Duration,
-// obs run brackets); Run wraps this with both.
+// obs run brackets); Run and Violates wrap this with both.
 //
 // RunUntil runs the ticks in blocks (runBlock). A block ends at the next
 // control tick or at end, whichever comes first, and holds at most
@@ -1406,9 +1451,10 @@ func (e *Engine) recompute(tag uint64, floor float64, dst []float64) (int, float
 
 // finishTick is the shared tick epilogue: the once-per-second window
 // observation (the paper records the p99 once per second, §5.1's SLA
-// statistic), tick counters and fault-edge reporting.
+// statistic; a Violates run skips it), tick counters and fault-edge
+// reporting.
 func (e *Engine) finishTick(now sim.Time, load, qps float64, measuring bool) {
-	if measuring && now-e.lastObserve >= sim.Time(time.Second) {
+	if measuring && !e.verdictOnly && now-e.lastObserve >= sim.Time(time.Second) {
 		e.lastObserve = now
 		e.tail.ObserveWindow(now)
 		e.soa.tauRef = e.tail.P99()

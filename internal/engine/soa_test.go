@@ -82,13 +82,8 @@ func runReference(e *Engine, duration time.Duration) *RunStats {
 // bracketed wraps advance, which must bring the engine to the end of the
 // run, in Run's stats bookkeeping and obs run brackets.
 func bracketed(e *Engine, duration time.Duration, advance func(end sim.Time)) *RunStats {
-	e.stats.Duration = duration
 	end := sim.Time(0).Add(duration)
-	if e.obsScope.Enabled() {
-		e.obsRuns.Inc()
-		e.obsScope.RunPhase(0, "start", fmt.Sprintf("service=%s policy=%s sla=%gs duration=%v seed=%d",
-			e.cfg.Service.Name, e.stats.Policy, e.cfg.SLA, duration, e.cfg.Seed))
-	}
+	e.openRun(duration)
 	advance(end)
 	if e.obsScope.Enabled() {
 		e.obsScope.RunPhase(int64(end), "end", fmt.Sprintf("worst_p99=%gs violations=%d",

@@ -135,7 +135,7 @@ type Fleet struct {
 	arrSeq int
 	// arrRNG and labelBuf are reused per epoch: the arrival substream
 	// label "fleet/arrivals/<epoch>" is assembled in labelBuf and hashed
-	// with sim.SubSeedBytes, and arrRNG is reseeded in place, so drawing
+	// with sim.SubSeed, and arrRNG is reseeded in place, so drawing
 	// the epoch's Poisson batch allocates nothing.
 	arrRNG   sim.RNG
 	labelBuf []byte
@@ -243,12 +243,12 @@ func (f *Fleet) Step() {
 	}
 
 	// Arrivals: a Poisson batch for this epoch from its own substream.
-	// The label is assembled in a reused buffer and hashed directly;
-	// SubSeedBytes guarantees the same seed fmt.Sprintf + SubSeed gave.
+	// The label is assembled in a reused buffer and hashed directly, to
+	// the same seed fmt.Sprintf + SubSeed gave.
 	mean := f.cfg.ArrivalsPerMachineHour * float64(f.machines) * epoch.Hours()
 	f.labelBuf = append(f.labelBuf[:0], "fleet/arrivals/"...)
 	f.labelBuf = strconv.AppendInt(f.labelBuf, int64(f.epochs), 10)
-	f.arrRNG.Reseed(sim.SubSeedBytes(f.cfg.Seed, f.labelBuf))
+	f.arrRNG.Reseed(sim.SubSeed(f.cfg.Seed, f.labelBuf))
 	n := int(loadgen.Poisson(&f.arrRNG, mean))
 	for i := 0; i < n; i++ {
 		ty := f.cfg.BETypes[f.arrSeq%len(f.cfg.BETypes)]

@@ -1,6 +1,7 @@
 package profiler
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -143,7 +144,10 @@ func TestParallelProfileMatchesSerial(t *testing.T) {
 }
 
 // TestParallelSlacklimitsMatchSerial holds Algorithm 1 to the same
-// standard: the trial matrix fans out, the derived limits must not move.
+// standard: the trial matrix fans out, and a probe's first violating
+// trial cancels its siblings, but the derived limits must not move at
+// Jobs 1, 2 or 4. The search must meet violating probes, or the
+// cancellation goes untested.
 func TestParallelSlacklimitsMatchSerial(t *testing.T) {
 	prof, err := Run(workload.Redis(), cheapOpts(11))
 	if err != nil {
@@ -157,16 +161,23 @@ func TestParallelSlacklimitsMatchSerial(t *testing.T) {
 			Jobs:         jobs,
 		}
 	}
-	serial, err := FindSlacklimits(prof, slackOpts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := FindSlacklimits(prof, slackOpts(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("slacklimits differ:\nserial   %v\nparallel %v", serial, parallel)
+	var serial map[string]float64
+	for _, jobs := range []int{1, 2, 4} {
+		var got map[string]float64
+		sink := traced(func() { got, err = FindSlacklimits(prof, slackOpts(jobs)) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink.check(t, fmt.Sprintf("jobs=%d", jobs))
+		t.Logf("jobs=%d: %d trials, stops %v", jobs, sink.trials, sink.stops)
+		if sink.stops["violation"] == 0 {
+			t.Errorf("jobs=%d: no trial violated", jobs)
+		}
+		if serial == nil {
+			serial = got
+		} else if !reflect.DeepEqual(serial, got) {
+			t.Fatalf("slacklimits differ:\nserial   %v\njobs=%d   %v", serial, jobs, got)
+		}
 	}
 }
 

@@ -23,6 +23,7 @@
 package profiler
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -366,6 +367,14 @@ func trialLoads(prof *Profile) []float64 {
 	return loads
 }
 
+// trialPattern is a trial's load at probe load tl: it ramps from half of
+// it up to it, so BE jobs fatten while there is headroom and the system
+// then carries that state up the flank, the same shape a production trace
+// has.
+func trialPattern(tl float64, opts SlackOptions) loadgen.Pattern {
+	return loadgen.Replay{Samples: []float64{tl / 2, tl, tl}, Spacing: opts.StepDuration / 2}
+}
+
 // FindSlacklimits runs Algorithm 1 for every Servpod: starting from
 // slacklimit 1.0, each pod's limit descends by its step size
 // ((1 - C_i/SumC)/Substeps) until the co-located system violates the SLA -
@@ -400,41 +409,37 @@ func FindSlacklimits(prof *Profile, opts SlackOptions) (map[string]float64, erro
 			combos = append(combos, trialCombo{li, si})
 		}
 	}
-	// One probe evaluates the whole trial matrix concurrently. The serial
-	// code short-circuited on the first violating combo; computing every
-	// combo and OR-ing the verdicts gives the identical boolean (each
-	// trial is an isolated, seed-keyed engine run with no side effects),
-	// which is what keeps the search deterministic under any Jobs.
+	// One probe evaluates the whole trial matrix concurrently, and its
+	// verdict is the OR over the matrix. Each trial is an isolated,
+	// seed-keyed engine run with no side effects, so the first violation
+	// decides the probe: it cancels the matrix, running siblings stop at
+	// their next control-period boundary and unclaimed ones never start.
+	// Whether any trial violates does not depend on Jobs (a trial is
+	// skipped only after another one violated), which keeps the search
+	// deterministic; errors decide the probe only when none violated.
 	trial := func(iter uint64) (bool, error) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
 		violated := make([]bool, len(combos))
 		err := sim.ForEachErr(len(combos), opts.Jobs, func(ci int) error {
+			if ctx.Err() != nil {
+				return nil
+			}
 			li, si := combos[ci].li, combos[ci].si
-			tl := loads[li]
-			// Each trial ramps from half the probe load up to it:
-			// BE jobs fatten while there is headroom and the system
-			// then carries that state up the flank, the same shape
-			// a production trace has.
-			pattern := loadgen.Replay{
-				Samples: []float64{tl / 2, tl, tl},
-				Spacing: opts.StepDuration / 2,
-			}
-			v, err := trialRun(prof, cur, opts, slackSets[si], pattern,
+			v, err := trialRun(ctx, prof, cur, opts, slackSets[si], trialPattern(loads[li], opts),
 				iter+uint64(si+1)*7001+uint64(li)*293)
-			if err != nil {
-				return err
+			if v {
+				violated[ci] = true
+				cancel()
 			}
-			violated[ci] = v
-			return nil
+			return err
 		})
-		if err != nil {
-			return false, err
-		}
 		for _, v := range violated {
 			if v {
 				return true, nil
 			}
 		}
-		return false, nil
+		return false, err
 	}
 
 	iter := uint64(0)
@@ -486,11 +491,25 @@ func FindSlacklimits(prof *Profile, opts SlackOptions) (map[string]float64, erro
 }
 
 // trialRun is Algorithm 1's run_system: co-locate with the candidate
-// slacklimits for the dwell and report whether the SLA was violated.
-// Concurrent trials of one probe read the slacklimits map simultaneously;
-// the search mutates it only between probes, after every trial goroutine
-// has drained, so the reads are race-free.
-func trialRun(prof *Profile, slacklimits map[string]float64, opts SlackOptions, bes []bejobs.Type, pattern loadgen.Pattern, iter uint64) (bool, error) {
+// slacklimits for the dwell and report whether the SLA was violated,
+// stopping at the verdict (engine.Violates) or, once ctx is cancelled, at
+// the next control-period boundary with false. Concurrent trials of one
+// probe read the slacklimits map simultaneously; the search mutates it
+// only between probes, after every trial goroutine has drained, so the
+// reads are race-free.
+func trialRun(ctx context.Context, prof *Profile, slacklimits map[string]float64, opts SlackOptions, bes []bejobs.Type, pattern loadgen.Pattern, iter uint64) (bool, error) {
+	e, err := trialEngine(prof, slacklimits, opts, bes, pattern, iter)
+	if err != nil {
+		return false, err
+	}
+	// A trial fails when the SLA was violated: the engine's guard band
+	// already makes the controller aim below the target, so a violation
+	// during the dwell means these limits are genuinely unsafe.
+	return e.Violates(ctx, opts.StepDuration)
+}
+
+// trialEngine builds the co-located engine of one trial.
+func trialEngine(prof *Profile, slacklimits map[string]float64, opts SlackOptions, bes []bejobs.Type, pattern loadgen.Pattern, iter uint64) (*engine.Engine, error) {
 	th := make(map[string]controller.Thresholds, len(slacklimits))
 	for pod, sl := range slacklimits {
 		ll := prof.Loadlimits[pod]
@@ -501,9 +520,9 @@ func trialRun(prof *Profile, slacklimits map[string]float64, opts SlackOptions, 
 	}
 	pol, err := controller.NewRhythm(th)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
-	e, err := engine.New(engine.Config{
+	return engine.New(engine.Config{
 		Service: prof.Service,
 		Pattern: pattern,
 		SLA:     prof.SLA,
@@ -513,17 +532,6 @@ func trialRun(prof *Profile, slacklimits map[string]float64, opts SlackOptions, 
 		Warmup:  opts.StepDuration / 3,
 		Label:   fmt.Sprintf("slack-trial:%s|iter=%d", prof.Service.Name, iter),
 	})
-	if err != nil {
-		return false, err
-	}
-	st, err := e.Run(opts.StepDuration)
-	if err != nil {
-		return false, err
-	}
-	// A trial fails when the SLA was violated: the engine's guard band
-	// already makes the controller aim below the target, so a violation
-	// during the dwell means these limits are genuinely unsafe.
-	return st.Violations > 0, nil
 }
 
 // Thresholds assembles the final per-Servpod control thresholds from the

@@ -192,12 +192,25 @@ func TestLognormalDrawsMatchesMoments(t *testing.T) {
 	})
 }
 
-// TestSubSeedBytesMatchesSubSeed pins the byte-buffer variant to the
-// string one.
+// TestSubSeedBytesMatchesSubSeed pins SubSeed over a byte buffer to
+// SubSeed over the same string, and both to the seeds the FNV-1a label
+// hash has always given. Over bytes it allocates nothing: the fleet's
+// per-epoch arrival seed depends on it.
 func TestSubSeedBytesMatchesSubSeed(t *testing.T) {
-	for _, label := range []string{"", "fleet/arrivals/0", "fleet/arrivals/12345"} {
-		if got, want := SubSeedBytes(2020, []byte(label)), SubSeed(2020, label); got != want {
-			t.Fatalf("SubSeedBytes(%q) = %x, want %x", label, got, want)
+	buf := []byte("fleet/arrivals/7")
+	if allocs := testing.AllocsPerRun(100, func() { SubSeed(2020, buf) }); allocs != 0 {
+		t.Errorf("SubSeed over bytes allocates %.1f per call, want 0", allocs)
+	}
+	for label, want := range map[string]uint64{
+		"":                     0x55c5e55dfb6858d4,
+		"fleet/arrivals/0":     0x3935fe1c3b0a98f4,
+		"fleet/arrivals/12345": 0x478a046688ba42a7,
+	} {
+		if got := SubSeed(2020, []byte(label)); got != want {
+			t.Errorf("SubSeed(2020, []byte(%q)) = %#x, want %#x", label, got, want)
+		}
+		if got := SubSeed(2020, label); got != want {
+			t.Errorf("SubSeed(2020, %q) = %#x, want %#x", label, got, want)
 		}
 	}
 }

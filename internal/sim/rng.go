@@ -56,28 +56,17 @@ func (r *RNG) Fork(label string) *RNG {
 // preferred way to derive per-work-item seeds for parallel sweeps (one
 // label per level, trial or experiment): workers receive plain uint64
 // seeds, so no RNG is ever shared, and the resulting streams are
-// independent of both worker count and execution order.
-func SubSeed(seed uint64, label string) uint64 {
-	return seed ^ LabelHash(label) ^ 0x9e3779b97f4a7c15
-}
-
-// SubSeedBytes is SubSeed for a label assembled in a byte buffer: it
-// returns the same seed SubSeed(seed, string(label)) would, without
-// requiring the caller to materialize the string. Hot per-epoch loops (the
-// fleet's arrival substreams) build the label in a reused buffer and stay
+// independent of both worker count and execution order. A label assembled
+// in a byte buffer gets the seed its string would: hot per-epoch loops
+// (the fleet's arrival substreams) build it in a reused buffer and stay
 // allocation-free.
-func SubSeedBytes(seed uint64, label []byte) uint64 {
-	h := uint64(14695981039346656037) // FNV-1a offset basis
-	for i := 0; i < len(label); i++ {
-		h ^= uint64(label[i])
-		h *= 1099511628211
-	}
-	return seed ^ h ^ 0x9e3779b97f4a7c15
+func SubSeed[L string | []byte](seed uint64, label L) uint64 {
+	return seed ^ LabelHash(label) ^ 0x9e3779b97f4a7c15
 }
 
 // LabelHash is FNV-1a over the label bytes, the hash every content-keyed
 // seed in the repo is derived from.
-func LabelHash(label string) uint64 {
+func LabelHash[L string | []byte](label L) uint64 {
 	h := uint64(14695981039346656037) // FNV-1a offset basis
 	for i := 0; i < len(label); i++ {
 		h ^= uint64(label[i])
