@@ -69,15 +69,33 @@ bench-compare:
 	$(GO) run ./cmd/rhythm-bench -out /tmp/rhythm-bench-new.json
 	$(GO) run ./cmd/rhythm-bench -compare BENCH_engine.json /tmp/rhythm-bench-new.json
 
-# bench-gate is bench-compare with teeth: the full drift table prints,
-# then the run fails if EngineTick or FleetTick regressed more than 25%
-# ns/op against the committed baseline. The other rows (per-pass
-# sub-benchmarks, trackers, obs) stay informational at any drift — they
-# attribute a regression, they don't gate. CI's quick-bench job runs this
-# as a blocking check.
+# bench-gate is the blocking drift check, run as paired comparisons: it
+# builds rhythm-bench from the merge base of HEAD and BENCH_BASE and from
+# the working tree, runs the two in five alternating rounds (the base
+# first in odd rounds), prints the drift table of every row, and fails
+# when the median head/base ns/op ratio of EngineTick or FleetTick exceeds
+# 1.25 (rhythm-bench -compare -gate over the pairs). The two sides of a
+# pair run about a minute apart on the same host, so the host's speed,
+# which can move by more than the tolerance between phases, cancels out; the
+# committed BENCH_engine.json is not read. The other rows stay
+# informational. About 10 minutes on 2 vCPUs. CI's quick-bench job runs
+# this against the pull request's base branch.
+BENCH_BASE ?= origin/main
+
 bench-gate:
-	$(GO) run ./cmd/rhythm-bench -out /tmp/rhythm-bench-new.json
-	$(GO) run ./cmd/rhythm-bench -compare -gate BENCH_engine.json /tmp/rhythm-bench-new.json
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	base=$$(git merge-base $(BENCH_BASE) HEAD); \
+	echo "bench-gate: base $$base, head the working tree, 5 rounds"; \
+	mkdir "$$tmp/src"; git archive "$$base" | tar -x -C "$$tmp/src"; \
+	(cd "$$tmp/src" && $(GO) build -o "$$tmp/base" ./cmd/rhythm-bench); \
+	$(GO) build -o "$$tmp/head" ./cmd/rhythm-bench; \
+	pairs=; \
+	for i in 1 2 3 4 5; do \
+		order="base head"; [ $$((i % 2)) -eq 1 ] || order="head base"; \
+		for side in $$order; do "$$tmp/$$side" -out "$$tmp/$$side-$$i.json" 2>/dev/null; done; \
+		pairs="$$pairs $$tmp/base-$$i.json $$tmp/head-$$i.json"; \
+	done; \
+	"$$tmp/head" -compare -gate $$pairs
 
 # golden verifies the byte-determinism contract end to end: the quick
 # seed-2020 `run all` stdout — every paper figure, table and ablation —

@@ -22,17 +22,22 @@
 //
 // Diff mode:
 //
-//	rhythm-bench -compare old.json new.json
+//	rhythm-bench -compare old.json new.json [old.json new.json ...]
 //
 // prints a per-benchmark table of ns/op, allocs/op and B/op deltas (signed,
 // with percentages) between two report files — `make bench-compare` wires
 // it to a saved baseline. Comparison is by benchmark name, so reordered or
 // partially overlapping reports still line up; benchmarks present in only
-// one file are listed as added/removed. Plain -compare only reads and
-// reports; adding -gate makes it exit non-zero when a gated row
-// (EngineTick, FleetTick) regresses more than 25% ns/op — the blocking
-// drift check `make bench-gate` and CI's quick-bench job run. The other
-// rows stay informational at any drift.
+// one file are listed as added/removed. Given several old/new pairs (runs
+// of two binaries in alternating rounds), the table shows the medians of
+// each side and the ns/op percentage is the median of the pairs' new/old
+// ratios, which a host whose speed drifts between rounds moves far less
+// than a comparison against a stored baseline. Plain -compare only reads
+// and reports; adding -gate makes it exit non-zero when that median ratio
+// of a gated row (EngineTick, FleetTick) is more than 25% above 1 — the
+// blocking drift check `make bench-gate` and CI's quick-bench job run on
+// the merge base and the head. The other rows stay informational at any
+// drift.
 //
 // -jobs caps GOMAXPROCS for the benchmarked operations, sharing the
 // fleet-wide default and validation path (internal/cliflags) with the
@@ -46,6 +51,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"text/tabwriter"
@@ -127,8 +133,8 @@ func realMain(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rhythm-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	out := fs.String("out", "BENCH_engine.json", "output file (- for stdout)")
-	compare := fs.Bool("compare", false, "compare two report files: rhythm-bench -compare old.json new.json")
-	gate := fs.Bool("gate", false, "with -compare: fail when a gated benchmark (EngineTick, FleetTick) regresses more than 25% ns/op")
+	compare := fs.Bool("compare", false, "compare report files in old/new pairs: rhythm-bench -compare old.json new.json [old.json new.json ...]")
+	gate := fs.Bool("gate", false, "with -compare: fail when a gated benchmark's (EngineTick, FleetTick) median new/old ns/op ratio exceeds 1.25")
 	var common cliflags.Common
 	common.RegisterJobs(fs)
 	if err := fs.Parse(argv); err != nil {
@@ -143,11 +149,11 @@ func realMain(argv []string, stdout, stderr io.Writer) int {
 	runtime.GOMAXPROCS(common.Jobs)
 
 	if *compare {
-		if fs.NArg() != 2 {
-			fmt.Fprintln(stderr, "usage: rhythm-bench -compare old.json new.json")
+		if fs.NArg() == 0 || fs.NArg()%2 != 0 {
+			fmt.Fprintln(stderr, "usage: rhythm-bench -compare old.json new.json [old.json new.json ...]")
 			return 2
 		}
-		if err := compareReports(fs.Arg(0), fs.Arg(1), *gate, stdout); err != nil {
+		if err := compareReports(fs.Args(), *gate, stdout); err != nil {
 			fmt.Fprintln(stderr, "rhythm-bench:", err)
 			return 1
 		}
@@ -229,49 +235,76 @@ func delta(old, new float64, format string) string {
 	return fmt.Sprintf("%+"+format+" (%+.1f%%)", d, 100*d/old)
 }
 
-// compareReports prints the per-benchmark drift between two report files.
-// It matches benchmarks by name so partially overlapping registries still
-// line up, and lists additions/removals explicitly. With gate set it
-// returns an error — after printing the full table — when any gated
-// benchmark's ns/op regressed beyond gateTolerance.
-func compareReports(oldPath, newPath string, gate bool, w io.Writer) error {
-	oldRep, err := loadReport(oldPath)
-	if err != nil {
-		return err
-	}
-	newRep, err := loadReport(newPath)
-	if err != nil {
-		return err
-	}
-	oldBy := make(map[string]result, len(oldRep.Benchmarks))
-	for _, r := range oldRep.Benchmarks {
-		oldBy[r.Name] = r
+// median returns the middle of xs (the mean of the two middle values for
+// an even count); it sorts xs.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	return (xs[(n-1)/2] + xs[n/2]) / 2
+}
+
+// compareReports prints the per-benchmark drift between report files taken
+// in old/new pairs. It matches benchmarks by name so partially overlapping
+// registries still line up, and lists the first pair's additions and
+// removals explicitly; a row counts in the pairs that hold it on both
+// sides. With gate set it returns an error — after printing the full table
+// — when any gated benchmark's median new/old ns/op ratio exceeds
+// 1+gateTolerance.
+func compareReports(paths []string, gate bool, w io.Writer) error {
+	rows := make([][]result, len(paths)) // each file's rows, in its order
+	reps := make([]map[string]result, len(paths))
+	for i, path := range paths {
+		rep, err := loadReport(path)
+		if err != nil {
+			return err
+		}
+		rows[i] = rep.Benchmarks
+		reps[i] = make(map[string]result, len(rep.Benchmarks))
+		for _, r := range rep.Benchmarks {
+			reps[i][r.Name] = r
+		}
 	}
 
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "benchmark\told ns/op\tnew ns/op\tΔ ns/op\tΔ allocs/op\tΔ B/op\n")
-	seen := make(map[string]bool, len(newRep.Benchmarks))
 	var violations []string
-	for _, n := range newRep.Benchmarks {
-		seen[n.Name] = true
-		o, ok := oldBy[n.Name]
-		if !ok {
+	for _, n := range rows[1] {
+		var olds, news, ratios, oldAllocs, newAllocs, oldBytes, newBytes []float64
+		for p := 0; p < len(reps); p += 2 {
+			o, okO := reps[p][n.Name]
+			m, okN := reps[p+1][n.Name]
+			if !okO || !okN {
+				continue
+			}
+			olds, news = append(olds, o.NsPerOp), append(news, m.NsPerOp)
+			if o.NsPerOp > 0 {
+				ratios = append(ratios, m.NsPerOp/o.NsPerOp)
+			}
+			oldAllocs, newAllocs = append(oldAllocs, float64(o.AllocsPerOp)), append(newAllocs, float64(m.AllocsPerOp))
+			oldBytes, newBytes = append(oldBytes, float64(o.BytesPerOp)), append(newBytes, float64(m.BytesPerOp))
+		}
+		if len(olds) == 0 {
 			fmt.Fprintf(tw, "%s\t-\t%.1f\t(added)\t%d\t%d\n",
 				n.Name, n.NsPerOp, n.AllocsPerOp, n.BytesPerOp)
 			continue
 		}
-		fmt.Fprintf(tw, "%s\t%.1f\t%.1f\t%s\t%s\t%s\n",
-			n.Name, o.NsPerOp, n.NsPerOp,
-			delta(o.NsPerOp, n.NsPerOp, ".1f"),
-			delta(float64(o.AllocsPerOp), float64(n.AllocsPerOp), ".0f"),
-			delta(float64(o.BytesPerOp), float64(n.BytesPerOp), ".0f"))
-		if gate && gated[n.Name] && o.NsPerOp > 0 && n.NsPerOp > o.NsPerOp*(1+gateTolerance) {
-			violations = append(violations, fmt.Sprintf("%s regressed %.1f -> %.1f ns/op (%+.1f%%, gate %.0f%%)",
-				n.Name, o.NsPerOp, n.NsPerOp, 100*(n.NsPerOp-o.NsPerOp)/o.NsPerOp, 100*gateTolerance))
+		oldNs, newNs := median(olds), median(news)
+		ns := delta(oldNs, newNs, ".1f")
+		if oldNs != newNs && len(ratios) > 0 {
+			ns = fmt.Sprintf("%+.1f (%+.1f%%)", newNs-oldNs, 100*(median(ratios)-1))
+		}
+		fmt.Fprintf(tw, "%s\t%.1f\t%.1f\t%s\t%s\t%s\n", n.Name, oldNs, newNs, ns,
+			delta(median(oldAllocs), median(newAllocs), ".0f"),
+			delta(median(oldBytes), median(newBytes), ".0f"))
+		if gate && gated[n.Name] && len(ratios) > 0 {
+			if r := median(ratios); r > 1+gateTolerance {
+				violations = append(violations, fmt.Sprintf("%s regressed %.1f -> %.1f ns/op (median new/old ratio %.3f over %d pairs, gate %.0f%%)",
+					n.Name, oldNs, newNs, r, len(ratios), 100*gateTolerance))
+			}
 		}
 	}
-	for _, o := range oldRep.Benchmarks {
-		if !seen[o.Name] {
+	for _, o := range rows[0] {
+		if _, ok := reps[1][o.Name]; !ok {
 			fmt.Fprintf(tw, "%s\t%.1f\t-\t(removed)\t\t\n", o.Name, o.NsPerOp)
 		}
 	}

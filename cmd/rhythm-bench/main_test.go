@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -39,7 +40,7 @@ func TestCompareReports(t *testing.T) {
 }`)
 
 	var sb strings.Builder
-	if err := compareReports(old, new, false, &sb); err != nil {
+	if err := compareReports([]string{old, new}, false, &sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -88,7 +89,7 @@ func TestCompareReportsBadSchema(t *testing.T) {
 	bad := writeReport(t, dir, "bad.json", `{"schema": "other/v9"}`)
 	good := writeReport(t, dir, "good.json", `{"schema": "rhythm-bench/v1"}`)
 	var sb strings.Builder
-	if err := compareReports(bad, good, false, &sb); err == nil {
+	if err := compareReports([]string{bad, good}, false, &sb); err == nil {
 		t.Fatal("expected schema error")
 	}
 }
@@ -129,7 +130,7 @@ func TestCompareGate(t *testing.T) {
   ]
 }`)
 			var sb strings.Builder
-			err := compareReports(old, new, true, &sb)
+			err := compareReports([]string{old, new}, true, &sb)
 			if tc.wantFail && err == nil {
 				t.Fatalf("gate passed a >25%% EngineTick regression:\n%s", sb.String())
 			}
@@ -145,8 +146,54 @@ func TestCompareGate(t *testing.T) {
 			}
 			// Without gate the same reports always pass.
 			sb.Reset()
-			if err := compareReports(old, new, false, &sb); err != nil {
+			if err := compareReports([]string{old, new}, false, &sb); err != nil {
 				t.Fatalf("ungated compare failed: %v", err)
+			}
+		})
+	}
+}
+
+// TestCompareGatePairs pins the paired gate: given old/new pairs, a gated
+// row fails on the median of the pairs' new/old ratios, so one round on a
+// slow phase of the host neither fails a build nor hides a regression,
+// and a host whose speed drifts between rounds moves nothing that both
+// sides of a pair share.
+func TestCompareGatePairs(t *testing.T) {
+	dir := t.TempDir()
+	report := func(name string, engineNs float64) string {
+		return writeReport(t, dir, name, `{
+  "schema": "rhythm-bench/v1", "goos": "linux", "goarch": "amd64", "cpus": 1,
+  "benchmarks": [
+    {"name": "EngineTick", "iters": 100, "ns_per_op": `+fmtFloat(engineNs)+`, "allocs_per_op": 0, "bytes_per_op": 0}
+  ]
+}`)
+	}
+	cases := []struct {
+		name     string
+		old, new []float64 // EngineTick ns/op per round
+		wantFail bool
+	}{
+		// The host slows 2x from round 3 on; both sides move together.
+		{"drifting host, no change", []float64{1000, 1000, 2000, 2000, 2000}, []float64{1010, 990, 2020, 1980, 2000}, false},
+		{"one noisy round", []float64{1000, 1000, 1000, 1000, 1000}, []float64{1000, 1600, 1000, 1000, 1000}, false},
+		{"regression on a drifting host", []float64{1000, 1000, 2000, 2000, 2000}, []float64{1300, 1300, 2600, 2600, 2000}, true},
+		{"regression with one lucky round", []float64{1000, 1000, 1000, 1000, 1000}, []float64{1300, 1300, 1300, 900, 1300}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var paths []string
+			for i := range tc.old {
+				paths = append(paths,
+					report(fmt.Sprintf("old-%d.json", i), tc.old[i]),
+					report(fmt.Sprintf("new-%d.json", i), tc.new[i]))
+			}
+			var sb strings.Builder
+			err := compareReports(paths, true, &sb)
+			if tc.wantFail != (err != nil) {
+				t.Fatalf("gate error %v, want failure %v:\n%s", err, tc.wantFail, sb.String())
+			}
+			if err != nil && !strings.Contains(err.Error(), "EngineTick") {
+				t.Fatalf("gate error does not name the regressed row: %v", err)
 			}
 		})
 	}

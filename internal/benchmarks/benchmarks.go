@@ -405,35 +405,41 @@ func EngineTickColoSample(b *testing.B) { constantPass(b, colocatedEngine(b), "s
 // FleetTick measures one epoch of a 100-machine fleet (25 E-commerce
 // replicas under the uniform Heracles policy, constant 60% load): 100
 // engines advancing one 2 s control period each plus the shared-queue
-// barrier (evictions, dispatch, admissions). Throughput is additionally
-// reported as machines/s — machine-epochs advanced per wall second — the
-// ROADMAP item 1 scale gate.
+// barrier (evictions, dispatch, admissions). Every op times the same
+// epoch, the sixth of a fresh fleet: the build and the five epochs that
+// warm it past the engines' inertia transient run with the timer stopped.
+// The barrier's BE arrivals and launches differ from epoch to epoch, so
+// an op that ran whichever epoch came next would make allocs/op depend on
+// b.N. Throughput is additionally reported as machines/s — machine-epochs
+// advanced per wall second — the ROADMAP item 1 scale gate.
 func FleetTick(b *testing.B) {
-	entries := []fleet.Entry{{
-		Service:  workload.ECommerce(),
-		Replicas: 25, // 4 components each: 100 machines
-		Policy:   controller.NewHeracles(),
-	}}
-	f, err := fleet.New(fleet.Config{
-		Entries:  entries,
-		Pattern:  loadgen.Constant(0.6),
-		Duration: time.Hour, // nominal; the benchmark drives Step directly
-		Seed:     2020,
-		Jobs:     1, // single worker: measure the work, not the pool
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Warm past the engines' inertia transient.
-	for i := 0; i < 5; i++ {
-		f.Step()
-	}
+	machines := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		f, err := fleet.New(fleet.Config{
+			Entries: []fleet.Entry{{
+				Service:  workload.ECommerce(),
+				Replicas: 25, // 4 components each: 100 machines
+				Policy:   controller.NewHeracles(),
+			}},
+			Pattern:  loadgen.Constant(0.6),
+			Duration: time.Hour, // nominal; the benchmark drives Step directly
+			Seed:     2020,
+			Jobs:     1, // single worker: measure the work, not the pool
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for range 5 {
+			f.Step()
+		}
+		machines = f.Machines()
+		b.StartTimer()
 		f.Step()
 	}
-	b.ReportMetric(float64(f.Machines()*b.N)/b.Elapsed().Seconds(), "machines/s")
+	b.ReportMetric(float64(machines*b.N)/b.Elapsed().Seconds(), "machines/s")
 }
 
 // SampleKernel measures sim.LognormalDraws over one 512-element chunk

@@ -82,6 +82,18 @@ type MachineSpec struct {
 	MaxGHz   float64 // highest DVFS operating point
 }
 
+// Capacities returns the machine's per-resource capacity vector.
+func (s MachineSpec) Capacities() Vector {
+	var c Vector
+	c[ResCPU] = float64(s.Cores)
+	c[ResLLC] = float64(s.LLCWays)
+	c[ResMemBW] = s.MemBWGBs
+	c[ResNetBW] = s.NetGbps
+	c[ResMemory] = s.MemoryGB
+	c[ResPower] = s.TDPWatts
+	return c
+}
+
 // DefaultSpec returns the testbed machine of §5.1.
 func DefaultSpec() MachineSpec {
 	return MachineSpec{

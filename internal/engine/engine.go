@@ -384,6 +384,7 @@ type soaState struct {
 	// block row pressBlk[k*pods+i], flagged in pressNew.
 	lcDemand []cluster.Vector
 	opNew    []bool
+	caps     []cluster.Vector // each machine's capacities, for the pressure map
 	pressBlk []cluster.Vector
 	pressNew []bool
 	prevLoad float64
@@ -552,7 +553,9 @@ type Engine struct {
 	nextControl sim.Time
 
 	// verdictOnly marks a Violates run: the ticks skip the once-a-second
-	// worst-p99 observation, which only RunStats.WorstP99 reads.
+	// worst-p99 observation, which only RunStats.WorstP99 reads, the
+	// utilization pass, and, with no bus installed, the BE-progress pass
+	// (Violates lists the RunStats fields this leaves unset).
 	verdictOnly bool
 
 	// evicted accumulates killed/crashed BE instances for TakeEvicted;
@@ -710,7 +713,9 @@ func (e *Engine) initSoA() {
 	s.freqCap = make([]float64, n)
 	s.muSkew = make([]float64, n)
 	s.sigSkew = make([]float64, n)
-	for i := range s.beDirty {
+	s.caps = make([]cluster.Vector, n)
+	for i, p := range e.pods {
+		s.caps[i] = p.machine.Spec.Capacities()
 		s.beDirty[i] = true
 		// The scalar smooth lazily initialized its state to (1, 1) on
 		// first use; the SoA rows start there outright — same first EMA
@@ -811,9 +816,19 @@ func (e *Engine) openRun(duration time.Duration) {
 // bits), and stops at the verdict: true at the first post-warm-up control
 // tick whose window p99 exceeds the SLA, so it equals Run(d).Violations >
 // 0; false at the end of the run, or at the next control-period boundary
-// once ctx is cancelled (the caller no longer needs the answer). It takes
-// no once-a-second worst-p99 observation: the control ticks read the same
-// window p99 either way, and the lazy bound refreshes at them.
+// once ctx is cancelled (the caller no longer needs the answer).
+//
+// It skips the work whose results only RunStats reads, and nothing
+// returns those stats. It takes no once-a-second worst-p99 observation:
+// the control ticks read the same window p99 either way, and the lazy
+// bound refreshes at them. It runs no utilization pass, and no BE
+// progress unless a bus is installed, where rhythm_be_completions_total
+// counts the completions: neither feeds the controller, whose input is
+// load, slack, p99, pressure and the degraded count. So WorstP99 and
+// each pod's CPUUtil and MemBWUtil (and the Timeline series cpu) stay
+// zero, and without a bus so do BEThroughput, EMU and Completions (and
+// the series be_throughput). Violations, ViolationSeconds, MeanP99, Kills
+// and the rest hold what Run would have at the stop.
 func (e *Engine) Violates(ctx context.Context, duration time.Duration) (bool, error) {
 	if duration <= 0 {
 		return false, fmt.Errorf("engine: non-positive run duration %v", duration)
@@ -934,12 +949,20 @@ func (e *Engine) runBlock(start sim.Time, n int) {
 	e.resolveSojourn(n)
 
 	s := &e.soa
+	// A Violates run skips the passes only RunStats reads (see Violates);
+	// on a bus, BE progress also feeds rhythm_be_completions_total.
+	utilization := !e.verdictOnly
+	beProgress := utilization || e.obsScope.Enabled()
 	for k := 0; k < n; k++ {
 		now := start.Add(time.Duration(k) * TickDt)
 		load := s.blkLoad[k]
 		measuring := now >= s.warmupAt
-		e.passUtilization(k, measuring)
-		e.passBEProgress(k, load, measuring)
+		if utilization {
+			e.passUtilization(k, measuring)
+		}
+		if beProgress {
+			e.passBEProgress(k, load, measuring)
+		}
 		e.passSample(k, now)
 		e.finishTick(now, load, load*e.cfg.Service.MaxLoadQPS, measuring)
 	}
@@ -1019,14 +1042,14 @@ func (e *Engine) passPressure(k int) {
 	s := &e.soa
 	faultsOn := e.cfg.Faults != nil
 	row := k * len(e.pods)
-	for i, p := range e.pods {
+	for i := range e.pods {
 		fresh := s.opNew[i] || faultsOn
 		s.pressNew[row+i] = fresh
 		if !fresh {
 			continue
 		}
 		press := &s.pressBlk[row+i]
-		*press = e.cfg.Model.Pressure(p.machine.Spec, s.lcDemand[i], s.beDemand[i])
+		*press = e.cfg.Model.Pressure(s.caps[i], s.lcDemand[i], s.beDemand[i])
 		if faultsOn {
 			if m := s.stormMul[i]; m != 1 {
 				*press = press.Scale(m)

@@ -29,7 +29,7 @@ func (e *Engine) tickReference(now sim.Time, load float64) {
 		}
 		lcDemand := p.comp.DemandAt(load)
 		beDemand := p.beDemand()
-		press := e.cfg.Model.Pressure(p.machine.Spec, lcDemand, beDemand)
+		press := e.cfg.Model.Pressure(p.machine.Spec.Capacities(), lcDemand, beDemand)
 		muSkew, sigmaSkew := 1.0, 1.0
 		freqCap := 0.0
 		if e.cfg.Faults != nil {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"reflect"
@@ -154,6 +155,82 @@ func TestViolatesMatchesRun(t *testing.T) {
 	}
 }
 
+// TestViolatesSkipsOnlyUnreadWork holds the passes a verdict run skips to
+// their promise. Without a bus, Violates gives the same verdict, stop
+// tick and violation statistics as with one. With a bus, its metrics and
+// the BE progress behind rhythm_be_completions_total equal those of Run's
+// path (RunUntil) advanced to the same stop.
+func TestViolatesSkipsOnlyUnreadWork(t *testing.T) {
+	const dur = 30 * time.Second
+	traced := func(run func() *Engine) (*Engine, string) {
+		t.Helper()
+		bus := obs.NewBus()
+		obs.Install(bus)
+		e := run()
+		obs.Uninstall()
+		var buf bytes.Buffer
+		if err := bus.WriteMetrics(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return e, buf.String()
+	}
+	progressed := false
+	for name, cfg := range verdictConfigs(t) {
+		plain := mustNew(t, cfg)
+		want, err := plain.Violates(context.Background(), dur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bool
+		e, metrics := traced(func() *Engine {
+			e := mustNew(t, cfg)
+			if got, err = e.Violates(context.Background(), dur); err != nil {
+				t.Fatal(err)
+			}
+			return e
+		})
+		ref, refMetrics := traced(func() *Engine {
+			ref := mustNew(t, cfg)
+			ref.openRun(dur)
+			ref.RunUntil(e.Now())
+			return ref
+		})
+
+		a, b := plain.stats, e.stats
+		if got != want || plain.Now() != e.Now() || a.Violations != b.Violations ||
+			a.ViolationSeconds != b.ViolationSeconds || a.MeanP99 != b.MeanP99 ||
+			a.DegradedPeriods != b.DegradedPeriods {
+			t.Errorf("%s: without a bus %v at %v (%d violations, %g s, mean p99 %g), with one %v at %v (%d, %g s, %g)",
+				name, want, plain.Now(), a.Violations, a.ViolationSeconds, a.MeanP99,
+				got, e.Now(), b.Violations, b.ViolationSeconds, b.MeanP99)
+		}
+		for pod, ps := range a.PerPod {
+			if ps.Kills != b.PerPod[pod].Kills {
+				t.Errorf("%s: pod %s kills %d without a bus, %d with one", name, pod, ps.Kills, b.PerPod[pod].Kills)
+			}
+		}
+		if metrics != refMetrics {
+			t.Errorf("%s: Violates' metrics differ from Run's path to the same stop:\n%s\nwant:\n%s", name, metrics, refMetrics)
+		}
+		for i, p := range e.pods {
+			rp := ref.pods[i]
+			if len(p.instances) != len(rp.instances) {
+				t.Fatalf("%s: pod %s holds %d BE instances, Run's path %d", name, p.comp.Name, len(p.instances), len(rp.instances))
+			}
+			for j, in := range p.instances {
+				if in.Progress != rp.instances[j].Progress || in.Completions != rp.instances[j].Completions {
+					t.Errorf("%s: BE %s progress %g (%d done), Run's path %g (%d)", name, in.ID,
+						in.Progress, in.Completions, rp.instances[j].Progress, rp.instances[j].Completions)
+				}
+				progressed = progressed || in.Progress > 0
+			}
+		}
+	}
+	if !progressed {
+		t.Fatal("no BE instance progressed: the table cannot tell whether traced verdict runs advance BE progress")
+	}
+}
+
 // countdownCtx is a context whose Err turns to Canceled on its n-th call:
 // Violates asks once per control-period slice, so it cancels the run at a
 // known boundary without a second goroutine.
@@ -197,21 +274,22 @@ func TestViolatesCancelled(t *testing.T) {
 	if stop == 0 {
 		t.Fatal("no violating configuration")
 	}
-	alone := mustNew(t, cfg)
-	want, err := alone.Violates(context.Background(), dur)
-	if err != nil || !want {
-		t.Fatalf("uncancelled verdict %v, %v; want true", want, err)
-	}
-
 	period := sim.Time(0).Add(2 * time.Second) // the default control period
 	slices := int(stop / period)               // whole slices before the violating one
 	if slices < 2 {
 		t.Fatalf("first violation at %v: too early to cancel before it", stop)
 	}
 
+	// Every run below is under the same bus: a verdict run skips BE
+	// progress without one, so its RunStats differ from a traced run's.
 	sink := &obs.MemorySink{}
 	obs.Install(obs.NewBus(sink))
 	defer obs.Uninstall()
+	alone := mustNew(t, cfg)
+	want, err := alone.Violates(context.Background(), dur)
+	if err != nil || !want {
+		t.Fatalf("uncancelled verdict %v, %v; want true", want, err)
+	}
 	cancelled, other := mustNew(t, cfg), mustNew(t, cfg)
 	var wg sync.WaitGroup
 	var otherV bool

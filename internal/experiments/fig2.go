@@ -102,10 +102,9 @@ func staticColocationP99(sc *e2eScratch, svc *workload.Service, target string, s
 		}
 		inflate, cvInflate, freq := 1.0, 1.0, 1.0
 		if be, ok := sourceBE(src); ok {
-			spec2 := spec
 			beSpec := bejobs.MustLookup(be)
 			demand := beSpec.PerCore.Scale(float64(beSpec.SoloCores))
-			press := model.Pressure(spec2, c.DemandAt(load), demand)
+			press := model.Pressure(spec.Capacities(), c.DemandAt(load), demand)
 			inflate, cvInflate = model.Inflation(c, press)
 		} else {
 			// DVFS: run the component's cores at the lowest operating

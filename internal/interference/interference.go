@@ -62,24 +62,12 @@ func Unisolated() Model {
 	return m
 }
 
-// capacities returns the machine's per-resource capacity vector.
-func capacities(spec cluster.MachineSpec) cluster.Vector {
-	var c cluster.Vector
-	c[cluster.ResCPU] = float64(spec.Cores)
-	c[cluster.ResLLC] = float64(spec.LLCWays)
-	c[cluster.ResMemBW] = spec.MemBWGBs
-	c[cluster.ResNetBW] = spec.NetGbps
-	c[cluster.ResMemory] = spec.MemoryGB
-	c[cluster.ResPower] = spec.TDPWatts
-	return c
-}
-
 // Pressure returns the normalized interference pressure that the aggregate
-// BE demand exerts on the LC workload on each resource: leaked BE demand
-// relative to the headroom the machine has left after serving the LC's own
-// demand. Values are clamped to [0, PressureCap].
-func (m Model) Pressure(spec cluster.MachineSpec, lcDemand, beDemand cluster.Vector) cluster.Vector {
-	caps := capacities(spec)
+// BE demand exerts on the LC workload on each resource of a machine with
+// the given capacities (MachineSpec.Capacities): leaked BE demand relative
+// to the headroom the machine has left after serving the LC's own demand.
+// Values are clamped to [0, PressureCap].
+func (m Model) Pressure(caps, lcDemand, beDemand cluster.Vector) cluster.Vector {
 	var p cluster.Vector
 	for r := 0; r < cluster.NumResources; r++ {
 		if beDemand[r] <= 0 || m.Leakage[r] <= 0 {

@@ -12,13 +12,14 @@ import (
 )
 
 func spec() cluster.MachineSpec { return cluster.DefaultSpec() }
+func caps() cluster.Vector      { return spec().Capacities() }
 
 func mysql() *workload.Component  { return workload.ECommerce().Component("MySQL") }
 func tomcat() *workload.Component { return workload.ECommerce().Component("Tomcat") }
 
 func TestPressureZeroWithoutBE(t *testing.T) {
 	m := Default()
-	p := m.Pressure(spec(), mysql().DemandAt(0.5), cluster.Vector{})
+	p := m.Pressure(caps(), mysql().DemandAt(0.5), cluster.Vector{})
 	if p != (cluster.Vector{}) {
 		t.Fatalf("pressure without BE = %v, want zero", p)
 	}
@@ -29,8 +30,8 @@ func TestPressureGrowsWithBEDemand(t *testing.T) {
 	lc := mysql().DemandAt(0.5)
 	small := bejobs.MustLookup(bejobs.StreamDRAM).PerCore.Scale(2)
 	big := bejobs.MustLookup(bejobs.StreamDRAM).PerCore.Scale(8)
-	ps := m.Pressure(spec(), lc, small)
-	pb := m.Pressure(spec(), lc, big)
+	ps := m.Pressure(caps(), lc, small)
+	pb := m.Pressure(caps(), lc, big)
 	if pb[cluster.ResMemBW] <= ps[cluster.ResMemBW] {
 		t.Fatal("more BE cores should mean more memBW pressure")
 	}
@@ -40,8 +41,8 @@ func TestPressureGrowsWithLCLoad(t *testing.T) {
 	// Higher LC load shrinks headroom, so the same BE demand presses harder.
 	m := Default()
 	be := bejobs.MustLookup(bejobs.StreamDRAM).PerCore.Scale(6)
-	lo := m.Pressure(spec(), mysql().DemandAt(0.2), be)
-	hi := m.Pressure(spec(), mysql().DemandAt(0.95), be)
+	lo := m.Pressure(caps(), mysql().DemandAt(0.2), be)
+	hi := m.Pressure(caps(), mysql().DemandAt(0.95), be)
 	if hi[cluster.ResMemBW] <= lo[cluster.ResMemBW] {
 		t.Fatal("pressure should grow as LC load consumes headroom")
 	}
@@ -50,7 +51,7 @@ func TestPressureGrowsWithLCLoad(t *testing.T) {
 func TestPressureCapped(t *testing.T) {
 	m := Default()
 	huge := bejobs.MustLookup(bejobs.StreamDRAM).PerCore.Scale(1000)
-	p := m.Pressure(spec(), mysql().DemandAt(0.9), huge)
+	p := m.Pressure(caps(), mysql().DemandAt(0.9), huge)
 	for r := 0; r < cluster.NumResources; r++ {
 		if p[r] > m.PressureCap {
 			t.Fatalf("pressure[%d] = %v exceeds cap %v", r, p[r], m.PressureCap)
@@ -64,8 +65,8 @@ func TestPressureCapped(t *testing.T) {
 func TestIsolationReducesPressure(t *testing.T) {
 	be := bejobs.MustLookup(bejobs.StreamLLC).PerCore.Scale(8)
 	lc := mysql().DemandAt(0.5)
-	iso := Default().Pressure(spec(), lc, be)
-	raw := Unisolated().Pressure(spec(), lc, be)
+	iso := Default().Pressure(caps(), lc, be)
+	raw := Unisolated().Pressure(caps(), lc, be)
 	if iso[cluster.ResLLC] >= raw[cluster.ResLLC] {
 		t.Fatal("CAT should reduce LLC pressure")
 	}
@@ -83,9 +84,9 @@ func TestInflationRespectsSensitivityOrdering(t *testing.T) {
 	// more than Tomcat.
 	m := Unisolated()
 	be := bejobs.MustLookup(bejobs.StreamDRAMBig)
-	press := m.Pressure(spec(), mysql().DemandAt(0.6), be.PerCore.Scale(float64(be.SoloCores)))
+	press := m.Pressure(caps(), mysql().DemandAt(0.6), be.PerCore.Scale(float64(be.SoloCores)))
 	infMy, _ := m.Inflation(mysql(), press)
-	pressT := m.Pressure(spec(), tomcat().DemandAt(0.6), be.PerCore.Scale(float64(be.SoloCores)))
+	pressT := m.Pressure(caps(), tomcat().DemandAt(0.6), be.PerCore.Scale(float64(be.SoloCores)))
 	infTo, _ := m.Inflation(tomcat(), pressT)
 	if infMy <= infTo {
 		t.Fatalf("MySQL inflation %v should exceed Tomcat %v under stream-dram", infMy, infTo)
@@ -103,7 +104,7 @@ func TestInflationAtLeastOne(t *testing.T) {
 		for i := range be {
 			be[i] = r.Float64() * 100
 		}
-		press := m.Pressure(spec(), mysql().DemandAt(r.Float64()), be)
+		press := m.Pressure(caps(), mysql().DemandAt(r.Float64()), be)
 		inf, cv := m.Inflation(mysql(), press)
 		return inf >= 1 && cv >= 1 && cv <= m.CVCap && !math.IsNaN(inf)
 	}
@@ -177,7 +178,7 @@ func TestLCNearSaturationFloor(t *testing.T) {
 	lc[cluster.ResMemBW] = spec().MemBWGBs * 1.5 // oversaturated
 	var be cluster.Vector
 	be[cluster.ResMemBW] = 5
-	p := m.Pressure(spec(), lc, be)
+	p := m.Pressure(caps(), lc, be)
 	if p[cluster.ResMemBW] <= 0 || math.IsInf(p[cluster.ResMemBW], 0) || p[cluster.ResMemBW] > m.PressureCap {
 		t.Fatalf("saturated-headroom pressure = %v", p[cluster.ResMemBW])
 	}

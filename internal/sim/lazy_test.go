@@ -206,6 +206,62 @@ func checkPartition(t *testing.T, tr Tier, k, n int, seed uint64) {
 	}
 }
 
+// TestSamplerReuseMatchesFresh: a Sampler kept across calls, as the
+// engine keeps one, returns what a fresh one does on every call: the same
+// row count, the same bits and the same stream position. The calls change
+// the stage parameters in place (one backing array, as the engine's
+// sample pass does) and the path depth (1 to 6 stages, fusedMaxK and one
+// past it), and mix forward cutoffs (up to +Inf) with replay pairs, a
+// cutoff below minCutoff, repeated and alternating cutoffs, and +Inf as
+// the lower one, so that the kept stage patterns and radius floors meet
+// every change they must follow. It runs at every tier the host has.
+func TestSamplerReuseMatchesFresh(t *testing.T) {
+	cutoffs := []float64{minCutoff / 2, minCutoff, 0.7, 1.9, 2.4, 3.1, math.Inf(1)}
+	depths := []int{1, 2, 3, 4, 5, 6, fusedMaxK, fusedMaxK + 1}
+	mu, sigma := make([]float64, fusedMaxK+1), make([]float64, fusedMaxK+1)
+	for tr := TierScalar; tr <= hostTier; tr++ {
+		restore := ForceTier(tr)
+		var kept Sampler
+		pick := NewRNG(uint64(tr) + 17)
+		for call := range 400 {
+			k := depths[pick.Intn(len(depths))]
+			if call%3 == 0 {
+				k = depths[call/3%6] // every shallow depth, in turn
+			}
+			n := 80
+			if k <= 6 && call%5 == 0 {
+				n = 300
+			}
+			for s := range k {
+				mu[s], sigma[s] = -6+2*pick.Float64(), 0.05+0.6*pick.Float64()
+			}
+			hi := math.Inf(1)
+			lo := cutoffs[pick.Intn(len(cutoffs))]
+			if call%4 == 1 { // a replay: a finite upper cutoff
+				hi = cutoffs[1+pick.Intn(len(cutoffs)-2)]
+				lo = cutoffs[pick.Intn(len(cutoffs))]
+			}
+			seed := pick.Uint64()
+			want, got := make([]float64, n*k), make([]float64, n*k)
+			rw, rg := NewRNG(seed), NewRNG(seed)
+			var fresh Sampler
+			nw := fresh.DrawsBetween(want, mu[:k], sigma[:k], lo, hi, rw)
+			ng := kept.DrawsBetween(got, mu[:k], sigma[:k], lo, hi, rg)
+			if ng != nw || rg.State() != rw.State() {
+				t.Fatalf("%v call %d (k=%d, n=%d, lo=%v, hi=%v): kept sampler %d rows, stream %x; fresh %d, %x",
+					tr, call, k, n, lo, hi, ng, rg.State(), nw, rw.State())
+			}
+			for i := range nw * k {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%v call %d (k=%d, n=%d, lo=%v, hi=%v): element %d %v, fresh sampler %v",
+						tr, call, k, n, lo, hi, i, got[i], want[i])
+				}
+			}
+		}
+		restore()
+	}
+}
+
 // TestSamplerZeroAllocs: a kept Sampler's calls allocate nothing.
 func TestSamplerZeroAllocs(t *testing.T) {
 	var c Sampler

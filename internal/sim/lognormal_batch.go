@@ -203,7 +203,7 @@ func (c *Sampler) rows(dst []float64, lo, hi float64, r *RNG) int {
 // element the cutoff t leaves over it; recip is rows' reciprocal of k.
 func (c *Sampler) markOver(rows *[sumBatch / 64]uint64, u1, u2 []float64, t float64, recip int) {
 	var over [sumBatch / 64]uint64
-	normOver(u1, u2, radiusFloor(t), t*t, &over)
+	normOver(u1, u2, c.radiusFloor(t), t*t, &over)
 	for w, word := range over {
 		for ; word != 0; word &= word - 1 {
 			d := (w<<6 + bits.TrailingZeros64(word)) * recip >> 20
@@ -260,6 +260,25 @@ const minCutoff = 0x1p-4
 // product with a cosine of at most 1 cannot take back.
 func radiusFloor(t float64) float64 {
 	return math.Exp(-0.5 * t * t * (1 - 0x1p-30))
+}
+
+// radiusFloor is radiusFloor(t) through the Sampler's two-entry memo, most
+// recent first. The engine's sampler alternates between the forward
+// cutoff, which holds for many ticks, and a replay's pair of cutoffs, the
+// upper of which is usually that forward cutoff: so a forward call, and a
+// replay's upper cutoff, find their floor here without an exp. The
+// cutoffs it sees are at least minCutoff, so == is bitwise equality and
+// the zero value's entries never match.
+func (c *Sampler) radiusFloor(t float64) float64 {
+	m := &c.floors
+	if t != m[0][0] {
+		if t == m[1][0] {
+			m[0], m[1] = m[1], m[0]
+		} else {
+			m[1], m[0] = m[0], [2]float64{t, radiusFloor(t)}
+		}
+	}
+	return m[0][1]
 }
 
 // normBound2 returns an upper bound on max(z, 0)² for the Box–Muller
@@ -331,12 +350,14 @@ const fusedMaxK = 64
 // chunk's u2 uniforms (the u1 uniforms go to the chunk's output, which
 // the values then overwrite). LognormalDraws builds one per call; callers
 // that sample repeatedly keep one, so that a call does not zero its 5 KB
-// again. The zero value is ready to use; it is not safe for
-// concurrent use.
+// again. It also remembers its last two cutoffs' radius floors
+// (Sampler.radiusFloor). The zero value is ready to use; it is not safe
+// for concurrent use.
 type Sampler struct {
 	mu, sigma       []float64
 	fused           bool
 	muPat, sigmaPat [fusedMaxK + 7]float64
+	floors          [2][2]float64 // {cutoff, radiusFloor(cutoff)}, most recent first
 	u2              [sumBatch]float64
 }
 
@@ -347,9 +368,13 @@ func (c *Sampler) init() {
 	k := len(c.mu)
 	c.fused = tier >= TierAVX512 && k <= fusedMaxK
 	if c.fused {
-		for t := 0; t < k+7; t += k {
-			copy(c.muPat[t:k+7], c.mu)
-			copy(c.sigmaPat[t:k+7], c.sigma)
+		mu, sigma := c.mu[:k], c.sigma[:k]
+		s := 0
+		for t := range k + 7 {
+			c.muPat[t], c.sigmaPat[t] = mu[s], sigma[s]
+			if s++; s == k {
+				s = 0
+			}
 		}
 	}
 }
@@ -470,8 +495,9 @@ func expPass(xs []float64) {
 // width where the host has one (on): kernel(i) handles whole blocks from
 // i on and returns how many elements it did, stopping at a block it
 // rejects. scalar(i, j) handles elements [i, j): each rejected block, the
-// n%lanes tail, and everything on hosts without the kernel. The two paths
-// give the same bits, so where the split falls never shows in the output.
+// n%lanes tail, and everything on hosts without the kernel; it is not
+// called for an empty tail. The two paths give the same bits, so where
+// the split falls never shows in the output.
 func vectorize(n, lanes int, on bool, kernel func(i int) int, scalar func(i, j int)) {
 	i := 0
 	if on {
@@ -483,7 +509,9 @@ func vectorize(n, lanes int, on bool, kernel func(i int) int, scalar func(i, j i
 			}
 		}
 	}
-	scalar(i, n)
+	if i < n {
+		scalar(i, n)
+	}
 }
 
 // angleScalar is anglePass without the kernel. Two angles per call (cos2pi2)
