@@ -71,24 +71,31 @@ bench-compare:
 
 # bench-gate is the blocking drift check, run as paired comparisons: it
 # builds rhythm-bench from the merge base of HEAD and BENCH_BASE and from
-# the working tree, runs the two in five alternating rounds (the base
-# first in odd rounds), prints the drift table of every row, and fails
-# when the median head/base ns/op ratio of EngineTick or FleetTick exceeds
-# 1.25 (rhythm-bench -compare -gate over the pairs). The two sides of a
-# pair run about a minute apart on the same host, so the host's speed,
-# which can move by more than the tolerance between phases, cancels out; the
-# committed BENCH_engine.json is not read. The other rows stay
-# informational. About 10 minutes on 2 vCPUs. CI's quick-bench job runs
-# this against the pull request's base branch.
+# the working tree (its tracked and untracked, not ignored files), each
+# copied out to a fresh directory and built there with -trimpath, so two
+# identical trees give identical binaries. It runs the two in five
+# alternating rounds (the base first in odd rounds), prints the drift
+# table of every row, and fails when the median head/base ns/op ratio of
+# EngineTick or FleetTick exceeds 1.25 (rhythm-bench -compare -gate over
+# the pairs). The two sides of a pair run about a minute apart on the same
+# host, so the host's speed, which can move by more than the tolerance
+# between phases, cancels out; the committed BENCH_engine.json is not
+# read. The other rows stay informational. About 10 minutes on 2 vCPUs.
+# CI's quick-bench job runs this against the pull request's base branch.
 BENCH_BASE ?= origin/main
 
 bench-gate:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	base=$$(git merge-base $(BENCH_BASE) HEAD); \
 	echo "bench-gate: base $$base, head the working tree, 5 rounds"; \
-	mkdir "$$tmp/src"; git archive "$$base" | tar -x -C "$$tmp/src"; \
-	(cd "$$tmp/src" && $(GO) build -o "$$tmp/base" ./cmd/rhythm-bench); \
-	$(GO) build -o "$$tmp/head" ./cmd/rhythm-bench; \
+	mkdir "$$tmp/base-src" "$$tmp/head-src"; \
+	git archive "$$base" | tar -x -C "$$tmp/base-src"; \
+	git ls-files -z -c -o --exclude-standard | \
+		tar --null -T - --ignore-failed-read -cf - 2>/dev/null | tar -x -C "$$tmp/head-src"; \
+	for side in base head; do \
+		(cd "$$tmp/$$side-src" && $(GO) build -trimpath -o "$$tmp/$$side" ./cmd/rhythm-bench); \
+	done; \
+	if cmp -s "$$tmp/base" "$$tmp/head"; then echo "bench-gate: the two binaries are identical"; fi; \
 	pairs=; \
 	for i in 1 2 3 4 5; do \
 		order="base head"; [ $$((i % 2)) -eq 1 ] || order="head base"; \

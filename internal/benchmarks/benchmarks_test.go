@@ -63,7 +63,7 @@ func TestColocatedFixtureRunsBE(t *testing.T) {
 	f := colocatedEngine(t)
 	for _, v := range f.e.MachineViews(nil) {
 		if v.Resident == 0 {
-			t.Errorf("pod %s hosts no BE instance after the warm-up", v.Pod)
+			t.Errorf("pod %s hosts no BE instance after the warm-up", v.Name)
 		}
 	}
 }

@@ -2,11 +2,12 @@ package calibration
 
 import (
 	"bufio"
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strings"
 
 	"rhythm/internal/obs"
@@ -15,68 +16,42 @@ import (
 // ImportJSONL parses an obs JSONL event trace (-trace-out) and replays it
 // into a private obs.Bus, driving the same instruments the engine
 // registers on a live bus, so a trace and a -metrics-out snapshot of the
-// same run calibrate against each other. The replay mirrors the engine's
-// emit points one-to-one (DESIGN.md §13 documents the mapping):
+// same run calibrate against each other. replay mirrors the engine's emit
+// points one-to-one; DESIGN.md §13.1 tables the mapping and the families
+// a trace cannot carry, which stay absent and which Compare reports as
+// informational one-sided series. The set is Snapshot of the replayed
+// bus, so it is flattened exactly as the sink writes.
 //
-//	tick events                      -> rhythm_engine_ticks_total
-//	run phase=start events           -> rhythm_engine_runs_total
-//	decision events                  -> rhythm_decisions_total{action=...}
-//	decision slack/p99, deduplicated -> rhythm_decision_slack,
-//	  per (scope, at) control tick      rhythm_window_p99_seconds,
-//	                                    rhythm_offered_load
-//	be events (engine lifecycle ops) -> rhythm_be_events_total{op=...}
-//	fault events (both edges)        -> rhythm_fault_events_total
-//	experiment phase=start events    -> rhythm_experiments_total{id=...}
-//
-// Fleet-level BE queue ops (dispatch/requeue/evict) and the epoch
-// brackets ride the same event kinds but are not engine instruments, so
-// they are deliberately not counted; cache and pool events have no
-// instrument family at all. Families that never pass through events
-// (per-pod sojourn histograms, scheduler health counters) cannot be
-// reconstructed from a trace and simply stay absent — Compare reports
-// them as informational one-sided series. The set is Snapshot of the
-// replayed bus, so it is flattened exactly as the sink writes.
-//
-// Decoding is strict: unknown fields, missing required fields and
-// non-object lines each produce a FieldError naming the event and field
-// ("events[12].kind"); all defects are collected and joined.
+// Lines decode through obs.DecodeJSONL, the sink's schema read
+// backwards, so the importer and the sink cannot drift. Decoding is
+// strict: a non-object line, a missing or unknown seq or kind, and a key
+// the kind does not declare each produce a FieldError naming the event or
+// its envelope field ("events[12].kind"); all defects are collected and
+// joined.
 func ImportJSONL(r io.Reader) (*MetricSet, error) {
 	bus := obs.NewBus()
-	seenTick := make(map[string]bool) // scope\x00at of replayed control ticks
+	ticks := make(map[string]*controlTick) // by scope
 	var defects []error
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	n := -1
 	for sc.Scan() {
 		n++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
-		var ev jsonlEvent
-		dec := json.NewDecoder(strings.NewReader(line))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&ev); err != nil {
-			defects = append(defects, FieldError{fmt.Sprintf("events[%d]", n),
-				decodeReason(err)})
+		ev, err := obs.DecodeJSONL(line)
+		if err != nil {
+			field := fmt.Sprintf("events[%d]", n)
+			de := err.(*obs.DecodeError)
+			if de.Field != "" {
+				field += "." + de.Field
+			}
+			defects = append(defects, FieldError{field, de.Reason})
 			continue
 		}
-		if ev.Seq == nil {
-			defects = append(defects, FieldError{fmt.Sprintf("events[%d].seq", n),
-				"missing sequence number"})
-			continue
-		}
-		if ev.Kind == nil {
-			defects = append(defects, FieldError{fmt.Sprintf("events[%d].kind", n),
-				"missing event kind"})
-			continue
-		}
-		if !knownKinds[*ev.Kind] {
-			defects = append(defects, FieldError{fmt.Sprintf("events[%d].kind", n),
-				fmt.Sprintf("unknown event kind %q", *ev.Kind)})
-			continue
-		}
-		replay(bus, &ev, seenTick)
+		replay(bus, &ev, ticks)
 	}
 	if err := sc.Err(); err != nil {
 		defects = append(defects, FieldError{fmt.Sprintf("events[%d]", n+1), err.Error()})
@@ -87,102 +62,53 @@ func ImportJSONL(r io.Reader) (*MetricSet, error) {
 	return Snapshot(bus), nil
 }
 
-// jsonlEvent is the strict flat union over every field the JSONL sink
-// emits (one struct; DisallowUnknownFields catches drift between the sink
-// and this decoder). Pointer fields distinguish absent from zero and let
-// JSON null (the sink's NaN/Inf spelling) decode to nil.
-type jsonlEvent struct {
-	Seq       *uint64  `json:"seq"`
-	Kind      *string  `json:"kind"`
-	At        *float64 `json:"at"`
-	Scope     string   `json:"scope"`
-	Pod       string   `json:"pod"`
-	Action    string   `json:"action"`
-	Load      *float64 `json:"load"`
-	Slack     *float64 `json:"slack"`
-	P99       *float64 `json:"p99"`
-	Reason    string   `json:"reason"`
-	Dur       *float64 `json:"dur"`
-	QPS       *float64 `json:"qps"`
-	Samples   *int     `json:"samples"`
-	ID        string   `json:"id"`
-	Op        string   `json:"op"`
-	Cores     *int     `json:"cores"`
-	Ways      *int     `json:"ways"`
-	Cache     string   `json:"cache"`
-	Result    string   `json:"result"`
-	Key       string   `json:"key"`
-	Items     *int     `json:"items"`
-	Workers   *int     `json:"workers"`
-	Phase     string   `json:"phase"`
-	Config    string   `json:"config"`
-	Fault     string   `json:"fault"`
-	Magnitude *float64 `json:"magnitude"`
-	Detail    string   `json:"detail"`
-}
-
-var knownKinds = map[string]bool{
-	"run": true, "tick": true, "decision": true, "be": true,
-	"cache": true, "pool": true, "experiment": true, "fault": true,
-}
-
-// engineBEOps are the BE lifecycle transitions the engine both emits as
-// events and counts under rhythm_be_events_total (engine.beOps); the
-// fleet layer's queue-perspective ops (dispatch/requeue/evict) share the
-// event kind but have no instrument.
-var engineBEOps = map[string]bool{
-	"launch": true, "kill": true, "suspend": true, "resume": true,
-	"grow": true, "cut": true, "crash": true,
-}
-
-// decodeReason strips the encoding/json prefix noise down to the reason.
-func decodeReason(err error) string {
-	return strings.TrimPrefix(err.Error(), "json: ")
+// controlTick is one scope's latest engine control tick: its time and the
+// pods whose decisions it has had so far.
+type controlTick struct {
+	at   int64
+	pods []string
 }
 
 // replay drives bus's instruments as the engine's emit point for ev did.
-// seenTick holds the (scope, at) control ticks whose slack, p99 and load
-// observations are already recorded.
-func replay(bus *obs.Bus, ev *jsonlEvent, seenTick map[string]bool) {
-	switch *ev.Kind {
-	case "tick":
+// ticks holds each scope's latest control tick.
+func replay(bus *obs.Bus, ev *obs.Event, ticks map[string]*controlTick) {
+	switch ev.Kind {
+	case obs.KindTick:
 		bus.Counter("rhythm_engine_ticks_total").Inc()
-	case "run":
-		if ev.Phase == "start" {
+	case obs.KindRun:
+		if ev.Op == "start" {
 			bus.Counter("rhythm_engine_runs_total").Inc()
 		}
-	case "decision":
-		bus.Counter("rhythm_decisions_total", "action", ev.Action).Inc()
+	case obs.KindDecision:
+		bus.Counter("rhythm_decisions_total", "action", ev.Op).Inc()
 		// The engine observes slack, window p99 and offered load once per
-		// control tick; decision events are per pod but share the tick's
-		// (scope, at) and values, so the first event of each tick
-		// reconstructs the observation exactly.
-		at := math.NaN()
-		if ev.At != nil {
-			at = *ev.At
-		}
-		tick := ev.Scope + "\x00" + obs.FormatMetricValue(at)
-		if seenTick[tick] {
+		// control tick, and emits one decision per pod with the tick's
+		// (scope, at) and values. A new at starts a new tick, and so does
+		// a pod repeating at the same at: engines run one after another
+		// under a shared label. The first event of each tick reconstructs
+		// the observation exactly.
+		if t := ticks[ev.Scope]; t != nil && t.at == ev.At && !slices.Contains(t.pods, ev.Pod) {
+			t.pods = append(t.pods, ev.Pod)
 			return
 		}
-		seenTick[tick] = true
-		if ev.Slack != nil {
-			bus.Histogram("rhythm_decision_slack", obs.DefBuckets).Observe(*ev.Slack)
+		ticks[ev.Scope] = &controlTick{ev.At, []string{ev.Pod}}
+		if !math.IsNaN(ev.Slack) {
+			bus.Histogram("rhythm_decision_slack", obs.DefBuckets).Observe(ev.Slack)
 		}
-		if ev.P99 != nil {
-			bus.Histogram("rhythm_window_p99_seconds", obs.LatencyBuckets).Observe(*ev.P99)
+		if !math.IsNaN(ev.P99) {
+			bus.Histogram("rhythm_window_p99_seconds", obs.LatencyBuckets).Observe(ev.P99)
 		}
-		if ev.Load != nil && !math.IsNaN(*ev.Load) {
-			bus.Histogram("rhythm_offered_load", obs.DefBuckets).Observe(*ev.Load)
+		if !math.IsNaN(ev.Load) {
+			bus.Histogram("rhythm_offered_load", obs.DefBuckets).Observe(ev.Load)
 		}
-	case "be":
-		if engineBEOps[ev.Op] {
+	case obs.KindBE:
+		if slices.Contains(obs.EngineBEOps, ev.Op) {
 			bus.Counter("rhythm_be_events_total", "op", ev.Op).Inc()
 		}
-	case "fault":
+	case obs.KindFault:
 		bus.Counter("rhythm_fault_events_total").Inc()
-	case "experiment":
-		if ev.Phase == "start" {
+	case obs.KindExperiment:
+		if ev.Op == "start" {
 			bus.Counter("rhythm_experiments_total", "id", ev.ID).Inc()
 		}
 	}

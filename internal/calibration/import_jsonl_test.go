@@ -184,3 +184,56 @@ func TestImportFileDispatch(t *testing.T) {
 		t.Fatal("want error for missing file")
 	}
 }
+
+// TestJSONLTraceSharedLabel: engines run one after another under one
+// scope label, as a sweep's runs do, and their control ticks repeat the
+// same virtual times. Each engine's ticks must still count once each, so
+// the re-imported trace equals the bus's own snapshot bit for bit.
+func TestJSONLTraceSharedLabel(t *testing.T) {
+	var buf bytes.Buffer
+	bus := obs.NewBus(obs.NewJSONLSink(&buf))
+	obs.Install(bus)
+	defer obs.Uninstall()
+	for _, load := range []float64{0.3, 0.6, 0.6} {
+		e, err := engine.New(engine.Config{
+			Service: workload.Redis(),
+			Pattern: loadgen.Constant(load),
+			SLA:     0.00115,
+			Policy:  controller.NewHeracles(),
+			BETypes: []bejobs.Type{bejobs.CPUStress},
+			Seed:    7,
+			Label:   "sweep",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	obs.Uninstall()
+	if err := bus.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fromTrace, err := ImportJSONL(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("re-importing trace: %v", err)
+	}
+	direct := Snapshot(bus)
+	for _, key := range fromTrace.Keys() {
+		tv, _ := fromTrace.Value(key)
+		dv, ok := direct.Value(key)
+		if !ok || math.Float64bits(tv) != math.Float64bits(dv) {
+			t.Errorf("%s: trace %v, snapshot %v (present %v)", key, tv, dv, ok)
+		}
+	}
+	for _, fam := range []string{
+		"rhythm_decision_slack_count", "rhythm_window_p99_seconds_count",
+		"rhythm_offered_load_count",
+	} {
+		if v, _ := fromTrace.Value(fam); v == 0 {
+			t.Errorf("trace lacks %s", fam)
+		}
+	}
+}

@@ -29,6 +29,7 @@ import (
 	"rhythm/internal/metrics"
 	"rhythm/internal/obs"
 	"rhythm/internal/queueing"
+	"rhythm/internal/scheduler"
 	"rhythm/internal/sim"
 	"rhythm/internal/workload"
 )
@@ -622,8 +623,8 @@ func New(cfg Config) (*Engine, error) {
 		for a := controller.StopBE; a <= controller.AllowBEGrowth; a++ {
 			e.obsDecisions[a] = bus.Counter("rhythm_decisions_total", "action", a.String())
 		}
-		e.obsBE = make(map[string]*obs.Counter, len(beOps))
-		for _, op := range beOps {
+		e.obsBE = make(map[string]*obs.Counter, len(obs.EngineBEOps))
+		for _, op := range obs.EngineBEOps {
 			e.obsBE[op] = bus.Counter("rhythm_be_events_total", "op", op)
 		}
 		e.obsSlackH = bus.Histogram("rhythm_decision_slack", obs.DefBuckets)
@@ -738,9 +739,6 @@ func (e *Engine) initSoA() {
 	s.lazySig = make([]float64, lazyRing*stages)
 	s.warmupAt = sim.Time(0).Add(e.cfg.Warmup)
 }
-
-// beOps are the BE lifecycle transitions the engine reports on the bus.
-var beOps = []string{"launch", "kill", "suspend", "resume", "grow", "cut", "crash"}
 
 // z99 is the standard-normal 0.99 quantile, the multiplier that turns the
 // cached lognormal (mu, sigma) into a per-pod sojourn p99.
@@ -1864,25 +1862,16 @@ type EvictedBE struct {
 	Crashed bool
 }
 
-// MachineView is one machine's report to the cluster scheduler: the top
-// controller's accept/deny feedback (§4) plus free capacity, in the shape
-// scheduler.MachineState wants.
-type MachineView struct {
-	Pod          string
-	Accepting    bool
-	FreeCores    int
-	FreeMemoryGB float64
-	Resident     int
-}
-
-// MachineViews appends one view per machine to dst (in pod order, the
-// stable order dispatch tie-breaks rely on) and returns it. A machine
-// accepts when its last top-controller decision was AllowBEGrowth and it
-// has a BE slot free; before the first control tick nothing accepts.
-func (e *Engine) MachineViews(dst []MachineView) []MachineView {
+// MachineViews appends one scheduler row per machine to dst (in pod order,
+// the stable order dispatch tie-breaks rely on, named by pod) and returns
+// it: the top controller's accept/deny feedback (§4) plus free capacity. A
+// machine accepts when its last top-controller decision was AllowBEGrowth
+// and it has a BE slot free; before the first control tick nothing
+// accepts.
+func (e *Engine) MachineViews(dst []scheduler.MachineState) []scheduler.MachineState {
 	for _, p := range e.pods {
-		dst = append(dst, MachineView{
-			Pod:          p.comp.Name,
+		dst = append(dst, scheduler.MachineState{
+			Name:         p.comp.Name,
 			Accepting:    p.lastAction == controller.AllowBEGrowth && len(p.instances) < maxBEPerMachine,
 			FreeCores:    p.machine.FreeCores(),
 			FreeMemoryGB: p.machine.FreeMemoryGB(),

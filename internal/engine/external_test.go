@@ -110,7 +110,7 @@ func TestAdmitAndEvict(t *testing.T) {
 	if len(views) != len(e.pods) {
 		t.Fatalf("views = %d, want %d", len(views), len(e.pods))
 	}
-	if views[0].Pod != p.comp.Name || views[0].Resident != 1 {
+	if views[0].Name != p.comp.Name || views[0].Resident != 1 {
 		t.Fatalf("view = %+v, want resident 1 on %s", views[0], p.comp.Name)
 	}
 	if views[0].Accepting {

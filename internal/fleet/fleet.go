@@ -141,9 +141,8 @@ type Fleet struct {
 	labelBuf []byte
 	// waits holds one queue-wait sample per successful placement.
 	waits []float64
-	// views and states are reused across epochs to keep the barrier
-	// allocation-free at steady state.
-	views  []engine.MachineView
+	// states is reused across epochs to keep the barrier allocation-free
+	// at steady state.
 	states []scheduler.MachineState
 
 	// Observability (nil/zero without a bus at New time). The fleet emits
@@ -275,19 +274,12 @@ func (f *Fleet) Step() {
 			}
 		}
 	}
-	f.views = f.views[:0]
 	f.states = f.states[:0]
 	for _, rep := range f.replicas {
-		start := len(f.views)
-		f.views = rep.eng.MachineViews(f.views)
-		for vi, v := range f.views[start:] {
-			f.states = append(f.states, scheduler.MachineState{
-				Name:         rep.names[vi],
-				Accepting:    v.Accepting,
-				FreeCores:    v.FreeCores,
-				FreeMemoryGB: v.FreeMemoryGB,
-				Resident:     v.Resident,
-			})
+		start := len(f.states)
+		f.states = rep.eng.MachineViews(f.states)
+		for i := range f.states[start:] {
+			f.states[start+i].Name = rep.names[i]
 		}
 	}
 	for _, as := range f.sched.Dispatch(f.states, epochEnd) {

@@ -62,33 +62,9 @@ const (
 	kindMax
 )
 
-// String names the kind as it appears in sink output.
-func (k Kind) String() string {
-	switch k {
-	case KindRun:
-		return "run"
-	case KindTick:
-		return "tick"
-	case KindDecision:
-		return "decision"
-	case KindBE:
-		return "be"
-	case KindCache:
-		return "cache"
-	case KindPool:
-		return "pool"
-	case KindExperiment:
-		return "experiment"
-	case KindFault:
-		return "fault"
-	default:
-		return "unknown"
-	}
-}
-
 // Event is one observation on the bus. It is a flat union over the typed
-// emitters on Scope: each kind populates the fields its sink serialization
-// documents (see JSONLSink) and leaves the rest zero.
+// emitters on Scope: each kind populates the fields its schema row declares
+// (schema.go) and leaves the rest zero.
 type Event struct {
 	// Seq is the bus-assigned sequence number (1-based, publication order).
 	Seq uint64

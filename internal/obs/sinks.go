@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"unicode/utf8"
 )
 
 // Sink consumes events published on a Bus. Emit is always called under the
@@ -24,10 +25,10 @@ type Sink interface {
 // ---------------------------------------------------------------------------
 // JSONL sink
 
-// JSONLSink writes one JSON object per event, in publication order. Fields
-// are emitted per kind (decisions carry action/load/slack/p99/reason, ticks
-// carry load/qps/samples/dur, and so on); "at" is virtual seconds since the
-// simulation start and is omitted for events outside any simulation clock.
+// JSONLSink writes one JSON object per event, in publication order: the
+// envelope (seq, kind, "at" in virtual seconds unless the event is outside
+// any simulation clock, scope), then the kind's fields as the schema
+// declares them (schema.go).
 type JSONLSink struct {
 	w   *bufio.Writer
 	buf []byte
@@ -48,60 +49,11 @@ func (s *JSONLSink) Emit(ev *Event) {
 	b = append(b, ev.Kind.String()...)
 	b = append(b, '"')
 	if ev.At != NoTime {
-		b = append(b, `,"at":`...)
-		b = appendFloat(b, float64(ev.At)/1e9)
+		b = appendFloat(appendKey(b, "at"), float64(ev.At)/1e9)
 	}
 	b = appendStr(b, "scope", ev.Scope)
-	switch ev.Kind {
-	case KindDecision:
-		b = appendStr(b, "pod", ev.Pod)
-		b = appendStr(b, "action", ev.Op)
-		b = append(b, `,"load":`...)
-		b = appendFloat(b, ev.Load)
-		b = append(b, `,"slack":`...)
-		b = appendFloat(b, ev.Slack)
-		b = append(b, `,"p99":`...)
-		b = appendFloat(b, ev.P99)
-		b = appendStr(b, "reason", ev.Reason)
-	case KindTick:
-		b = append(b, `,"dur":`...)
-		b = appendFloat(b, float64(ev.Dur)/1e9)
-		b = append(b, `,"load":`...)
-		b = appendFloat(b, ev.Load)
-		b = append(b, `,"qps":`...)
-		b = appendFloat(b, ev.QPS)
-		b = append(b, `,"samples":`...)
-		b = strconv.AppendInt(b, int64(ev.N), 10)
-	case KindBE:
-		b = appendStr(b, "pod", ev.Pod)
-		b = appendStr(b, "id", ev.ID)
-		b = appendStr(b, "op", ev.Op)
-		b = append(b, `,"cores":`...)
-		b = strconv.AppendInt(b, int64(ev.N), 10)
-		b = append(b, `,"ways":`...)
-		b = strconv.AppendInt(b, int64(ev.M), 10)
-	case KindCache:
-		b = appendStr(b, "cache", ev.Pod)
-		b = appendStr(b, "result", ev.Op)
-		b = appendStr(b, "key", ev.ID)
-	case KindPool:
-		b = append(b, `,"items":`...)
-		b = strconv.AppendInt(b, int64(ev.N), 10)
-		b = append(b, `,"workers":`...)
-		b = strconv.AppendInt(b, int64(ev.M), 10)
-	case KindRun:
-		b = appendStr(b, "phase", ev.Op)
-		b = appendStr(b, "config", ev.Reason)
-	case KindExperiment:
-		b = appendStr(b, "id", ev.ID)
-		b = appendStr(b, "phase", ev.Op)
-	case KindFault:
-		b = appendStr(b, "fault", ev.ID)
-		b = appendStr(b, "phase", ev.Op)
-		b = appendStr(b, "pod", ev.Pod)
-		b = append(b, `,"magnitude":`...)
-		b = appendFloat(b, ev.Load)
-		b = appendStr(b, "detail", ev.Reason)
+	for _, f := range ev.Kind.fields() {
+		b = appendField(b, f, ev)
 	}
 	b = append(b, '}', '\n')
 	s.buf = b
@@ -117,26 +69,30 @@ func appendStr(b []byte, key, val string) []byte {
 	if val == "" {
 		return b
 	}
+	return appendQuoted(appendKey(b, key), val)
+}
+
+// appendKey appends ,"key":.
+func appendKey(b []byte, key string) []byte {
 	b = append(b, ',', '"')
 	b = append(b, key...)
-	b = append(b, '"', ':')
-	return appendQuoted(b, val)
+	return append(b, '"', ':')
 }
 
 // appendQuoted appends a JSON string literal. Scope labels, cache keys and
 // reasons are plain ASCII by construction; quotes, backslashes and control
-// bytes are escaped for safety.
+// bytes are escaped for safety, and a byte that is not valid UTF-8 becomes
+// U+FFFD, so the output is always valid JSON text.
 func appendQuoted(b []byte, s string) []byte {
 	b = append(b, '"')
-	for i := 0; i < len(s); i++ {
-		c := s[i]
+	for _, r := range s {
 		switch {
-		case c == '"' || c == '\\':
-			b = append(b, '\\', c)
-		case c < 0x20:
-			b = append(b, fmt.Sprintf(`\u%04x`, c)...)
+		case r == '"' || r == '\\':
+			b = append(b, '\\', byte(r))
+		case r < 0x20:
+			b = append(b, fmt.Sprintf(`\u%04x`, r)...)
 		default:
-			b = append(b, c)
+			b = utf8.AppendRune(b, r)
 		}
 	}
 	return append(b, '"')
@@ -245,26 +201,18 @@ func (s *ChromeSink) Emit(ev *Event) {
 		ts = float64(ev.At) / 1e3 // ns -> µs
 	}
 
-	name, cat, ph := "", "", "i"
+	kind := ev.Kind.String()
+	name, cat, ph := kind, kind, "i"
 	switch ev.Kind {
 	case KindTick:
-		name, cat, ph = "tick", "engine", "X"
+		cat, ph = "engine", "X"
 	case KindDecision:
-		name, cat = ev.Op, "decision"
-	case KindBE:
-		name, cat = "be:"+ev.Op, "be"
-	case KindCache:
-		name, cat = "cache:"+ev.Op, "cache"
-	case KindPool:
-		name, cat = "pool", "pool"
-	case KindRun:
-		name, cat = "run:"+ev.Op, "run"
-	case KindExperiment:
-		name, cat = "experiment:"+ev.Op, "experiment"
+		name = ev.Op
+	case KindPool: // the kind alone
 	case KindFault:
-		name, cat = "fault:"+ev.ID+":"+ev.Op, "fault"
+		name = kind + ":" + ev.ID + ":" + ev.Op
 	default:
-		name, cat = ev.Kind.String(), "misc"
+		name = kind + ":" + ev.Op
 	}
 
 	b := s.buf[:0]
@@ -280,7 +228,7 @@ func (s *ChromeSink) Emit(ev *Event) {
 	if ph == "X" {
 		b = append(b, `,"dur":`...)
 		b = appendFloat(b, float64(ev.Dur)/1e3)
-	} else if ph == "i" {
+	} else {
 		b = append(b, `,"s":"t"`...)
 	}
 	b = append(b, `,"pid":`...)
@@ -288,55 +236,17 @@ func (s *ChromeSink) Emit(ev *Event) {
 	b = append(b, `,"tid":`...)
 	b = strconv.AppendInt(b, int64(tid), 10)
 	b = append(b, `,"args":{`...)
-	switch ev.Kind {
-	case KindDecision:
-		b = append(b, `"load":`...)
-		b = appendFloat(b, ev.Load)
-		b = append(b, `,"slack":`...)
-		b = appendFloat(b, ev.Slack)
-		b = append(b, `,"p99":`...)
-		b = appendFloat(b, ev.P99)
-		if ev.Reason != "" {
-			b = append(b, `,"reason":`...)
-			b = appendQuoted(b, ev.Reason)
+	args := len(b)
+	for _, f := range ev.Kind.fields() {
+		// Chrome shows the pod as the thread, the op (and a fault's
+		// class) in the name and the duration as the event's own.
+		if f.of == mPod || f.of == mOp || f.of == mDur || (f.of == mID && ev.Kind == KindFault) {
+			continue
 		}
-	case KindTick:
-		b = append(b, `"load":`...)
-		b = appendFloat(b, ev.Load)
-		b = append(b, `,"qps":`...)
-		b = appendFloat(b, ev.QPS)
-		b = append(b, `,"samples":`...)
-		b = strconv.AppendInt(b, int64(ev.N), 10)
-	case KindBE:
-		b = append(b, `"id":`...)
-		b = appendQuoted(b, ev.ID)
-		b = append(b, `,"cores":`...)
-		b = strconv.AppendInt(b, int64(ev.N), 10)
-		b = append(b, `,"ways":`...)
-		b = strconv.AppendInt(b, int64(ev.M), 10)
-	case KindCache:
-		b = append(b, `"key":`...)
-		b = appendQuoted(b, ev.ID)
-	case KindPool:
-		b = append(b, `"items":`...)
-		b = strconv.AppendInt(b, int64(ev.N), 10)
-		b = append(b, `,"workers":`...)
-		b = strconv.AppendInt(b, int64(ev.M), 10)
-	case KindRun:
-		if ev.Reason != "" {
-			b = append(b, `"config":`...)
-			b = appendQuoted(b, ev.Reason)
-		}
-	case KindExperiment:
-		b = append(b, `"id":`...)
-		b = appendQuoted(b, ev.ID)
-	case KindFault:
-		b = append(b, `"magnitude":`...)
-		b = appendFloat(b, ev.Load)
-		if ev.Reason != "" {
-			b = append(b, `,"detail":`...)
-			b = appendQuoted(b, ev.Reason)
-		}
+		b = appendField(b, f, ev)
+	}
+	if len(b) > args {
+		b = append(b[:args], b[args+1:]...) // the first field's comma
 	}
 	b = append(b, '}', '}')
 	s.buf = b
