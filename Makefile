@@ -16,7 +16,7 @@ GO ?= go
 # CI always has network and runs it for real.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: check fmt vet build test exact race staticcheck bench bench-compare bench-gate golden golden-update
+.PHONY: check fmt vet build test exact race staticcheck bench bench-gate golden golden-update
 
 check: fmt vet build exact race staticcheck
 
@@ -61,14 +61,6 @@ staticcheck:
 bench:
 	$(GO) run ./cmd/rhythm-bench -out BENCH_engine.json
 
-# bench-compare diffs a fresh benchmark run against the committed
-# BENCH_engine.json baseline: per-benchmark ns/op, allocs/op and B/op
-# deltas, signed and with percentages. Informational only — it never
-# fails; use bench-gate for the blocking form.
-bench-compare:
-	$(GO) run ./cmd/rhythm-bench -out /tmp/rhythm-bench-new.json
-	$(GO) run ./cmd/rhythm-bench -compare BENCH_engine.json /tmp/rhythm-bench-new.json
-
 # bench-gate is the blocking drift check, run as paired comparisons: it
 # builds rhythm-bench from the merge base of HEAD and BENCH_BASE and from
 # the working tree (its tracked and untracked, not ignored files), each
@@ -76,11 +68,13 @@ bench-compare:
 # identical trees give identical binaries. It runs the two in five
 # alternating rounds (the base first in odd rounds), prints the drift
 # table of every row, and fails when the median head/base ns/op ratio of
-# EngineTick or FleetTick exceeds 1.25 (rhythm-bench -compare -gate over
-# the pairs). The two sides of a pair run about a minute apart on the same
-# host, so the host's speed, which can move by more than the tolerance
-# between phases, cancels out; the committed BENCH_engine.json is not
-# read. The other rows stay informational. About 10 minutes on 2 vCPUs.
+# EngineTick or FleetTick exceeds 1.25, or the head's median allocs/op of
+# either exceeds the base's (rhythm-bench -compare over the pairs). The
+# two sides of a pair run about a minute apart on the same host, so the
+# host's speed, which can move by more than the tolerance between phases,
+# cancels out; the committed BENCH_engine.json is not read. The other
+# rows, marked "info" in the table, never fail the gate. About 10 minutes
+# on 2 vCPUs.
 # CI's quick-bench job runs this against the pull request's base branch.
 BENCH_BASE ?= origin/main
 
@@ -102,7 +96,7 @@ bench-gate:
 		for side in $$order; do "$$tmp/$$side" -out "$$tmp/$$side-$$i.json" 2>/dev/null; done; \
 		pairs="$$pairs $$tmp/base-$$i.json $$tmp/head-$$i.json"; \
 	done; \
-	"$$tmp/head" -compare -gate $$pairs
+	"$$tmp/head" -compare $$pairs
 
 # golden verifies the byte-determinism contract end to end: the quick
 # seed-2020 `run all` stdout — every paper figure, table and ablation —

@@ -2,7 +2,7 @@
 // (internal/benchmarks) through testing.Benchmark and writes the results as
 // JSON — the BENCH_engine.json trajectory file `make bench` maintains.
 //
-// Output format (one object; "benchmarks" in fixed registry order):
+// Output format (one object; "benchmarks" in benchmarks.Rows order):
 //
 //	{
 //	  "schema": "rhythm-bench/v1",
@@ -14,9 +14,9 @@
 //	  ]
 //	}
 //
-// ns_per_op is wall time and varies with the host; allocs_per_op and
-// bytes_per_op are deterministic for a given build and are what the
-// acceptance gates compare across PRs. Benchmarks that call
+// ns_per_op is wall time and varies with the host; allocs_per_op is
+// deterministic for a given build, and bytes_per_op nearly so (FleetTick's
+// moves by a few bytes between runs). Benchmarks that call
 // b.ReportMetric also carry an "extras" object (FleetTick reports
 // "machines/s", the fleet-scale throughput gate).
 //
@@ -25,23 +25,23 @@
 //	rhythm-bench -compare old.json new.json [old.json new.json ...]
 //
 // prints a per-benchmark table of ns/op, allocs/op and B/op deltas (signed,
-// with percentages) between two report files — `make bench-compare` wires
-// it to a saved baseline. Comparison is by benchmark name, so reordered or
-// partially overlapping reports still line up; benchmarks present in only
-// one file are listed as added/removed. Given several old/new pairs (runs
-// of two binaries in alternating rounds), the table shows the medians of
-// each side and the ns/op percentage is the median of the pairs' new/old
-// ratios, which a host whose speed drifts between rounds moves far less
-// than a comparison against a stored baseline. Plain -compare only reads
-// and reports; adding -gate makes it exit non-zero when that median ratio
-// of a gated row (EngineTick, FleetTick) is more than 25% above 1 — the
-// blocking drift check `make bench-gate` and CI's quick-bench job run on
-// the merge base and the head. The other rows stay informational at any
-// drift.
+// with percentages) between two report files, then gates. Comparison is
+// by benchmark name, so reordered or partially overlapping reports still
+// line up; benchmarks present in only one file are listed as
+// added/removed. Given several old/new pairs (runs of two binaries in
+// alternating rounds, as `make bench-gate` takes them), the table shows
+// the medians of each side and the ns/op percentage is the median of the
+// pairs' new/old ratios, which a host whose speed drifts between rounds
+// moves far less than a comparison against a stored baseline. The gate
+// column marks the two rows the comparison blocks on, EngineTick and
+// FleetTick, as "gated" and every other row as "info". After printing the
+// table it exits non-zero when a gated row's median new/old ns/op ratio
+// is more than 25% above 1, or its median new allocs/op exceeds the old
+// one. B/op moves by a few bytes between runs of one binary and is not
+// gated; the info rows attribute a regression at any drift.
 //
-// -jobs caps GOMAXPROCS for the benchmarked operations, sharing the
-// fleet-wide default and validation path (internal/cliflags) with the
-// other rhythm binaries.
+// The benchmarks run under the process's GOMAXPROCS (the GOMAXPROCS
+// environment variable caps it).
 package main
 
 import (
@@ -57,7 +57,6 @@ import (
 	"text/tabwriter"
 
 	"rhythm/internal/benchmarks"
-	"rhythm/internal/cliflags"
 )
 
 type result struct {
@@ -79,45 +78,14 @@ type report struct {
 	Benchmarks []result `json:"benchmarks"`
 }
 
-// registry fixes the benchmark order so successive BENCH_engine.json files
-// diff cleanly.
-var registry = []struct {
-	name string
-	fn   func(*testing.B)
-}{
-	{"TailTrackerAdd", benchmarks.TailTrackerAdd},
-	{"TailTrackerAddP99", benchmarks.TailTrackerAddP99},
-	{"TailTrackerWindowP99", benchmarks.TailTrackerWindowP99},
-	{"EngineTick", benchmarks.EngineTick},
-	{"EngineTickDemand", benchmarks.EngineTickDemand},
-	{"EngineTickInflation", benchmarks.EngineTickInflation},
-	{"EngineTickSojourn", benchmarks.EngineTickSojourn},
-	{"EngineTickSample", benchmarks.EngineTickSample},
-	{"EngineTickColo", benchmarks.EngineTickColo},
-	{"EngineTickColoInflation", benchmarks.EngineTickColoInflation},
-	{"EngineTickColoSojourn", benchmarks.EngineTickColoSojourn},
-	{"EngineTickColoSample", benchmarks.EngineTickColoSample},
-	{"EngineControlPeriodColo", benchmarks.EngineControlPeriodColo},
-	{"EngineControlPeriodRamp", benchmarks.EngineControlPeriodRamp},
-	{"StationAtLanes8", benchmarks.StationAtLanes(8)},
-	{"StationAtLanes64", benchmarks.StationAtLanes(64)},
-	{"StationAtLanes172", benchmarks.StationAtLanes(172)},
-	{"FleetTick", benchmarks.FleetTick},
-	{"SampleKernel", benchmarks.SampleKernel},
-	{"SampleFilter", benchmarks.SampleFilter},
-	{"UniformKernel", benchmarks.UniformKernel},
-	{"FindSlacklimits", benchmarks.FindSlacklimits},
-	{"ObsDisabled", benchmarks.ObsDisabled},
-}
-
-// gated are the benchmarks -gate blocks on: the two acceptance-gate rows
+// gated are the benchmarks -compare blocks on: the two acceptance-gate rows
 // every PR pins (the engine hot tick and the fleet epoch). The remaining
 // rows — sub-passes, trackers, obs — are attribution aids and stay
 // informational, so a noisy CI host can't fail a build over a benchmark
 // nobody gates on.
 var gated = map[string]bool{"EngineTick": true, "FleetTick": true}
 
-// gateTolerance is the fractional ns/op regression -gate tolerates on a
+// gateTolerance is the fractional ns/op regression -compare tolerates on a
 // gated row before failing (wall time on shared CI runners is noisy; 25%
 // is far outside the observed jitter but well inside a real regression
 // from an accidental hot-path allocation).
@@ -133,27 +101,17 @@ func realMain(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rhythm-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	out := fs.String("out", "BENCH_engine.json", "output file (- for stdout)")
-	compare := fs.Bool("compare", false, "compare report files in old/new pairs: rhythm-bench -compare old.json new.json [old.json new.json ...]")
-	gate := fs.Bool("gate", false, "with -compare: fail when a gated benchmark's (EngineTick, FleetTick) median new/old ns/op ratio exceeds 1.25")
-	var common cliflags.Common
-	common.RegisterJobs(fs)
+	compare := fs.Bool("compare", false, "compare report files in old/new pairs and fail when a gated benchmark (EngineTick, FleetTick) regressed: rhythm-bench -compare old.json new.json [old.json new.json ...]")
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
-	if err := common.Validate(); err != nil {
-		fmt.Fprintf(stderr, "rhythm-bench: %v\n", err)
-		return 2
-	}
-	// Benchmarks time single operations; -jobs caps the P they run under
-	// (GOMAXPROCS) so a shared CI host can pin the parallelism.
-	runtime.GOMAXPROCS(common.Jobs)
 
 	if *compare {
 		if fs.NArg() == 0 || fs.NArg()%2 != 0 {
 			fmt.Fprintln(stderr, "usage: rhythm-bench -compare old.json new.json [old.json new.json ...]")
 			return 2
 		}
-		if err := compareReports(fs.Args(), *gate, stdout); err != nil {
+		if err := compareReports(fs.Args(), stdout); err != nil {
 			fmt.Fprintln(stderr, "rhythm-bench:", err)
 			return 1
 		}
@@ -166,10 +124,10 @@ func realMain(argv []string, stdout, stderr io.Writer) int {
 		GOARCH: runtime.GOARCH,
 		CPUs:   runtime.NumCPU(),
 	}
-	for _, entry := range registry {
-		r := testing.Benchmark(entry.fn)
+	for _, entry := range benchmarks.Rows {
+		r := testing.Benchmark(entry.Fn)
 		res := result{
-			Name:        entry.name,
+			Name:        entry.Name,
 			Iters:       r.N,
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			AllocsPerOp: r.AllocsPerOp(),
@@ -183,7 +141,7 @@ func realMain(argv []string, stdout, stderr io.Writer) int {
 		}
 		rep.Benchmarks = append(rep.Benchmarks, res)
 		fmt.Fprintf(stderr, "%-24s %10d iters  %12.1f ns/op  %6d allocs/op  %8d B/op\n",
-			entry.name, r.N, float64(r.T.Nanoseconds())/float64(r.N),
+			entry.Name, r.N, float64(r.T.Nanoseconds())/float64(r.N),
 			r.AllocsPerOp(), r.AllocedBytesPerOp())
 	}
 
@@ -247,10 +205,10 @@ func median(xs []float64) float64 {
 // in old/new pairs. It matches benchmarks by name so partially overlapping
 // registries still line up, and lists the first pair's additions and
 // removals explicitly; a row counts in the pairs that hold it on both
-// sides. With gate set it returns an error — after printing the full table
-// — when any gated benchmark's median new/old ns/op ratio exceeds
-// 1+gateTolerance.
-func compareReports(paths []string, gate bool, w io.Writer) error {
+// sides. After printing the full table it returns an error when any gated
+// benchmark's median new/old ns/op ratio exceeds 1+gateTolerance or its
+// median new allocs/op exceeds the old.
+func compareReports(paths []string, w io.Writer) error {
 	rows := make([][]result, len(paths)) // each file's rows, in its order
 	reps := make([]map[string]result, len(paths))
 	for i, path := range paths {
@@ -264,9 +222,15 @@ func compareReports(paths []string, gate bool, w io.Writer) error {
 			reps[i][r.Name] = r
 		}
 	}
+	role := func(name string) string {
+		if gated[name] {
+			return "gated"
+		}
+		return "info"
+	}
 
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "benchmark\told ns/op\tnew ns/op\tΔ ns/op\tΔ allocs/op\tΔ B/op\n")
+	fmt.Fprintf(tw, "benchmark\tgate\told ns/op\tnew ns/op\tΔ ns/op\tΔ allocs/op\tΔ B/op\n")
 	var violations []string
 	for _, n := range rows[1] {
 		var olds, news, ratios, oldAllocs, newAllocs, oldBytes, newBytes []float64
@@ -284,28 +248,35 @@ func compareReports(paths []string, gate bool, w io.Writer) error {
 			oldBytes, newBytes = append(oldBytes, float64(o.BytesPerOp)), append(newBytes, float64(m.BytesPerOp))
 		}
 		if len(olds) == 0 {
-			fmt.Fprintf(tw, "%s\t-\t%.1f\t(added)\t%d\t%d\n",
-				n.Name, n.NsPerOp, n.AllocsPerOp, n.BytesPerOp)
+			fmt.Fprintf(tw, "%s\t%s\t-\t%.1f\t(added)\t%d\t%d\n",
+				n.Name, role(n.Name), n.NsPerOp, n.AllocsPerOp, n.BytesPerOp)
 			continue
 		}
 		oldNs, newNs := median(olds), median(news)
+		oldA, newA := median(oldAllocs), median(newAllocs)
 		ns := delta(oldNs, newNs, ".1f")
 		if oldNs != newNs && len(ratios) > 0 {
 			ns = fmt.Sprintf("%+.1f (%+.1f%%)", newNs-oldNs, 100*(median(ratios)-1))
 		}
-		fmt.Fprintf(tw, "%s\t%.1f\t%.1f\t%s\t%s\t%s\n", n.Name, oldNs, newNs, ns,
-			delta(median(oldAllocs), median(newAllocs), ".0f"),
-			delta(median(oldBytes), median(newBytes), ".0f"))
-		if gate && gated[n.Name] && len(ratios) > 0 {
+		fmt.Fprintf(tw, "%s\t%s\t%.1f\t%.1f\t%s\t%s\t%s\n", n.Name, role(n.Name), oldNs, newNs, ns,
+			delta(oldA, newA, ".0f"), delta(median(oldBytes), median(newBytes), ".0f"))
+		if !gated[n.Name] {
+			continue
+		}
+		if len(ratios) > 0 {
 			if r := median(ratios); r > 1+gateTolerance {
 				violations = append(violations, fmt.Sprintf("%s regressed %.1f -> %.1f ns/op (median new/old ratio %.3f over %d pairs, gate %.0f%%)",
 					n.Name, oldNs, newNs, r, len(ratios), 100*gateTolerance))
 			}
 		}
+		if newA > oldA {
+			violations = append(violations, fmt.Sprintf("%s allocates more: %.0f -> %.0f allocs/op (medians over %d pairs)",
+				n.Name, oldA, newA, len(oldAllocs)))
+		}
 	}
 	for _, o := range rows[0] {
 		if _, ok := reps[1][o.Name]; !ok {
-			fmt.Fprintf(tw, "%s\t%.1f\t-\t(removed)\t\t\n", o.Name, o.NsPerOp)
+			fmt.Fprintf(tw, "%s\t%s\t%.1f\t-\t(removed)\t\t\n", o.Name, role(o.Name), o.NsPerOp)
 		}
 	}
 	if err := tw.Flush(); err != nil {

@@ -40,7 +40,7 @@ func TestCompareReports(t *testing.T) {
 }`)
 
 	var sb strings.Builder
-	if err := compareReports([]string{old, new}, false, &sb); err != nil {
+	if err := compareReports([]string{old, new}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -58,18 +58,61 @@ func TestCompareReports(t *testing.T) {
 	if !strings.Contains(out, "=") {
 		t.Fatalf("unchanged metric not rendered as '=':\n%s", out)
 	}
+	// The gate column follows the name: none of these rows is gated.
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if f := strings.Fields(lines[0]); len(f) < 2 || f[1] != "gate" {
+		t.Fatalf("header has no gate column after the name:\n%s", out)
+	}
+	for _, line := range lines[1:] {
+		if f := strings.Fields(line); len(f) < 2 || f[1] != "info" {
+			t.Fatalf("ungated row not marked info: %q", line)
+		}
+	}
+
+	// The gated rows are marked gated, added and removed ones included.
+	gatedOld := writeReport(t, dir, "gated-old.json", `{
+  "schema": "rhythm-bench/v1", "goos": "linux", "goarch": "amd64", "cpus": 1,
+  "benchmarks": [
+    {"name": "EngineTick", "iters": 100, "ns_per_op": 10000, "allocs_per_op": 0, "bytes_per_op": 0},
+    {"name": "FleetTick", "iters": 100, "ns_per_op": 8000000, "allocs_per_op": 9, "bytes_per_op": 512}
+  ]
+}`)
+	gatedNew := writeReport(t, dir, "gated-new.json", `{
+  "schema": "rhythm-bench/v1", "goos": "linux", "goarch": "amd64", "cpus": 1,
+  "benchmarks": [
+    {"name": "EngineTick", "iters": 100, "ns_per_op": 10000, "allocs_per_op": 0, "bytes_per_op": 0},
+    {"name": "EngineTickSample", "iters": 100, "ns_per_op": 5000, "allocs_per_op": 0, "bytes_per_op": 0}
+  ]
+}`)
+	sb.Reset()
+	if err := compareReports([]string{gatedOld, gatedNew}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"EngineTick": "gated", "FleetTick": "gated", "EngineTickSample": "info"}
+	for _, line := range strings.Split(strings.TrimSpace(sb.String()), "\n")[1:] {
+		f := strings.Fields(line)
+		if len(f) < 2 || want[f[0]] != f[1] {
+			t.Fatalf("row %q: gate column %v, want %q:\n%s", line, f, want[f[0]], sb.String())
+		}
+		delete(want, f[0])
+	}
+	if len(want) != 0 {
+		t.Fatalf("rows missing from the table: %v\n%s", want, sb.String())
+	}
 }
 
-// TestFlagBehavior pins the shared cliflags contract in this binary:
-// -jobs validates through the same path (same message) as cmd/rhythm,
-// and -compare usage errors exit 2.
+// TestFlagBehavior pins this binary's flag surface: only -out and
+// -compare exist, and -compare usage errors exit 2.
 func TestFlagBehavior(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := realMain([]string{"-jobs", "0", "-compare"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("-jobs 0: exit %d, want 2", code)
-	}
-	if !strings.Contains(stderr.String(), "-jobs must be at least 1, got 0") {
-		t.Fatalf("jobs diagnostic: %s", stderr.String())
+	for _, flag := range []string{"-jobs", "-gate"} {
+		stderr.Reset()
+		if code := realMain([]string{flag, "-compare"}, &stdout, &stderr); code != 2 {
+			t.Fatalf("%s: exit %d, want 2", flag, code)
+		}
+		if !strings.Contains(stderr.String(), "flag provided but not defined: "+flag) {
+			t.Fatalf("%s diagnostic: %s", flag, stderr.String())
+		}
 	}
 	stderr.Reset()
 	if code := realMain([]string{"-compare", "only-one.json"}, &stdout, &stderr); code != 2 {
@@ -89,15 +132,15 @@ func TestCompareReportsBadSchema(t *testing.T) {
 	bad := writeReport(t, dir, "bad.json", `{"schema": "other/v9"}`)
 	good := writeReport(t, dir, "good.json", `{"schema": "rhythm-bench/v1"}`)
 	var sb strings.Builder
-	if err := compareReports([]string{bad, good}, false, &sb); err == nil {
+	if err := compareReports([]string{bad, good}, &sb); err == nil {
 		t.Fatal("expected schema error")
 	}
 }
 
-// TestCompareGate pins the blocking-drift contract: with gate set, a >25%
-// ns/op regression on a gated row (EngineTick, FleetTick) fails after the
-// table prints, while any drift on a non-gated row — and regressions
-// within tolerance — pass.
+// TestCompareGate pins the blocking-drift contract: a >25% ns/op
+// regression on a gated row (EngineTick, FleetTick) fails after the table
+// prints, while any drift on a non-gated row — and regressions within
+// tolerance — pass.
 func TestCompareGate(t *testing.T) {
 	dir := t.TempDir()
 	old := writeReport(t, dir, "old.json", `{
@@ -130,7 +173,7 @@ func TestCompareGate(t *testing.T) {
   ]
 }`)
 			var sb strings.Builder
-			err := compareReports([]string{old, new}, true, &sb)
+			err := compareReports([]string{old, new}, &sb)
 			if tc.wantFail && err == nil {
 				t.Fatalf("gate passed a >25%% EngineTick regression:\n%s", sb.String())
 			}
@@ -144,56 +187,63 @@ func TestCompareGate(t *testing.T) {
 			if !strings.Contains(sb.String(), "EngineTick") {
 				t.Fatalf("table missing from gated compare:\n%s", sb.String())
 			}
-			// Without gate the same reports always pass.
-			sb.Reset()
-			if err := compareReports([]string{old, new}, false, &sb); err != nil {
-				t.Fatalf("ungated compare failed: %v", err)
-			}
 		})
 	}
 }
 
 // TestCompareGatePairs pins the paired gate: given old/new pairs, a gated
-// row fails on the median of the pairs' new/old ratios, so one round on a
-// slow phase of the host neither fails a build nor hides a regression,
-// and a host whose speed drifts between rounds moves nothing that both
-// sides of a pair share.
+// row fails on the median of the pairs' new/old ns/op ratios, so one round
+// on a slow phase of the host neither fails a build nor hides a
+// regression, and a host whose speed drifts between rounds moves nothing
+// that both sides of a pair share. allocs/op is gated exactly, on the
+// medians of each side; B/op is not gated.
 func TestCompareGatePairs(t *testing.T) {
 	dir := t.TempDir()
-	report := func(name string, engineNs float64) string {
+	report := func(name string, engineNs float64, allocs, bytes int) string {
 		return writeReport(t, dir, name, `{
   "schema": "rhythm-bench/v1", "goos": "linux", "goarch": "amd64", "cpus": 1,
   "benchmarks": [
-    {"name": "EngineTick", "iters": 100, "ns_per_op": `+fmtFloat(engineNs)+`, "allocs_per_op": 0, "bytes_per_op": 0}
+    {"name": "EngineTick", "iters": 100, "ns_per_op": `+fmtFloat(engineNs)+`, "allocs_per_op": `+fmt.Sprint(allocs)+`, "bytes_per_op": `+fmt.Sprint(bytes)+`}
   ]
 }`)
 	}
+	flat := []float64{1000, 1000, 1000, 1000, 1000}
 	cases := []struct {
-		name     string
-		old, new []float64 // EngineTick ns/op per round
-		wantFail bool
+		name                 string
+		old, new             []float64 // EngineTick ns/op per round
+		oldAllocs, newAllocs []int     // EngineTick allocs/op per round (nil: 0)
+		newBytes             []int     // head EngineTick B/op per round (nil: 0; base is 0)
+		wantFail             string    // substring of the gate error ("" = pass)
 	}{
 		// The host slows 2x from round 3 on; both sides move together.
-		{"drifting host, no change", []float64{1000, 1000, 2000, 2000, 2000}, []float64{1010, 990, 2020, 1980, 2000}, false},
-		{"one noisy round", []float64{1000, 1000, 1000, 1000, 1000}, []float64{1000, 1600, 1000, 1000, 1000}, false},
-		{"regression on a drifting host", []float64{1000, 1000, 2000, 2000, 2000}, []float64{1300, 1300, 2600, 2600, 2000}, true},
-		{"regression with one lucky round", []float64{1000, 1000, 1000, 1000, 1000}, []float64{1300, 1300, 1300, 900, 1300}, true},
+		{"drifting host, no change", []float64{1000, 1000, 2000, 2000, 2000}, []float64{1010, 990, 2020, 1980, 2000}, nil, nil, nil, ""},
+		{"one noisy round", flat, []float64{1000, 1600, 1000, 1000, 1000}, nil, nil, nil, ""},
+		{"regression on a drifting host", []float64{1000, 1000, 2000, 2000, 2000}, []float64{1300, 1300, 2600, 2600, 2000}, nil, nil, nil, "ns/op"},
+		{"regression with one lucky round", flat, []float64{1300, 1300, 1300, 900, 1300}, nil, nil, nil, "ns/op"},
+		{"one more alloc fails", flat, flat, []int{3, 3, 3, 3, 3}, []int{4, 4, 4, 4, 4}, nil, "allocs/op"},
+		{"fewer allocs and B/op jitter pass", flat, flat, []int{3, 3, 3, 3, 3}, []int{2, 2, 2, 2, 2}, []int{8, 16, 0, 24, 8}, ""},
+	}
+	at := func(xs []int, i int) int {
+		if xs == nil {
+			return 0
+		}
+		return xs[i]
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var paths []string
 			for i := range tc.old {
 				paths = append(paths,
-					report(fmt.Sprintf("old-%d.json", i), tc.old[i]),
-					report(fmt.Sprintf("new-%d.json", i), tc.new[i]))
+					report(fmt.Sprintf("old-%d.json", i), tc.old[i], at(tc.oldAllocs, i), 0),
+					report(fmt.Sprintf("new-%d.json", i), tc.new[i], at(tc.newAllocs, i), at(tc.newBytes, i)))
 			}
 			var sb strings.Builder
-			err := compareReports(paths, true, &sb)
-			if tc.wantFail != (err != nil) {
-				t.Fatalf("gate error %v, want failure %v:\n%s", err, tc.wantFail, sb.String())
+			err := compareReports(paths, &sb)
+			if (tc.wantFail != "") != (err != nil) {
+				t.Fatalf("gate error %v, want failure %v:\n%s", err, tc.wantFail != "", sb.String())
 			}
-			if err != nil && !strings.Contains(err.Error(), "EngineTick") {
-				t.Fatalf("gate error does not name the regressed row: %v", err)
+			if err != nil && (!strings.Contains(err.Error(), "EngineTick") || !strings.Contains(err.Error(), tc.wantFail)) {
+				t.Fatalf("gate error does not name the regressed row and its %s: %v", tc.wantFail, err)
 			}
 		})
 	}

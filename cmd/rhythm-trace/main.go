@@ -9,8 +9,7 @@
 //	rhythm-trace [-service E-commerce] [-requests 500] [-load 0.5]
 //	             [-threads 2] [-rate 800] [-persistent] [-seed 2020]
 //
-// -seed shares the fleet-wide default (2020) and validation path with the
-// other rhythm binaries via internal/cliflags.
+// -seed defaults to 2020, the seed every rhythm tool starts from.
 package main
 
 import (
@@ -20,7 +19,6 @@ import (
 	"math"
 	"os"
 
-	"rhythm/internal/cliflags"
 	"rhythm/internal/queueing"
 	"rhythm/internal/trace"
 	"rhythm/internal/workload"
@@ -43,8 +41,7 @@ func realMain(argv []string, stdout, stderr io.Writer) int {
 	rate := fs.Float64("rate", 800, "request arrival rate (req/s)")
 	persistent := fs.Bool("persistent", true, "use persistent TCP connections between Servpods")
 	noise := fs.Int("noise", 200, "unrelated-process noise events per host")
-	var common cliflags.Common
-	common.RegisterSeed(fs)
+	seed := fs.Uint64("seed", 2020, "RNG seed")
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
@@ -52,7 +49,7 @@ func realMain(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "rhythm-trace:", err)
 		return 2
 	}
-	if err := run(stdout, *service, *requests, *load, *threads, *rate, *persistent, *noise, common.Seed); err != nil {
+	if err := run(stdout, *service, *requests, *load, *threads, *rate, *persistent, *noise, *seed); err != nil {
 		fmt.Fprintln(stderr, "rhythm-trace:", err)
 		return 1
 	}

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// TestFlagBehavior pins the shared cliflags contract in this binary:
-// -seed defaults to 2020 (the fleet-wide default), unknown flags and
-// services are diagnosed, and the tracer output lands on the injected
-// stdout so redirection is clean.
+// TestFlagBehavior pins this binary's flag handling: -seed defaults to
+// 2020 (the seed every rhythm tool starts from) and is wired to the draw,
+// unknown flags and services are diagnosed, and the tracer output lands on
+// the injected stdout so redirection is clean.
 func TestFlagBehavior(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := realMain([]string{"-no-such-flag"}, &stdout, &stderr); code != 2 {

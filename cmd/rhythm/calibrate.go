@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"rhythm/internal/calibration"
-	"rhythm/internal/cliflags"
 	"rhythm/internal/experiments"
 	"rhythm/internal/obs"
 )
@@ -26,16 +25,16 @@ import (
 // comparison is a fixed point: the simulator is deterministic, so
 // calibrating against its own export passes with zero breaches
 // (TestCalibrateSelfFixedPoint pins this).
-func runCalibrate(ctx *experiments.Context, cf cliflags.Calibrate, haveScenario bool, stdout io.Writer, stderr io.Writer) int {
-	observed, err := calibration.ImportFile(cf.Observed)
+func runCalibrate(ctx *experiments.Context, observedPath string, fit bool, reportPath string, haveScenario bool, stdout, stderr io.Writer) int {
+	observed, err := calibration.ImportFile(observedPath)
 	if err != nil {
-		fmt.Fprintf(stderr, "rhythm: calibrate: %s:\n%v\n", cf.Observed, err)
+		fmt.Fprintf(stderr, "rhythm: calibrate: %s:\n%v\n", observedPath, err)
 		return 1
 	}
 	ids := calibration.ExperimentIDs(observed)
 	if len(ids) == 0 {
 		fmt.Fprintf(stderr, "rhythm: calibrate: %s carries no rhythm_experiments_total series, so there is nothing to re-run; re-export it with `rhythm run <ids> -metrics-out` or `rhythm trace <id>` from this build\n",
-			cf.Observed)
+			observedPath)
 		return 1
 	}
 	for _, id := range ids {
@@ -64,7 +63,7 @@ func runCalibrate(ctx *experiments.Context, cf cliflags.Calibrate, haveScenario 
 	predicted := calibration.Snapshot(bus)
 
 	rep := calibration.Compare(predicted, observed, calibration.DefaultRules())
-	if cf.Fit {
+	if fit {
 		fit, err := calibration.FitReport(predicted, observed)
 		if err != nil {
 			fmt.Fprintf(stderr, "rhythm: calibrate: %v\n", err)
@@ -74,17 +73,17 @@ func runCalibrate(ctx *experiments.Context, cf cliflags.Calibrate, haveScenario 
 	}
 
 	fmt.Fprintf(stderr, "calibrate: re-ran %s against %s (%d observed series, %d predicted)\n",
-		strings.Join(ids, ", "), cf.Observed, observed.Len(), predicted.Len())
+		strings.Join(ids, ", "), observedPath, observed.Len(), predicted.Len())
 	if err := rep.WriteText(stdout); err != nil {
 		fmt.Fprintf(stderr, "rhythm: calibrate: %v\n", err)
 		return 1
 	}
-	if cf.Report != "" {
-		if err := writeJSONReport(rep, cf.Report); err != nil {
+	if reportPath != "" {
+		if err := writeJSONReport(rep, reportPath); err != nil {
 			fmt.Fprintf(stderr, "rhythm: calibrate: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stderr, "calibration report -> %s\n", cf.Report)
+		fmt.Fprintf(stderr, "calibration report -> %s\n", reportPath)
 	}
 	if !rep.Pass {
 		return 1

@@ -69,6 +69,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"runtime/pprof"
 	"slices"
 	"sort"
@@ -76,9 +77,11 @@ import (
 	"time"
 
 	"rhythm/internal/bejobs"
-	"rhythm/internal/cliflags"
+	"rhythm/internal/controller"
 	"rhythm/internal/core"
 	"rhythm/internal/experiments"
+	"rhythm/internal/faults"
+	"rhythm/internal/fleet"
 	"rhythm/internal/obs"
 	"rhythm/internal/profiler"
 	"rhythm/internal/sim"
@@ -101,18 +104,34 @@ func realMain(argv []string, stdout, rawStderr io.Writer) (code int) {
 
 	fs := flag.NewFlagSet("rhythm", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var common cliflags.Common
-	var traceFlags cliflags.Trace
-	var faultFlags cliflags.Faults
-	var scenFlags cliflags.Scenario
-	var fleetFlags cliflags.Fleet
-	var policyFlags cliflags.Policy
-	common.Register(fs)
-	traceFlags.Register(fs)
-	faultFlags.Register(fs)
-	scenFlags.Register(fs)
-	fleetFlags.Register(fs)
-	policyFlags.Register(fs)
+	var (
+		seed                              uint64
+		jobs                              int
+		quick                             bool
+		traceOut, traceFormat, metricsOut string
+		faultsArg, scenarioPath           string
+		fleetPreset, policy               string
+	)
+	fs.Uint64Var(&seed, "seed", 2020, "RNG seed")
+	fs.IntVar(&jobs, "jobs", runtime.NumCPU(),
+		"parallel worker count (>= 1; output is identical for any value)")
+	fs.BoolVar(&quick, "quick", true, "reduced experiment scale")
+	fs.StringVar(&traceOut, "trace-out", "",
+		"write the observability event stream to this file")
+	fs.StringVar(&traceFormat, "trace-format", "jsonl",
+		"trace file format: jsonl or chrome (trace_event JSON)")
+	fs.StringVar(&metricsOut, "metrics-out", "",
+		"write a Prometheus text-format metrics snapshot to this file")
+	fs.StringVar(&faultsArg, "faults", "",
+		"fault schedule: a preset ("+strings.Join(faults.Presets(), ", ")+") or a JSON schedule file")
+	fs.StringVar(&scenarioPath, "scenario", "",
+		"workload-spec file (SCENARIOS.md format) for the scenario experiment")
+	fs.StringVar(&fleetPreset, "fleet", "",
+		"fleet-size preset for the fleet experiment ("+
+			strings.Join(fleet.Presets(), ", ")+"; default "+fleet.DefaultPreset+")")
+	fs.StringVar(&policy, "policy", "",
+		"candidate policy for the scenario experiment ("+
+			strings.Join(controller.Names(), ", ")+"; default the spec's policy, else rhythm)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the invocation to `file`")
 	fs.Usage = func() { usage(fs, stderr) }
 	if err := fs.Parse(argv); err != nil {
@@ -123,18 +142,37 @@ func realMain(argv []string, stdout, rawStderr io.Writer) (code int) {
 		usage(fs, stderr)
 		return 2
 	}
-	// The shared validation path (internal/cliflags) rejects -jobs < 1
-	// and unknown trace formats with the same messages in every binary.
-	for _, err := range []error{common.Validate(), traceFlags.Validate(), fleetFlags.Validate(), policyFlags.Validate()} {
-		if err != nil {
-			fmt.Fprintf(stderr, "rhythm: %v\n", err)
-			return 2
+	usageErr := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "rhythm: "+format+"\n", a...)
+		return 2
+	}
+	// -jobs 0 and negatives used to fall silently through to the worker
+	// pool's NumCPU backstop; they are usage errors.
+	if jobs < 1 {
+		return usageErr("-jobs must be at least 1, got %d", jobs)
+	}
+	if traceFormat != "jsonl" && traceFormat != "chrome" {
+		return usageErr("-trace-format must be jsonl or chrome, got %q", traceFormat)
+	}
+	if fleetPreset != "" {
+		if _, err := fleet.PresetProfile(fleetPreset); err != nil {
+			return usageErr("-fleet: %v", err)
 		}
 	}
-	sched, err := faultFlags.Resolve(common.Seed, 0)
-	if err != nil {
-		fmt.Fprintf(stderr, "rhythm: %v\n", err)
-		return 2
+	// The message carries the full registered list, so a typo is a
+	// one-round-trip fix.
+	if policy != "" && !controller.Registered(policy) {
+		return usageErr("-policy: unknown policy %q (registered: %s)",
+			policy, strings.Join(controller.Names(), ", "))
+	}
+	// Unset -faults leaves every run bit-frozen; presets place their
+	// events over the default span with timing derived from the seed.
+	var sched *faults.Schedule
+	var err error
+	if faultsArg != "" {
+		if sched, err = faults.Resolve(faultsArg, seed, 0); err != nil {
+			return usageErr("-faults: %v", err)
+		}
 	}
 
 	// The scenario subcommand: `rhythm scenario -validate <file>...`
@@ -158,12 +196,12 @@ func realMain(argv []string, stdout, rawStderr io.Writer) (code int) {
 				fmt.Fprintln(stderr, "rhythm: scenario -validate needs at least one spec file")
 				return 2
 			}
-			return validateScenarios(files, common.Seed, stdout, stderr)
+			return validateScenarios(files, seed, stdout, stderr)
 		}
 		switch {
-		case len(files) == 1 && scenFlags.Path == "":
-			scenFlags.Path = files[0]
-		case len(files) == 0 && scenFlags.Path != "":
+		case len(files) == 1 && scenarioPath == "":
+			scenarioPath = files[0]
+		case len(files) == 0 && scenarioPath != "":
 			// -scenario carried the file.
 		default:
 			fmt.Fprintln(stderr, "rhythm: scenario needs exactly one spec file (positional or -scenario)")
@@ -171,10 +209,13 @@ func realMain(argv []string, stdout, rawStderr io.Writer) (code int) {
 		}
 		args = []string{"run", "scenario"}
 	}
-	spec, err := scenFlags.Resolve()
-	if err != nil {
-		fmt.Fprintf(stderr, "rhythm: %v\n", err)
-		return 2
+	// A bad spec file is a usage error: the spec's joined FieldErrors
+	// name every defective field.
+	var spec *workload.Spec
+	if scenarioPath != "" {
+		if spec, err = workload.LoadSpec(scenarioPath); err != nil {
+			return usageErr("-scenario: %v", err)
+		}
 	}
 
 	// The calibrate subcommand closes the observability loop: it reads an
@@ -182,11 +223,17 @@ func realMain(argv []string, stdout, rawStderr io.Writer) (code int) {
 	// (cmd/rhythm/calibrate.go). It installs its own private bus for the
 	// re-run, so combining it with the global trace/metrics flags is a
 	// usage error rather than a silently shared bus.
-	var calFlags cliflags.Calibrate
+	var observed, report string
+	var fit bool
 	if args[0] == "calibrate" {
 		sub := flag.NewFlagSet("rhythm calibrate", flag.ContinueOnError)
 		sub.SetOutput(stderr)
-		calFlags.Register(sub)
+		sub.StringVar(&observed, "observed", "",
+			"observed-metrics artifact: a -metrics-out Prometheus snapshot or a -trace-out JSONL trace")
+		sub.BoolVar(&fit, "fit", false,
+			"bisection-fit workload distribution corrections (service-time mu/sigma, arrival rate) to the observed tail")
+		sub.StringVar(&report, "report", "",
+			"also write the calibration scorecard as JSON to this file")
 		sub.Usage = func() {
 			fmt.Fprintln(stderr, "usage: rhythm [flags] calibrate -observed <metrics.prom|trace.jsonl> [-fit] [-report out.json]")
 			sub.PrintDefaults()
@@ -196,18 +243,17 @@ func realMain(argv []string, stdout, rawStderr io.Writer) (code int) {
 		}
 		rest := sub.Args()
 		switch {
-		case len(rest) == 1 && calFlags.Observed == "":
-			calFlags.Observed = rest[0] // positional artifact shorthand
+		case len(rest) == 1 && observed == "":
+			observed = rest[0] // positional artifact shorthand
 		case len(rest) == 0:
 		default:
 			fmt.Fprintln(stderr, "rhythm: calibrate takes one observed artifact (positional or -observed)")
 			return 2
 		}
-		if err := calFlags.Validate(); err != nil {
-			fmt.Fprintf(stderr, "rhythm: %v\n", err)
-			return 2
+		if observed == "" {
+			return usageErr("calibrate needs -observed <metrics.prom|trace.jsonl>")
 		}
-		if traceFlags.Out != "" || traceFlags.MetricsOut != "" {
+		if traceOut != "" || metricsOut != "" {
 			fmt.Fprintln(stderr, "rhythm: calibrate re-runs experiments on a private bus; it cannot be combined with -trace-out or -metrics-out")
 			return 2
 		}
@@ -226,12 +272,12 @@ func realMain(argv []string, stdout, rawStderr io.Writer) (code int) {
 			fmt.Fprintf(stderr, "rhythm: %v (run \"rhythm list\" for the registry)\n", err)
 			return 2
 		}
-		if traceFlags.Out == "" {
+		if traceOut == "" {
 			ext := ".trace.jsonl"
-			if traceFlags.Format == cliflags.FormatChrome {
+			if traceFormat == "chrome" {
 				ext = ".trace.json"
 			}
-			traceFlags.Out = args[1] + ext
+			traceOut = args[1] + ext
 		}
 	}
 
@@ -264,15 +310,15 @@ func realMain(argv []string, stdout, rawStderr io.Writer) (code int) {
 		}()
 	}
 
-	bus, finish, code := setupObs(traceFlags.Out, traceFlags.Format, traceFlags.MetricsOut, stderr)
+	bus, finish, code := setupObs(traceOut, traceFormat, metricsOut, stderr)
 	if code != 0 {
 		return code
 	}
 	defer finish()
 
 	ctx := experiments.NewContext(experiments.Options{
-		Quick: common.Quick, Seed: common.Seed, Jobs: common.Jobs, Faults: sched,
-		Scenario: spec, Fleet: fleetFlags.Preset, Policy: policyFlags.Name,
+		Quick: quick, Seed: seed, Jobs: jobs, Faults: sched,
+		Scenario: spec, Fleet: fleetPreset, Policy: policy,
 	})
 	switch args[0] {
 	case "list":
@@ -282,12 +328,12 @@ func realMain(argv []string, stdout, rawStderr io.Writer) (code int) {
 	case "trace":
 		err = run(ctx, args[1:2], stdout, stderr)
 		if err == nil {
-			traceSummary(bus, traceFlags.Out, traceFlags.MetricsOut, stderr)
+			traceSummary(bus, traceOut, metricsOut, stderr)
 		}
 	case "profile":
 		err = profile(ctx, args[1:], stdout)
 	case "calibrate":
-		return runCalibrate(ctx, calFlags, spec != nil, stdout, stderr)
+		return runCalibrate(ctx, observed, fit, report, spec != nil, stdout, stderr)
 	case "catalog":
 		err = catalog(stdout)
 	default:

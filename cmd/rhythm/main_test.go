@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -20,6 +22,18 @@ func TestArgValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
+	// Input files live outside dir, which must stay empty.
+	inputs := t.TempDir()
+	schedule := filepath.Join(inputs, "schedule.json")
+	badSpec := filepath.Join(inputs, "bad-spec.json")
+	for path, body := range map[string]string{
+		schedule: `{"name":"custom","events":[{"kind":"load-surge","at_s":1,"dur_s":2,"magnitude":1.5}]}`,
+		badSpec:  `{"version": 7}`,
+	} {
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := os.Chdir(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +61,8 @@ func TestArgValidation(t *testing.T) {
 		{"run mixed known and unknown", []string{"run", "fig2", "bogus"}, 2, "bogus"},
 		{"bad trace format", []string{"-trace-format", "xml", "list"}, 2,
 			"-trace-format must be jsonl or chrome"},
+		{"jobs error precedes trace format error", []string{"-jobs", "-3", "-trace-format", "xml", "list"}, 2,
+			"-jobs must be at least 1, got -3"},
 		{"bad faults preset", []string{"-faults", "no-such-storm", "list"}, 2, "-faults:"},
 		{"trace without id", []string{"trace"}, 2, "trace needs exactly one experiment id"},
 		{"trace two ids", []string{"trace", "fig2", "fig3"}, 2,
@@ -66,6 +82,16 @@ func TestArgValidation(t *testing.T) {
 		{"list ok", []string{"list"}, 0, ""},
 		{"catalog ok", []string{"catalog"}, 0, ""},
 		{"profile missing arg", []string{"profile"}, 1, "profile needs exactly one service name"},
+		{"unknown fleet preset", []string{"-fleet", "bogus", "list"}, 2, "-fleet:"},
+		{"faults schedule file ok", []string{"-faults", schedule, "list"}, 0, ""},
+		{"bad scenario spec", []string{"-scenario", badSpec, "list"}, 2,
+			"-scenario: " + badSpec + ": workload: spec version"},
+		// The flag defaults, as -h prints them.
+		{"default seed", []string{"-h"}, 2, "RNG seed (default 2020)"},
+		{"default jobs", []string{"-h"}, 2,
+			"identical for any value) (default " + strconv.Itoa(runtime.NumCPU()) + ")"},
+		{"default quick", []string{"-h"}, 2, "reduced experiment scale (default true)"},
+		{"default trace format", []string{"-h"}, 2, `(trace_event JSON) (default "jsonl")`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

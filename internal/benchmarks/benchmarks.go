@@ -2,7 +2,8 @@
 // by `go test -bench` (benchmarks_test.go) and the `make bench` harness
 // (cmd/rhythm-bench), which runs them through testing.Benchmark and emits
 // BENCH_engine.json. Keeping the benchmark bodies in a plain (non-test)
-// package is what lets one definition serve both entry points.
+// package is what lets one definition serve both entry points, and Rows
+// is the one list of them both iterate.
 //
 // The benchmarks cover the per-sample unit economics of the measurement
 // pipeline:
@@ -76,6 +77,38 @@ import (
 	"rhythm/internal/sim"
 	"rhythm/internal/workload"
 )
+
+// Rows is every benchmark under its reported name, in a fixed order:
+// rhythm-bench writes them in this order, so successive BENCH_engine.json
+// files diff cleanly, and BenchmarkRows runs each as a sub-benchmark.
+var Rows = []struct {
+	Name string
+	Fn   func(*testing.B)
+}{
+	{"TailTrackerAdd", TailTrackerAdd},
+	{"TailTrackerAddP99", TailTrackerAddP99},
+	{"TailTrackerWindowP99", TailTrackerWindowP99},
+	{"EngineTick", EngineTick},
+	{"EngineTickDemand", EngineTickDemand},
+	{"EngineTickInflation", EngineTickInflation},
+	{"EngineTickSojourn", EngineTickSojourn},
+	{"EngineTickSample", EngineTickSample},
+	{"EngineTickColo", EngineTickColo},
+	{"EngineTickColoInflation", EngineTickColoInflation},
+	{"EngineTickColoSojourn", EngineTickColoSojourn},
+	{"EngineTickColoSample", EngineTickColoSample},
+	{"EngineControlPeriodColo", EngineControlPeriodColo},
+	{"EngineControlPeriodRamp", EngineControlPeriodRamp},
+	{"StationAtLanes8", StationAtLanes(8)},
+	{"StationAtLanes64", StationAtLanes(64)},
+	{"StationAtLanes172", StationAtLanes(172)},
+	{"FleetTick", FleetTick},
+	{"SampleKernel", SampleKernel},
+	{"SampleFilter", SampleFilter},
+	{"UniformKernel", UniformKernel},
+	{"FindSlacklimits", FindSlacklimits},
+	{"ObsDisabled", ObsDisabled},
+}
 
 // benchLive is the engine tracker's steady-state occupancy
 // (engine.TailWindow / engine.TickDt ticks of engine.SamplesPerTick

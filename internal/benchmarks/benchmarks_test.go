@@ -1,35 +1,20 @@
 package benchmarks
 
 import (
-	"fmt"
 	"testing"
 
 	"rhythm/internal/obs"
 )
 
-// The benchmark bodies live in the non-test package file so that
-// cmd/rhythm-bench can run them through testing.Benchmark; these wrappers
-// expose them to `go test -bench`.
-
-func BenchmarkTailTrackerAdd(b *testing.B)          { TailTrackerAdd(b) }
-func BenchmarkTailTrackerAddP99(b *testing.B)       { TailTrackerAddP99(b) }
-func BenchmarkTailTrackerWindowP99(b *testing.B)    { TailTrackerWindowP99(b) }
-func BenchmarkEngineTick(b *testing.B)              { EngineTick(b) }
-func BenchmarkEngineTickInflation(b *testing.B)     { EngineTickInflation(b) }
-func BenchmarkEngineTickColo(b *testing.B)          { EngineTickColo(b) }
-func BenchmarkEngineControlPeriodColo(b *testing.B) { EngineControlPeriodColo(b) }
-func BenchmarkEngineControlPeriodRamp(b *testing.B) { EngineControlPeriodRamp(b) }
-func BenchmarkStationAtLanes(b *testing.B) {
-	for _, c := range []int{8, 64, 172} {
-		b.Run(fmt.Sprint(c), StationAtLanes(c))
+// BenchmarkRows runs every row of Rows as a sub-benchmark of the same
+// name, the rows rhythm-bench writes to BENCH_engine.json. One row:
+//
+//	go test -run '^$' -bench 'Rows/^EngineTickColoSample$' ./internal/benchmarks
+func BenchmarkRows(b *testing.B) {
+	for _, r := range Rows {
+		b.Run(r.Name, r.Fn)
 	}
 }
-func BenchmarkFleetTick(b *testing.B)       { FleetTick(b) }
-func BenchmarkSampleKernel(b *testing.B)    { SampleKernel(b) }
-func BenchmarkSampleFilter(b *testing.B)    { SampleFilter(b) }
-func BenchmarkUniformKernel(b *testing.B)   { UniformKernel(b) }
-func BenchmarkFindSlacklimits(b *testing.B) { FindSlacklimits(b) }
-func BenchmarkObsDisabled(b *testing.B)     { ObsDisabled(b) }
 
 // TestObsDisabledZeroAllocs pins the observability contract in the test
 // suite (not just the bench harness): with no bus installed, the full set

@@ -166,18 +166,18 @@ type Context struct {
 	systems sim.Memo[string, *core.System]
 	grid    sim.Memo[gridKey, *core.Comparison]
 
-	gridOnce sync.Once
-	gridErr  error
-
-	sweepOnce  sync.Once
-	sweepErr   error
-	sweepSlack []sweepPoint
-	sweepLoad  []sweepPoint
+	// ensureGrid (grid.go) and thresholdSweep (timeline.go) compute
+	// their shared artifact on first call; later calls return it.
+	ensureGrid     func() error
+	thresholdSweep func() (sweepResult, error)
 }
 
 // NewContext returns a fresh experiment context.
 func NewContext(opts Options) *Context {
-	return &Context{Opts: opts.withDefaults()}
+	c := &Context{Opts: opts.withDefaults()}
+	c.ensureGrid = sync.OnceValue(c.prefetchGrid)
+	c.thresholdSweep = sync.OnceValues(c.measureSweep)
+	return c
 }
 
 // jobs resolves the context's worker count.

@@ -98,21 +98,20 @@ func (c *Context) gridKeys() []gridKey {
 	return keys
 }
 
-// ensureGrid computes every grid cell across the context's worker pool.
-// All six grid figures share the cells, so the first grid experiment pays
-// for the sweep once — in parallel — and the rest render from cache. The
-// first error in cell order is reported, matching the serial loop.
-func (c *Context) ensureGrid() error {
-	c.gridOnce.Do(func() {
-		keys := c.gridKeys()
-		charge("grid", func() {
-			c.gridErr = sim.ForEachErr(len(keys), c.jobs(), func(i int) error {
-				_, err := c.gridRun(keys[i])
-				return err
-			})
+// prefetchGrid computes every grid cell across the context's worker
+// pool. All six grid figures share the cells, so the first grid
+// experiment pays for the sweep once (Context.ensureGrid) — in parallel —
+// and the rest render from cache. The first error in cell order is
+// reported, matching the serial loop.
+func (c *Context) prefetchGrid() (err error) {
+	keys := c.gridKeys()
+	charge("grid", func() {
+		err = sim.ForEachErr(len(keys), c.jobs(), func(i int) error {
+			_, err := c.gridRun(keys[i])
+			return err
 		})
 	})
-	return c.gridErr
+	return err
 }
 
 // podGrid renders Figs. 9-11: the focus Servpod's metric under Rhythm and

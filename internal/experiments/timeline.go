@@ -114,13 +114,15 @@ type sweepPoint struct {
 	Kills      int
 }
 
-func (c *Context) thresholdSweep() (slack, load []sweepPoint, err error) {
-	c.sweepOnce.Do(func() {
-		charge("sweep", func() {
-			c.sweepSlack, c.sweepLoad, c.sweepErr = c.runThresholdSweep()
-		})
-	})
-	return c.sweepSlack, c.sweepLoad, c.sweepErr
+// sweepResult is the sweep's two series: MySQL's slacklimit varied, and
+// its loadlimit varied.
+type sweepResult struct{ slack, load []sweepPoint }
+
+// measureSweep runs the sweep, charged to work=sweep; fig18 and tab2
+// share its result through Context.thresholdSweep.
+func (c *Context) measureSweep() (r sweepResult, err error) {
+	charge("sweep", func() { r.slack, r.load, err = c.runThresholdSweep() })
+	return r, err
 }
 
 // runThresholdSweep measures every sweep configuration. The points are
@@ -232,10 +234,11 @@ func (c *Context) runThresholdSweep() (slack, load []sweepPoint, err error) {
 
 // fig18 reports normalized BE throughput across the threshold sweep.
 func fig18(ctx *Context) (*Table, error) {
-	slack, load, err := ctx.thresholdSweep()
+	sw, err := ctx.thresholdSweep()
 	if err != nil {
 		return nil, err
 	}
+	slack, load := sw.slack, sw.load
 	t := &Table{
 		ID:      "fig18",
 		Title:   "BE throughput vs MySQL loadlimit/slacklimit setting (normalized to the 100% level)",
@@ -258,10 +261,11 @@ func fig18(ctx *Context) (*Table, error) {
 
 // tab2 reports SLA violations and BE kills across the same sweep.
 func tab2(ctx *Context) (*Table, error) {
-	slack, load, err := ctx.thresholdSweep()
+	sw, err := ctx.thresholdSweep()
 	if err != nil {
 		return nil, err
 	}
+	slack, load := sw.slack, sw.load
 	t := &Table{
 		ID:    "tab2",
 		Title: "SLA violations and BE kills when varying MySQL thresholds",

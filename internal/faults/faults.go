@@ -20,6 +20,7 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -144,7 +145,10 @@ type Schedule struct {
 // Validate checks every event's fields, applies per-kind defaults
 // (drift skews of zero become 1, dropout mode defaults to DropNaN) and
 // compiles the per-kind indexes. It returns all failures joined, each a
-// *FieldError naming Events[i].<Field>.
+// *FieldError naming Events[i].<Field>. Besides each field's range, an
+// event must end inside the virtual clock's range, and the multipliers of
+// one kind must not overflow when every event of that kind is active at
+// once, so every query answers a finite number.
 func (s *Schedule) Validate() error {
 	if s == nil {
 		return nil
@@ -155,6 +159,25 @@ func (s *Schedule) Validate() error {
 			Field:  fmt.Sprintf("Events[%d].%s", i, field),
 			Reason: fmt.Sprintf(format, args...),
 		})
+	}
+	// products holds, per kind and field, the product of every event's
+	// multiplier counted as at least 1: a bound on any active product.
+	products := make(map[string]float64)
+	multiply := func(i int, field string, v float64) {
+		key := string(s.Events[i].Kind) + "." + field
+		before, ok := products[key]
+		if !ok {
+			before = 1
+		}
+		products[key] = before * math.Max(1, v)
+		if math.IsInf(products[key], 1) && !math.IsInf(before, 1) {
+			bad(i, field, "%s multipliers overflow when all are active, got %v", s.Events[i].Kind, v)
+		}
+	}
+	endsInRange := func(i int, field string, d time.Duration) {
+		if at := s.Events[i].At; at >= 0 && d > math.MaxInt64-at {
+			bad(i, field, "event ends past the virtual clock's range (%v after %v)", d, at)
+		}
 	}
 	for i := range s.Events {
 		ev := &s.Events[i]
@@ -168,11 +191,13 @@ func (s *Schedule) Validate() error {
 		if ev.Duration < 0 {
 			bad(i, "Duration", "negative duration %v", ev.Duration)
 		}
+		endsInRange(i, "Duration", ev.Duration)
 		switch ev.Kind {
 		case LoadSurge:
 			if ev.Magnitude <= 0 {
 				bad(i, "Magnitude", "load surge needs a positive multiplier, got %v", ev.Magnitude)
 			}
+			multiply(i, "Magnitude", ev.Magnitude)
 			if ev.Duration == 0 {
 				bad(i, "Duration", "load surge needs a positive duration")
 			}
@@ -180,6 +205,7 @@ func (s *Schedule) Validate() error {
 			if ev.Magnitude < 1 {
 				bad(i, "Magnitude", "interference storm multiplier must be >= 1, got %v", ev.Magnitude)
 			}
+			multiply(i, "Magnitude", ev.Magnitude)
 			if ev.Duration == 0 {
 				bad(i, "Duration", "interference storm needs a positive duration")
 			}
@@ -194,6 +220,7 @@ func (s *Schedule) Validate() error {
 			if ev.RestartDelay < 0 {
 				bad(i, "RestartDelay", "negative restart delay %v", ev.RestartDelay)
 			}
+			endsInRange(i, "RestartDelay", ev.RestartDelay)
 		case ProfileDrift:
 			if ev.MuSkew == 0 {
 				ev.MuSkew = 1
@@ -207,6 +234,8 @@ func (s *Schedule) Validate() error {
 			if ev.SigmaSkew <= 0 {
 				bad(i, "SigmaSkew", "drift sigma skew must be positive, got %v", ev.SigmaSkew)
 			}
+			multiply(i, "MuSkew", ev.MuSkew)
+			multiply(i, "SigmaSkew", ev.SigmaSkew)
 			if ev.Duration == 0 {
 				bad(i, "Duration", "profile drift needs a positive duration")
 			}

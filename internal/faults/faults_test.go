@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -35,6 +36,8 @@ func TestValidateFieldErrors(t *testing.T) {
 		{"drift zero duration", Event{Kind: ProfileDrift, MuSkew: 1.2}, "Events[0].Duration"},
 		{"dropout bad mode", Event{Kind: MeasurementDropout, Duration: time.Second, Mode: "shrug"}, "Events[0].Mode"},
 		{"dropout zero duration", Event{Kind: MeasurementDropout, Mode: DropNaN}, "Events[0].Duration"},
+		{"end past the clock", Event{Kind: LoadSurge, At: math.MaxInt64 - time.Millisecond, Duration: time.Second, Magnitude: 1.5}, "Events[0].Duration"},
+		{"restart past the clock", Event{Kind: BECrash, At: math.MaxInt64 - time.Millisecond, RestartDelay: time.Second}, "Events[0].RestartDelay"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -266,5 +269,11 @@ func TestParseAndLoad(t *testing.T) {
 	}
 	if _, err := Parse([]byte(`{"events": [{"kind": "load-surge"}]}`)); err == nil {
 		t.Fatal("Parse accepted an invalid event")
+	}
+	// Seconds past the clock's range saturate: the event is rejected for
+	// ending out of range, not for a wrapped negative start.
+	_, err = Parse([]byte(`{"events": [{"kind": "load-surge", "at_s": 1e10, "dur_s": 2, "magnitude": 1.5}]}`))
+	if err == nil || !strings.Contains(err.Error(), "Events[0].Duration") || strings.Contains(err.Error(), "negative") {
+		t.Fatalf("out-of-range at_s: %v", err)
 	}
 }

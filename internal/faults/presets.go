@@ -5,6 +5,7 @@ package faults
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"time"
@@ -223,6 +224,17 @@ func Resolve(arg string, seed uint64, span time.Duration) (*Schedule, error) {
 	return Load(arg)
 }
 
+// secs converts file seconds to a Duration, saturating at the int64 range:
+// Go leaves an out-of-range float-to-integer conversion
+// implementation-defined, and on amd64 a huge positive time would come out
+// negative.
 func secs(v float64) time.Duration {
-	return time.Duration(v * float64(time.Second))
+	switch d := v * float64(time.Second); {
+	case d >= math.MaxInt64:
+		return math.MaxInt64
+	case d <= math.MinInt64:
+		return math.MinInt64
+	default:
+		return time.Duration(d)
+	}
 }
