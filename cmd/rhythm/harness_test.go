@@ -52,6 +52,14 @@ func harnessRows(t *testing.T) []harnessRow {
 	t.Helper()
 	rows := []harnessRow{
 		{name: "all", args: append([]string{"run"}, determinismIDs()...), decisions: true},
+		// One -faults schedule shared by every engine of the invocation:
+		// fig18's threshold sweep runs its engines at once, alongside
+		// fig17's, even in reduced form; fig15's and fig16's pooled
+		// comparisons run many more.
+		{name: "faults/chaos/sweep", args: []string{"-faults", "chaos", "run", "fig17", "fig18"},
+			decisions: true},
+		{name: "faults/chaos/production", args: []string{"-faults", "chaos", "run", "fig15", "fig16", "fig17"},
+			heavy: true, decisions: true},
 		{name: "calibration", id: "calibration", args: []string{"run", "calibration"},
 			want: []string{"PASS"}},
 		{name: "fleet", id: "fleet", args: []string{"run", "fleet"}, heavy: true, decisions: true},

@@ -25,10 +25,12 @@ func TestArgValidation(t *testing.T) {
 	// Input files live outside dir, which must stay empty.
 	inputs := t.TempDir()
 	schedule := filepath.Join(inputs, "schedule.json")
+	lateSchedule := filepath.Join(inputs, "late-schedule.json")
 	badSpec := filepath.Join(inputs, "bad-spec.json")
 	for path, body := range map[string]string{
-		schedule: `{"name":"custom","events":[{"kind":"load-surge","at_s":1,"dur_s":2,"magnitude":1.5}]}`,
-		badSpec:  `{"version": 7}`,
+		schedule:     `{"name":"custom","events":[{"kind":"load-surge","at_s":1,"dur_s":2,"magnitude":1.5}]}`,
+		lateSchedule: `{"events":[{"kind":"load-surge","at_s":1e10,"dur_s":2,"magnitude":1.5}]}`,
+		badSpec:      `{"version": 7}`,
 	} {
 		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
@@ -84,6 +86,9 @@ func TestArgValidation(t *testing.T) {
 		{"profile missing arg", []string{"profile"}, 1, "profile needs exactly one service name"},
 		{"unknown fleet preset", []string{"-fleet", "bogus", "list"}, 2, "-fleet:"},
 		{"faults schedule file ok", []string{"-faults", schedule, "list"}, 0, ""},
+		// The path once, and "faults:" once, before the field.
+		{"bad faults schedule file", []string{"-faults", lateSchedule, "list"}, 2,
+			"rhythm: -faults: " + lateSchedule + ": faults: Events[0]"},
 		{"bad scenario spec", []string{"-scenario", badSpec, "list"}, 2,
 			"-scenario: " + badSpec + ": workload: spec version"},
 		// The flag defaults, as -h prints them.

@@ -133,10 +133,10 @@ type Config struct {
 	Label string
 	// Faults injects a deterministic fault schedule (internal/faults):
 	// load surges, interference storms, machine slowdowns, BE crashes,
-	// profile drift and measurement dropout. Nil disables injection
-	// entirely — every fault hook below is behind a nil check, so a
-	// fault-free run is byte-identical to one on a build without the
-	// faults subsystem at all.
+	// profile drift and measurement dropout. Nil means no faults: a nil
+	// schedule answers every query with the neutral value. Engines may
+	// share one schedule; New validates it, and a validated schedule is
+	// read-only.
 	Faults *faults.Schedule
 	// ExternalBE hands BE admission to an external dispatcher (the fleet
 	// layer's shared scheduler.Scheduler): AllowBEGrowth still grows
@@ -377,12 +377,12 @@ type beInst struct {
 // instCache) before anything reads them. See DESIGN.md §14.
 type soaState struct {
 	// Demand at the latest tick the block phase reached. Demand and
-	// pressure are pure in the load and the BE row, so they are
-	// recomputed only when a tick's load differs bitwise from prevLoad,
-	// the load of the tick before, or the row was re-synced (opNew); a
-	// storm fault changes pressure at a fixed load, so fault runs
-	// recompute pressure every tick. A recomputed pressure goes to the
-	// block row pressBlk[k*pods+i], flagged in pressNew.
+	// pressure are pure in the load, the BE row and the storm multiplier,
+	// so they are recomputed only when a tick's load differs bitwise from
+	// prevLoad, the load of the tick before, or the row was re-synced
+	// (opNew); the fault pass marks a row dirty when its storm multiplier
+	// changes. A recomputed pressure goes to the block row
+	// pressBlk[k*pods+i], flagged in pressNew.
 	lcDemand []cluster.Vector
 	opNew    []bool
 	caps     []cluster.Vector // each machine's capacities, for the pressure map
@@ -467,8 +467,8 @@ type soaState struct {
 	bet []metrics.Usage
 	emu []metrics.Usage
 
-	// Fault scratch, filled by the fault pass each tick; untouched (and
-	// unread) when Config.Faults is nil.
+	// Fault scratch, filled by the fault pass at each block start; neutral
+	// (storm 1, no frequency cap 0, skews 1) without a fault schedule.
 	stormMul []float64
 	freqCap  []float64
 	muSkew   []float64
@@ -567,7 +567,7 @@ type Engine struct {
 	// (lastFaultScan, now] window makes each crash fire exactly once and
 	// each fault edge report exactly once. staleP99 is the last clean
 	// window p99, replayed to the controller under a stale-mode
-	// measurement dropout. Both are untouched when cfg.Faults is nil.
+	// measurement dropout. faultEdges is EdgesIn's scratch.
 	lastFaultScan sim.Time
 	staleP99      float64
 	faultEdges    []faults.Edge
@@ -722,6 +722,7 @@ func (e *Engine) initSoA() {
 		// first use; the SoA rows start there outright — same first EMA
 		// step, no per-tick zero check.
 		s.inflate[i], s.cvInfl[i] = 1, 1
+		s.stormMul[i], s.muSkew[i], s.sigSkew[i] = 1, 1, 1
 	}
 	s.plan = workload.NewPlan(e.cfg.Service.Graph)
 	for _, c := range s.plan.Stages() {
@@ -862,25 +863,27 @@ func (e *Engine) Violates(ctx context.Context, duration time.Duration) (bool, er
 // obs run brackets); Run and Violates wrap this with both.
 //
 // RunUntil runs the ticks in blocks (runBlock). A block ends at the next
-// control tick or at end, whichever comes first, and holds at most
-// maxBlock ticks; under a fault schedule every block is one tick, because
-// crashes change BE state mid-period. The control tick runs after the
-// block's last tick.
+// control tick, at end or after maxBlock ticks, whichever comes first,
+// and before a tick with a fault edge in (previous tick, tick], so the
+// fault state the block start reads holds for every tick of the block.
+// The control tick runs after the block's last tick.
 func (e *Engine) RunUntil(end sim.Time) *RunStats {
 	s := &e.soa
 	for e.cursor < end {
 		n := 0
 		for now := e.cursor; now < end && n < maxBlock; now = now.Add(TickDt) {
-			load := e.cfg.Pattern.Load(now)
-			if e.cfg.Faults != nil {
-				// Load surges multiply the offered pattern; both the tick
-				// and the controller see the surged load, exactly as a
-				// real traffic spike would reach both.
-				load *= e.cfg.Faults.LoadMul(now)
+			if n > 0 {
+				e.faultEdges = e.cfg.Faults.EdgesIn(e.faultEdges[:0], now.Add(-TickDt), now)
+				if len(e.faultEdges) > 0 {
+					break
+				}
 			}
-			s.blkLoad[n] = load
+			// Load surges multiply the offered pattern; both the tick and
+			// the controller see the surged load, exactly as a real
+			// traffic spike would reach both.
+			s.blkLoad[n] = e.cfg.Pattern.Load(now) * e.cfg.Faults.LoadMul(now)
 			n++
-			if now >= e.nextControl || e.cfg.Faults != nil {
+			if now >= e.nextControl {
 				break
 			}
 		}
@@ -925,16 +928,15 @@ func (e *Engine) Step(now sim.Time, load float64) {
 // that consumes engine RNG, draws the identical frozen stream
 // (draw-major, stage-minor — DESIGN.md §9) through sim.LognormalDraws.
 func (e *Engine) runBlock(start sim.Time, n int) {
-	// Fault hooks run first as sparse edits (crashes mutate the AoS view
-	// and mark rows dirty; storm/cap/drift magnitudes land in scratch
-	// rows), so the passes themselves stay branch-light. Pods are
-	// independent machines, so hoisting the per-pod crash check ahead of
-	// the arithmetic reorders nothing observable: within a tick the only
-	// scope events before the end-of-tick Tick event are the crash BE
-	// events, and they stay in pod order. Fault blocks are one tick long.
-	if e.cfg.Faults != nil {
-		e.passFaults(start)
-	}
+	// The fault pass runs first as sparse edits (crashes mutate the AoS
+	// view and mark rows dirty; storm/cap/drift magnitudes land in scratch
+	// rows), so the other passes read the rows with no fault branches. No
+	// fault edge falls after a block's first tick (RunUntil), so a crash
+	// fires only there and the scratch rows hold for the whole block. Pods
+	// are independent machines, so hoisting the crash check ahead of the
+	// arithmetic reorders nothing observable: the crash BE events stay in
+	// pod order, before the first tick's Tick event.
+	e.passFaults(start)
 	for k := 0; k < n; k++ {
 		e.passDemand(k)
 		e.passPressure(k)
@@ -967,8 +969,9 @@ func (e *Engine) runBlock(start sim.Time, n int) {
 }
 
 // passFaults applies crash triggers to the AoS view and gathers the
-// tick's storm/frequency-cap/drift magnitudes into the fault scratch
-// rows. Only called with a fault schedule configured.
+// block's storm/frequency-cap/drift magnitudes into the fault scratch
+// rows. A row whose storm multiplier changes is marked dirty, so its
+// pressure is recomputed; a nil schedule leaves every row neutral.
 func (e *Engine) passFaults(now sim.Time) {
 	f := e.cfg.Faults
 	s := &e.soa
@@ -976,7 +979,10 @@ func (e *Engine) passFaults(now sim.Time) {
 		if f.CrashTriggered(e.lastFaultScan, now, p.comp.Name) {
 			e.crashBE(p, now)
 		}
-		s.stormMul[i] = f.InterferenceMul(now, p.comp.Name)
+		if m := f.InterferenceMul(now, p.comp.Name); m != s.stormMul[i] {
+			s.stormMul[i] = m
+			s.beDirty[i] = true
+		}
 		s.freqCap[i] = f.FreqCapGHz(now, p.comp.Name)
 		s.muSkew[i], s.sigSkew[i] = f.Drift(now, p.comp.Name)
 	}
@@ -1032,26 +1038,24 @@ func (e *Engine) refreshBE(i int, p *podRuntime) {
 func (e *Engine) markDirty(p *podRuntime) { e.soa.beDirty[p.idx] = true }
 
 // passPressure maps demand to the interference pressure vector of block
-// tick k on the rows whose demand moved, with storm faults multiplying
-// the pressure before the inflation map — a storm behaves exactly like
-// that much more BE demand hammering the machine. It queues each
-// recomputed pressure its pod's PowMemo lacks for passPow.
+// tick k on the rows whose demand moved or that were re-synced, with
+// storm faults multiplying the pressure before the inflation map — a
+// storm behaves exactly like that much more BE demand hammering the
+// machine. It queues each recomputed pressure its pod's PowMemo lacks for
+// passPow.
 func (e *Engine) passPressure(k int) {
 	s := &e.soa
-	faultsOn := e.cfg.Faults != nil
 	row := k * len(e.pods)
 	for i := range e.pods {
-		fresh := s.opNew[i] || faultsOn
+		fresh := s.opNew[i]
 		s.pressNew[row+i] = fresh
 		if !fresh {
 			continue
 		}
 		press := &s.pressBlk[row+i]
 		*press = e.cfg.Model.Pressure(s.caps[i], s.lcDemand[i], s.beDemand[i])
-		if faultsOn {
-			if m := s.stormMul[i]; m != 1 {
-				*press = press.Scale(m)
-			}
+		if m := s.stormMul[i]; m != 1 {
+			*press = press.Scale(m)
 		}
 		s.powX, s.powMask[row+i] = s.powMemo[i].Moved(press, s.powX)
 	}
@@ -1078,7 +1082,6 @@ func (e *Engine) passPow() {
 // bits. A recomputed pressure settles its powers (passPow) first.
 func (e *Engine) passInflation(k int) {
 	s := &e.soa
-	faultsOn := e.cfg.Faults != nil
 	row := k * len(e.pods)
 	for i, p := range e.pods {
 		if s.pressNew[row+i] {
@@ -1089,10 +1092,7 @@ func (e *Engine) passInflation(k int) {
 				s.infPress[i], s.infOK[i] = *press, false
 			}
 		}
-		fc := 0.0
-		if faultsOn {
-			fc = s.freqCap[i]
-		}
+		fc := s.freqCap[i]
 		if !s.infOK[i] || fc != s.infCap[i] {
 			inflate, cvInflate := e.cfg.Model.InflationMemo(p.comp, &s.infPress[i], &s.powMemo[i])
 			if fc > 0 && fc < p.machine.Spec.MaxGHz {
@@ -1116,13 +1116,9 @@ func (e *Engine) passInflation(k int) {
 func (e *Engine) passSojourn(k int) {
 	s := &e.soa
 	qps := s.blkLoad[k] * e.cfg.Service.MaxLoadQPS
-	faultsOn := e.cfg.Faults != nil
 	row := s.op[k*len(e.pods):]
 	for i := range e.pods {
-		muSkew, sigmaSkew := 1.0, 1.0
-		if faultsOn {
-			muSkew, sigmaSkew = s.muSkew[i], s.sigSkew[i]
-		}
+		muSkew, sigmaSkew := s.muSkew[i], s.sigSkew[i]
 		inflate, cvInflate := s.inflate[i], s.cvInfl[i]
 		// Field by field, so the hit path compares inline; == on the
 		// [5]float64 key calls the runtime's array equality.
@@ -1202,7 +1198,6 @@ func (e *Engine) passUtilization(k int, measuring bool) {
 // per-tick allocation map lookup.
 func (e *Engine) passBEProgress(k int, load float64, measuring bool) {
 	s := &e.soa
-	faultsOn := e.cfg.Faults != nil
 	row := s.op[k*len(e.pods):]
 	for i, p := range e.pods {
 		sat := 1.0
@@ -1214,12 +1209,10 @@ func (e *Engine) passBEProgress(k int, load float64, measuring bool) {
 			sat = minf(sat, avail/s.beDemand[i][cluster.ResMemBW])
 		}
 		beFreq := s.beFreq[i]
-		if faultsOn {
-			if fc := s.freqCap[i]; fc > 0 && fc < beFreq {
-				// A slowed machine caps BE clocks too, below whatever
-				// the frequency subcontroller already granted.
-				beFreq = fc
-			}
+		if fc := s.freqCap[i]; fc > 0 && fc < beFreq {
+			// A slowed machine caps BE clocks too, below whatever the
+			// frequency subcontroller already granted.
+			beFreq = fc
 		}
 		freqScale := beFreq / p.machine.Spec.MaxGHz
 		beRate := 0.0
@@ -1486,9 +1479,7 @@ func (e *Engine) finishTick(now sim.Time, load, qps float64, measuring bool) {
 	e.obsTicks.Inc()
 	if e.obsScope.Enabled() {
 		e.obsScope.Tick(int64(now), int64(TickDt), load, qps, SamplesPerTick)
-		if e.cfg.Faults != nil {
-			e.emitFaultEdges(now)
-		}
+		e.emitFaultEdges(now)
 	}
 	e.lastFaultScan = now
 }
@@ -1599,19 +1590,17 @@ func (e *Engine) controlTick(now sim.Time, load float64) {
 	p99 := truthP99
 	degraded := false
 	degradedCause := ""
-	if e.cfg.Faults != nil {
-		if mode, ok := e.cfg.Faults.Dropout(now); ok {
-			degraded = true
-			if mode == faults.DropNaN {
-				p99 = math.NaN()
-				degradedCause = "p99 NaN"
-			} else {
-				p99 = e.staleP99
-				degradedCause = "p99 stale"
-			}
+	if mode, ok := e.cfg.Faults.Dropout(now); ok {
+		degraded = true
+		if mode == faults.DropNaN {
+			p99 = math.NaN()
+			degradedCause = "p99 NaN"
 		} else {
-			e.staleP99 = truthP99
+			p99 = e.staleP99
+			degradedCause = "p99 stale"
 		}
+	} else {
+		e.staleP99 = truthP99
 	}
 	slack := 1.0
 	if e.cfg.SLA > 0 {
@@ -1822,7 +1811,7 @@ func (e *Engine) resume(p *podRuntime, now sim.Time) {
 // machine without headroom refuses before the instance id is formatted,
 // so the refusal allocates nothing.
 func (e *Engine) launch(p *podRuntime, now sim.Time) {
-	if e.cfg.Faults != nil && e.cfg.Faults.CrashBlocked(now, p.comp.Name) {
+	if e.cfg.Faults.CrashBlocked(now, p.comp.Name) {
 		return // crash restart delay: the BE runtime is still coming back
 	}
 	if !p.agent.CanLaunchBE() {
@@ -1895,7 +1884,7 @@ func (e *Engine) AdmitBE(pod string, ty bejobs.Type, id string) bool {
 	if !ok || len(p.instances) >= maxBEPerMachine {
 		return false
 	}
-	if e.cfg.Faults != nil && e.cfg.Faults.CrashBlocked(e.cursor, pod) {
+	if e.cfg.Faults.CrashBlocked(e.cursor, pod) {
 		return false
 	}
 	return e.place(p, id, ty, e.cursor)

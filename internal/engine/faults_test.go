@@ -3,6 +3,8 @@ package engine
 import (
 	"math"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -78,6 +80,53 @@ func TestFaultRunsDeterministic(t *testing.T) {
 	b := mustRun(t, faultCfg(t, sched()), 60*time.Second)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed + schedule gave different runs")
+	}
+}
+
+// TestSharedScheduleConcurrentRuns pins that engines may share one
+// schedule: eight goroutines each build and run an engine on one schedule
+// nobody has validated yet, so their New calls race to be its first
+// Validate, and every run must equal a serial run on a fresh copy. The
+// schedule holds the chaos and storm presets' events, so the runs query
+// every kind at once. CI runs it under the race detector.
+func TestSharedScheduleConcurrentRuns(t *testing.T) {
+	var events []faults.Event
+	for _, name := range []string{"chaos", "storm"} {
+		p, err := faults.Preset(name, 2020, 30*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, p.Events...)
+	}
+	fresh := func() *faults.Schedule { return &faults.Schedule{Events: slices.Clone(events)} }
+	want := mustRun(t, faultCfg(t, fresh()), 30*time.Second)
+	if want.DegradedPeriods == 0 || want.TotalCrashes() == 0 {
+		t.Fatalf("the schedule left no trace: %d degraded periods, %d crashes", want.DegradedPeriods, want.TotalCrashes())
+	}
+
+	cfg := faultCfg(t, fresh())
+	got := make([]*RunStats, 8)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e, err := New(cfg)
+			if err == nil {
+				got[g], err = e.Run(30 * time.Second)
+			}
+			errs[g] = err
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		if !reflect.DeepEqual(got[g], want) {
+			t.Fatalf("goroutine %d's run on the shared schedule differs from a serial run", g)
+		}
 	}
 }
 

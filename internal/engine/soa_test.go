@@ -308,6 +308,46 @@ func TestTickSoAMatchesScalar(t *testing.T) {
 			assertPairedEqual(t, faultCfg(t, sched), 40*time.Second)
 		})
 	}
+	// Fault edges end blocks (RunUntil), so the block start's fault rows
+	// hold for the whole block. faultCfg's load is constant, so only the
+	// storm pass's dirty mark recomputes a stormed pressure.
+	for _, row := range []struct {
+		name   string
+		events []faults.Event
+	}{
+		// Edges off the 100 ms grid: each takes effect at the next tick.
+		{"fault-edge-off-grid", []faults.Event{
+			{Kind: faults.InterferenceStorm, Pod: "MySQL", At: 6050 * time.Millisecond, Duration: 3020 * time.Millisecond, Magnitude: 2.5},
+			{Kind: faults.MachineSlowdown, Pod: "Web", At: 6050 * time.Millisecond, Duration: 4070 * time.Millisecond, FreqGHz: 1.4},
+			{Kind: faults.ProfileDrift, Pod: "Amoeba", At: 6050 * time.Millisecond, Duration: 2990 * time.Millisecond, MuSkew: 1.3, SigmaSkew: 1.2},
+		}},
+		// Starts after the control tick at 8 s and ends before the one at
+		// 10 s: the period's ticks run as three blocks.
+		{"fault-storm-inside-period", []faults.Event{
+			{Kind: faults.InterferenceStorm, At: 8300 * time.Millisecond, Duration: 1200 * time.Millisecond, Magnitude: 3},
+		}},
+		// The control tick at 8 s runs after a block of the crash tick
+		// alone, whose BE instances are gone.
+		{"fault-crash-on-control-tick", []faults.Event{
+			{Kind: faults.BECrash, At: 8 * time.Second, RestartDelay: 3 * time.Second},
+		}},
+		// Each of the four edges changes MySQL's storm multiplier.
+		{"fault-overlapping-storms", []faults.Event{
+			{Kind: faults.InterferenceStorm, Pod: "MySQL", At: 6 * time.Second, Duration: 6 * time.Second, Magnitude: 2},
+			{Kind: faults.InterferenceStorm, Pod: "MySQL", At: 8500 * time.Millisecond, Duration: 6 * time.Second, Magnitude: 1.5},
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			sched := &faults.Schedule{Events: row.events}
+			if err := sched.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			out := assertRunnerMatches(t, faultCfg(t, sched), 20*time.Second, runBlocks(t))
+			if row.events[0].Kind == faults.BECrash && out.stats.TotalCrashes() == 0 {
+				t.Error("the crash found no BE instance to kill")
+			}
+		})
+	}
 	t.Run("explicit-fault-mix", func(t *testing.T) {
 		sched := &faults.Schedule{Events: []faults.Event{
 			{Kind: faults.LoadSurge, At: 6 * time.Second, Duration: 8 * time.Second, Magnitude: 1.6},

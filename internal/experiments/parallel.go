@@ -60,13 +60,18 @@ func (c *Context) RunAll(ids []string, jobs int) []Result {
 // singleflight work (a deployment, the grid prefetch, the threshold
 // sweep) to the work itself rather than to whichever experiment asked
 // for it first, and the caller's own labels are left as they were. A
-// panic in fn is re-raised on the caller.
+// panic in fn is re-raised on the caller as a *sim.WorkerPanic that keeps
+// fn's stack.
 func charge(work string, fn func()) {
-	var panicked any
+	var panicked *sim.WorkerPanic
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		defer func() { panicked = recover() }()
+		defer func() {
+			if r := recover(); r != nil {
+				panicked = sim.Recovered(r)
+			}
+		}()
 		pprof.Do(context.Background(), pprof.Labels("work", work), func(context.Context) { fn() })
 	}()
 	<-done

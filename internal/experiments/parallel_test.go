@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"rhythm/internal/sim"
 )
 
 func TestRunAllReportsErrorsInPlace(t *testing.T) {
@@ -101,9 +103,17 @@ func TestChargeLabelsSharedWork(t *testing.T) {
 		}
 	})
 	defer func() {
-		if r := recover(); r != "boom" {
-			t.Fatalf("recovered %v, want the work's panic", r)
+		wp, ok := recover().(*sim.WorkerPanic)
+		if !ok || wp.Value != "boom" {
+			t.Fatalf("recovered %v, want the work's panic", wp)
+		}
+		if !strings.Contains(string(wp.Stack), "gridWork") {
+			t.Fatalf("re-raised panic's stack does not name the panicking function:\n%s", wp.Stack)
 		}
 	}()
-	charge("grid", func() { panic("boom") })
+	charge("grid", gridWork)
 }
+
+// gridWork is charged work that panics, named so the re-raised panic's
+// stack can be checked for it.
+func gridWork() { panic("boom") }

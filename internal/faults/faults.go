@@ -8,13 +8,14 @@
 // # Determinism contract
 //
 // A Schedule is built once — from a preset generator seeded with its own
-// sim.SubSeed-forked substream, or parsed from a file — and is immutable
-// and purely read afterwards. Query methods never draw randomness and
-// never mutate state, so consulting a Schedule from the engine hot path
-// cannot perturb the workload RNG streams: the same seed plus the same
-// schedule yields byte-identical runs at any worker count, and a nil
-// Schedule leaves the engine bit-frozen relative to a build without the
-// faults subsystem at all.
+// sim.SubSeed-forked substream, or parsed from a file — and compiled by
+// its first Validate, which runs exactly once (later calls return the
+// cached verdict). From then on it is immutable and purely read: query
+// methods never draw randomness and never write, so any number of
+// engines may share one schedule concurrently, and consulting it from the
+// engine hot path cannot perturb the workload RNG streams. The same seed
+// plus the same schedule yields byte-identical runs at any worker count,
+// and a nil Schedule answers "no faults" to every query.
 package faults
 
 import (
@@ -22,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"rhythm/internal/sim"
@@ -123,17 +125,21 @@ type FieldError struct {
 // Error implements error.
 func (e *FieldError) Error() string { return "faults: " + e.Field + ": " + e.Reason }
 
-// Schedule is an immutable set of fault events plus per-kind indexes for
-// the engine's per-tick queries. All query methods are nil-safe: a nil
-// *Schedule behaves as "no faults".
+// Schedule is a set of fault events plus per-kind indexes for the
+// engine's per-tick queries. Its first Validate (or first query) fills the
+// per-kind defaults, sorts Events and builds the indexes, once; after that
+// the schedule is immutable, and Name and Events must not be changed. All
+// query methods are nil-safe: a nil *Schedule behaves as "no faults". A
+// Schedule must not be copied after first use.
 type Schedule struct {
 	// Name labels the schedule in output ("surges", "chaos", a file path).
 	Name string `json:"name,omitempty"`
-	// Events is the full event list. Treat it as read-only once the
-	// schedule is validated; Validate sorts it into deterministic order.
+	// Events is the full event list. The first Validate sorts it into
+	// deterministic order; it is read-only from then on.
 	Events []Event `json:"events"`
 
-	compiled  bool
+	once      sync.Once
+	err       error // Validate's verdict, cached by once
 	surges    []Event
 	storms    []Event
 	slowdowns []Event
@@ -149,10 +155,23 @@ type Schedule struct {
 // event must end inside the virtual clock's range, and the multipliers of
 // one kind must not overflow when every event of that kind is active at
 // once, so every query answers a finite number.
+//
+// The work runs once, on the first call; every later call, from any
+// goroutine, returns the same verdict and writes nothing.
 func (s *Schedule) Validate() error {
 	if s == nil {
 		return nil
 	}
+	s.once.Do(func() {
+		if s.err = s.check(); s.err == nil {
+			s.compile()
+		}
+	})
+	return s.err
+}
+
+// check validates the events and fills their per-kind defaults.
+func (s *Schedule) check() error {
 	var errs []error
 	bad := func(i int, field, format string, args ...any) {
 		errs = append(errs, &FieldError{
@@ -251,11 +270,7 @@ func (s *Schedule) Validate() error {
 			}
 		}
 	}
-	if len(errs) > 0 {
-		return errors.Join(errs...)
-	}
-	s.compile()
-	return nil
+	return errors.Join(errs...)
 }
 
 // compile sorts Events deterministically and builds the per-kind slices.
@@ -270,12 +285,6 @@ func (s *Schedule) compile() {
 		}
 		return a.Pod < b.Pod
 	})
-	s.surges = s.surges[:0]
-	s.storms = s.storms[:0]
-	s.slowdowns = s.slowdowns[:0]
-	s.crashes = s.crashes[:0]
-	s.drifts = s.drifts[:0]
-	s.dropouts = s.dropouts[:0]
 	for _, ev := range s.Events {
 		switch ev.Kind {
 		case LoadSurge:
@@ -292,16 +301,14 @@ func (s *Schedule) compile() {
 			s.dropouts = append(s.dropouts, ev)
 		}
 	}
-	s.compiled = true
 }
 
-// ensure panics if a query runs on an uncompiled schedule: the engine
-// validates at New time, so reaching this means a caller skipped Validate.
+// ensure compiles the schedule on first use and panics if it is invalid:
+// the engine validates at New time, so reaching the panic means a caller
+// skipped Validate.
 func (s *Schedule) ensure() {
-	if !s.compiled {
-		if err := s.Validate(); err != nil {
-			panic("faults: querying an invalid schedule: " + err.Error())
-		}
+	if err := s.Validate(); err != nil {
+		panic("faults: querying an invalid schedule: " + err.Error())
 	}
 }
 
@@ -437,8 +444,11 @@ type Edge struct {
 
 // EdgesIn appends to dst the activation/deactivation edges in the
 // half-open window (from, to]: events whose start (or end) time falls in
-// it. BECrash produces a single Start edge. The engine only calls this
-// when a bus is installed, so untraced runs never pay for it.
+// it. BECrash produces a single Start edge. LoadMul, InterferenceMul,
+// FreqCapGHz, Drift and Dropout answer the same at two times with no edge
+// between them, and CrashTriggered fires only over a window with one, so
+// the engine ends its tick blocks at edges; it also reports them on the
+// bus. (CrashBlocked's restart delay ends without an edge.)
 func (s *Schedule) EdgesIn(dst []Edge, from, to sim.Time) []Edge {
 	if s == nil {
 		return dst

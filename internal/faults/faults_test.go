@@ -270,6 +270,19 @@ func TestParseAndLoad(t *testing.T) {
 	if _, err := Parse([]byte(`{"events": [{"kind": "load-surge"}]}`)); err == nil {
 		t.Fatal("Parse accepted an invalid event")
 	}
+	// Decoding is strict: a misspelt key and data after the schedule
+	// object are errors, not silently dropped.
+	for _, tc := range []struct{ src, want string }{
+		{`{"events": [{"kind": "be-crash", "pod": "MySQL", "at_s": 5, "restart_delay": 8}]}`,
+			`unknown field "restart_delay"`},
+		{`{"events": [], "evnets": []}`, `unknown field "evnets"`},
+		{`{"events": [{"kind": "be-crash", "pod": "MySQL", "at_s": 5}]} {"events": []}`, "trailing data"},
+		{`{"events": []}}`, "trailing data"},
+	} {
+		if _, err := Parse([]byte(tc.src)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Parse(%s) = %v, want an error saying %s", tc.src, err, tc.want)
+		}
+	}
 	// Seconds past the clock's range saturate: the event is rejected for
 	// ending out of range, not for a wrapped negative start.
 	_, err = Parse([]byte(`{"events": [{"kind": "load-surge", "at_s": 1e10, "dur_s": 2, "magnitude": 1.5}]}`))

@@ -3,8 +3,10 @@
 package faults
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -169,10 +171,32 @@ type fileSchedule struct {
 //	  {"kind": "be-crash", "pod": "MySQL", "at_s": 60, "restart_delay_s": 8},
 //	  {"kind": "measurement-dropout", "at_s": 80, "dur_s": 6, "mode": "stale"}
 //	]}
+//
+// Decoding is strict: an unknown key (a misspelt "restart_delay" would
+// otherwise leave RestartDelay at 0) and data after the schedule object
+// are errors.
 func Parse(data []byte) (*Schedule, error) {
+	s, err := decode(data)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// decode is Parse without the validation, so Load can name the schedule
+// before its first Validate freezes it.
+func decode(data []byte) (*Schedule, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var fs fileSchedule
-	if err := json.Unmarshal(data, &fs); err != nil {
+	if err := dec.Decode(&fs); err != nil {
 		return nil, fmt.Errorf("faults: parsing schedule: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("faults: parsing schedule: trailing data after the schedule object")
 	}
 	s := &Schedule{Name: fs.Name}
 	for _, fe := range fs.Events {
@@ -189,24 +213,26 @@ func Parse(data []byte) (*Schedule, error) {
 			Mode:         fe.Mode,
 		})
 	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
 	return s, nil
 }
 
-// Load reads and parses a JSON schedule file.
+// Load reads and parses a JSON schedule file; a schedule without a name
+// is named by its path. Parse's errors already say "faults:", so Load
+// prefixes only the path.
 func Load(path string) (*Schedule, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("faults: %w", err)
 	}
-	s, err := Parse(data)
-	if err != nil {
-		return nil, fmt.Errorf("faults: %s: %w", path, err)
+	s, err := decode(data)
+	if err == nil {
+		if s.Name == "" {
+			s.Name = path
+		}
+		err = s.Validate()
 	}
-	if s.Name == "" {
-		s.Name = path
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return s, nil
 }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -41,7 +43,8 @@ func Jobs(n int) int {
 //
 // A panic in any fn is captured and re-raised on the calling goroutine
 // after all workers have drained, so a crashing sweep fails the caller
-// rather than the whole process.
+// rather than the whole process. The re-raised value is a *WorkerPanic
+// carrying the panicking goroutine's stack, at every worker count.
 func ForEach(n, jobs int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -63,10 +66,15 @@ func ForEach(n, jobs int, fn func(i int)) {
 
 	if jobs <= 1 {
 		occupancy.Add(1)
+		defer occupancy.Add(-1)
+		defer func() {
+			if r := recover(); r != nil {
+				panic(Recovered(r))
+			}
+		}()
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
-		occupancy.Add(-1)
 		return
 	}
 
@@ -74,7 +82,7 @@ func ForEach(n, jobs int, fn func(i int)) {
 		next     int64
 		wg       sync.WaitGroup
 		panicMu  sync.Mutex
-		panicked interface{}
+		panicked *WorkerPanic
 	)
 	for w := 0; w < jobs; w++ {
 		wg.Add(1)
@@ -90,9 +98,10 @@ func ForEach(n, jobs int, fn func(i int)) {
 				func() {
 					defer func() {
 						if r := recover(); r != nil {
+							wp := Recovered(r)
 							panicMu.Lock()
 							if panicked == nil {
-								panicked = r
+								panicked = wp
 							}
 							panicMu.Unlock()
 						}
@@ -106,6 +115,32 @@ func ForEach(n, jobs int, fn func(i int)) {
 	if panicked != nil {
 		panic(panicked)
 	}
+}
+
+// WorkerPanic is the value ForEach, and any runner of work on a goroutine
+// of its own, re-raises for a recovered panic: the original value and the
+// stack of the goroutine that panicked, which a re-raise on the caller's
+// goroutine would otherwise lose.
+type WorkerPanic struct {
+	Value any
+	Stack []byte
+}
+
+// Error reports the original value and the stack it panicked on, which is
+// what the process prints if the re-raised panic is never recovered.
+func (p *WorkerPanic) Error() string {
+	return fmt.Sprintf("%v\n\npanicking goroutine's stack:\n%s", p.Value, p.Stack)
+}
+
+// Recovered wraps r, a value recover returned, with the current
+// goroutine's stack; call it in the deferred function that recovered, so
+// the stack still holds the panicking frames. A *WorkerPanic passes
+// through as it is, keeping the innermost stack when pools nest.
+func Recovered(r any) *WorkerPanic {
+	if wp, ok := r.(*WorkerPanic); ok {
+		return wp
+	}
+	return &WorkerPanic{Value: r, Stack: debug.Stack()}
 }
 
 // ForEachErr is ForEach for fallible work: it collects one error per

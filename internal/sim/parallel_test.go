@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -90,16 +91,39 @@ func TestForEachPanicPropagates(t *testing.T) {
 	for _, jobs := range []int{1, 4} {
 		func() {
 			defer func() {
-				if r := recover(); r == nil {
+				r := recover()
+				if r == nil {
 					t.Fatalf("jobs=%d: panic did not propagate", jobs)
 				}
-			}()
-			ForEach(10, jobs, func(i int) {
-				if i == 5 {
-					panic("kaboom")
+				wp, ok := r.(*WorkerPanic)
+				if !ok || wp.Value != "kaboom" {
+					t.Fatalf("jobs=%d: re-raised %#v, want a *WorkerPanic of kaboom", jobs, r)
 				}
-			})
+				if !strings.Contains(string(wp.Stack), "sim.panicAtFive") ||
+					!strings.Contains(wp.Error(), "sim.panicAtFive") {
+					t.Fatalf("jobs=%d: re-raised panic does not name the panicking function:\n%s", jobs, wp.Error())
+				}
+			}()
+			ForEach(10, jobs, panicAtFive)
 		}()
+	}
+	// A panic from a nested pool keeps its innermost stack.
+	func() {
+		defer func() {
+			wp, ok := recover().(*WorkerPanic)
+			if !ok || wp.Value != "kaboom" || !strings.Contains(string(wp.Stack), "sim.panicAtFive") {
+				t.Fatalf("nested pool re-raised %v", wp)
+			}
+		}()
+		ForEach(2, 2, func(int) { ForEach(10, 2, panicAtFive) })
+	}()
+}
+
+// panicAtFive is a ForEach body that panics at index 5, named so the
+// re-raised panic's stack can be checked for it.
+func panicAtFive(i int) {
+	if i == 5 {
+		panic("kaboom")
 	}
 }
 
